@@ -440,10 +440,11 @@ func BenchmarkE21AdaptiveFind(b *testing.B) {
 	}
 }
 
-// BenchmarkE23LockFree measures the lock-free backend on the E23 shapes:
-// one uniform batch per kind (flat / sharded / lock-free, identical edges
-// and worker budget), plus the regime only the lock-free kind supports —
-// k genuinely overlapping UniteAll calls on one structure.
+// BenchmarkE23LockFree measures the lock-free kind on the E23 shapes: one
+// uniform batch per kind (flat / sharded / lock-free, identical edges and
+// worker budget; lock-free runs the flat core, so it should match flat),
+// plus the regime the concurrent capability promises — k genuinely
+// overlapping UniteAll calls on one structure.
 func BenchmarkE23LockFree(b *testing.B) {
 	const n = 1 << 18
 	m := 4 * n

@@ -14,7 +14,7 @@
 //	dsubench -exp shard   # E19, sharded DSU vs flat engine
 //	dsubench -exp stream  # E20, stream vs blocking-batch ingestion
 //	dsubench -exp adapt   # E21, adaptive vs fixed find variants
-//	dsubench -exp lockfree # E23, lock-free backend vs flat and sharded
+//	dsubench -exp lockfree # E23, lock-free kind (concurrent core) vs sharded
 //	dsubench -exp fastpath # E24, pipelined pooled wire path vs per-RPC
 package main
 

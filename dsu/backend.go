@@ -62,33 +62,29 @@ type Backend interface {
 	universe() *Universe
 }
 
-// ConcurrentBackend is the second capability of the execution seam: a
+// ConcurrentBackend is the concurrent capability of the execution seam: a
 // Backend whose entire operation surface — point operations AND batch
 // calls — is safe from any number of goroutines with no quiescence
-// requirement. On a plain Backend, batch calls serialize mutations behind
-// the engine's batch barrier (one batch at a time owns the structure;
-// callers queue); on a ConcurrentBackend, overlap is the contract: any
-// number of UniteAll/SameSetAll calls, stream batches, and point
-// operations may run simultaneously on one structure, and the summed
-// merge count across overlapping mutation batches is exact for the
-// combined edge set. Layers that hold concurrency back to protect a plain
-// Backend — the stream dispatcher, the server's per-tenant in-flight
-// budget — detect this capability and let requests run truly
-// concurrently instead.
+// requirement, as a contract callers may rely on. A plain Backend makes
+// no such promise (Sharded serializes mutation batches behind a lock);
+// on a ConcurrentBackend, overlap is the contract: any number of
+// UniteAll/SameSetAll calls, stream batches, and point operations may run
+// simultaneously on one structure, and the summed merge count across
+// overlapping mutation batches is exact for the combined edge set. Layers
+// that hold concurrency back to protect a plain Backend — the stream
+// dispatcher, the server's per-tenant in-flight budget — detect this
+// capability and let requests run truly concurrently instead.
 //
 // Like Backend, the interface is closed: the no-quiescence contract is
-// proved against this package's implementation (*LockFree) by the
-// conformance and linearizability suites.
+// proved against this package's implementation (*LockFree, the flat core
+// with the capability) by the conformance suite and the core's
+// linearizability checks.
 type ConcurrentBackend interface {
 	Backend
 	// concurrentOK marks the capability; the contract is behavioral
 	// (no-quiescence safety of the full surface), not an extra method set.
 	concurrentOK()
 }
-
-// StreamBackend is the former name of Backend, kept for callers that
-// predate the unified execution layer.
-type StreamBackend = Backend
 
 var (
 	_ Backend           = (*DSU)(nil)

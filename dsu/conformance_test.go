@@ -2,10 +2,13 @@ package dsu_test
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/dsu"
 	"repro/internal/engine"
+	"repro/internal/randutil"
 	"repro/internal/seqdsu"
 	"repro/internal/workload"
 )
@@ -14,9 +17,11 @@ import (
 // constructors — flat, sharded, lock-free — driven through the contract
 // every structure kind must honor. Constructor boundaries, batch ≡
 // blocking partitions, oracle cross-validation, filter neutrality, and
-// counted accounting are each written once here; per-kind test files keep
+// counted accounting are each written once here, as are the concurrent
+// kind's overlap and retry-accounting contracts; per-kind test files keep
 // only what is genuinely specific to their kind (shard clamping, stream
-// ordering, lock-free linearizability). CI runs the suite under -race.
+// ordering), and point-op linearizability is checked on the one core
+// (internal/core). CI runs the suite under -race.
 
 // backendCase names one structure kind and how to build it.
 type backendCase struct {
@@ -288,5 +293,104 @@ func TestBackendConstructorContract(t *testing.T) {
 		if e := bc.make(0); e.N() != 0 || e.Sets() != 0 {
 			t.Errorf("%s: empty universe should construct", bc.name)
 		}
+	}
+}
+
+// TestOverlappingBatchesExactMerges is the concurrent kind's no-barrier
+// contract, accounting half: many UniteAll calls overlapping on one
+// structure from many goroutines, with point operations racing them, must
+// sum their merge counts to exactly initial sets − final sets — every
+// successful link counted exactly once — and land on the oracle partition.
+func TestOverlappingBatchesExactMerges(t *testing.T) {
+	const n, batches, perBatch = 2048, 8, 1024
+	d := dsu.NewLockFree(n, dsu.WithSeed(21))
+	rng := randutil.NewXoshiro256(77)
+	all := make([][]dsu.Edge, batches)
+	for i := range all {
+		all[i] = engine.FromOps(workload.RandomUnions(n, perBatch, rng.Next()))
+	}
+	points := engine.FromOps(workload.RandomUnions(n, 256, 123))
+
+	var wg sync.WaitGroup
+	merged := make([]int, batches)
+	for i := range all {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			merged[i] = d.UniteAll(all[i], dsu.WithWorkers(2))
+		}(i)
+	}
+	// Point operations race the batches; their merges must be counted by
+	// them alone (Unite returning true), never double-counted by a batch.
+	pointMerged := 0
+	for _, e := range points {
+		if d.Unite(e.X, e.Y) {
+			pointMerged++
+		}
+	}
+	wg.Wait()
+
+	total := pointMerged
+	for _, m := range merged {
+		total += m
+	}
+	if want := n - d.Sets(); total != want {
+		t.Fatalf("summed merges %d, want exactly %d (initial − final sets)", total, want)
+	}
+	checkLabelsMatch(t, d.CanonicalLabels(), oracle(n, append(all, points)...).CanonicalLabels())
+}
+
+// TestBatchCASRetriesMatchRounds pins the retry plumbing from the core's
+// Algorithm 3 loop to the batch reply. Each link attempt is one round, so
+// on an unfiltered unite batch every non-self-loop edge costs one round
+// plus one per lost link race: CASRetries = Rounds − (Ops − self-loops),
+// exactly. A reply that dropped or double-counted retries breaks the
+// identity. The batch makes the races real: every edge joins one hot key
+// to the next element in linking order, so each link moves the root every
+// in-flight unite is about to link, and overlapping calls contend on it.
+func TestBatchCASRetriesMatchRounds(t *testing.T) {
+	const n, calls = 1 << 12, 4
+	for _, kind := range []dsu.Kind{dsu.KindFlat, dsu.KindLockFree} {
+		t.Run(kind.String(), func(t *testing.T) {
+			var retries int64
+			attempt := 0
+			// Contention is a scheduling outcome, so repeat until some
+			// race was observed (a multi-core run sees one at once).
+			for ; attempt < 20 && retries == 0; attempt++ {
+				u, err := dsu.NewRegistry().Create("hot", n, dsu.WithKind(kind), dsu.WithSeed(uint64(attempt)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				byID := make([]uint32, n)
+				for x := uint32(0); x < n; x++ {
+					byID[u.ID(x)] = x
+				}
+				edges := make([]dsu.Edge, 0, n)
+				for _, x := range byID {
+					edges = append(edges, dsu.Edge{X: byID[0], Y: x}) // the first is a self-loop
+				}
+				reps := make([]dsu.BatchReply, calls)
+				var wg sync.WaitGroup
+				for c := range reps {
+					wg.Add(1)
+					go func(c int) {
+						defer wg.Done()
+						rep, err := u.UniteAll(dsu.UniteRequest{Edges: edges, Options: dsu.BatchOptions{Workers: 4}})
+						if err != nil {
+							t.Error(err)
+						}
+						reps[c] = rep
+					}(c)
+				}
+				wg.Wait()
+				for c, rep := range reps {
+					if want := rep.Stats.Rounds - (rep.Stats.Ops - 1); rep.CASRetries != want {
+						t.Fatalf("call %d: CASRetries = %d, want Rounds − (Ops − self-loops) = %d", c, rep.CASRetries, want)
+					}
+					retries += rep.CASRetries
+				}
+			}
+			t.Logf("%d root-link retries in %d attempts (GOMAXPROCS=%d)", retries, attempt, runtime.GOMAXPROCS(0))
+		})
 	}
 }

@@ -29,8 +29,9 @@
 // across per-shard engines with cross-shard reconciliation (see Sharded).
 // For genuinely concurrent mutation — goroutines issuing point operations
 // and batches with no coordination, the paper's own regime — NewLockFree
-// runs the algorithm as a lock-free serving structure whose operations
-// may overlap arbitrarily (see LockFree and ConcurrentBackend). For edges
+// serves the same structure with the ConcurrentBackend capability, so
+// the stream and server layers let its operations overlap arbitrarily
+// (see LockFree and ConcurrentBackend). For edges
 // that arrive over time, NewStream wraps any structure in an asynchronous
 // ingestion front: pushes accumulate into double-buffered batches executed
 // in the background, with backpressure and per-batch completion callbacks

@@ -35,7 +35,7 @@ import (
 //	dsu_merged_edges_total{tenant}          edges that performed a merge
 //	dsu_filtered_edges_total{tenant}        edges dropped by filter passes
 //	dsu_screen_find_steps_total{tenant}     ConnectedFilter screen find work
-//	dsu_cas_retries_total{tenant}           lock-free root-link CAS retries
+//	dsu_cas_retries_total{tenant}           root-link CAS retries (contention)
 //	dsu_find_variant_total{tenant,find}     query batches by resolved variant
 //	dsu_tenant_seq{tenant}                  applied-batch sequence (gauge)
 //	dsu_streams_active{tenant}              open streams (gauge)
@@ -79,7 +79,7 @@ func NewMetrics() *Metrics {
 		merged:      reg.CounterVec("dsu_merged_edges_total", "Unite-batch edges that performed a merge.", "tenant"),
 		filtered:    reg.CounterVec("dsu_filtered_edges_total", "Edges dropped before dispatch by Prefilter dedup or the ConnectedFilter screen.", "tenant"),
 		screenFinds: reg.CounterVec("dsu_screen_find_steps_total", "Find-loop iterations spent in ConnectedFilter screen passes.", "tenant"),
-		casRetries:  reg.CounterVec("dsu_cas_retries_total", "Root-link CAS attempts that lost a race and retried (lock-free backend contention).", "tenant"),
+		casRetries:  reg.CounterVec("dsu_cas_retries_total", "Root-link CAS attempts that lost a race to a concurrent link and retried, summed over unite batches (contention on roots).", "tenant"),
 		picks:       reg.CounterVec("dsu_find_variant_total", "Query batches by the find variant that actually ran (the adaptive policy's picks).", "tenant", "find"),
 		seq:         reg.GaugeVec("dsu_tenant_seq", "Applied-batch sequence number: the durable log position when persistence is on, a plain batch count otherwise. Compare across replicas.", "tenant"),
 
@@ -187,7 +187,7 @@ type TenantMetrics struct {
 	// FindSteps sums find-loop iterations across unite and query batches
 	// (every phase); ScreenFindSteps is the ConnectedFilter screen's share.
 	FindSteps, ScreenFindSteps int64
-	// CASRetries counts lock-free root-link CAS retries.
+	// CASRetries counts root-link CAS retries across unite batches.
 	CASRetries int64
 	// Seq is the applied-batch sequence gauge (Universe.Seq as last
 	// published to the instruments).

@@ -1,9 +1,6 @@
 package dsu
 
-import (
-	"repro/internal/engine"
-	"repro/internal/exec"
-)
+import "repro/internal/exec"
 
 // Prefilter returns the batch with self-loop edges and exact duplicates
 // removed; (u, v) and (v, u) name the same edge and count as duplicates.
@@ -15,7 +12,7 @@ import (
 // duplicate-heavy and the universe large enough that finds cache-miss, a
 // net loss on small or duplicate-free batches — E19 measures both sides on
 // Zipf batches, filter pass included.
-func Prefilter(edges []Edge) []Edge { return engine.Prefilter(edges) }
+func Prefilter(edges []Edge) []Edge { return exec.Dedup(edges) }
 
 // WithPrefilter makes UniteAll run the batch through Prefilter before the
 // engine dispatches it. Both the flat DSU and Sharded honor it; SameSetAll

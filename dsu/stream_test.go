@@ -16,10 +16,10 @@ import (
 
 // streamBackends builds the two backends the stream contract covers, both
 // seeded identically so partitions are comparable structure to structure.
-func streamBackends(n int, seed uint64) map[string]func() dsu.StreamBackend {
-	return map[string]func() dsu.StreamBackend{
-		"flat":    func() dsu.StreamBackend { return dsu.New(n, dsu.WithSeed(seed)) },
-		"sharded": func() dsu.StreamBackend { return dsu.NewSharded(n, 3, dsu.WithSeed(seed)) },
+func streamBackends(n int, seed uint64) map[string]func() dsu.Backend {
+	return map[string]func() dsu.Backend{
+		"flat":    func() dsu.Backend { return dsu.New(n, dsu.WithSeed(seed)) },
+		"sharded": func() dsu.Backend { return dsu.NewSharded(n, 3, dsu.WithSeed(seed)) },
 	}
 }
 
@@ -338,7 +338,7 @@ func TestStreamSoak(t *testing.T) {
 		ref.UniteAll(edges)
 		want := ref.CanonicalLabels()
 
-		var back dsu.StreamBackend = dsu.New(n, dsu.WithSeed(seed))
+		var back dsu.Backend = dsu.New(n, dsu.WithSeed(seed))
 		if it%2 == 1 {
 			back = dsu.NewSharded(n, 1+it%4, dsu.WithSeed(seed))
 		}

@@ -211,9 +211,10 @@ type BatchReply struct {
 	Filtered int          `json:"filtered,omitempty"`
 	Find     FindStrategy `json:"find,omitempty"`
 	// CASRetries carries exec.Result.CASRetries: root-link CAS attempts
-	// that lost a race and retried — the lock-free backend's contention
-	// metric (always zero for the engine-pooled kinds). Remote callers of
-	// a lock-free tenant read their batches' contention here.
+	// that lost a race to a concurrent link and retried, summed over the
+	// batch's workers — the contention metric of every kind (zero under
+	// early termination, and zero for query batches). Remote callers read
+	// their batches' contention here.
 	CASRetries int64         `json:"cas_retries,omitempty"`
 	Elapsed    time.Duration `json:"elapsed,omitempty"`
 	Stats      Stats         `json:"stats"`
@@ -283,7 +284,7 @@ func (u *Universe) resolve(o BatchOptions) (exec.Config, error) {
 		cfg.Find = coreFind(o.Find)
 	case Halving, Compression:
 		if _, ok := u.b.(*LockFree); ok {
-			return cfg, fmt.Errorf("dsu: find override %v is undefined on the lock-free backend (splitting family only)", o.Find)
+			return cfg, fmt.Errorf("dsu: find override %v is outside the lock-free kind's contract (splitting family only)", o.Find)
 		}
 		if x.Backend().CoreConfig().EarlyTermination {
 			return cfg, fmt.Errorf("dsu: find override %v is undefined on a structure built with early termination", o.Find)
@@ -496,8 +497,8 @@ func (r *Registry) Tracing() *Tracing { return r.tracing }
 // is the default. KindSharded without a shard count uses one shard per
 // available CPU; KindLockFree rejects WithShards (the lock-free structure
 // is one array), WithEarlyTermination, and the Halving/Compression find
-// strategies (the concurrent algorithm defines the splitting family
-// only). WithFind/WithAdaptiveFind and WithSeed apply as in the
+// strategies (the kind's contract covers the splitting family only).
+// WithFind/WithAdaptiveFind and WithSeed apply as in the
 // constructors. It returns an error — never panics — on a taken name, an
 // out-of-range n, or an inconsistent option set, so remote tenant
 // creation cannot crash a server. The structure is allocated under the
@@ -539,10 +540,10 @@ func (r *Registry) Create(name string, n int, opts ...Option) (*Universe, error)
 			return nil, errors.New("dsu: the lock-free kind does not shard (one atomic parent array)")
 		}
 		if cfg.early {
-			return nil, errors.New("dsu: early termination is not supported by the lock-free backend")
+			return nil, errors.New("dsu: early termination is not supported by the lock-free kind")
 		}
 		if cfg.find == Halving || cfg.find == Compression {
-			return nil, fmt.Errorf("dsu: find strategy %v is undefined on the lock-free backend (splitting family only)", cfg.find)
+			return nil, fmt.Errorf("dsu: find strategy %v is outside the lock-free kind's contract (splitting family only)", cfg.find)
 		}
 	default:
 		return nil, fmt.Errorf("dsu: unknown structure kind %d", int(kind))

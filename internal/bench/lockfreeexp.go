@@ -7,30 +7,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/lockfree"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// bestLockFreeUniteAll runs the batch three times on fresh lock-free
-// structures and keeps the fastest run, mirroring bestUniteAll.
-func bestLockFreeUniteAll(n int, seed uint64, edges []engine.Edge, cfg engine.Config) engine.Result {
-	var best engine.Result
-	best.Elapsed = time.Duration(1<<62 - 1)
-	for rep := 0; rep < 3; rep++ {
-		d := lockfree.New(n, core.Config{Seed: seed})
-		if res := d.UniteAll(edges, cfg); res.Elapsed < best.Elapsed {
-			best = res
-		}
-	}
-	return best
-}
-
-// runLockFreePoints drives one op list per process against a fresh
-// lock-free structure, one goroutine per process — true overlap, no
-// per-batch barrier — returning wall-clock time and total CAS retries.
-func runLockFreePoints(n int, seed uint64, perProc [][]workload.Op) (time.Duration, int64) {
-	d := lockfree.New(n, core.Config{Seed: seed})
+// runCorePoints drives one op list per process against a fresh core
+// structure, one goroutine per process — true overlap, no per-batch
+// barrier — returning wall-clock time and total root-link CAS retries.
+func runCorePoints(n int, seed uint64, perProc [][]workload.Op) (time.Duration, int64) {
+	d := core.New(n, core.Config{Seed: seed})
 	retries := make([]int64, len(perProc))
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -42,7 +27,7 @@ func runLockFreePoints(n int, seed uint64, perProc [][]workload.Op) (time.Durati
 			for _, op := range perProc[i] {
 				switch op.Kind {
 				case workload.OpUnite:
-					_, rr := d.UniteDirect(op.X, op.Y, nil)
+					_, rr := d.UniteRetries(op.X, op.Y, nil)
 					r += rr
 				case workload.OpSameSet:
 					d.SameSet(op.X, op.Y)
@@ -60,15 +45,16 @@ func runLockFreePoints(n int, seed uint64, perProc [][]workload.Op) (time.Durati
 	return elapsed, total
 }
 
-// runE23 races the three structure kinds — flat engine, sharded, lock-free
-// — on uniform, Zipf-skewed, and community-structured batches, then
-// measures what only the lock-free kind can do: point-operation scaling
-// from p unsynchronized goroutines and genuinely overlapping UniteAll
-// calls on one structure. CAS-retry columns expose the price of optimism:
-// a retry is a unite whose CAS lost to a concurrent link and had to
-// re-find its roots.
+// runE23 measures the lock-free kind — the flat core and engine serving
+// concurrent callers — against the sharded kind on uniform, Zipf-skewed,
+// and community-structured batches, then measures the regime the
+// concurrent capability exists for: point-operation scaling from p
+// unsynchronized goroutines and genuinely overlapping UniteAll calls on
+// one structure. CAS-retry columns expose the price of optimism: a retry
+// is a unite whose link CAS lost to a concurrent link and had to re-find
+// its roots.
 func runE23(cfg Config) error {
-	header(cfg, "E23", "Lock-free backend vs flat and sharded", "Jayanti–Tarjan Section 3; systems extension, ROADMAP lock-free item")
+	header(cfg, "E23", "Lock-free kind (concurrent core) vs sharded", "Jayanti–Tarjan Section 3; systems extension, ROADMAP one-concurrent-core item")
 	n := 1 << 20
 	if cfg.Quick {
 		n = 1 << 16
@@ -84,9 +70,10 @@ func runE23(cfg Config) error {
 	}
 	workerSweep := []int{1, 2, 4, 8}
 
-	// Table 1: single-batch throughput, kind × workers. The w=1 lock-free
-	// column is a contention-free baseline — one worker never loses a CAS —
-	// so it isolates the slot-indirection cost against the flat engine.
+	// Table 1: single-batch throughput, kind × workers. The flat and
+	// lock-free kinds run the same core and engine, so they share a row;
+	// the w=1 column is a contention-free baseline (one worker never loses
+	// a link CAS).
 	for _, shape := range shapes {
 		fmt.Fprintf(cfg.Out, "### %s batch (n=%d, m=%d)\n\n", shape.name, n, len(shape.edges))
 		cols := []string{"kind"}
@@ -96,24 +83,18 @@ func runE23(cfg Config) error {
 		cols = append(cols, "retries/op @w=8")
 		tb := stats.NewTable(cols...)
 
-		row := []any{"flat"}
+		row := []any{"flat = lockfree"}
+		var lastRetries float64
 		for _, w := range workerSweep {
 			res := bestUniteAll(n, cfg.Seed+1, shape.edges, engine.Config{Workers: w, Seed: cfg.Seed})
+			lastRetries = float64(res.CASRetries) / float64(len(shape.edges))
 			row = append(row, mops(len(shape.edges), res.Elapsed))
 		}
-		tb.AddRowf(append(row, "—")...)
+		tb.AddRowf(append(row, fmt.Sprintf("%.4f", lastRetries))...)
 
 		row = []any{"sharded-4"}
 		for _, w := range workerSweep {
 			res := bestShardedUniteAll(n, 4, cfg.Seed+1, shape.edges, engine.Config{Workers: w, Seed: cfg.Seed})
-			row = append(row, mops(len(shape.edges), res.Elapsed))
-		}
-		tb.AddRowf(append(row, "—")...)
-
-		row = []any{"lockfree"}
-		var lastRetries float64
-		for _, w := range workerSweep {
-			res := bestLockFreeUniteAll(n, cfg.Seed+1, shape.edges, engine.Config{Workers: w, Seed: cfg.Seed})
 			lastRetries = float64(res.CASRetries) / float64(len(shape.edges))
 			row = append(row, mops(len(shape.edges), res.Elapsed))
 		}
@@ -124,9 +105,9 @@ func runE23(cfg Config) error {
 
 	// Table 2: point-operation scaling. This is the paper's own regime —
 	// p asynchronous processes issuing Unite/SameSet with no batch framing
-	// and no locks anywhere. Neither other kind can play: flat point ops
-	// are single-owner, sharded point mutations serialize on a lock.
-	fmt.Fprintf(cfg.Out, "### lock-free point ops, p goroutines (n=%d, 60%% unite mixed workload)\n\n", n)
+	// and no locks anywhere. The sharded kind cannot play: its point
+	// mutations serialize on a lock.
+	fmt.Fprintf(cfg.Out, "### core point ops, p goroutines (n=%d, 60%% unite mixed workload)\n\n", n)
 	tb := stats.NewTable("p", "Mop/s", "retries/op")
 	opsEach := m / 4
 	for _, p := range cfg.procSweep() {
@@ -134,7 +115,7 @@ func runE23(cfg Config) error {
 		for i := range perProc {
 			perProc[i] = workload.Mixed(n, opsEach/p, 0.6, cfg.Seed+uint64(1000+i))
 		}
-		elapsed, retries := runLockFreePoints(n, cfg.Seed+3, perProc)
+		elapsed, retries := runCorePoints(n, cfg.Seed+3, perProc)
 		total := 0
 		for _, ops := range perProc {
 			total += len(ops)
@@ -146,13 +127,14 @@ func runE23(cfg Config) error {
 
 	// Table 3: overlapping batches — k concurrent UniteAll calls on ONE
 	// structure (total edges fixed), against the same edges pushed through
-	// one k-worker batch. Flat and sharded would serialize the k calls on
-	// the executor lock; the lock-free seam genuinely overlaps them.
-	fmt.Fprintf(cfg.Out, "### overlapping UniteAll calls, one lock-free structure (uniform, m=%d)\n\n", len(shapes[0].edges))
+	// one 2-worker batch. The engine holds no barrier against other calls,
+	// so the k runs genuinely overlap; the sharded kind would serialize
+	// them on its mutation lock.
+	fmt.Fprintf(cfg.Out, "### overlapping UniteAll calls, one core structure (uniform, m=%d)\n\n", len(shapes[0].edges))
 	tb = stats.NewTable("k batches × w=2", "Mop/s", "retries/op", "merged Σ")
 	edges := shapes[0].edges
 	for _, k := range []int{1, 2, 4, 8} {
-		d := lockfree.New(n, core.Config{Seed: cfg.Seed + 5})
+		d := core.New(n, core.Config{Seed: cfg.Seed + 5})
 		chunk := (len(edges) + k - 1) / k
 		results := make([]engine.Result, k)
 		var wg sync.WaitGroup
@@ -165,7 +147,7 @@ func runE23(cfg Config) error {
 			wg.Add(1)
 			go func(i, lo, hi int) {
 				defer wg.Done()
-				results[i] = d.UniteAll(edges[lo:hi], engine.Config{Workers: 2, Seed: cfg.Seed})
+				results[i] = engine.UniteAll(d, edges[lo:hi], engine.Config{Workers: 2, Seed: cfg.Seed})
 			}(i, lo, hi)
 		}
 		wg.Wait()
@@ -182,9 +164,8 @@ func runE23(cfg Config) error {
 	fmt.Fprintln(cfg.Out)
 
 	fmt.Fprintf(cfg.Out, "Shape check: w=1 and p=1 rows are contention-free baselines (zero retries by\n")
-	fmt.Fprintf(cfg.Out, "construction) — read them as the slot-indirection overhead vs flat, not as\n")
-	fmt.Fprintf(cfg.Out, "concurrency results. Point-op Mop/s should grow with p while retries/op stays\n")
-	fmt.Fprintf(cfg.Out, "small (the randomized linking order spreads contention; Jayanti–Tarjan's\n")
+	fmt.Fprintf(cfg.Out, "construction). Point-op Mop/s should grow with p while retries/op stays small\n")
+	fmt.Fprintf(cfg.Out, "(the randomized linking order spreads contention; Jayanti–Tarjan's\n")
 	fmt.Fprintf(cfg.Out, "expected-work bound assumes exactly this). In the overlap table merged Σ is\n")
 	fmt.Fprintf(cfg.Out, "identical in every row — links = initial sets − final sets, schedule-independent.\n")
 	return nil

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -97,7 +98,7 @@ func runE19(cfg Config) error {
 		{"zipf s=1.01", 1.01, shapes[1].edges},
 		{"zipf s=1.5", 1.5, engine.FromOps(onlyUnites(workload.ZipfMixed(n, m, 1.0, 1.5, cfg.Seed+113)))},
 	} {
-		filtered := engine.Prefilter(z.edges)
+		filtered := exec.Dedup(z.edges)
 		raw := bestUniteAll(n, cfg.Seed+2, z.edges, engine.Config{Workers: 4, Seed: cfg.Seed})
 		pre := bestUniteAll(n, cfg.Seed+2, z.edges, engine.Config{Workers: 4, Seed: cfg.Seed, Prefilter: true})
 		fmt.Fprintf(cfg.Out, "Prefilter on %s: %d -> %d edges (%.1f%% dropped); ",

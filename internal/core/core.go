@@ -435,20 +435,37 @@ func (d *DSU) earlyStep(u uint32, st *Stats) uint32 {
 // Unite merges the sets containing x and y if they differ. It reports
 // whether this call performed the link (false when the sets were already
 // equal at the linearization point). Linearizable per Lemma 3.2.
-func (d *DSU) Unite(x, y uint32) bool { return d.unite(x, y, nil) }
+func (d *DSU) Unite(x, y uint32) bool {
+	merged, _ := d.unite(x, y, nil)
+	return merged
+}
 
 // UniteCounted is Unite with work accounting into st.
-func (d *DSU) UniteCounted(x, y uint32, st *Stats) bool { return d.unite(x, y, st) }
+func (d *DSU) UniteCounted(x, y uint32, st *Stats) bool {
+	merged, _ := d.unite(x, y, st)
+	return merged
+}
 
-func (d *DSU) unite(x, y uint32, st *Stats) bool {
+// UniteRetries is UniteCounted that also reports how many times the
+// root-link CAS lost a race to a concurrent link and the loop retried from
+// the moved roots — the contention count batch runners sum into their
+// records. Under early termination it is always zero: Algorithm 7 tries
+// its link CAS at every step of the interleaved walk, so a failure there
+// is an ordinary step, not a lost race.
+func (d *DSU) UniteRetries(x, y uint32, st *Stats) (merged bool, retries int64) {
+	return d.unite(x, y, st)
+}
+
+func (d *DSU) unite(x, y uint32, st *Stats) (bool, int64) {
 	if st != nil {
 		defer func() { st.Ops++ }()
 	}
 	if d.cfg.EarlyTermination {
-		return d.uniteEarly(x, y, st)
+		return d.uniteEarly(x, y, st), 0
 	}
-	// Algorithm 3.
+	// Algorithm 3: one round per link attempt.
 	u, v := x, y
+	var retries int64
 	for {
 		if st != nil {
 			st.Rounds++
@@ -456,7 +473,7 @@ func (d *DSU) unite(x, y uint32, st *Stats) bool {
 		u = d.find(u, st)
 		v = d.find(v, st)
 		if u == v {
-			return false
+			return false, retries
 		}
 		lo, hi := u, v
 		if d.less(hi, lo) {
@@ -469,8 +486,12 @@ func (d *DSU) unite(x, y uint32, st *Stats) bool {
 			if st != nil {
 				st.Links++
 			}
-			return true
+			return true, retries
 		}
+		// Lost the race: a concurrent link moved lo. Re-find from the
+		// current positions — lock-free, since our CAS can only fail
+		// because another link landed.
+		retries++
 		if st != nil {
 			st.CASFailures++
 		}

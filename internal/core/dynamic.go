@@ -164,6 +164,13 @@ func (d *Dynamic) Unite(x, y uint32) bool { return d.UniteCounted(x, y, nil) }
 
 // UniteCounted is Unite with work accounting.
 func (d *Dynamic) UniteCounted(x, y uint32, st *Stats) bool {
+	merged, _ := d.UniteRetries(x, y, st)
+	return merged
+}
+
+// UniteRetries is UniteCounted that also reports how many times the
+// root-link CAS lost a race and retried, as DSU.UniteRetries.
+func (d *Dynamic) UniteRetries(x, y uint32, st *Stats) (merged bool, retries int64) {
 	if st != nil {
 		defer func() { st.Ops++ }()
 	}
@@ -175,7 +182,7 @@ func (d *Dynamic) UniteCounted(x, y uint32, st *Stats) bool {
 		u = d.FindCounted(u, st)
 		v = d.FindCounted(v, st)
 		if u == v {
-			return false
+			return false, retries
 		}
 		lo, hi := u, v
 		if d.less(hi, lo) {
@@ -188,8 +195,9 @@ func (d *Dynamic) UniteCounted(x, y uint32, st *Stats) bool {
 			if st != nil {
 				st.Links++
 			}
-			return true
+			return true, retries
 		}
+		retries++
 		if st != nil {
 			st.CASFailures++
 		}

@@ -17,7 +17,11 @@
 // The engine is deliberately agnostic to what the edges mean: UniteAll
 // merges endpoint sets, SameSetAll answers connectivity queries into a
 // result slice. Both work against any Target, so the static core.DSU and
-// the growing core.Dynamic are driven identically.
+// the growing core.Dynamic are driven identically. The pool holds no
+// barrier against anything else running on the target: any number of
+// batch calls, streams and point callers may overlap on one core.DSU, and
+// the summed Merged across overlapping calls stays exact, because each
+// successful link is counted by exactly one Unite.
 package engine
 
 import (
@@ -55,7 +59,11 @@ func FromOps(ops []workload.Op) []Edge {
 // Self-loop pairs (X == Y) are answered inline by the worker loop — a
 // no-op for UniteAll, true for SameSetAll — and never reach the Target.
 type Target interface {
-	UniteCounted(x, y uint32, st *core.Stats) bool
+	// UniteRetries merges the sets containing x and y, reporting whether
+	// this call performed the merge and how many times its root-link CAS
+	// lost a race and retried; Result.CASRetries sums the latter.
+	UniteRetries(x, y uint32, st *core.Stats) (merged bool, retries int64)
+	// SameSetCounted reports whether x and y are in the same set.
 	SameSetCounted(x, y uint32, st *core.Stats) bool
 }
 
@@ -140,7 +148,7 @@ func UniteAll(t Target, edges []Edge, cfg Config) Result {
 	var filterStats core.Stats
 	if cfg.Prefilter {
 		start := time.Now()
-		kept := Prefilter(edges)
+		kept := exec.Dedup(edges)
 		filtered += len(edges) - len(kept)
 		filterElapsed += time.Since(start)
 		edges = kept
@@ -180,19 +188,6 @@ func ScreenConnected(t Target, edges []Edge, cfg Config) ([]Edge, Result) {
 	}
 	return kept, sres
 }
-
-// Prefilter returns the batch with self-loop edges and exact duplicates
-// removed; (u,v) and (v,u) name the same edge and count as duplicates. The
-// first occurrence of each edge survives in order; the input slice is not
-// modified. Unions are idempotent, so UniteAll on the filtered batch yields
-// the same partition and the same merge count as on the raw batch — the
-// filter trades one sequential dedup pass for the finds the dropped edges
-// would have paid. Whether that trade wins is a property of the batch and
-// the structure size: it needs enough duplication (skewed/Zipf streams)
-// and finds expensive enough (universes past the cache) to beat the scan;
-// E19 measures both sides. The pass itself is the execution layer's Dedup,
-// shared with the direct-concurrent batch path.
-func Prefilter(edges []Edge) []Edge { return exec.Dedup(edges) }
 
 // SameSetAll answers pairs[i] into the returned slice's element i. Answers
 // are linearizable individually; with no concurrent Unites the whole slice
@@ -242,8 +237,7 @@ func run(t Target, edges []Edge, cfg Config, out []bool) Result {
 	}
 
 	res.PerWorker = make([]core.Stats, p)
-	merged := make([]int64, p)
-	steals := make([]int64, p)
+	tallies := make([]tally, p)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < p; w++ {
@@ -251,17 +245,23 @@ func run(t Target, edges []Edge, cfg Config, out []bool) Result {
 		go func(w int) {
 			defer wg.Done()
 			var st core.Stats
-			merged[w], steals[w] = work(t, edges, out, spans, w, uint32(grain), cfg.Seed, &st)
+			tallies[w] = work(t, edges, out, spans, w, uint32(grain), cfg.Seed, &st)
 			res.PerWorker[w] = st
 		}(w)
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(start)
-	for w := 0; w < p; w++ {
-		res.Merged += merged[w]
-		res.Steals += steals[w]
+	for _, tl := range tallies {
+		res.Merged += tl.merged
+		res.CASRetries += tl.retries
+		res.Steals += tl.steals
 	}
 	return res
+}
+
+// tally is one worker's batch-level counts, summed into the Result.
+type tally struct {
+	merged, retries, steals int64
 }
 
 // work is one worker's loop: drain the own span in grain-sized chunks, then
@@ -269,7 +269,7 @@ func run(t Target, edges []Edge, cfg Config, out []bool) Result {
 // stealable work. A non-empty span always has an owner actively draining
 // it, so exiting on a failed scan never strands edges — at worst the tail
 // of the batch finishes with fewer workers than it started with.
-func work(t Target, edges []Edge, out []bool, spans []span, w int, grain uint32, seed uint64, st *core.Stats) (merged, steals int64) {
+func work(t Target, edges []Edge, out []bool, spans []span, w int, grain uint32, seed uint64, st *core.Stats) (tl tally) {
 	rng := randutil.NewXoshiro256(randutil.Mix64(seed ^ uint64(w+1)))
 	own := &spans[w]
 	for {
@@ -288,9 +288,11 @@ func work(t Target, edges []Edge, out []bool, spans []span, w int, grain uint32,
 						st.Ops++
 						continue
 					}
-					if t.UniteCounted(e.X, e.Y, st) {
-						merged++
+					m, r := t.UniteRetries(e.X, e.Y, st)
+					if m {
+						tl.merged++
 					}
+					tl.retries += r
 				}
 			} else {
 				for i := lo; i < hi; i++ {
@@ -307,9 +309,9 @@ func work(t Target, edges []Edge, out []bool, spans []span, w int, grain uint32,
 		}
 		lo, hi, ok := steal(spans, w, grain, rng)
 		if !ok {
-			return merged, steals
+			return tl
 		}
-		steals++
+		tl.steals++
 		own.reset(lo, hi)
 	}
 }

@@ -94,14 +94,15 @@ func TestUniteAllDrivesDynamicTarget(t *testing.T) {
 }
 
 // countingTarget records how many times each batch index was delivered,
-// using the X endpoint as the index.
+// using the X endpoint as the index. Each unite reports one link retry, so
+// the batch's CASRetries must equal its delivery count.
 type countingTarget struct {
 	counts []atomic.Int32
 }
 
-func (c *countingTarget) UniteCounted(x, y uint32, st *core.Stats) bool {
+func (c *countingTarget) UniteRetries(x, y uint32, st *core.Stats) (bool, int64) {
 	c.counts[x].Add(1)
-	return false
+	return false, 1
 }
 
 func (c *countingTarget) SameSetCounted(x, y uint32, st *core.Stats) bool {
@@ -121,11 +122,14 @@ func TestExactlyOnceDelivery(t *testing.T) {
 		edges[i] = Edge{X: uint32(i), Y: ^uint32(0)}
 	}
 	tgt := &countingTarget{counts: make([]atomic.Int32, m)}
-	UniteAll(tgt, edges, Config{Workers: 8, Grain: 2, Seed: 41})
+	res := UniteAll(tgt, edges, Config{Workers: 8, Grain: 2, Seed: 41})
 	for i := range tgt.counts {
 		if got := tgt.counts[i].Load(); got != 1 {
 			t.Fatalf("edge %d delivered %d times, want 1", i, got)
 		}
+	}
+	if res.CASRetries != m {
+		t.Fatalf("CASRetries = %d, want %d (one per delivered unite)", res.CASRetries, m)
 	}
 }
 
@@ -182,49 +186,6 @@ func TestMixedSelfLoopsMatchBaseline(t *testing.T) {
 	for x := range got {
 		if got[x] != want[x] {
 			t.Fatalf("label[%d] = %d, want %d", x, got[x], want[x])
-		}
-	}
-}
-
-// TestPrefilter pins the filter semantics: self-loops dropped, duplicates
-// (in either orientation) collapsed to their first occurrence, order
-// preserved, input untouched, partition unchanged.
-func TestPrefilter(t *testing.T) {
-	in := []Edge{{X: 1, Y: 2}, {X: 3, Y: 3}, {X: 2, Y: 1}, {X: 4, Y: 5}, {X: 1, Y: 2}, {X: 5, Y: 4}, {X: 0, Y: 6}}
-	inCopy := append([]Edge(nil), in...)
-	got := Prefilter(in)
-	want := []Edge{{X: 1, Y: 2}, {X: 4, Y: 5}, {X: 0, Y: 6}}
-	if len(got) != len(want) {
-		t.Fatalf("Prefilter kept %d edges %v, want %d %v", len(got), got, len(want), want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Prefilter[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	for i := range in {
-		if in[i] != inCopy[i] {
-			t.Fatalf("Prefilter mutated its input at %d", i)
-		}
-	}
-
-	const n = 1 << 10
-	edges := FromOps(workload.ZipfMixed(n, 4*n, 1.0, 1.2, 71))
-	filtered := Prefilter(edges)
-	if len(filtered) >= len(edges) {
-		t.Fatalf("Zipf batch should shrink: %d -> %d", len(edges), len(filtered))
-	}
-	ref, wantMerges := seqPartition(n, edges)
-	want2 := ref.CanonicalLabels()
-	d := core.New(n, core.Config{Seed: 73})
-	res := UniteAll(d, edges, Config{Workers: 4, Prefilter: true})
-	if res.Merged != int64(wantMerges) {
-		t.Errorf("prefiltered Merged = %d, want %d", res.Merged, wantMerges)
-	}
-	got2 := d.CanonicalLabels()
-	for x := range got2 {
-		if got2[x] != want2[x] {
-			t.Fatalf("prefiltered label[%d] = %d, want %d", x, got2[x], want2[x])
 		}
 	}
 }

@@ -88,7 +88,7 @@ type Config struct {
 	// Trace, when non-nil, is the batch's span tree: the Executor records
 	// an execute span around the backend call, synthesizes filter and
 	// per-worker sub-spans from the Result's accounting, and attributes
-	// the lock-free path's CASRetries. Nil (the default, and the disabled
+	// the batch's CASRetries. Nil (the default, and the disabled
 	// mode) records nothing — every tracespan method is a nil-safe no-op,
 	// so untraced batches pay only a nil check.
 	Trace *tracespan.Trace
@@ -130,11 +130,12 @@ type Result struct {
 	// run (zero on the flat path).
 	Reanchors int
 	// CASRetries counts root-link CAS attempts that lost a race to a
-	// concurrent link and retried — the direct-concurrent path's contention
-	// metric (zero on the engine and sharded paths, whose targets retry
-	// inside UniteCounted without reporting). Under overlap it measures how
-	// hard simultaneous batches, streams, and point callers collided on
-	// roots; E23 prints it.
+	// concurrent link and retried (Algorithm 3's retry loop), summed over
+	// every worker of the batch — and, on the sharded path, over the
+	// per-shard and bridge runs. It measures how hard this batch's workers
+	// collided on roots with each other and with whatever else ran on the
+	// structure at the same time (overlapping batches, streams, point
+	// callers); E23 prints it. Early-termination structures report zero.
 	CASRetries int64
 	// Filtered counts edges dropped before dispatch by the batch's filter
 	// passes (Prefilter dedup and/or the ConnectedFilter screen).

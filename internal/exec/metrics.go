@@ -60,8 +60,8 @@ type Instruments struct {
 	// passes alone (already included in the owning batch's FindSteps via
 	// Result.Stats; broken out so screen cost is observable).
 	ScreenFindSteps *metrics.Counter
-	// CASRetries counts root-link CAS retries — the lock-free backend's
-	// contention metric (always zero for engine-pooled backends).
+	// CASRetries counts root-link CAS retries (Result.CASRetries) — the
+	// structure's contention metric, live.
 	CASRetries *metrics.Counter
 	// Picks counts query batches by the find variant that actually ran,
 	// indexed by core.Find — the adaptive policy's downgrade decisions,

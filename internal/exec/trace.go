@@ -12,8 +12,8 @@ import (
 //
 //   - a filter span for the prefilter/connected-screen portion
 //     (FilterElapsed leads the run, so it anchors at the execute start);
-//   - one worker span per pool worker (flat runs, and sharded/lock-free
-//     query runs, which drive a single pool), spanning the post-filter
+//   - one worker span per pool worker (flat runs, and sharded query
+//     runs, which drive a single pool), spanning the post-filter
 //     portion with that worker's operation counters as attributes.
 //
 // Synthesis is bounded: per-shard sub-runs are summarized on the execute

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/dsu"
 	"repro/internal/metrics"
@@ -38,6 +39,13 @@ func seriesValue(t *testing.T, text, series string) int64 {
 	}
 	return v
 }
+
+// The series a finished stream leaves on the server side: its request
+// recorded, and the active-stream gauge back to zero.
+const (
+	streamDone  = `dsu_server_request_seconds_count{endpoint="stream",encoding="binary",status="200"} 1`
+	streamsIdle = `dsu_server_streams_active 0`
+)
 
 // TestMetricsScrape drives RPC and stream traffic through an
 // instrumented server and checks that one scrape carries both halves of
@@ -87,7 +95,18 @@ func TestMetricsScrape(t *testing.T) {
 	merged += end.Merged
 	edges += end.Edges
 
+	// Close returns once the end envelope arrives, which can be before
+	// the server's handler wrapper has retired the stream gauge and
+	// recorded the request: poll the scrape, bounded, until the stream's
+	// server-side series have landed.
 	text := scrape(t, m)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		if strings.Contains(text, streamDone) && strings.Contains(text, streamsIdle) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+		text = scrape(t, m)
+	}
 
 	// The dsu half: scrape totals equal the summed reply values.
 	if got := seriesValue(t, text, `dsu_batches_total{tenant="alpha",op="unite"}`); got != 3+int64(end.Batches) {
@@ -109,8 +128,8 @@ func TestMetricsScrape(t *testing.T) {
 	for _, series := range []string{
 		`dsu_server_request_seconds_count{endpoint="unite",encoding="binary",status="200"} 3`,
 		`dsu_server_request_seconds_count{endpoint="query",encoding="binary",status="200"} 1`,
-		`dsu_server_request_seconds_count{endpoint="stream",encoding="binary",status="200"} 1`,
-		`dsu_server_streams_active 0`,
+		streamDone,
+		streamsIdle,
 		`dsu_server_rpc_inflight{tenant="alpha"} 0`,
 	} {
 		if !strings.Contains(text, series) {

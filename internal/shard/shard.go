@@ -310,7 +310,7 @@ func (d *DSU) UniteAll(edges []exec.Edge, cfg exec.Config) exec.Result {
 	// cleared afterwards: the per-shard and bridge runs must not re-filter.
 	if cfg.Prefilter {
 		fstart := time.Now()
-		kept := engine.Prefilter(edges)
+		kept := exec.Dedup(edges)
 		res.Filtered += len(edges) - len(kept)
 		res.FilterElapsed += time.Since(fstart)
 		edges = kept
@@ -418,9 +418,11 @@ func (d *DSU) UniteAll(edges []exec.Edge, cfg exec.Config) exec.Result {
 
 	for i := range res.PerShard {
 		res.Merged += res.PerShard[i].Merged
+		res.CASRetries += res.PerShard[i].CASRetries
 	}
 	if res.Bridge != nil {
 		res.Merged += res.Bridge.Merged
+		res.CASRetries += res.Bridge.CASRetries
 	}
 	res.Elapsed = time.Since(start)
 	return res
@@ -450,14 +452,14 @@ func (d *DSU) ScreenConnected(edges []exec.Edge, cfg exec.Config) ([]exec.Edge, 
 	return kept, res
 }
 
-// UniteCounted implements the engine target's Unite mode on a view (spill
+// UniteRetries implements the engine target's Unite mode on a view (spill
 // reconciliation; mutation-lock holders only — see the view docs).
-func (v view) UniteCounted(x, y uint32, st *core.Stats) bool {
+func (v view) UniteRetries(x, y uint32, st *core.Stats) (bool, int64) {
 	d := v.d
 	i, j := d.part.ShardOf(x), d.part.ShardOf(y)
 	lx := v.locals[i].FindCounted(d.part.Local(x), st)
 	ly := v.locals[j].FindCounted(d.part.Local(y), st)
-	return v.bridge.UniteCounted(d.part.Global(i, lx), d.part.Global(j, ly), st)
+	return v.bridge.UniteRetries(d.part.Global(i, lx), d.part.Global(j, ly), st)
 }
 
 // SameSetCounted implements the engine target's SameSet mode on a view.

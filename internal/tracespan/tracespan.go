@@ -101,7 +101,7 @@ type SpanAttrs struct {
 	Filtered   int64  `json:"filtered,omitempty"`    // edges removed by prefilter/connected-filter
 	Ops        int64  `json:"ops,omitempty"`         // operations a worker performed
 	FindSteps  int64  `json:"find_steps,omitempty"`  // parent-pointer dereferences
-	CASRetries int64  `json:"cas_retries,omitempty"` // failed CAS attempts (lock-free backend)
+	CASRetries int64  `json:"cas_retries,omitempty"` // root-link CAS retries (execute); all failed CASes (worker)
 	Worker     int64  `json:"worker,omitempty"`      // 1-based worker index on worker spans
 	Find       string `json:"find,omitempty"`        // resolved find strategy on execute spans
 	Err        string `json:"err,omitempty"`         // terminal error on the root span
