@@ -320,7 +320,12 @@ func BenchmarkE12Dynamic(b *testing.B) {
 }
 
 // BenchmarkE18BatchUniteAll measures the batch engine's UniteAll across
-// worker counts on one uniform edge batch (the E18 throughput table).
+// worker counts on one uniform edge batch (the E18 throughput table), on a
+// forest that fits in L2 (n = 2¹⁸). The n=2^22 cases run where the parent
+// and id arrays (32 MB) miss cache, the regime the core's span kernel
+// overlaps: UniteAll on a fresh forest and SameSetAll on one preloaded
+// with n uniform unions, 2²⁰ edges in 64K-edge batches at the default
+// worker count.
 func BenchmarkE18BatchUniteAll(b *testing.B) {
 	const n = 1 << 18
 	m := 4 * n
@@ -334,6 +339,38 @@ func BenchmarkE18BatchUniteAll(b *testing.B) {
 			b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mop/s")
 		})
 	}
+
+	const bigN, bigM, batch = 1 << 22, 1 << 20, 1 << 16
+	batches := func(d *core.DSU, edges []engine.Edge, query bool) {
+		for lo := 0; lo < len(edges); lo += batch {
+			if query {
+				engine.SameSetAll(d, edges[lo:lo+batch], engine.Config{Seed: 13})
+			} else {
+				engine.UniteAll(d, edges[lo:lo+batch], engine.Config{Seed: 13})
+			}
+		}
+	}
+	bigEdges := engine.FromOps(workload.RandomUnions(bigN, bigM, 12))
+	b.Run("n=2^22/unite", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			d := core.New(bigN, core.Config{Seed: 13})
+			b.StartTimer()
+			batches(d, bigEdges, false)
+		}
+		b.ReportMetric(float64(bigM)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medge/s")
+	})
+	b.Run("n=2^22/query", func(b *testing.B) {
+		d := core.New(bigN, core.Config{Seed: 13})
+		for k := uint64(0); k < bigN/bigM; k++ {
+			batches(d, engine.FromOps(workload.RandomUnions(bigN, bigM, 20+k)), false)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			batches(d, bigEdges, true)
+		}
+		b.ReportMetric(float64(bigM)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medge/s")
+	})
 }
 
 // BenchmarkE19ShardedUniteAll measures the sharded batch path across shard

@@ -27,6 +27,10 @@
 // (parent reads, CAS attempts/failures, loop iterations) into a caller-owned
 // Stats value, so experiments can measure total work in the units of the
 // paper's theorems without slowing the uncounted fast path.
+//
+// UniteSpan and SameSetSpan run the same operations over a span of batch
+// edges, issuing each group's first loads together so their cache misses
+// overlap; their results and Stats equal a loop of the point operations.
 package core
 
 import (
@@ -448,10 +452,10 @@ func (d *DSU) UniteCounted(x, y uint32, st *Stats) bool {
 
 // UniteRetries is UniteCounted that also reports how many times the
 // root-link CAS lost a race to a concurrent link and the loop retried from
-// the moved roots — the contention count batch runners sum into their
-// records. Under early termination it is always zero: Algorithm 7 tries
-// its link CAS at every step of the interleaved walk, so a failure there
-// is an ordinary step, not a lost race.
+// the moved roots — the contention count UniteSpan sums for the batch
+// runners' records. Under early termination it is always zero: Algorithm 7
+// tries its link CAS at every step of the interleaved walk, so a failure
+// there is an ordinary step, not a lost race.
 func (d *DSU) UniteRetries(x, y uint32, st *Stats) (merged bool, retries int64) {
 	return d.unite(x, y, st)
 }

@@ -118,6 +118,7 @@ func (d *Dynamic) findCounted(x uint32, st *Stats) uint32 {
 					st.Reads += reads
 					st.CASAttempts += cas
 					st.CASFailures += casFail
+					st.Rewrites += cas - casFail
 				}
 				return v
 			}
@@ -201,6 +202,42 @@ func (d *Dynamic) UniteRetries(x, y uint32, st *Stats) (merged bool, retries int
 		if st != nil {
 			st.CASFailures++
 		}
+	}
+}
+
+// UniteSpan runs UniteRetries over every edge of span, returning the merge
+// count and summed retries, with DSU.UniteSpan's self-loop rule: a
+// self-loop counts as a completed operation and pays no finds.
+func (d *Dynamic) UniteSpan(span []Edge, st *Stats) (merged, retries int64) {
+	for _, e := range span {
+		if e.X == e.Y {
+			if st != nil {
+				st.Ops++
+			}
+			continue
+		}
+		m, r := d.UniteRetries(e.X, e.Y, st)
+		if m {
+			merged++
+		}
+		retries += r
+	}
+	return merged, retries
+}
+
+// SameSetSpan answers pairs[i] into out[i] with SameSetCounted, answering
+// a self-pair true as DSU.SameSetSpan does.
+func (d *Dynamic) SameSetSpan(pairs []Edge, out []bool, st *Stats) {
+	out = out[:len(pairs)]
+	for i, e := range pairs {
+		if e.X == e.Y {
+			out[i] = true
+			if st != nil {
+				st.Ops++
+			}
+			continue
+		}
+		out[i] = d.SameSetCounted(e.X, e.Y, st)
 	}
 }
 

@@ -19,6 +19,9 @@ func TestHotPathsAllocationFree(t *testing.T) {
 			d := New(n, cfg)
 			rng := randutil.NewXoshiro256(1)
 			var st Stats
+			// Longer than one kernel group, so the second group runs too.
+			span := make([]Edge, spanGroup+3)
+			out := make([]bool, len(span))
 			if allocs := testing.AllocsPerRun(200, func() {
 				x, y := uint32(rng.Intn(n)), uint32(rng.Intn(n))
 				d.Unite(x, y)
@@ -26,6 +29,11 @@ func TestHotPathsAllocationFree(t *testing.T) {
 				d.Find(x)
 				d.UniteCounted(x, y, &st)
 				d.SameSetCounted(x, y, &st)
+				for i := range span {
+					span[i] = Edge{X: uint32(rng.Intn(n)), Y: uint32(rng.Intn(n))}
+				}
+				d.UniteSpan(span, &st)
+				d.SameSetSpan(span, out, &st)
 			}); allocs > 0 {
 				t.Fatalf("hot path allocates %.1f objects per run", allocs)
 			}
@@ -42,11 +50,19 @@ func TestDynamicHotPathsAllocationFree(t *testing.T) {
 		}
 	}
 	rng := randutil.NewXoshiro256(2)
+	var st Stats
+	span := make([]Edge, 8)
+	out := make([]bool, len(span))
 	if allocs := testing.AllocsPerRun(200, func() {
 		x, y := uint32(rng.Intn(n)), uint32(rng.Intn(n))
 		d.Unite(x, y)
 		d.SameSet(x, y)
 		d.Find(x)
+		for i := range span {
+			span[i] = Edge{X: uint32(rng.Intn(n)), Y: uint32(rng.Intn(n))}
+		}
+		d.UniteSpan(span, &st)
+		d.SameSetSpan(span, out, &st)
 	}); allocs > 0 {
 		t.Fatalf("dynamic hot path allocates %.1f objects per run", allocs)
 	}

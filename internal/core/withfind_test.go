@@ -67,35 +67,49 @@ func TestWithFindPanics(t *testing.T) {
 // invariant: every successful CAS is either a link (a root gaining a
 // parent) or a find-path rewrite, so over any single-threaded run
 // Rewrites == (CASAttempts − CASFailures) − Links, and compacting finds on
-// a deep forest must land at least one rewrite.
+// a deep forest must land at least one rewrite. core.Dynamic (two-try
+// splitting over its own order) is held to the same invariant.
 func TestRewritesCounter(t *testing.T) {
+	const n = 512
+	type countedOps interface {
+		SameSetCounted(x, y uint32, st *Stats) bool
+		UniteCounted(x, y uint32, st *Stats) bool
+	}
+	check := func(t *testing.T, d countedOps, compacts bool) {
+		var st Stats
+		rng := randutil.NewXoshiro256(7)
+		for i := 0; i < 4*n; i++ {
+			x, y := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+			if i%3 == 0 {
+				d.SameSetCounted(x, y, &st)
+			} else {
+				d.UniteCounted(x, y, &st)
+			}
+		}
+		succeeded := st.CASAttempts - st.CASFailures
+		if st.Rewrites != succeeded-st.Links {
+			t.Errorf("Rewrites = %d, want CAS successes − links = %d", st.Rewrites, succeeded-st.Links)
+		}
+		if !compacts && st.Rewrites != 0 {
+			t.Errorf("naive finds rewrote %d pointers, want 0", st.Rewrites)
+		} else if compacts && st.Rewrites == 0 {
+			t.Error("compacting finds performed no rewrites across a 4n-op workload")
+		}
+	}
 	for _, f := range []Find{FindNaive, FindOneTry, FindTwoTry, FindHalving, FindCompress} {
 		t.Run(f.String(), func(t *testing.T) {
-			const n = 512
-			d := New(n, Config{Find: f, Seed: 33})
-			var st Stats
-			rng := randutil.NewXoshiro256(7)
-			for i := 0; i < 4*n; i++ {
-				x, y := uint32(rng.Intn(n)), uint32(rng.Intn(n))
-				if i%3 == 0 {
-					d.SameSetCounted(x, y, &st)
-				} else {
-					d.UniteCounted(x, y, &st)
-				}
-			}
-			succeeded := st.CASAttempts - st.CASFailures
-			if st.Rewrites != succeeded-st.Links {
-				t.Errorf("Rewrites = %d, want CAS successes − links = %d", st.Rewrites, succeeded-st.Links)
-			}
-			if f == FindNaive {
-				if st.Rewrites != 0 {
-					t.Errorf("naive finds rewrote %d pointers, want 0", st.Rewrites)
-				}
-			} else if st.Rewrites == 0 {
-				t.Errorf("%v performed no rewrites across a 4n-op workload", f)
-			}
+			check(t, New(n, Config{Find: f, Seed: 33}), f != FindNaive)
 		})
 	}
+	t.Run("dynamic", func(t *testing.T) {
+		d := NewDynamic(n, 33)
+		for i := 0; i < n; i++ {
+			if _, err := d.MakeSet(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(t, d, true)
+	})
 }
 
 // TestRewritesAdd pins Stats.Add over the new field.

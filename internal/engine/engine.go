@@ -16,12 +16,14 @@
 //
 // The engine is deliberately agnostic to what the edges mean: UniteAll
 // merges endpoint sets, SameSetAll answers connectivity queries into a
-// result slice. Both work against any Target, so the static core.DSU and
-// the growing core.Dynamic are driven identically. The pool holds no
-// barrier against anything else running on the target: any number of
-// batch calls, streams and point callers may overlap on one core.DSU, and
-// the summed Merged across overlapping calls stays exact, because each
-// successful link is counted by exactly one Unite.
+// result slice. Both hand each claimed span of the batch, whole, to a
+// Target, so the static core.DSU (whose span kernel overlaps the span's
+// cache misses), the growing core.Dynamic and the sharded view are driven
+// by one runner. The pool holds no barrier against anything else running
+// on the target: any number of batch calls, streams and point callers may
+// overlap on one core.DSU, and the summed Merged across overlapping calls
+// stays exact, because each successful link is counted by exactly one
+// Unite.
 package engine
 
 import (
@@ -52,19 +54,23 @@ func FromOps(ops []workload.Op) []Edge {
 	return edges
 }
 
-// Target is the operation surface the engine drives. Both core.DSU and
-// core.Dynamic satisfy it; the engine requires wait-freedom (or at least
-// lock-freedom) from the target, since workers never coordinate beyond the
-// span protocol and a blocking target would stall a whole worker.
-// Self-loop pairs (X == Y) are answered inline by the worker loop — a
-// no-op for UniteAll, true for SameSetAll — and never reach the Target.
+// Target is the operation surface the engine drives: a worker hands it
+// each span of edges it claims, in one call. core.DSU, core.Dynamic and
+// the sharded structure's view satisfy it. The engine requires
+// wait-freedom (or at least lock-freedom) from the target, since workers
+// never coordinate beyond the span protocol and a blocking target would
+// stall a whole worker. Implementations own the self-loop rule: a pair
+// with X == Y never merges and is in its own set, so it counts as one
+// completed operation (Stats.Ops) and pays no finds.
 type Target interface {
-	// UniteRetries merges the sets containing x and y, reporting whether
-	// this call performed the merge and how many times its root-link CAS
-	// lost a race and retried; Result.CASRetries sums the latter.
-	UniteRetries(x, y uint32, st *core.Stats) (merged bool, retries int64)
-	// SameSetCounted reports whether x and y are in the same set.
-	SameSetCounted(x, y uint32, st *core.Stats) bool
+	// UniteSpan merges across every edge of the span, reporting how many
+	// edges performed a merge and how many times their root-link CASes
+	// lost a race and retried; Result.Merged and Result.CASRetries sum
+	// them.
+	UniteSpan(edges []Edge, st *core.Stats) (merged, retries int64)
+	// SameSetSpan answers whether pairs[i] are in the same set into
+	// out[i]; out has the span's length.
+	SameSetSpan(pairs []Edge, out []bool, st *core.Stats)
 }
 
 // Config tunes one batch run; it is the exec layer's Config, shared with
@@ -135,13 +141,11 @@ func (f Flat) Seed() uint64 { return f.D.Config().Seed }
 // CoreConfig returns the structure's variant configuration.
 func (f Flat) CoreConfig() core.Config { return f.D.Config() }
 
-// UniteAll drives every edge of the batch through t.Unite and returns the
-// run's Result. Edges may appear in any order and multiplicity; the final
+// UniteAll drives every edge of the batch through t.UniteSpan and returns
+// the run's Result. Edges may appear in any order and multiplicity; the final
 // partition is the same as a sequential left-to-right pass (unions are
 // order-independent), and Result.Merged equals the number of merges that
-// pass would perform. Self-loop edges (X == Y) are skipped in the worker
-// loop without reaching the Target: they can never merge, so they cost one
-// comparison instead of two finds.
+// pass would perform.
 func UniteAll(t Target, edges []Edge, cfg Config) Result {
 	var filtered int
 	var filterElapsed time.Duration
@@ -279,32 +283,11 @@ func work(t Target, edges []Edge, out []bool, spans []span, w int, grain uint32,
 				break
 			}
 			if out == nil {
-				for i := lo; i < hi; i++ {
-					e := edges[i]
-					if e.X == e.Y {
-						// A self-loop can never merge; skip its two finds.
-						// It still counts as a completed operation so the
-						// batch's op accounting covers every edge.
-						st.Ops++
-						continue
-					}
-					m, r := t.UniteRetries(e.X, e.Y, st)
-					if m {
-						tl.merged++
-					}
-					tl.retries += r
-				}
+				m, r := t.UniteSpan(edges[lo:hi], st)
+				tl.merged += m
+				tl.retries += r
 			} else {
-				for i := lo; i < hi; i++ {
-					e := edges[i]
-					if e.X == e.Y {
-						// An element is trivially in its own set.
-						out[i] = true
-						st.Ops++
-						continue
-					}
-					out[i] = t.SameSetCounted(e.X, e.Y, st)
-				}
+				t.SameSetSpan(edges[lo:hi], out[lo:hi], st)
 			}
 		}
 		lo, hi, ok := steal(spans, w, grain, rng)

@@ -94,48 +94,63 @@ func TestUniteAllDrivesDynamicTarget(t *testing.T) {
 }
 
 // countingTarget records how many times each batch index was delivered,
-// using the X endpoint as the index. Each unite reports one link retry, so
-// the batch's CASRetries must equal its delivery count.
+// using the X endpoint as the index, counting each edge inside its span
+// loop. Each unite reports one link retry, so the batch's CASRetries must
+// equal its delivery count; each query answers whether its index is even,
+// so a span handed the wrong slice of the answer array shows up as a wrong
+// answer.
 type countingTarget struct {
 	counts []atomic.Int32
 }
 
-func (c *countingTarget) UniteRetries(x, y uint32, st *core.Stats) (bool, int64) {
-	c.counts[x].Add(1)
-	return false, 1
+func (c *countingTarget) UniteSpan(edges []Edge, st *core.Stats) (merged, retries int64) {
+	for _, e := range edges {
+		c.counts[e.X].Add(1)
+		retries++
+	}
+	return 0, retries
 }
 
-func (c *countingTarget) SameSetCounted(x, y uint32, st *core.Stats) bool {
-	c.counts[x].Add(1)
-	return false
+func (c *countingTarget) SameSetSpan(pairs []Edge, out []bool, st *core.Stats) {
+	for i, e := range pairs {
+		c.counts[e.X].Add(1)
+		out[i] = e.X%2 == 0
+	}
 }
 
 // TestExactlyOnceDelivery forces heavy stealing (tiny grain, many workers)
-// and checks that every edge is processed exactly once.
+// and checks that every edge is processed exactly once, in both modes.
 func TestExactlyOnceDelivery(t *testing.T) {
 	const m = 100_000
 	edges := make([]Edge, m)
 	for i := range edges {
-		// Y is any value distinct from every X: the worker loop answers
-		// self-loops inline, and this test needs each edge to reach the
-		// counting target.
 		edges[i] = Edge{X: uint32(i), Y: ^uint32(0)}
 	}
 	tgt := &countingTarget{counts: make([]atomic.Int32, m)}
 	res := UniteAll(tgt, edges, Config{Workers: 8, Grain: 2, Seed: 41})
 	for i := range tgt.counts {
-		if got := tgt.counts[i].Load(); got != 1 {
+		if got := tgt.counts[i].Swap(0); got != 1 {
 			t.Fatalf("edge %d delivered %d times, want 1", i, got)
 		}
 	}
 	if res.CASRetries != m {
 		t.Fatalf("CASRetries = %d, want %d (one per delivered unite)", res.CASRetries, m)
 	}
+	out, _ := SameSetAll(tgt, edges, Config{Workers: 8, Grain: 3, Seed: 43})
+	for i := range tgt.counts {
+		if got := tgt.counts[i].Load(); got != 1 {
+			t.Fatalf("query %d delivered %d times, want 1", i, got)
+		}
+		if out[i] != (i%2 == 0) {
+			t.Fatalf("query %d answered %v, want %v", i, out[i], i%2 == 0)
+		}
+	}
 }
 
-// TestSelfLoopsSkipFinds pins the worker-loop fast path: a self-loop edge
-// is answered inline — no merge, no finds, no shared-memory traffic — while
-// still counting as a completed operation.
+// TestSelfLoopsSkipFinds pins the self-loop rule every Target implements
+// (the sharded view's copy is pinned in internal/shard): a self-loop edge
+// is answered without a merge, finds or shared-memory traffic, while still
+// counting as a completed operation.
 func TestSelfLoopsSkipFinds(t *testing.T) {
 	const n, m = 50, 1000
 	edges := make([]Edge, m)
@@ -143,27 +158,40 @@ func TestSelfLoopsSkipFinds(t *testing.T) {
 		v := uint32(i % n)
 		edges[i] = Edge{X: v, Y: v}
 	}
-	d := core.New(n, core.Config{Seed: 59})
-	res := UniteAll(d, edges, Config{Workers: 3, Grain: 16})
-	if res.Merged != 0 {
-		t.Errorf("self-loop batch Merged = %d, want 0", res.Merged)
-	}
-	st := res.Stats()
-	if st.Ops != m {
-		t.Errorf("self-loop batch Ops = %d, want %d", st.Ops, m)
-	}
-	if st.Finds != 0 || st.Reads != 0 || st.CASAttempts != 0 {
-		t.Errorf("self-loop batch paid work: finds=%d reads=%d cas=%d, want all 0",
-			st.Finds, st.Reads, st.CASAttempts)
-	}
-	out, qres := SameSetAll(d, edges, Config{Workers: 3, Grain: 16})
-	for i, ans := range out {
-		if !ans {
-			t.Fatalf("SameSetAll self-pair %d = false, want true", i)
+	dyn := core.NewDynamic(n, 59)
+	for i := 0; i < n; i++ {
+		if _, err := dyn.MakeSet(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if qst := qres.Stats(); qst.Finds != 0 || qst.Ops != m {
-		t.Errorf("self-pair queries: finds=%d ops=%d, want 0 and %d", qst.Finds, qst.Ops, m)
+	targets := map[string]Target{
+		"core":       core.New(n, core.Config{Seed: 59}),
+		"core+early": core.New(n, core.Config{Find: core.FindOneTry, EarlyTermination: true, Seed: 59}),
+		"dynamic":    dyn,
+	}
+	for name, tgt := range targets {
+		res := UniteAll(tgt, edges, Config{Workers: 3, Grain: 16})
+		if res.Merged != 0 {
+			t.Errorf("%s: self-loop batch Merged = %d, want 0", name, res.Merged)
+		}
+		st := res.Stats()
+		if st.Ops != m {
+			t.Errorf("%s: self-loop batch Ops = %d, want %d", name, st.Ops, m)
+		}
+		if st.Finds != 0 || st.Reads != 0 || st.CASAttempts != 0 {
+			t.Errorf("%s: self-loop batch paid work: finds=%d reads=%d cas=%d, want all 0",
+				name, st.Finds, st.Reads, st.CASAttempts)
+		}
+		out, qres := SameSetAll(tgt, edges, Config{Workers: 3, Grain: 16})
+		for i, ans := range out {
+			if !ans {
+				t.Fatalf("%s: SameSetAll self-pair %d = false, want true", name, i)
+			}
+		}
+		if qst := qres.Stats(); qst.Finds != 0 || qst.Reads != 0 || qst.Ops != m {
+			t.Errorf("%s: self-pair queries: finds=%d reads=%d ops=%d, want 0, 0 and %d",
+				name, qst.Finds, qst.Reads, qst.Ops, m)
+		}
 	}
 }
 

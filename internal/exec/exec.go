@@ -45,10 +45,9 @@ import (
 )
 
 // Edge is one (X, Y) element pair of a batch: an edge to unite across, or
-// a connectivity query to answer.
-type Edge struct {
-	X, Y uint32
-}
+// a connectivity query to answer. It is core's Edge, so a batch slice
+// reaches the core's span kernel without a copy.
+type Edge = core.Edge
 
 // Config tunes one batch run. The zero value is ready to use.
 type Config struct {

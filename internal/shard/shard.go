@@ -332,7 +332,7 @@ func (d *DSU) UniteAll(edges []exec.Edge, cfg exec.Config) exec.Result {
 
 	// Classify: route each edge to its shard (in local coordinates) or to
 	// the spill list (in global coordinates). Self-loops are dropped here —
-	// cheaper than letting even the engine's skip path touch them twice.
+	// cheaper than letting even the targets' skip path touch them twice.
 	intra := make([][]engine.Edge, s)
 	var spill []engine.Edge
 	for _, e := range edges {
@@ -452,19 +452,35 @@ func (d *DSU) ScreenConnected(edges []exec.Edge, cfg exec.Config) ([]exec.Edge, 
 	return kept, res
 }
 
-// UniteRetries implements the engine target's Unite mode on a view (spill
-// reconciliation; mutation-lock holders only — see the view docs).
-func (v view) UniteRetries(x, y uint32, st *core.Stats) (bool, int64) {
+// UniteSpan implements the engine target's Unite mode on a view (spill
+// reconciliation; mutation-lock holders only — see the view docs), one
+// edge at a time. A self-loop counts as a completed operation and pays no
+// finds, the engine targets' shared rule.
+func (v view) UniteSpan(edges []engine.Edge, st *core.Stats) (merged, retries int64) {
 	d := v.d
-	i, j := d.part.ShardOf(x), d.part.ShardOf(y)
-	lx := v.locals[i].FindCounted(d.part.Local(x), st)
-	ly := v.locals[j].FindCounted(d.part.Local(y), st)
-	return v.bridge.UniteRetries(d.part.Global(i, lx), d.part.Global(j, ly), st)
+	for _, e := range edges {
+		if e.X == e.Y {
+			st.Ops++
+			continue
+		}
+		i, j := d.part.ShardOf(e.X), d.part.ShardOf(e.Y)
+		lx := v.locals[i].FindCounted(d.part.Local(e.X), st)
+		ly := v.locals[j].FindCounted(d.part.Local(e.Y), st)
+		m, r := v.bridge.UniteRetries(d.part.Global(i, lx), d.part.Global(j, ly), st)
+		if m {
+			merged++
+		}
+		retries += r
+	}
+	return merged, retries
 }
 
-// SameSetCounted implements the engine target's SameSet mode on a view.
-func (v view) SameSetCounted(x, y uint32, st *core.Stats) bool {
-	return v.sameSet(x, y, st)
+// SameSetSpan implements the engine target's SameSet mode on a view, one
+// pair at a time; sameSet answers a self-pair true without finds.
+func (v view) SameSetSpan(pairs []engine.Edge, out []bool, st *core.Stats) {
+	for i, e := range pairs {
+		out[i] = v.sameSet(e.X, e.Y, st)
+	}
 }
 
 // chaseRoot follows parent pointers from lx to a root within a snapshot

@@ -250,3 +250,34 @@ func TestDegenerateShapes(t *testing.T) {
 		t.Errorf("tiny Sets = %d, want 3", tiny.Sets())
 	}
 }
+
+// TestViewSelfLoopsSkipFinds pins the engine targets' self-loop rule on the
+// two-level view, in both modes: a self-loop merges nothing, pays no finds
+// and counts as one completed operation. UniteAll drops self-loops while
+// routing, so the view's Unite mode is driven directly.
+func TestViewSelfLoopsSkipFinds(t *testing.T) {
+	const n, m = 64, 500
+	edges := make([]engine.Edge, m)
+	for i := range edges {
+		v := uint32(i % n)
+		edges[i] = engine.Edge{X: v, Y: v}
+	}
+	d := New(n, 4, core.Config{Seed: 71})
+	d.mu.Lock()
+	res := engine.UniteAll(d.view(0), edges, engine.Config{Workers: 3, Grain: 16})
+	d.mu.Unlock()
+	st := res.Stats()
+	if res.Merged != 0 || st.Ops != m || st.Finds != 0 || st.Reads != 0 {
+		t.Errorf("unite mode: merged=%d ops=%d finds=%d reads=%d, want 0, %d, 0, 0",
+			res.Merged, st.Ops, st.Finds, st.Reads, m)
+	}
+	out, qres := engine.SameSetAll(d.view(0), edges, engine.Config{Workers: 3, Grain: 16})
+	for i, ans := range out {
+		if !ans {
+			t.Fatalf("self-pair %d answered false", i)
+		}
+	}
+	if qst := qres.Stats(); qst.Ops != m || qst.Finds != 0 || qst.Reads != 0 {
+		t.Errorf("query mode: ops=%d finds=%d reads=%d, want %d, 0, 0", qst.Ops, qst.Finds, qst.Reads, m)
+	}
+}
