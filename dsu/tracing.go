@@ -226,9 +226,12 @@ func (u *Universe) SlowTraces() []BatchTrace { return u.rec.Slow() }
 // UniteAllTraced is UniteAll recording into a caller-supplied trace —
 // the form the network front end uses, where the trace begins at frame
 // decode and ends after reply encode, so the execute spans recorded here
-// land in the middle of the server's tree. The trace may be nil (then
-// this is exactly UniteAll). Validation errors are reported before any
-// execution, so a failed call records no execute span.
+// land in the middle of the server's tree. A successful batch sets the
+// root span's edge and merge counts; finishing the trace is the caller's
+// job. A nil trace makes this exactly UniteAll, which owns its trace: it
+// opens one after validation and finishes it. Either way, validation
+// errors are reported before any execution, so a rejected request
+// records no trace.
 func (u *Universe) UniteAllTraced(req UniteRequest, tr *Trace) (BatchReply, error) {
 	cfg, err := u.resolve(req.Options)
 	if err != nil {
@@ -237,13 +240,23 @@ func (u *Universe) UniteAllTraced(req UniteRequest, tr *Trace) (BatchReply, erro
 	if err := validatePairs("edge", req.Edges, u.b.N()); err != nil {
 		return BatchReply{}, err
 	}
+	if tr == nil {
+		tr = u.rec.Start(tracespan.OpUnite, tracespan.SourceBlocking)
+		defer u.rec.Finish(tr)
+	}
 	cfg.Trace = tr
 	res := u.b.executor().UniteAll(req.Edges, cfg)
 	if res.Err != nil {
-		// Durability refused the batch: not applied, not acknowledged.
+		// Durability refused the batch: it was not applied, and no reply
+		// may acknowledge it.
 		return BatchReply{}, res.Err
 	}
-	return replyOf(nil, res), nil
+	rep := replyOf(nil, res)
+	if a := tr.Attrs(tracespan.Root); a != nil {
+		a.Edges = int64(len(req.Edges))
+		a.Merged = rep.Merged
+	}
+	return rep, nil
 }
 
 // SameSetAllTraced is SameSetAll recording into a caller-supplied trace
@@ -256,8 +269,15 @@ func (u *Universe) SameSetAllTraced(req QueryRequest, tr *Trace) (BatchReply, er
 	if err := validatePairs("pair", req.Pairs, u.b.N()); err != nil {
 		return BatchReply{}, err
 	}
+	if tr == nil {
+		tr = u.rec.Start(tracespan.OpQuery, tracespan.SourceBlocking)
+		defer u.rec.Finish(tr)
+	}
 	cfg.Trace = tr
 	out, res := u.b.executor().SameSetAll(req.Pairs, cfg)
+	if a := tr.Attrs(tracespan.Root); a != nil {
+		a.Edges = int64(len(req.Pairs))
+	}
 	return replyOf(out, res), nil
 }
 

@@ -321,16 +321,7 @@ func (u *Universe) Validate(pairs []Edge) error {
 // how the network front end phrases stream completions in the same
 // vocabulary as RPC replies. (Abandoned batches have no execution record;
 // their Err travels as a protocol error instead.)
-func ReplyOf(r BatchResult) BatchReply {
-	return BatchReply{
-		Merged:     r.Merged,
-		Filtered:   r.Filtered,
-		Find:       findStrategyOf(r.Find),
-		CASRetries: r.CASRetries,
-		Elapsed:    r.Elapsed,
-		Stats:      r.Stats(),
-	}
-}
+func ReplyOf(r BatchResult) BatchReply { return replyOf(nil, r.Result) }
 
 // UniteAll merges across every edge of the request's batch and reports the
 // run. It is the mutation entry point of the tenant API: requests are
@@ -341,29 +332,7 @@ func ReplyOf(r BatchResult) BatchReply {
 // policy. The reply's Merged follows the backend's own counting contract
 // (exact sequential count on flat, structural two-level count on sharded).
 func (u *Universe) UniteAll(req UniteRequest) (BatchReply, error) {
-	cfg, err := u.resolve(req.Options)
-	if err != nil {
-		return BatchReply{}, err
-	}
-	if err := validatePairs("edge", req.Edges, u.b.N()); err != nil {
-		return BatchReply{}, err
-	}
-	tr := u.rec.Start(tracespan.OpUnite, tracespan.SourceBlocking)
-	cfg.Trace = tr
-	res := u.b.executor().UniteAll(req.Edges, cfg)
-	if res.Err != nil {
-		// Durability refused the batch: it was not applied, and no reply
-		// may acknowledge it.
-		u.rec.Finish(tr)
-		return BatchReply{}, res.Err
-	}
-	rep := replyOf(nil, res)
-	if a := tr.Attrs(tracespan.Root); a != nil {
-		a.Edges = int64(len(req.Edges))
-		a.Merged = rep.Merged
-	}
-	u.rec.Finish(tr)
-	return rep, nil
+	return u.UniteAllTraced(req, nil)
 }
 
 // SameSetAll answers the request's pairs into the reply's Answers slice
@@ -372,22 +341,7 @@ func (u *Universe) UniteAll(req UniteRequest) (BatchReply, error) {
 // is the path the adaptive policy may downgrade; the reply's Find reports
 // the variant that actually ran.
 func (u *Universe) SameSetAll(req QueryRequest) (BatchReply, error) {
-	cfg, err := u.resolve(req.Options)
-	if err != nil {
-		return BatchReply{}, err
-	}
-	if err := validatePairs("pair", req.Pairs, u.b.N()); err != nil {
-		return BatchReply{}, err
-	}
-	tr := u.rec.Start(tracespan.OpQuery, tracespan.SourceBlocking)
-	cfg.Trace = tr
-	out, res := u.b.executor().SameSetAll(req.Pairs, cfg)
-	rep := replyOf(out, res)
-	if a := tr.Attrs(tracespan.Root); a != nil {
-		a.Edges = int64(len(req.Pairs))
-	}
-	u.rec.Finish(tr)
-	return rep, nil
+	return u.SameSetAllTraced(req, nil)
 }
 
 // ParseFindStrategy maps a wire- or flag-friendly name to its

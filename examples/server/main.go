@@ -1,11 +1,12 @@
 // Example server: a remote client of cmd/dsuserve that proves the wire
-// path end to end. It creates two isolated tenants — "alpha" flat,
-// "beta" sharded with the adaptive compaction policy — ingests a random
-// edge batch into alpha over a streaming connection (binary framing,
-// per-batch replies) and into beta over batch RPC (JSON debug mode),
-// queries both remotely, and validates every answer and both final
-// partitions against in-process oracles built from the same edges. Run
-// it against a live server:
+// path end to end. It creates three isolated tenants — "alpha" flat,
+// "beta" sharded with the adaptive compaction policy, "gamma" of the
+// lock-free kind — ingests a random edge batch into alpha over a
+// streaming connection (binary framing, per-batch replies), into beta over
+// batch RPC (JSON debug mode), and into gamma over a pipelined connection
+// (binary framing, every reply checked), queries all three remotely, and
+// validates every answer and every final partition against in-process
+// oracles built from the same edges. Run it against a live server:
 //
 //	go run ./cmd/dsuserve -addr 127.0.0.1:7421 &
 //	go run ./examples/server -addr http://127.0.0.1:7421 -n 20000 -m 60000
@@ -64,12 +65,13 @@ func main() {
 		}
 		return out
 	}
-	alphaEdges, betaEdges := edges(), edges()
+	alphaEdges, betaEdges, gammaEdges := edges(), edges(), edges()
 
-	// Two isolated tenants, two structure kinds, one API.
+	// Three isolated tenants, three structure kinds, one API.
 	for _, spec := range []server.TenantSpec{
 		{Name: "alpha", N: *n},
 		{Name: "beta", N: *n, Shards: *shards, Find: "auto"},
+		{Name: "gamma", N: *n, Kind: "lockfree"},
 	} {
 		info, err := c.CreateTenant(ctx, spec)
 		if err != nil {
@@ -140,6 +142,63 @@ func main() {
 		}
 	}
 
+	// Gamma: one pipelined connection in the binary framing. The oracle
+	// runs the same unite batches in the same order first, so each reply's
+	// merge count is known before it arrives; a final query batch rides
+	// the same pipe. Replies arrive in request order on the pipe's reader
+	// goroutine, each echoing its request's sequence number.
+	gammaOracle := dsu.NewLockFree(*n)
+	type expect struct {
+		merged  int
+		answers []bool // non-nil for the query batch
+	}
+	var want []expect
+	for i := 0; i < len(gammaEdges); i += chunk {
+		want = append(want, expect{merged: gammaOracle.UniteAll(gammaEdges[i:min(i+chunk, len(gammaEdges))])})
+	}
+	gammaPairs := make([]dsu.Edge, *queries)
+	for i := range gammaPairs {
+		gammaPairs[i] = dsu.Edge{X: uint32(rng.Intn(*n)), Y: uint32(rng.Intn(*n))}
+	}
+	want = append(want, expect{answers: gammaOracle.SameSetAll(gammaPairs)})
+	replies, gammaBad := 0, 0
+	cp, err := c.OpenPipe(ctx, "gamma", server.PipeConfig{OnReply: func(env *wire.Envelope) {
+		replies++
+		seq := uint64(replies)
+		switch {
+		case env.Kind != wire.KindReply:
+			log.Printf("MISMATCH gamma: request %d answered %v: %s", env.Seq, env.Kind, env.Error)
+		case env.Seq != seq || int(seq) > len(want):
+			log.Printf("MISMATCH gamma: reply %d echoes request %d", seq, env.Seq)
+		case want[seq-1].answers != nil && !reflect.DeepEqual(env.Reply.Answers, want[seq-1].answers):
+			log.Printf("MISMATCH gamma: piped query answers differ from in-process oracle")
+		case want[seq-1].answers == nil && int(env.Reply.Merged) != want[seq-1].merged:
+			log.Printf("MISMATCH gamma: batch %d merged %d, oracle %d", seq, env.Reply.Merged, want[seq-1].merged)
+		default:
+			return
+		}
+		gammaBad++
+	}})
+	if err != nil {
+		log.Fatalf("open pipe: %v", err)
+	}
+	start = time.Now()
+	for i := 0; i < len(gammaEdges); i += chunk {
+		if _, err := cp.UniteAll(dsu.UniteRequest{Edges: gammaEdges[i:min(i+chunk, len(gammaEdges))]}); err != nil {
+			log.Fatalf("gamma unite: %v", err)
+		}
+	}
+	if _, err := cp.SameSetAll(dsu.QueryRequest{Pairs: gammaPairs}); err != nil {
+		log.Fatalf("gamma query: %v", err)
+	}
+	if err := cp.Close(); err != nil {
+		log.Fatalf("pipe close: %v", err)
+	}
+	check("gamma", gammaBad == 0 && replies == len(want),
+		fmt.Sprintf("%d piped replies wrong; %d of %d requests answered", gammaBad, replies, len(want)))
+	log.Printf("gamma  pipe: %d edges + %d pairs in %d requests, %d replies, %v",
+		len(gammaEdges), len(gammaPairs), len(want), replies, time.Since(start).Round(time.Millisecond))
+
 	// Remote query batches vs oracle answers.
 	for _, tc := range []struct {
 		name   string
@@ -148,6 +207,7 @@ func main() {
 	}{
 		{"alpha", alphaEdges, alphaOracle},
 		{"beta", betaEdges, betaOracle},
+		{"gamma", gammaEdges, gammaOracle},
 	} {
 		pairs := make([]dsu.Edge, *queries)
 		for i := range pairs {
@@ -177,5 +237,5 @@ func main() {
 		log.Printf("FAILED: %d mismatches", fail)
 		os.Exit(1)
 	}
-	log.Printf("OK: both tenants match their in-process oracles over the wire")
+	log.Printf("OK: all three tenants match their in-process oracles over the wire")
 }

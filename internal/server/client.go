@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 
 	"repro/dsu"
 	"repro/internal/wire"
@@ -240,6 +239,115 @@ func (c *Client) SameSetAllLinked(ctx context.Context, tenant string, req dsu.Qu
 		&wire.Envelope{Kind: wire.KindQuery, Query: &req, Trace: link.Trace, Span: link.Span})
 }
 
+// clientConn is the client half of one full-duplex framed connection, a
+// stream's or a pipe's: requests leave through a pooled encoder over a
+// coalescing writer on the request body, and a reader goroutine hands
+// reply envelopes to onReply. Sends and close must be serialized by the
+// caller.
+type clientConn struct {
+	pw     *io.PipeWriter
+	fw     *wire.FlushWriter
+	enc    wire.Encoder
+	seq    uint64
+	resp   *http.Response
+	closed bool
+
+	done    chan struct{}
+	onReply func(*wire.Envelope)
+
+	// Set by the reader goroutine before it closes done: end (an end
+	// envelope's totals) or readErr.
+	end     *wire.StreamEnd
+	endErr  string
+	readErr error
+}
+
+// open starts a full-duplex connection to the server path (query
+// included) and its reader goroutine.
+func (c *Client) open(ctx context.Context, cc *clientConn, path string, onReply func(*wire.Envelope)) error {
+	pr, pw := io.Pipe()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, pr)
+	if err != nil {
+		pw.Close()
+		return err
+	}
+	req.Header.Set("Content-Type", c.format.ContentType())
+	resp, err := c.hc.Do(req)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = httpError(resp)
+		resp.Body.Close()
+	}
+	if err != nil {
+		pw.Close()
+		return err
+	}
+	cc.pw, cc.resp, cc.onReply = pw, resp, onReply
+	cc.fw = wire.NewFlushWriter(pw, 0, nil)
+	cc.enc = wire.AcquireEncoder(cc.fw, c.format)
+	cc.done = make(chan struct{})
+	go cc.read(wire.AcquireDecoder(resp.Body, c.format, c.maxFrame))
+	return nil
+}
+
+// read drains reply envelopes until an end envelope or a transport error
+// (io.EOF once the server closes the response). Consuming replies
+// promptly is part of the backpressure loop: a client that never read
+// them would eventually stall the server's reply writes, not its own
+// requests.
+func (cc *clientConn) read(dec wire.Decoder) {
+	defer close(cc.done)
+	defer wire.ReleaseDecoder(dec)
+	for {
+		env, err := dec.Decode()
+		if err != nil {
+			cc.readErr = err
+			return
+		}
+		if env.Kind == wire.KindEnd {
+			end := *env.End // copy out of the pooled decoder's scratch
+			cc.end, cc.endErr = &end, env.Error
+			return
+		}
+		if cc.onReply != nil {
+			cc.onReply(env)
+		}
+	}
+}
+
+// send stamps the next sequence number on env and encodes it.
+func (cc *clientConn) send(env *wire.Envelope) (uint64, error) {
+	if cc.closed {
+		return 0, wire.ErrWriterClosed
+	}
+	cc.seq++
+	env.Seq = cc.seq
+	return cc.seq, cc.enc.Encode(env)
+}
+
+// Flush pushes any coalesced requests out now instead of on the next
+// idle moment — useful before blocking on replies.
+func (cc *clientConn) Flush() error {
+	if cc.closed {
+		return wire.ErrWriterClosed
+	}
+	return cc.fw.Flush()
+}
+
+// close ends the request body, waits for the reader to finish, and
+// releases the connection. Idempotent.
+func (cc *clientConn) close() {
+	if cc.closed {
+		return
+	}
+	cc.closed = true
+	_ = cc.fw.Close()
+	cc.pw.Close()
+	<-cc.done
+	wire.ReleaseEncoder(cc.enc)
+	cc.enc = nil
+	cc.resp.Body.Close()
+}
+
 // StreamConfig tunes one stream connection.
 type StreamConfig struct {
 	// Buffer requests a server-side seal threshold (0 keeps the server
@@ -272,20 +380,7 @@ type StreamConfig struct {
 // does not retain the caller's edge slice — it is free for reuse as
 // soon as Push returns.
 type ClientStream struct {
-	pw     *io.PipeWriter
-	fw     *wire.FlushWriter
-	enc    wire.Encoder
-	seq    uint64
-	resp   *http.Response
-	closed bool
-
-	done    chan struct{}
-	onReply func(*wire.Envelope)
-
-	mu      sync.Mutex
-	end     *wire.StreamEnd
-	endErr  string
-	readErr error
+	clientConn
 }
 
 // OpenStream opens a streaming-ingest connection to the tenant. The
@@ -310,67 +405,15 @@ func (c *Client) OpenStream(ctx context.Context, tenant string, cfg StreamConfig
 	if cfg.Batch.ConnectedFilter {
 		q.Set("connected", "1")
 	}
-	u := c.base + "/v1/tenants/" + url.PathEscape(tenant) + "/stream"
+	path := "/v1/tenants/" + url.PathEscape(tenant) + "/stream"
 	if enc := q.Encode(); enc != "" {
-		u += "?" + enc
+		path += "?" + enc
 	}
-	pr, pw := io.Pipe()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, pr)
-	if err != nil {
-		pw.Close()
+	cs := &ClientStream{}
+	if err := c.open(ctx, &cs.clientConn, path, cfg.OnReply); err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", c.format.ContentType())
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		pw.Close()
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		err := httpError(resp)
-		resp.Body.Close()
-		pw.Close()
-		return nil, err
-	}
-	fw := wire.NewFlushWriter(pw, 0, nil)
-	cs := &ClientStream{
-		pw:      pw,
-		fw:      fw,
-		enc:     wire.AcquireEncoder(fw, c.format),
-		resp:    resp,
-		done:    make(chan struct{}),
-		onReply: cfg.OnReply,
-	}
-	go cs.read(wire.AcquireDecoder(resp.Body, c.format, c.maxFrame))
 	return cs, nil
-}
-
-// read drains reply envelopes until the end envelope or a transport
-// error. Consuming replies promptly is part of the backpressure loop: a
-// client that never read them would eventually stall the server's reply
-// writes, not its own pushes.
-func (cs *ClientStream) read(dec wire.Decoder) {
-	defer close(cs.done)
-	defer wire.ReleaseDecoder(dec)
-	for {
-		env, err := dec.Decode()
-		if err != nil {
-			cs.mu.Lock()
-			cs.readErr = err
-			cs.mu.Unlock()
-			return
-		}
-		if env.Kind == wire.KindEnd {
-			end := *env.End // copy out of the pooled decoder's scratch
-			cs.mu.Lock()
-			cs.end, cs.endErr = &end, env.Error
-			cs.mu.Unlock()
-			return
-		}
-		if cs.onReply != nil {
-			cs.onReply(env)
-		}
-	}
 }
 
 // Push frames one batch of edges to the server's stream. The server
@@ -385,25 +428,18 @@ func (cs *ClientStream) Push(edges ...dsu.Edge) error {
 // ID (first link per batch wins), and the batch's reply envelope reports
 // it back. A zero link is exactly Push.
 func (cs *ClientStream) PushLinked(link dsu.TraceContext, edges ...dsu.Edge) error {
-	if cs.closed {
-		return wire.ErrWriterClosed
-	}
-	cs.seq++
-	return cs.enc.Encode(&wire.Envelope{Kind: wire.KindUnite, Seq: cs.seq,
+	_, err := cs.send(&wire.Envelope{Kind: wire.KindUnite,
 		Unite: &dsu.UniteRequest{Edges: edges}, Trace: link.Trace, Span: link.Span})
+	return err
 }
 
 // Flush asks the server to seal its current buffer early, forcing the
 // coalescing writer out with it so the request leaves now.
 func (cs *ClientStream) Flush() error {
-	if cs.closed {
-		return wire.ErrWriterClosed
-	}
-	cs.seq++
-	if err := cs.enc.Encode(&wire.Envelope{Kind: wire.KindFlush, Seq: cs.seq}); err != nil {
+	if _, err := cs.send(&wire.Envelope{Kind: wire.KindFlush}); err != nil {
 		return err
 	}
-	return cs.fw.Flush()
+	return cs.clientConn.Flush()
 }
 
 // Close ends the edge stream, waits for the server to drain, and returns
@@ -411,25 +447,13 @@ func (cs *ClientStream) Flush() error {
 // server lost batches (shutdown or cancellation mid-stream); Failed says
 // how many.
 func (cs *ClientStream) Close() (*wire.StreamEnd, error) {
-	if !cs.closed {
-		cs.closed = true
-		_ = cs.fw.Close()
-		cs.pw.Close()
-		<-cs.done
-		wire.ReleaseEncoder(cs.enc)
-		cs.enc = nil
-		cs.resp.Body.Close()
-	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
+	cs.close()
 	if cs.readErr != nil {
 		return cs.end, fmt.Errorf("stream reply channel: %w", cs.readErr)
 	}
+	// The reader stopped at the end envelope.
 	if cs.endErr != "" {
 		return cs.end, fmt.Errorf("server stream: %s", cs.endErr)
-	}
-	if cs.end == nil {
-		return nil, fmt.Errorf("stream closed without an end envelope")
 	}
 	return cs.end, nil
 }
@@ -460,12 +484,7 @@ type PipeConfig struct {
 // Backpressure is end to end: a stalled server fills the coalescing
 // buffer and blocks the senders.
 type ClientPipe struct {
-	pw     *io.PipeWriter
-	fw     *wire.FlushWriter
-	enc    wire.Encoder
-	seq    uint64
-	resp   *http.Response
-	closed bool
+	clientConn
 
 	// Scratch for the request envelope — the encoder serializes before
 	// returning, so one reusable envelope per pipe keeps the send path
@@ -473,69 +492,16 @@ type ClientPipe struct {
 	env   wire.Envelope
 	unite dsu.UniteRequest
 	query dsu.QueryRequest
-
-	done    chan struct{}
-	onReply func(*wire.Envelope)
-
-	mu      sync.Mutex
-	readErr error
 }
 
 // OpenPipe opens a pipelined batch-RPC connection to the tenant. The
 // returned pipe must be Closed.
 func (c *Client) OpenPipe(ctx context.Context, tenant string, cfg PipeConfig) (*ClientPipe, error) {
-	pr, pw := io.Pipe()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/v1/tenants/"+url.PathEscape(tenant)+"/pipe", pr)
-	if err != nil {
-		pw.Close()
+	cp := &ClientPipe{}
+	if err := c.open(ctx, &cp.clientConn, "/v1/tenants/"+url.PathEscape(tenant)+"/pipe", cfg.OnReply); err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", c.format.ContentType())
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		pw.Close()
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		err := httpError(resp)
-		resp.Body.Close()
-		pw.Close()
-		return nil, err
-	}
-	fw := wire.NewFlushWriter(pw, 0, nil)
-	cp := &ClientPipe{
-		pw:      pw,
-		fw:      fw,
-		enc:     wire.AcquireEncoder(fw, c.format),
-		resp:    resp,
-		done:    make(chan struct{}),
-		onReply: cfg.OnReply,
-	}
-	go cp.read(wire.AcquireDecoder(resp.Body, c.format, c.maxFrame))
 	return cp, nil
-}
-
-// read delivers reply envelopes to OnReply until the server closes the
-// response (which it does once the request stream ends). Consuming
-// replies promptly is part of the backpressure loop, as on streams.
-func (cp *ClientPipe) read(dec wire.Decoder) {
-	defer close(cp.done)
-	defer wire.ReleaseDecoder(dec)
-	for {
-		env, err := dec.Decode()
-		if err != nil {
-			if err != io.EOF {
-				cp.mu.Lock()
-				cp.readErr = err
-				cp.mu.Unlock()
-			}
-			return
-		}
-		if cp.onReply != nil {
-			cp.onReply(env)
-		}
-	}
 }
 
 // UniteAll enqueues one mutation batch and returns its sequence number
@@ -548,14 +514,9 @@ func (cp *ClientPipe) UniteAll(req dsu.UniteRequest) (uint64, error) {
 // UniteAllLinked is UniteAll carrying a caller-chosen trace context
 // (see Client.UniteAllLinked for the adoption semantics).
 func (cp *ClientPipe) UniteAllLinked(req dsu.UniteRequest, link dsu.TraceContext) (uint64, error) {
-	if cp.closed {
-		return 0, wire.ErrWriterClosed
-	}
-	cp.seq++
 	cp.unite = req
-	cp.env = wire.Envelope{Kind: wire.KindUnite, Seq: cp.seq, Unite: &cp.unite,
-		Trace: link.Trace, Span: link.Span}
-	return cp.seq, cp.enc.Encode(&cp.env)
+	cp.env = wire.Envelope{Kind: wire.KindUnite, Unite: &cp.unite, Trace: link.Trace, Span: link.Span}
+	return cp.send(&cp.env)
 }
 
 // SameSetAll enqueues one query batch and returns its sequence number
@@ -566,41 +527,17 @@ func (cp *ClientPipe) SameSetAll(req dsu.QueryRequest) (uint64, error) {
 
 // SameSetAllLinked is SameSetAll carrying a caller-chosen trace context.
 func (cp *ClientPipe) SameSetAllLinked(req dsu.QueryRequest, link dsu.TraceContext) (uint64, error) {
-	if cp.closed {
-		return 0, wire.ErrWriterClosed
-	}
-	cp.seq++
 	cp.query = req
-	cp.env = wire.Envelope{Kind: wire.KindQuery, Seq: cp.seq, Query: &cp.query,
-		Trace: link.Trace, Span: link.Span}
-	return cp.seq, cp.enc.Encode(&cp.env)
-}
-
-// Flush pushes any coalesced requests out now instead of on the next
-// idle moment — useful before blocking on replies.
-func (cp *ClientPipe) Flush() error {
-	if cp.closed {
-		return wire.ErrWriterClosed
-	}
-	return cp.fw.Flush()
+	cp.env = wire.Envelope{Kind: wire.KindQuery, Query: &cp.query, Trace: link.Trace, Span: link.Span}
+	return cp.send(&cp.env)
 }
 
 // Close ends the request stream, waits for the last reply to be
 // delivered, and returns the first transport error (nil after a clean
 // drain). Idempotent.
 func (cp *ClientPipe) Close() error {
-	if !cp.closed {
-		cp.closed = true
-		_ = cp.fw.Close()
-		cp.pw.Close()
-		<-cp.done
-		wire.ReleaseEncoder(cp.enc)
-		cp.enc = nil
-		cp.resp.Body.Close()
-	}
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	if cp.readErr != nil {
+	cp.close()
+	if cp.readErr != nil && cp.readErr != io.EOF {
 		return fmt.Errorf("pipe reply channel: %w", cp.readErr)
 	}
 	return nil

@@ -22,8 +22,8 @@ import (
 //	dsu_server_frames_total{dir}                          wire envelopes in/out
 //	dsu_server_bytes_total{dir}                           wire payload bytes in/out
 //	dsu_server_decode_errors_total                        frames rejected by the decoder
-//	dsu_server_rpc_inflight{tenant}                       RPC batches executing (gauge)
-//	dsu_server_rpc_waits_total{tenant}                    RPCs that found the tenant budget full
+//	dsu_server_rpc_inflight{tenant}                       batch requests executing, piped ones too (gauge)
+//	dsu_server_rpc_waits_total{tenant}                    batch requests, piped ones too, that found the tenant budget full
 type serverMetrics struct {
 	latency      *metrics.HistogramVec
 	streams      *metrics.Gauge
@@ -43,11 +43,11 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 	return &serverMetrics{
 		latency:      reg.HistogramVec("dsu_server_request_seconds", "End-to-end request latency in seconds, by endpoint, wire encoding, and HTTP status.", nil, "endpoint", "encoding", "status"),
 		streams:      reg.Gauge("dsu_server_streams_active", "Open stream connections."),
-		frames:       reg.CounterVec("dsu_server_frames_total", "Wire envelopes decoded (in) and encoded (out) on RPC and stream connections.", "dir"),
-		bytes:        reg.CounterVec("dsu_server_bytes_total", "Wire bytes read (in) and written (out) on RPC and stream connections.", "dir"),
+		frames:       reg.CounterVec("dsu_server_frames_total", "Wire envelopes decoded (in) and encoded (out) on RPC, stream and pipe connections.", "dir"),
+		bytes:        reg.CounterVec("dsu_server_bytes_total", "Wire bytes read (in) and written (out) on RPC, stream and pipe connections.", "dir"),
 		decodeErrors: reg.Counter("dsu_server_decode_errors_total", "Frames the wire decoder rejected (truncation, corruption, oversize)."),
-		rpcInFlight:  reg.GaugeVec("dsu_server_rpc_inflight", "RPC batches currently executing, by tenant.", "tenant"),
-		rpcWaits:     reg.CounterVec("dsu_server_rpc_waits_total", "RPC batches that found their tenant's in-flight budget saturated and had to wait.", "tenant"),
+		rpcInFlight:  reg.GaugeVec("dsu_server_rpc_inflight", "RPC batches currently executing, piped ones included, by tenant.", "tenant"),
+		rpcWaits:     reg.CounterVec("dsu_server_rpc_waits_total", "RPC batches, piped ones included, that found their tenant's in-flight budget saturated and had to wait.", "tenant"),
 	}
 }
 
@@ -90,8 +90,8 @@ func encodingOf(r *http.Request) string {
 }
 
 // statusRecorder captures the response status for the latency label.
-// Unwrap keeps http.ResponseController working through it — the stream
-// handler's Flush and EnableFullDuplex resolve via the unwrap chain.
+// Unwrap keeps http.ResponseController working through it — the duplex
+// handlers' Flush and EnableFullDuplex resolve via the unwrap chain.
 type statusRecorder struct {
 	http.ResponseWriter
 	code int

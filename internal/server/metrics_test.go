@@ -12,6 +12,7 @@ import (
 
 	"repro/dsu"
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // scrape renders the exposition and returns it as text.
@@ -195,6 +196,7 @@ func TestEndpointClassification(t *testing.T) {
 		"/v1/tenants/alpha/unite":       "unite",
 		"/v1/tenants/alpha/query":       "query",
 		"/v1/tenants/alpha/stream":      "stream",
+		"/v1/tenants/alpha/pipe":        "pipe",
 		"/v1/tenants/alpha/whatever":    "other",
 		"/completely/unrelated":         "other",
 		"/v1/tenants/weird.name/query":  "query",
@@ -250,5 +252,71 @@ func TestMetricsRPCWaits(t *testing.T) {
 	}
 	if fmt.Sprint(seriesValue(t, text, `dsu_batches_total{tenant="alpha",op="unite"}`)) != fmt.Sprint(clients) {
 		t.Errorf("unite batches lost under contention")
+	}
+}
+
+// TestMetricsBudgetWaitsCounted pins the wait counter deterministically on
+// both batch paths: with its tenant's budget held, a single-shot unite and
+// a piped unite are each counted as a wait while they queue, and each
+// completes once the budget is released.
+func TestMetricsBudgetWaitsCounted(t *testing.T) {
+	m := dsu.NewMetrics()
+	s, c := newTestServer(t, Config{
+		Registry:    dsu.NewRegistry(dsu.WithMetrics(m)),
+		Metrics:     m,
+		MaxInFlight: 1,
+	})
+	ctx := context.Background()
+	req := dsu.UniteRequest{Edges: []dsu.Edge{{X: 0, Y: 1}}}
+	for _, tc := range []struct {
+		tenant string
+		send   func() error
+	}{
+		{"rpc", func() error {
+			_, err := c.UniteAll(ctx, "rpc", req)
+			return err
+		}},
+		{"pipe", func() error {
+			var replyErr error // set by the reader goroutine, read after Close
+			cp, err := c.OpenPipe(ctx, "pipe", PipeConfig{OnReply: func(env *wire.Envelope) {
+				if env.Kind != wire.KindReply {
+					replyErr = fmt.Errorf("piped unite answered %v: %s", env.Kind, env.Error)
+				}
+			}})
+			if err != nil {
+				return err
+			}
+			if _, err := cp.UniteAll(req); err != nil {
+				return err
+			}
+			if err := cp.Close(); err != nil {
+				return err
+			}
+			return replyErr
+		}},
+	} {
+		t.Run(tc.tenant, func(t *testing.T) {
+			if _, err := c.CreateTenant(ctx, TenantSpec{Name: tc.tenant, N: 10}); err != nil {
+				t.Fatal(err)
+			}
+			sem := s.sem(tc.tenant)
+			sem <- struct{}{} // hold the whole budget
+			done := make(chan error, 1)
+			go func() { done <- tc.send() }()
+
+			waited := `dsu_server_rpc_waits_total{tenant="` + tc.tenant + `"} 1`
+			counted := false
+			for deadline := time.Now().Add(5 * time.Second); !counted && time.Now().Before(deadline); {
+				counted = strings.Contains(scrape(t, m), waited)
+				time.Sleep(time.Millisecond)
+			}
+			<-sem // release, so the queued request finishes either way
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if !counted {
+				t.Errorf("a %s request queued on a full budget was never counted: exposition lacks %q", tc.tenant, waited)
+			}
+		})
 	}
 }

@@ -1,8 +1,9 @@
 // Package server is the network front end: a stdlib net/http service
 // exposing the dsu package's tenant-scoped Universe API — named universes
-// over flat or sharded backends, batched UniteAll/SameSetAll, and
-// streaming ingestion — to remote clients over the wire package's framing
-// (length-prefixed binary, or newline-delimited JSON for debugging).
+// over flat, sharded or lock-free backends, batched UniteAll/SameSetAll,
+// and streaming ingestion — to remote clients over the wire package's
+// framing (length-prefixed binary, or newline-delimited JSON for
+// debugging).
 //
 // # Surface
 //
@@ -36,8 +37,8 @@
 // A request that fails validation answers an error envelope and the pipe
 // carries on; a malformed frame or a non-unite/query kind answers an
 // error envelope and ends the pipe. Closing the request body ends the
-// pipe cleanly after the last reply. Per-tenant RPC budgets apply to
-// each piped request exactly as they do to single-shot RPC.
+// pipe cleanly after the last reply. A piped request runs through the
+// same batch function as single-shot RPC: budgets, metrics, traces alike.
 //
 // # Streaming and backpressure
 //
@@ -61,20 +62,22 @@
 // Tenants are isolated structurally: each universe owns its structure,
 // and nothing is shared across names (the dsu.Registry's contract). The
 // server adds resource isolation: every tenant has its own bounded
-// in-flight budget (MaxInFlight) for RPC batches, so one tenant's burst
-// queues against itself, not against other tenants; streams bound
-// in-flight batches per connection by construction. Requests are
-// validated against the tenant's universe before execution — a remote
-// frame can never reach the wait-free core's unchecked indexing.
+// in-flight budget (MaxInFlight) for batch requests, single-shot or
+// piped, so one tenant's burst queues against itself, not against other
+// tenants; streams bound in-flight batches per connection by
+// construction. Requests are validated against the tenant's universe
+// before execution — a remote frame can never reach the wait-free core's
+// unchecked indexing.
 //
 // Tenants whose structure is concurrent-capable (the lock-free kind —
 // dsu.Universe.Concurrent) skip the queueing half of that story: their
-// batch calls are safe to overlap, so RPCs execute immediately without
-// taking the per-tenant budget, and their stream connections run with
-// concurrent batch dispatch (up to the connection's in-flight bound of
-// batches executing simultaneously, replies in completion order). The
-// budget exists to serialize mutations a plain backend can't take
-// concurrently; a lock-free tenant doesn't need the protection.
+// batch calls are safe to overlap, so batch requests execute
+// immediately without taking the per-tenant budget, and their stream
+// connections run with concurrent batch dispatch (up to the connection's
+// in-flight bound of batches executing simultaneously, replies in
+// completion order). The budget exists to serialize mutations a plain
+// backend can't take concurrently; a lock-free tenant doesn't need the
+// protection.
 package server
 
 import (
@@ -104,12 +107,12 @@ type Config struct {
 	Registry *dsu.Registry
 	// MaxFrame bounds one wire message; ≤ 0 selects wire.DefaultMaxFrame.
 	MaxFrame int
-	// MaxInFlight bounds, per tenant, the RPC batches executing
-	// concurrently, and caps the per-connection in-flight bound a stream
-	// may request; ≤ 0 selects 4. Concurrent-capable tenants (the
-	// lock-free kind) are exempt from the RPC budget — overlap is their
-	// contract — but the stream cap still applies (it bounds buffered
-	// batches, which is memory, not safety).
+	// MaxInFlight bounds, per tenant, the batch requests (single-shot or
+	// piped) executing concurrently, and caps the per-connection in-flight
+	// bound a stream may request; ≤ 0 selects 4. Concurrent-capable tenants
+	// (the lock-free kind) are exempt from the batch budget — overlap is
+	// their contract — but the stream cap still applies (it bounds
+	// buffered batches, which is memory, not safety).
 	MaxInFlight int
 	// StreamBuffer is the default stream seal threshold in edges; ≤ 0
 	// selects the dsu default (65536). Connections may override with the
@@ -132,7 +135,7 @@ type Config struct {
 	// *dsu.Metrics given to dsu.WithMetrics), so one /metrics scrape
 	// covers the whole stack: request latency by endpoint/encoding/
 	// status, active streams, wire frames and bytes in/out, decode
-	// errors, and per-tenant RPC budget pressure. Nil leaves the server
+	// errors, and per-tenant batch budget pressure. Nil leaves the server
 	// uninstrumented at zero cost.
 	Metrics *dsu.Metrics
 }
@@ -141,11 +144,11 @@ type Config struct {
 type Server struct {
 	cfg  Config
 	reg  *dsu.Registry
-	log  *slog.Logger   // never nil (no-op handler when Config.Log is nil)
-	m    *serverMetrics // nil when uninstrumented
-	stop chan struct{}
-	once sync.Once
-	sems sync.Map // tenant name → chan struct{} (RPC in-flight budget)
+	log  *slog.Logger    // never nil (no-op handler when Config.Log is nil)
+	m    *serverMetrics  // nil when uninstrumented
+	ctx  context.Context // ends at Stop
+	stop context.CancelFunc
+	sems sync.Map // tenant name → chan struct{} (batch in-flight budget)
 }
 
 // noopHandler is the disabled logging mode: a handler that reports every
@@ -173,7 +176,8 @@ func New(cfg Config) *Server {
 	if cfg.MaxN <= 0 {
 		cfg.MaxN = 1 << 26
 	}
-	s := &Server{cfg: cfg, reg: cfg.Registry, log: cfg.Log, stop: make(chan struct{})}
+	s := &Server{cfg: cfg, reg: cfg.Registry, log: cfg.Log}
+	s.ctx, s.stop = context.WithCancel(context.Background())
 	if s.log == nil {
 		s.log = slog.New(noopHandler{})
 	}
@@ -183,11 +187,12 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Stop begins shutdown: open stream connections have their contexts
-// cancelled (their clients get loss-reporting end envelopes), and RPCs
-// waiting on in-flight budgets abort. Pair with http.Server.Shutdown,
-// which handles the listener and in-flight handlers. Idempotent.
-func (s *Server) Stop() { s.once.Do(func() { close(s.stop) }) }
+// Stop begins shutdown: stream and pipe connections have their contexts
+// cancelled (stream clients get loss-reporting end envelopes, pipe
+// clients an abort envelope), and batch requests waiting on in-flight
+// budgets abort. Pair with http.Server.Shutdown, which handles the
+// listener and in-flight handlers. Idempotent.
+func (s *Server) Stop() { s.stop() }
 
 // TenantSpec is the JSON body of POST /v1/tenants: the tenant name plus
 // the structure configuration, phrased in the dsu option vocabulary's
@@ -336,14 +341,27 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			writeJSON(w, http.StatusOK, u.CanonicalLabels())
-		case "unite":
-			s.handleRPC(w, r, u, wire.KindUnite)
-		case "query":
-			s.handleRPC(w, r, u, wire.KindQuery)
-		case "stream":
-			s.handleStream(w, r, u)
-		case "pipe":
-			s.handlePipe(w, r, u)
+		case "unite", "query", "stream", "pipe":
+			// The data plane: framed requests in either wire encoding.
+			if r.Method != http.MethodPost {
+				http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+				return
+			}
+			format, ok := wire.FormatFor(r.Header.Get("Content-Type"))
+			if !ok {
+				http.Error(w, "unsupported content type", http.StatusUnsupportedMediaType)
+				return
+			}
+			switch action {
+			case "unite":
+				s.handleRPC(w, r, u, format, wire.KindUnite)
+			case "query":
+				s.handleRPC(w, r, u, format, wire.KindQuery)
+			case "stream":
+				s.handleStream(w, r, u, format)
+			default:
+				s.handlePipe(w, r, u, format)
+			}
 		case "checkpoint":
 			s.handleCheckpoint(w, r, u)
 		default:
@@ -437,7 +455,15 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, u *dsu
 	}
 }
 
-// sem returns the tenant's RPC in-flight budget.
+// traceOp names a batch envelope's trace.
+func traceOp(k wire.Kind) string {
+	if k == wire.KindUnite {
+		return tracespan.OpUnite
+	}
+	return tracespan.OpQuery
+}
+
+// sem returns the tenant's in-flight budget, shared by its RPCs and pipes.
 func (s *Server) sem(name string) chan struct{} {
 	if v, ok := s.sems.Load(name); ok {
 		return v.(chan struct{})
@@ -446,34 +472,69 @@ func (s *Server) sem(name string) chan struct{} {
 	return v.(chan struct{})
 }
 
+// tenant is what serving a batch request needs of its tenant, resolved
+// once per /unite or /query request and once per pipe connection.
+type tenant struct {
+	u        *dsu.Universe
+	sem      chan struct{}  // in-flight budget; nil for a concurrent-capable tenant
+	inflight *metrics.Gauge // nil when uninstrumented
+}
+
+func (s *Server) tenant(u *dsu.Universe) tenant {
+	t := tenant{u: u}
+	if !u.Concurrent() {
+		t.sem = s.sem(u.Name())
+	}
+	if s.m != nil {
+		t.inflight = s.m.rpcInFlight.With(u.Name())
+	}
+	return t
+}
+
+// replier answers through one encoder, serialized by mu: a stream's
+// dispatcher goroutine answers alongside its serve loop. Replies reuse env
+// and rep (Encode does not retain them), so a pipe answers allocation-free.
+type replier struct {
+	s   *Server
+	mu  sync.Mutex
+	enc wire.Encoder
+	env wire.Envelope
+	rep dsu.BatchReply
+}
+
+func (o *replier) write(env *wire.Envelope) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.enc.Encode(env) == nil {
+		o.s.frameOut()
+	}
+}
+
+// reply answers an executed batch under its trace's reply-encode span; the
+// envelope reports the trace's identity back to the client.
+func (o *replier) reply(seq uint64, rep *dsu.BatchReply, tr *tracespan.Trace) {
+	re := tr.Start(tracespan.StageReplyEncode, tracespan.Root)
+	c := tr.Context() // zero on an untraced batch
+	o.mu.Lock()
+	o.env = wire.Envelope{Kind: wire.KindReply, Seq: seq, Reply: rep, Trace: c.Trace, Span: c.Span}
+	if o.enc.Encode(&o.env) == nil {
+		o.s.frameOut()
+	}
+	o.mu.Unlock()
+	tr.End(re)
+}
+
 // handleRPC answers one framed batch request. Envelope kind must match
 // the endpoint — /unite carries unite envelopes, /query query envelopes —
 // so a misrouted frame fails loudly instead of mutating the wrong way.
 //
-// On a traced tenant the whole exchange records one span tree: the trace
-// opens before the frame is decoded (wire-decode span), adopts the
-// client's trace context if the envelope carried one, waits under a
-// queue-wait span, executes through the traced DTO methods (execute and
-// sub-spans recorded at the executor seam), and closes with a
-// reply-encode span; the reply envelope carries the trace context back.
-// Exchanges that fail before execution — bad frames, kind mismatches,
-// shutdown — drop their trace unrecorded: there is no batch to explain.
-func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request, u *dsu.Universe, want wire.Kind) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	format, ok := wire.FormatFor(r.Header.Get("Content-Type"))
-	if !ok {
-		http.Error(w, "unsupported content type", http.StatusUnsupportedMediaType)
-		return
-	}
-	op, endpoint := tracespan.OpQuery, "query"
-	if want == wire.KindUnite {
-		op, endpoint = tracespan.OpUnite, "unite"
-	}
-	rec := u.TraceRecorder() // nil (all no-ops) on an untraced tenant
-	tr := rec.Start(op, tracespan.SourceRPC)
+// On a traced tenant the exchange records one span tree: the trace opens
+// before the frame is decoded (wire-decode span) and adopts the client's
+// trace context if the envelope carried one; batch records the rest.
+// Exchanges that fail before execution — bad frames, kind mismatches —
+// drop their trace unrecorded: there is no batch to explain.
+func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request, u *dsu.Universe, format wire.Format, want wire.Kind) {
+	tr := u.TraceRecorder().Start(traceOp(want), tracespan.SourceRPC) // nil (all no-ops) on an untraced tenant
 	wd := tr.Start(tracespan.StageWireDecode, tracespan.Root)
 	// Pooled codec: the request envelope lives in decoder scratch, which
 	// is safe here because execution is synchronous and neither the
@@ -493,115 +554,205 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request, u *dsu.Univer
 		return
 	}
 	tr.Adopt(tracespan.Context{Trace: env.Trace, Span: env.Span})
-	qw := tr.Start(tracespan.StageQueueWait, tracespan.Root)
+	w.Header().Set("Content-Type", format.ContentType())
+	out := &replier{s: s, enc: wire.AcquireEncoder(s.wireWriter(w), format)}
+	defer wire.ReleaseEncoder(out.enc)
+	switch s.batch(r.Context(), s.tenant(u), env, tr, out) {
+	case http.StatusServiceUnavailable:
+		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
+	case http.StatusRequestTimeout:
+		http.Error(w, "client went away", http.StatusRequestTimeout)
+	}
+}
 
+// batch serves one unite or query envelope — a /unite or /query request,
+// or one request on a pipe: budget admission, execution, and the reply or
+// error envelope echoing env.Seq, sent through out. tr is the request's
+// trace, started and adopted by the caller; batch records its queue-wait,
+// execute and reply-encode spans and finishes it. The budget slot is
+// released after execution, before the reply encodes, so a client slow to
+// read its reply holds no other request of its tenant back.
+//
+// A nonzero result is the HTTP status of a request that never ran: 503
+// once the server stops, 408 when ctx ends first (the client left). Its
+// trace, like a rejected batch's, is dropped unrecorded.
+func (s *Server) batch(ctx context.Context, t tenant, env *wire.Envelope, tr *tracespan.Trace, out *replier) int {
+	qw := tr.Start(tracespan.StageQueueWait, tracespan.Root)
+	if s.ctx.Err() != nil {
+		return http.StatusServiceUnavailable
+	}
 	// Per-tenant bounded in-flight: a burst queues against its own tenant's
 	// budget (or gives up with the client), never against other tenants.
-	// Concurrent-capable tenants skip the budget — their batch calls are
-	// safe to overlap, so queueing would only manufacture latency — and
-	// check only that the server is still accepting work.
-	if u.Concurrent() {
+	// Concurrent-capable tenants have no budget — their batch calls are
+	// safe to overlap, so queueing would only manufacture latency.
+	if t.sem != nil {
 		select {
-		case <-s.stop:
-			http.Error(w, "server shutting down", http.StatusServiceUnavailable)
-			return
-		default:
-		}
-	} else {
-		select {
-		case <-s.stop:
-			http.Error(w, "server shutting down", http.StatusServiceUnavailable)
-			return
-		default:
-		}
-		sem := s.sem(u.Name())
-		select {
-		case sem <- struct{}{}:
+		case t.sem <- struct{}{}:
 		default:
 			// Budget full: the saturation counter records the event —
 			// dsu_server_rpc_waits_total climbing is the signal to raise
 			// MaxInFlight or split the tenant — then wait like before.
 			if s.m != nil {
-				s.m.rpcWaits.With(u.Name()).Inc()
+				s.m.rpcWaits.With(t.u.Name()).Inc()
 			}
 			select {
-			case sem <- struct{}{}:
-			case <-r.Context().Done():
-				http.Error(w, "client went away", http.StatusRequestTimeout)
-				return
-			case <-s.stop:
-				http.Error(w, "server shutting down", http.StatusServiceUnavailable)
-				return
+			case t.sem <- struct{}{}:
+			case <-ctx.Done():
+				return http.StatusRequestTimeout
+			case <-s.ctx.Done():
+				return http.StatusServiceUnavailable
 			}
 		}
-		defer func() { <-sem }()
 	}
 	tr.End(qw)
 
-	var inflight *metrics.Gauge // nil-safe when uninstrumented
-	if s.m != nil {
-		inflight = s.m.rpcInFlight.With(u.Name())
-	}
-	inflight.Inc()
-	var rep dsu.BatchReply
-	var execErr error
+	t.inflight.Inc()
+	var err error
 	var edges int
-	switch want {
-	case wire.KindUnite:
+	if env.Kind == wire.KindUnite {
 		edges = len(env.Unite.Edges)
-		rep, execErr = u.UniteAllTraced(*env.Unite, tr)
-	case wire.KindQuery:
+		out.rep, err = t.u.UniteAllTraced(*env.Unite, tr)
+	} else {
 		edges = len(env.Query.Pairs)
-		rep, execErr = u.SameSetAllTraced(*env.Query, tr)
+		out.rep, err = t.u.SameSetAllTraced(*env.Query, tr)
 	}
-	inflight.Dec()
-	w.Header().Set("Content-Type", format.ContentType())
-	enc := wire.AcquireEncoder(s.wireWriter(w), format)
-	defer wire.ReleaseEncoder(enc)
-	if execErr != nil {
-		// Validation failure: nothing executed, so the trace is dropped —
-		// the error envelope is the whole story.
-		if enc.Encode(&wire.Envelope{Kind: wire.KindError, Seq: env.Seq, Error: execErr.Error()}) == nil {
-			s.frameOut()
-		}
-		s.log.Debug("rpc rejected", "tenant", u.Name(), "endpoint", endpoint,
-			"trace", tracespan.FormatTraceID(tr.ID()), "err", execErr.Error())
-		return
+	t.inflight.Dec()
+	if t.sem != nil {
+		<-t.sem
 	}
-	re := tr.Start(tracespan.StageReplyEncode, tracespan.Root)
-	renv := &wire.Envelope{Kind: wire.KindReply, Seq: env.Seq, Reply: &rep}
-	if c := tr.Context(); c.Valid() {
-		renv.Trace, renv.Span = c.Trace, c.Span
+	if err != nil {
+		// Rejected before it applied (validation, or a durability failure):
+		// nothing is poisoned, the error envelope is the whole story, and a
+		// pipe keeps serving.
+		out.write(&wire.Envelope{Kind: wire.KindError, Seq: env.Seq, Error: err.Error()})
+		s.log.Debug("rpc rejected", "tenant", t.u.Name(), "endpoint", env.Kind.String(),
+			"trace", tracespan.FormatTraceID(tr.ID()), "err", err.Error())
+		return 0
 	}
-	if enc.Encode(renv) == nil {
-		s.frameOut()
+	out.reply(env.Seq, &out.rep, tr)
+	t.u.TraceRecorder().Finish(tr)
+	// Its arguments allocate, which a pipe would pay on every frame.
+	if s.log.Enabled(ctx, slog.LevelDebug) {
+		s.log.Debug("rpc", "tenant", t.u.Name(), "endpoint", env.Kind.String(),
+			"trace", tracespan.FormatTraceID(tr.ID()), "edges", edges, "merged", out.rep.Merged)
 	}
-	tr.End(re)
-	if a := tr.Attrs(tracespan.Root); a != nil {
-		a.Edges = int64(edges)
-		a.Merged = rep.Merged
-	}
-	rec.Finish(tr)
-	s.log.Debug("rpc", "tenant", u.Name(), "endpoint", endpoint,
-		"trace", tracespan.FormatTraceID(tr.ID()), "edges", edges, "merged", rep.Merged)
+	return 0
 }
 
-// streamEdgeCap converts the frame limit into a sane ceiling for
-// client-requested stream buffers.
-func (s *Server) streamEdgeCap() int { return s.cfg.MaxFrame / 8 }
+// decoded is one frame, or the error that ended the request body.
+type decoded struct {
+	env *wire.Envelope
+	err error
+}
+
+// conn is one full-duplex framed connection: a /stream or /pipe request.
+// Its context ends with the client or with Stop.
+type conn struct {
+	replier
+	ctx    context.Context
+	what   string // "stream" or "pipe", naming the connection in its abort envelope
+	frames chan decoded
+	ack    chan struct{}
+}
+
+// openConn answers 200, switches the exchange to full duplex (HTTP/1.1:
+// read the body while answering), and starts the decode goroutine.
+// Replies leave through a coalescing writer: a burst of small reply frames
+// (pipelined requests, concurrent dispatch, tiny batches) lands in one
+// underlying write and one HTTP flush instead of one of each per frame.
+// The returned func closes that writer, forcing the final flush, so it
+// must run once the handler is done writing.
+func (s *Server) openConn(w http.ResponseWriter, r *http.Request, format wire.Format, what string) (*conn, func()) {
+	ctx, cancel := context.WithCancel(r.Context())
+	unwatch := context.AfterFunc(s.ctx, cancel)
+	w.Header().Set("Content-Type", format.ContentType())
+	rc := http.NewResponseController(w)
+	_ = rc.EnableFullDuplex()
+	w.WriteHeader(http.StatusOK)
+	_ = rc.Flush()
+	fw := wire.NewFlushWriter(s.wireWriter(w), 0, func() { _ = rc.Flush() })
+	c := &conn{
+		replier: replier{s: s, enc: wire.AcquireEncoder(fw, format)},
+		ctx:     ctx,
+		what:    what,
+		frames:  make(chan decoded),
+		ack:     make(chan struct{}, 1),
+	}
+	go c.decode(wire.AcquireDecoder(s.wireBody(r.Body), format, s.cfg.MaxFrame))
+	return c, func() {
+		wire.ReleaseEncoder(c.enc)
+		_ = fw.Close()
+		unwatch()
+		cancel()
+	}
+}
+
+// decode runs on its own goroutine so the serve loop can select against
+// the connection's context: a push-only connection otherwise blocks in a
+// body read and would never observe Stop — the handler must end promptly
+// to deliver the loss-reporting end envelope inside the drain budget. The
+// pooled decoder's envelopes live in its scratch, so decode must not read
+// the next frame while the serve loop still uses the previous one: the
+// ack channel hands the scratch back after each frame is fully processed.
+// The goroutine parks in sending position when ctx dies first and exits
+// once the handler's return tears the connection down.
+func (c *conn) decode(dec wire.Decoder) {
+	defer wire.ReleaseDecoder(dec)
+	for {
+		env, err := dec.Decode()
+		if err == nil {
+			c.s.frameIn()
+		} else if err != io.EOF {
+			c.s.decodeError()
+		}
+		select {
+		case c.frames <- decoded{env, err}:
+			if err != nil {
+				return
+			}
+		case <-c.ctx.Done():
+			return
+		}
+		select {
+		case <-c.ack:
+		case <-c.ctx.Done():
+			return
+		}
+	}
+}
+
+// serve hands each decoded envelope to handle, in arrival order, until
+// the body ends, a frame fails to decode, or handle returns false; handle
+// must be done with the envelope when it returns. When the connection's
+// context ends first, serve answers the abort envelope and returns the
+// cause; a frame that raced the cancellation is dropped unprocessed.
+func (c *conn) serve(handle func(*wire.Envelope) bool) error {
+	for {
+		var d decoded
+		select {
+		case <-c.ctx.Done():
+		case d = <-c.frames:
+		}
+		if err := c.ctx.Err(); err != nil {
+			c.write(&wire.Envelope{Kind: wire.KindError, Error: c.what + " aborted: " + err.Error()})
+			return err
+		}
+		if d.err != nil {
+			if d.err != io.EOF { // io.EOF: the request stream ended cleanly
+				c.write(&wire.Envelope{Kind: wire.KindError, Error: "bad frame: " + d.err.Error()})
+			}
+			return nil
+		}
+		if !handle(d.env) {
+			return nil
+		}
+		c.ack <- struct{}{} // done with env; the decoder may reuse its scratch
+	}
+}
 
 // handleStream runs one dsu.Stream per connection (see the package docs
 // for the protocol and backpressure story).
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Universe) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	format, ok := wire.FormatFor(r.Header.Get("Content-Type"))
-	if !ok {
-		http.Error(w, "unsupported content type", http.StatusUnsupportedMediaType)
-		return
-	}
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Universe, format wire.Format) {
 	if s.m != nil {
 		s.m.streams.Inc()
 		defer s.m.streams.Dec()
@@ -614,8 +765,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 	if v, err := strconv.Atoi(q.Get("buffer")); err == nil && v > 0 {
 		buffer = v
 	}
-	if edgeCap := s.streamEdgeCap(); buffer > edgeCap {
-		buffer = edgeCap
+	if edgeCap := s.cfg.MaxFrame / 8; buffer > edgeCap {
+		buffer = edgeCap // a frame's edge capacity
 	}
 	inflight := 0 // dsu default (1) unless requested
 	if v, err := strconv.Atoi(q.Get("inflight")); err == nil && v > 0 {
@@ -637,44 +788,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 		batch.Grain = v
 	}
 
-	// The stream context dies with the client or with server Stop; either
-	// way the dsu layer's cancellation errors surface at the Push/Flush
-	// call sites below and in the final end envelope.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	go func() {
-		select {
-		case <-s.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-
-	w.Header().Set("Content-Type", format.ContentType())
-	rc := http.NewResponseController(w)
-	_ = rc.EnableFullDuplex() // HTTP/1.1: read the body while answering
-	w.WriteHeader(http.StatusOK)
-	_ = rc.Flush()
-
-	// Replies leave through the coalescing writer: a burst of small reply
-	// frames (concurrent dispatch, tiny batches) lands in one underlying
-	// write and one HTTP flush instead of one of each per frame. Closing
-	// it before the handler returns forces the final flush.
-	fw := wire.NewFlushWriter(s.wireWriter(w), 0, func() { _ = rc.Flush() })
-	defer fw.Close()
-	enc := wire.AcquireEncoder(fw, format)
-	defer wire.ReleaseEncoder(enc)
-	var wmu sync.Mutex // OnBatch (dispatcher goroutine) vs. this handler
-	write := func(env *wire.Envelope) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		if err := enc.Encode(env); err == nil {
-			s.frameOut()
-		}
-	}
-
+	// The stream runs under the connection's context; when it ends, the
+	// dsu layer's cancellation errors surface at the Push/Flush call sites
+	// below and in the final end envelope.
+	c, done := s.openConn(w, r, format, "stream")
+	defer done()
 	st := u.NewStream(
-		dsu.WithStreamContext(ctx),
+		dsu.WithStreamContext(c.ctx),
 		dsu.WithBufferSize(buffer),
 		dsu.WithMaxInFlight(inflight),
 		// Honored only by concurrent-capable tenants (the dsu layer gates
@@ -683,111 +803,46 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 		dsu.WithBatchOptions(batch.Options()...),
 		dsu.WithOnBatch(func(br dsu.BatchResult) {
 			if br.Err != nil {
-				write(&wire.Envelope{Kind: wire.KindError, Seq: br.ID, Error: br.Err.Error()})
+				c.write(&wire.Envelope{Kind: wire.KindError, Seq: br.ID, Error: br.Err.Error()})
 				return
 			}
 			// The callback runs before the trace is finished, so the
-			// reply-encode span lands inside the batch's recorded tree, and
-			// the reply envelope reports the batch's trace identity.
-			re := br.Trace.Start(tracespan.StageReplyEncode, tracespan.Root)
+			// reply-encode span lands inside the batch's recorded tree.
 			rep := dsu.ReplyOf(br)
-			renv := &wire.Envelope{Kind: wire.KindReply, Seq: br.ID, Reply: &rep}
-			if c := br.Trace.Context(); c.Valid() {
-				renv.Trace, renv.Span = c.Trace, c.Span
-			}
-			write(renv)
-			br.Trace.End(re)
+			c.reply(br.ID, &rep, br.Trace)
 		}),
 	)
 	s.log.Info("stream open", "tenant", u.Name(), "format", format.String(),
 		"buffer", st.BufferSize(), "inflight", inflight, "concurrent", u.Concurrent())
 
-	// Decode on a side goroutine so the ingest loop can select against the
-	// stream context: a push-only connection otherwise blocks in a body
-	// read and would never observe Stop — the handler must end promptly to
-	// deliver the loss-reporting end envelope inside the drain budget. The
-	// goroutine parks in sending position when ctx dies first and exits
-	// once the handler's return tears the connection down.
-	type decoded struct {
-		env *wire.Envelope
-		err error
-	}
-	frames := make(chan decoded)
-	// The pooled decoder's envelopes live in its scratch, so the goroutine
-	// must not decode the next frame while the ingest loop still reads the
-	// previous one: the ack channel hands the scratch back after each
-	// frame is fully processed (PushLinked copies edges before returning,
-	// so "processed" is synchronous).
-	ack := make(chan struct{}, 1)
-	go func() {
-		dec := wire.AcquireDecoder(s.wireBody(r.Body), format, s.cfg.MaxFrame)
-		defer wire.ReleaseDecoder(dec)
-		for {
-			env, err := dec.Decode()
-			if err == nil {
-				s.frameIn()
-			} else if err != io.EOF {
-				s.decodeError()
-			}
-			select {
-			case frames <- decoded{env, err}:
-				if err != nil {
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-			select {
-			case <-ack:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	var abortErr error // the cancellation that cut ingestion short, if any
-ingest:
-	for {
-		var d decoded
-		select {
-		case <-ctx.Done():
-			abortErr = ctx.Err()
-			write(&wire.Envelope{Kind: wire.KindError, Error: "stream aborted: " + abortErr.Error()})
-			break ingest
-		case d = <-frames:
-		}
-		env, err := d.env, d.err
-		switch {
-		case err == io.EOF:
-			break ingest // clean end of the edge stream
-		case err != nil:
-			write(&wire.Envelope{Kind: wire.KindError, Error: "bad frame: " + err.Error()})
-			break ingest
-		}
+	abortErr := c.serve(func(env *wire.Envelope) bool {
 		switch env.Kind {
 		case wire.KindUnite:
 			if err := u.Validate(env.Unite.Edges); err != nil {
 				// A range violation poisons nothing: reject the frame,
 				// keep the stream.
-				write(&wire.Envelope{Kind: wire.KindError, Seq: env.Seq, Error: err.Error()})
-				break
+				c.write(&wire.Envelope{Kind: wire.KindError, Seq: env.Seq, Error: err.Error()})
+				return true
 			}
 			// A traced frame's context rides into the batch its edges land
 			// in (first link wins); a zero context makes this a plain Push.
+			// PushLinked copies the edges before returning, so the frame is
+			// processed when it returns.
 			if err := st.PushLinked(dsu.TraceContext{Trace: env.Trace, Span: env.Span}, env.Unite.Edges...); err != nil {
-				write(&wire.Envelope{Kind: wire.KindError, Seq: env.Seq, Error: err.Error()})
-				break ingest
+				c.write(&wire.Envelope{Kind: wire.KindError, Seq: env.Seq, Error: err.Error()})
+				return false
 			}
 		case wire.KindFlush:
 			if err := st.Flush(); err != nil {
-				write(&wire.Envelope{Kind: wire.KindError, Seq: env.Seq, Error: err.Error()})
-				break ingest
+				c.write(&wire.Envelope{Kind: wire.KindError, Seq: env.Seq, Error: err.Error()})
+				return false
 			}
 		default:
-			write(&wire.Envelope{Kind: wire.KindError, Seq: env.Seq, Error: fmt.Sprintf("stream connections take unite/flush envelopes, got %v", env.Kind)})
-			break ingest
+			c.write(&wire.Envelope{Kind: wire.KindError, Seq: env.Seq, Error: fmt.Sprintf("stream connections take unite/flush envelopes, got %v", env.Kind)})
+			return false
 		}
-		ack <- struct{}{} // done with env; the decoder may reuse its scratch
-	}
+		return true
+	})
 
 	closeErr := st.Close()
 	if closeErr == nil {
@@ -806,186 +861,44 @@ ingest:
 	if closeErr != nil {
 		end.Error = closeErr.Error()
 	}
-	write(end)
+	c.write(end)
 	s.log.Info("stream done", "tenant", u.Name(), "batches", st.Batches(),
 		"edges", st.Edges(), "merged", st.Merged(), "failed", st.Failed(), "err", closeErr)
 }
 
-// handlePipe answers a pipelined sequence of batch RPCs on one
+// handlePipe answers a pipelined sequence of batch requests on one
 // full-duplex connection (see the package docs for the protocol). Every
-// unite/query envelope executes in arrival order and answers with a
-// reply or error envelope echoing its Seq; requests, replies, and the
-// codecs between them all run on recycled wire buffers, and replies
-// leave through the coalescing writer so pipelined small frames cost one
-// write, not one apiece.
-func (s *Server) handlePipe(w http.ResponseWriter, r *http.Request, u *dsu.Universe) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	format, ok := wire.FormatFor(r.Header.Get("Content-Type"))
-	if !ok {
-		http.Error(w, "unsupported content type", http.StatusUnsupportedMediaType)
-		return
-	}
-	select {
-	case <-s.stop:
+// unite/query envelope runs through batch in arrival order, exactly as a
+// single-shot /unite or /query request does, and answers with a reply or
+// error envelope echoing its Seq; requests, replies, and the codecs
+// between them all run on recycled wire buffers.
+func (s *Server) handlePipe(w http.ResponseWriter, r *http.Request, u *dsu.Universe, format wire.Format) {
+	if s.ctx.Err() != nil {
 		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
 		return
-	default:
 	}
-
-	// The pipe dies with the client or with server Stop, exactly like a
-	// stream connection.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	go func() {
-		select {
-		case <-s.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-
-	w.Header().Set("Content-Type", format.ContentType())
-	rc := http.NewResponseController(w)
-	_ = rc.EnableFullDuplex() // HTTP/1.1: read the body while answering
-	w.WriteHeader(http.StatusOK)
-	_ = rc.Flush()
-
-	fw := wire.NewFlushWriter(s.wireWriter(w), 0, func() { _ = rc.Flush() })
-	defer fw.Close()
-	enc := wire.AcquireEncoder(fw, format)
-	defer wire.ReleaseEncoder(enc)
-	answer := func(env *wire.Envelope) {
-		if enc.Encode(env) == nil {
-			s.frameOut()
-		}
-	}
-
-	// Decode on a side goroutine with the same scratch-handoff protocol as
-	// handleStream: the serve loop acks each envelope before the decoder
-	// reuses its scratch, and selects against ctx so shutdown cuts through
-	// a blocked body read.
-	type decoded struct {
-		env *wire.Envelope
-		err error
-	}
-	frames := make(chan decoded)
-	ack := make(chan struct{}, 1)
-	go func() {
-		dec := wire.AcquireDecoder(s.wireBody(r.Body), format, s.cfg.MaxFrame)
-		defer wire.ReleaseDecoder(dec)
-		for {
-			env, err := dec.Decode()
-			if err == nil {
-				s.frameIn()
-			} else if err != io.EOF {
-				s.decodeError()
-			}
-			select {
-			case frames <- decoded{env, err}:
-				if err != nil {
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-			select {
-			case <-ack:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	rec := u.TraceRecorder() // nil (all no-ops) on an untraced tenant
-	sem := s.sem(u.Name())
-	concurrent := u.Concurrent()
-	s.log.Info("pipe open", "tenant", u.Name(), "format", format.String(), "concurrent", concurrent)
+	c, done := s.openConn(w, r, format, "pipe")
+	defer done()
+	t := s.tenant(u)
+	s.log.Info("pipe open", "tenant", u.Name(), "format", format.String(), "concurrent", u.Concurrent())
 
 	var served uint64
-	var rep dsu.BatchReply
-	var renv wire.Envelope // reused across replies; Encode doesn't retain it
-serve:
-	for {
-		var d decoded
-		select {
-		case <-ctx.Done():
-			renv = wire.Envelope{Kind: wire.KindError, Error: "pipe aborted: " + ctx.Err().Error()}
-			answer(&renv)
-			break serve
-		case d = <-frames:
+	err := c.serve(func(env *wire.Envelope) bool {
+		if env.Kind != wire.KindUnite && env.Kind != wire.KindQuery {
+			c.write(&wire.Envelope{Kind: wire.KindError, Seq: env.Seq,
+				Error: fmt.Sprintf("pipe connections take unite/query envelopes, got %v", env.Kind)})
+			return false
 		}
-		switch {
-		case d.err == io.EOF:
-			break serve // clean end of the request stream
-		case d.err != nil:
-			renv = wire.Envelope{Kind: wire.KindError, Error: "bad frame: " + d.err.Error()}
-			answer(&renv)
-			break serve
-		}
-		env := d.env
-		var op string
-		switch env.Kind {
-		case wire.KindUnite:
-			op = tracespan.OpUnite
-		case wire.KindQuery:
-			op = tracespan.OpQuery
-		default:
-			renv = wire.Envelope{Kind: wire.KindError, Seq: env.Seq,
-				Error: fmt.Sprintf("pipe connections take unite/query envelopes, got %v", env.Kind)}
-			answer(&renv)
-			break serve
-		}
-		tr := rec.Start(op, tracespan.SourceRPC)
+		tr := u.TraceRecorder().Start(traceOp(env.Kind), tracespan.SourceRPC) // nil on an untraced tenant
 		tr.Adopt(tracespan.Context{Trace: env.Trace, Span: env.Span})
-		// Per-tenant budget, as for single-shot RPC: piped requests from a
-		// plain tenant serialize against the tenant's other connections;
-		// concurrent-capable tenants overlap by contract.
-		if !concurrent {
-			qw := tr.Start(tracespan.StageQueueWait, tracespan.Root)
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				continue // the ctx.Done arm above ends the pipe
-			}
-			tr.End(qw)
+		if s.batch(c.ctx, t, env, tr, &c.replier) == 0 {
+			served++
+			return true
 		}
-		var execErr error
-		var edges int
-		if env.Kind == wire.KindUnite {
-			edges = len(env.Unite.Edges)
-			rep, execErr = u.UniteAllTraced(*env.Unite, tr)
-		} else {
-			edges = len(env.Query.Pairs)
-			rep, execErr = u.SameSetAllTraced(*env.Query, tr)
-		}
-		if !concurrent {
-			<-sem
-		}
-		if execErr != nil {
-			// Validation failure: nothing executed and nothing is poisoned —
-			// answer the error and keep the pipe.
-			renv = wire.Envelope{Kind: wire.KindError, Seq: env.Seq, Error: execErr.Error()}
-			answer(&renv)
-			ack <- struct{}{}
-			continue
-		}
-		re := tr.Start(tracespan.StageReplyEncode, tracespan.Root)
-		renv = wire.Envelope{Kind: wire.KindReply, Seq: env.Seq, Reply: &rep}
-		if c := tr.Context(); c.Valid() {
-			renv.Trace, renv.Span = c.Trace, c.Span
-		}
-		answer(&renv)
-		tr.End(re)
-		if a := tr.Attrs(tracespan.Root); a != nil {
-			a.Edges = int64(edges)
-			a.Merged = rep.Merged
-		}
-		rec.Finish(tr)
-		served++
-		ack <- struct{}{} // done with env; the decoder may reuse its scratch
-	}
-	s.log.Info("pipe done", "tenant", u.Name(), "served", served)
+		// Stop or the client's departure, either of which ends c.ctx; the
+		// serve loop then answers the abort envelope.
+		<-c.ctx.Done()
+		return true
+	})
+	s.log.Info("pipe done", "tenant", u.Name(), "served", served, "err", err)
 }

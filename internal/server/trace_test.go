@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"log/slog"
 	"testing"
 	"time"
@@ -69,10 +70,37 @@ func stageCounts(tr dsu.BatchTrace) map[string]int {
 	return names
 }
 
+// pipeOnce sends one request over a fresh pipe to the tenant and returns
+// its reply the way Client's linked RPCs do: copied out, with the trace
+// context the reply envelope reported.
+func pipeOnce(c *Client, tenant string, send func(*ClientPipe) (uint64, error)) (dsu.BatchReply, dsu.TraceContext, error) {
+	var reply *wire.Envelope // set by the reader goroutine, read after Close
+	cp, err := c.OpenPipe(context.Background(), tenant, PipeConfig{OnReply: func(env *wire.Envelope) {
+		reply = copyEnvelope(env)
+	}})
+	if err != nil {
+		return dsu.BatchReply{}, dsu.TraceContext{}, err
+	}
+	_, err = send(cp)
+	if cerr := cp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && (reply == nil || reply.Kind != wire.KindReply) {
+		err = fmt.Errorf("pipe answered %+v, want one reply", reply)
+	}
+	if err != nil {
+		return dsu.BatchReply{}, dsu.TraceContext{}, err
+	}
+	return *reply.Reply, dsu.TraceContext{Trace: reply.Trace, Span: reply.Span}, nil
+}
+
 // TestRPCTraceTree drives a remote unite and query through both wire
-// encodings against a traced tenant and asserts each exchange produced
-// one connected span tree covering wire-decode → queue-wait → execute →
-// reply-encode, with the client's trace identity when one was supplied.
+// encodings and both batch endpoints — single-shot RPC and the pipe —
+// against a traced tenant and asserts each exchange produced one connected
+// span tree covering wire-decode → queue-wait → execute → reply-encode,
+// with the client's trace identity when one was supplied. A pipe decodes
+// a request before the request's trace starts, so its trees have no
+// wire-decode span.
 func TestRPCTraceTree(t *testing.T) {
 	tracing := dsu.NewTracing()
 	reg := dsu.NewRegistry(dsu.WithTracing(tracing))
@@ -83,50 +111,71 @@ func TestRPCTraceTree(t *testing.T) {
 	}
 	u, _ := reg.Get("traced")
 
-	for _, format := range []wire.Format{wire.Binary, wire.JSON} {
-		_, c := newTestServer(t, Config{Registry: reg})
-		c.format = format
+	for _, ep := range []struct {
+		name       string
+		trace      uint64 // client-chosen trace IDs start here
+		wireDecode int
+		unite      func(*Client, dsu.UniteRequest, dsu.TraceContext) (dsu.BatchReply, dsu.TraceContext, error)
+		query      func(*Client, dsu.QueryRequest, dsu.TraceContext) (dsu.BatchReply, dsu.TraceContext, error)
+	}{
+		{"rpc", 0xabcd0000, 1,
+			func(c *Client, req dsu.UniteRequest, link dsu.TraceContext) (dsu.BatchReply, dsu.TraceContext, error) {
+				return c.UniteAllLinked(ctx, "traced", req, link)
+			},
+			func(c *Client, req dsu.QueryRequest, link dsu.TraceContext) (dsu.BatchReply, dsu.TraceContext, error) {
+				return c.SameSetAllLinked(ctx, "traced", req, link)
+			}},
+		{"pipe", 0xabce0000, 0,
+			func(c *Client, req dsu.UniteRequest, link dsu.TraceContext) (dsu.BatchReply, dsu.TraceContext, error) {
+				return pipeOnce(c, "traced", func(cp *ClientPipe) (uint64, error) { return cp.UniteAllLinked(req, link) })
+			},
+			func(c *Client, req dsu.QueryRequest, link dsu.TraceContext) (dsu.BatchReply, dsu.TraceContext, error) {
+				return pipeOnce(c, "traced", func(cp *ClientPipe) (uint64, error) { return cp.SameSetAllLinked(req, link) })
+			}},
+	} {
+		for _, format := range []wire.Format{wire.Binary, wire.JSON} {
+			_, c := newTestServer(t, Config{Registry: reg})
+			c.format = format
 
-		// Client-chosen identity: the server must adopt it.
-		link := dsu.TraceContext{Trace: 0xabcd0000 + uint64(format), Span: 42}
-		rep, got, err := c.UniteAllLinked(ctx, "traced",
-			dsu.UniteRequest{Edges: testEdges(1000, 500, 7)}, link)
-		if err != nil {
-			t.Fatalf("%v unite: %v", format, err)
-		}
-		// The reply reports the adopted trace ID and the server's root span.
-		if got.Trace != link.Trace || got.Span != uint64(tracespan.Root) {
-			t.Errorf("%v: reply context = %+v, want trace %x span %d", format, got, link.Trace, tracespan.Root)
-		}
-		tr := findTrace(t, u, tracespan.FormatTraceID(link.Trace))
-		if !tr.Remote || tr.ParentSpan != 42 || tr.Op != "unite" || tr.Source != "rpc" {
-			t.Errorf("%v: trace meta = remote=%v parent=%d op=%s source=%s", format, tr.Remote, tr.ParentSpan, tr.Op, tr.Source)
-		}
-		assertSpanTree(t, tr)
-		names := stageCounts(tr)
-		for _, want := range []string{"wire-decode", "queue-wait", "execute", "reply-encode"} {
-			if names[want] != 1 {
-				t.Errorf("%v: stage %q count = %d, want 1 (have %v)", format, want, names[want], names)
+			// Client-chosen identity: the server must adopt it.
+			link := dsu.TraceContext{Trace: ep.trace + uint64(format), Span: 42}
+			rep, got, err := ep.unite(c, dsu.UniteRequest{Edges: testEdges(1000, 500, 7)}, link)
+			if err != nil {
+				t.Fatalf("%s %v unite: %v", ep.name, format, err)
 			}
-		}
-		if tr.Spans[0].Attrs.Edges != 500 || tr.Spans[0].Attrs.Merged != rep.Merged {
-			t.Errorf("%v: root attrs = %+v, want edges=500 merged=%d", format, tr.Spans[0].Attrs, rep.Merged)
-		}
+			// The reply reports the adopted trace ID and the server's root span.
+			if got.Trace != link.Trace || got.Span != uint64(tracespan.Root) {
+				t.Errorf("%s %v: reply context = %+v, want trace %x span %d", ep.name, format, got, link.Trace, tracespan.Root)
+			}
+			tr := findTrace(t, u, tracespan.FormatTraceID(link.Trace))
+			if !tr.Remote || tr.ParentSpan != 42 || tr.Op != "unite" || tr.Source != "rpc" {
+				t.Errorf("%s %v: trace meta = remote=%v parent=%d op=%s source=%s", ep.name, format, tr.Remote, tr.ParentSpan, tr.Op, tr.Source)
+			}
+			assertSpanTree(t, tr)
+			names := stageCounts(tr)
+			for want, n := range map[string]int{"wire-decode": ep.wireDecode, "queue-wait": 1, "execute": 1, "reply-encode": 1} {
+				if names[want] != n {
+					t.Errorf("%s %v: stage %q count = %d, want %d (have %v)", ep.name, format, want, names[want], n, names)
+				}
+			}
+			if tr.Spans[0].Attrs.Edges != 500 || tr.Spans[0].Attrs.Merged != rep.Merged {
+				t.Errorf("%s %v: root attrs = %+v, want edges=500 merged=%d", ep.name, format, tr.Spans[0].Attrs, rep.Merged)
+			}
 
-		// Server-assigned identity: no link, the reply reports the server's.
-		_, got, err = c.SameSetAllLinked(ctx, "traced",
-			dsu.QueryRequest{Pairs: testEdges(1000, 100, 8)}, dsu.TraceContext{})
-		if err != nil {
-			t.Fatalf("%v query: %v", format, err)
+			// Server-assigned identity: no link, the reply reports the server's.
+			_, got, err = ep.query(c, dsu.QueryRequest{Pairs: testEdges(1000, 100, 8)}, dsu.TraceContext{})
+			if err != nil {
+				t.Fatalf("%s %v query: %v", ep.name, format, err)
+			}
+			if !got.Valid() {
+				t.Fatalf("%s %v: reply carried no trace context from a traced tenant", ep.name, format)
+			}
+			qtr := findTrace(t, u, tracespan.FormatTraceID(got.Trace))
+			if qtr.Remote || qtr.Op != "query" {
+				t.Errorf("%s %v: query trace remote=%v op=%s, want local/query", ep.name, format, qtr.Remote, qtr.Op)
+			}
+			assertSpanTree(t, qtr)
 		}
-		if !got.Valid() {
-			t.Fatalf("%v: reply carried no trace context from a traced tenant", format)
-		}
-		qtr := findTrace(t, u, tracespan.FormatTraceID(got.Trace))
-		if qtr.Remote || qtr.Op != "query" {
-			t.Errorf("%v: query trace remote=%v op=%s, want local/query", format, qtr.Remote, qtr.Op)
-		}
-		assertSpanTree(t, qtr)
 	}
 }
 

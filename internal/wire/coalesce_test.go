@@ -198,7 +198,7 @@ func TestFlushWriterBackpressure(t *testing.T) {
 	if _, err := fw.Write([]byte("12345678")); err != nil { // swapped out by the flusher
 		t.Fatal(err)
 	}
-	<-sink.entered // flusher parked downstream
+	<-sink.entered                                          // flusher parked downstream
 	if _, err := fw.Write([]byte("abcdefgh")); err != nil { // fills pending to the limit
 		t.Fatal(err)
 	}
