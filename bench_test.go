@@ -588,8 +588,9 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 // BenchmarkTraceOverhead pins the tracing tax the same way: a 4096-edge
 // UniteAll loop with tracing off, then on. Disabled tracing is one nil
 // check per batch — identical allocs/op to the untraced structure and
-// within noise (<2%) on time. Traced batches pay one allocation (the
-// trace object) plus a handful of atomic claims and clock reads per
+// within noise (<2%) on time. Traced batches pay two allocations (the
+// trace object, and the engine's per-worker records that only a traced
+// batch keeps) plus a handful of atomic claims and clock reads per
 // span, amortized over the batch.
 func BenchmarkTraceOverhead(b *testing.B) {
 	const n = 1 << 16
@@ -621,6 +622,55 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	}
 	b.Run("disabled", func(b *testing.B) { run(b, nil) })
 	b.Run("traced", func(b *testing.B) { run(b, dsu.NewTracing()) })
+}
+
+// BenchmarkSmallBatch measures the batches the server actually serves:
+// 1024-edge unite and 1024-pair query batches (one default grain) through
+// Universe on a merged forest that fits in L2 (n = 2¹⁸, preloaded with 4n
+// uniform unions). A batch of at most one grain runs on the caller with no
+// pool to set up, so CI runs this with -benchmem and fails the build unless
+// unite reports 0 allocs/op and query at most 1 (the caller-owned Answers
+// slice).
+func BenchmarkSmallBatch(b *testing.B) {
+	const n, batch, batches = 1 << 18, 1024, 64
+	reg := dsu.NewRegistry()
+	u, err := reg.Create("bench", n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	load := make([]dsu.Edge, 4*n)
+	for i, op := range workload.RandomUnions(n, 4*n, 29) {
+		load[i] = dsu.Edge{X: op.X, Y: op.Y}
+	}
+	if _, err := u.UniteAll(dsu.UniteRequest{Edges: load}); err != nil {
+		b.Fatal(err)
+	}
+	edges := make([]dsu.Edge, batch*batches)
+	for i, op := range workload.RandomUnions(n, len(edges), 31) {
+		edges[i] = dsu.Edge{X: op.X, Y: op.Y}
+	}
+	frame := func(i int) []dsu.Edge {
+		lo := i % batches * batch
+		return edges[lo : lo+batch]
+	}
+	b.Run("unite", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := u.UniteAll(dsu.UniteRequest{Edges: frame(i)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medge/s")
+	})
+	b.Run("query", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := u.SameSetAll(dsu.QueryRequest{Pairs: frame(i)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medge/s")
+	})
 }
 
 // BenchmarkWireFastPath pins the wire fast path's tentpole number:

@@ -22,14 +22,17 @@ func (f batchOptionFunc) applyBatch(c *exec.Config) { f(c) }
 
 // WithWorkers fixes the batch worker-pool size. The default (and any
 // value ≤ 0) is runtime.GOMAXPROCS(0); the pool never exceeds the batch
-// length.
+// length, and a batch of at most one grain (WithGrain) runs on the
+// caller's goroutine as one worker.
 func WithWorkers(workers int) BatchOption {
 	return batchOptionFunc(func(c *exec.Config) { c.Workers = workers })
 }
 
 // WithGrain sets the number of edges a worker claims from the batch at a
 // time. Smaller grains balance skewed batches better; larger grains
-// amortize scheduling overhead. Values ≤ 0 select the default (1024).
+// amortize scheduling overhead. Values ≤ 0 select the default (1024). A
+// batch of at most one grain has nothing to steal, so it runs on the
+// caller's goroutine with no pool to set up.
 func WithGrain(grain int) BatchOption {
 	return batchOptionFunc(func(c *exec.Config) { c.Grain = grain })
 }

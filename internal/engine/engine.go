@@ -1,7 +1,11 @@
-// Package engine is the batched parallel edge-processing engine: it fans a
-// slice of edges out over a pool of worker goroutines that drive the
-// wait-free operations of internal/core, with chunked work-stealing for load
-// balance and per-worker work accounting.
+// Package engine is the batched parallel edge-processing engine: it drives
+// a slice of edges through the wait-free operations of internal/core on a
+// pool of workers, with chunked work-stealing for load balance and
+// per-worker work accounting. The caller's goroutine is always worker 0.
+// The served batches are small (512–1024 edges: one pipe frame, one RPC),
+// and a batch of at most one grain has nothing to steal, so it runs
+// entirely on the caller: no goroutine, no allocation. Only larger batches
+// spawn the other workers.
 //
 // Batching is the natural bulk interface for a concurrent union-find
 // (Fedorov et al., "Provably-Efficient and Internally-Deterministic Parallel
@@ -80,13 +84,15 @@ type Target interface {
 type Config = exec.Config
 
 // defaultGrain amortizes one claim CAS over enough unite/query work to make
-// span traffic negligible, while staying small against the ≥64k batches the
-// engine is built for.
+// span traffic negligible. It is also the inline threshold: a served frame
+// or RPC (512–1024 edges) fits in one grain and runs on the caller, while a
+// streamed 64K-edge batch still splits into enough grains to steal.
 const defaultGrain = 1024
 
 // Result reports what one batch run did: the exec layer's unified Result.
 // The engine fills the flat-path fields (Workers, Grain, Merged, Steals,
-// PerWorker, filter accounting, Elapsed); the sharded path fills the rest.
+// WorkerStats, PerWorker, filter accounting, Elapsed); the sharded path
+// fills the rest.
 type Result = exec.Result
 
 // Flat adapts one core.DSU to the exec.Backend seam: batches run through
@@ -204,7 +210,10 @@ func SameSetAll(t Target, pairs []Edge, cfg Config) ([]bool, Result) {
 
 // run is the shared pool: Unite mode when out is nil, SameSet mode
 // otherwise (writing answers at the pair's batch index, which the
-// exactly-once claim protocol makes race-free).
+// exactly-once claim protocol makes race-free). The caller's goroutine is
+// worker 0 and the pool spawns only the other p−1. A batch of at most one
+// grain resolves to one worker, since a lone grain has nothing to steal:
+// it runs entirely on the caller, with no goroutine and no allocation.
 func run(t Target, edges []Edge, cfg Config, out []bool) Result {
 	if uint64(len(edges)) > math.MaxUint32 {
 		panic("engine: batch exceeds 2³²−1 edges; split it")
@@ -220,52 +229,110 @@ func run(t Target, edges []Edge, cfg Config, out []bool) Result {
 	if grain <= 0 {
 		grain = defaultGrain
 	}
-	if grain > len(edges) && len(edges) > 0 {
-		// A grain beyond the batch claims everything at once anyway, and
-		// the clamp keeps the uint32 conversion below exact (a grain of,
-		// say, 2³² must not truncate to 0 and livelock the claim loop).
+	if grain >= len(edges) && len(edges) > 0 {
+		// One grain covers the batch, so there is nothing to steal: it runs
+		// on the caller as one worker. The clamp also keeps the uint32
+		// conversion below exact (a grain of, say, 2³² must not truncate to
+		// 0 and livelock the claim loop).
 		grain = len(edges)
+		p = 1
 	}
 	res := Result{Workers: p, Grain: grain}
 	if len(edges) == 0 {
 		return res
 	}
 
-	// Initial partition: contiguous blocks, one per worker.
-	spans := make([]span, p)
-	chunk := (len(edges) + p - 1) / p
-	for i := range spans {
-		lo := min(i*chunk, len(edges))
-		hi := min(lo+chunk, len(edges))
-		spans[i].reset(uint32(lo), uint32(hi))
-	}
-
-	res.PerWorker = make([]core.Stats, p)
-	tallies := make([]tally, p)
-	var wg sync.WaitGroup
+	b := batches.Get().(*batch)
+	b.init(t, edges, out, p, uint32(grain), cfg.Seed)
 	start := time.Now()
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var st core.Stats
-			tallies[w] = work(t, edges, out, spans, w, uint32(grain), cfg.Seed, &st)
-			res.PerWorker[w] = st
-		}(w)
+	if p > 1 {
+		b.wg.Add(p - 1)
+		for w := 1; w < p; w++ {
+			go b.helper(w)
+		}
+		// The last helper spawned waits in this P's run-next slot, which an
+		// idle P steals only after a pause (tens of µs on a VM): yield once
+		// so it starts here at once and the caller resumes on the next free
+		// P. Without the yield a 4096-edge batch at p = 2 ran 1.6× slower
+		// on a 2-core VM.
+		runtime.Gosched()
 	}
-	wg.Wait()
+	b.work(0)
+	b.wg.Wait()
 	res.Elapsed = time.Since(start)
-	for _, tl := range tallies {
-		res.Merged += tl.merged
-		res.CASRetries += tl.retries
-		res.Steals += tl.steals
+	if cfg.Trace != nil {
+		res.PerWorker = make([]core.Stats, p)
 	}
+	for w := range b.workers {
+		ws := &b.workers[w]
+		res.WorkerStats.Add(ws.st)
+		res.Merged += ws.merged
+		res.CASRetries += ws.retries
+		res.Steals += ws.steals
+		if res.PerWorker != nil {
+			res.PerWorker[w] = ws.st
+		}
+	}
+	b.release()
 	return res
 }
 
-// tally is one worker's batch-level counts, summed into the Result.
-type tally struct {
+// batches recycles the pool's per-batch state, so a batch allocates
+// nothing beyond the goroutines it spawns: the spans, the workers'
+// counters and their generators all live in a recycled batch.
+var batches = sync.Pool{New: func() any { return new(batch) }}
+
+// batch is one run's shared state: the inputs every worker reads, one
+// claimable span and one counter block per worker.
+type batch struct {
+	t       Target
+	edges   []Edge
+	out     []bool
+	grain   uint32
+	spans   []span
+	workers []worker
+	wg      sync.WaitGroup
+}
+
+// worker is one worker's private state. The core counts into st on every
+// find step, so each block is padded to its own cache lines.
+type worker struct {
+	st                      core.Stats
 	merged, retries, steals int64
+	rng                     randutil.Xoshiro256
+	_                       [56]byte // pad to three cache lines
+}
+
+// init sizes b for p workers and deals the batch out as contiguous blocks,
+// one per worker, reusing b's slices when they are large enough.
+func (b *batch) init(t Target, edges []Edge, out []bool, p int, grain uint32, seed uint64) {
+	b.t, b.edges, b.out, b.grain = t, edges, out, grain
+	if cap(b.spans) < p {
+		b.spans = make([]span, p)
+		b.workers = make([]worker, p)
+	}
+	b.spans, b.workers = b.spans[:p], b.workers[:p]
+	chunk := (len(edges) + p - 1) / p
+	for w := range b.spans {
+		lo := min(w*chunk, len(edges))
+		hi := min(lo+chunk, len(edges))
+		b.spans[w].reset(uint32(lo), uint32(hi))
+		// Held by value: NewXoshiro256 inlines, so copying its result out
+		// allocates nothing.
+		b.workers[w] = worker{rng: *randutil.NewXoshiro256(randutil.Mix64(seed ^ uint64(w+1)))}
+	}
+}
+
+// release drops b's references to the batch and recycles it.
+func (b *batch) release() {
+	b.t, b.edges, b.out = nil, nil, nil
+	batches.Put(b)
+}
+
+// helper runs worker w on a spawned goroutine.
+func (b *batch) helper(w int) {
+	defer b.wg.Done()
+	b.work(w)
 }
 
 // work is one worker's loop: drain the own span in grain-sized chunks, then
@@ -273,28 +340,28 @@ type tally struct {
 // stealable work. A non-empty span always has an owner actively draining
 // it, so exiting on a failed scan never strands edges — at worst the tail
 // of the batch finishes with fewer workers than it started with.
-func work(t Target, edges []Edge, out []bool, spans []span, w int, grain uint32, seed uint64, st *core.Stats) (tl tally) {
-	rng := randutil.NewXoshiro256(randutil.Mix64(seed ^ uint64(w+1)))
-	own := &spans[w]
+func (b *batch) work(w int) {
+	ws := &b.workers[w]
+	own := &b.spans[w]
 	for {
 		for {
-			lo, hi, ok := own.claim(grain)
+			lo, hi, ok := own.claim(b.grain)
 			if !ok {
 				break
 			}
-			if out == nil {
-				m, r := t.UniteSpan(edges[lo:hi], st)
-				tl.merged += m
-				tl.retries += r
+			if b.out == nil {
+				m, r := b.t.UniteSpan(b.edges[lo:hi], &ws.st)
+				ws.merged += m
+				ws.retries += r
 			} else {
-				t.SameSetSpan(edges[lo:hi], out[lo:hi], st)
+				b.t.SameSetSpan(b.edges[lo:hi], b.out[lo:hi], &ws.st)
 			}
 		}
-		lo, hi, ok := steal(spans, w, grain, rng)
+		lo, hi, ok := steal(b.spans, w, b.grain, &ws.rng)
 		if !ok {
-			return tl
+			return
 		}
-		tl.steals++
+		ws.steals++
 		own.reset(lo, hi)
 	}
 }

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/seqdsu"
+	"repro/internal/tracespan"
 	"repro/internal/workload"
 )
 
@@ -95,54 +97,122 @@ func TestUniteAllDrivesDynamicTarget(t *testing.T) {
 
 // countingTarget records how many times each batch index was delivered,
 // using the X endpoint as the index, counting each edge inside its span
-// loop. Each unite reports one link retry, so the batch's CASRetries must
-// equal its delivery count; each query answers whether its index is even,
-// so a span handed the wrong slice of the answer array shows up as a wrong
-// answer.
+// loop. Each unite reports one link retry, and a merge when its index is
+// even; each query answers whether its index is even, so a span handed the
+// wrong slice of the answer array shows up as a wrong answer. Every
+// delivered edge counts one operation into the worker's Stats, and the
+// target sums what its spans reported, for the Result to match.
 type countingTarget struct {
-	counts []atomic.Int32
+	counts          []atomic.Int32
+	merged, retries atomic.Int64
 }
 
 func (c *countingTarget) UniteSpan(edges []Edge, st *core.Stats) (merged, retries int64) {
 	for _, e := range edges {
 		c.counts[e.X].Add(1)
+		st.Ops++
+		if e.X%2 == 0 {
+			merged++
+		}
 		retries++
 	}
-	return 0, retries
+	c.merged.Add(merged)
+	c.retries.Add(retries)
+	return merged, retries
 }
 
 func (c *countingTarget) SameSetSpan(pairs []Edge, out []bool, st *core.Stats) {
 	for i, e := range pairs {
 		c.counts[e.X].Add(1)
+		st.Ops++
 		out[i] = e.X%2 == 0
 	}
 }
 
-// TestExactlyOnceDelivery forces heavy stealing (tiny grain, many workers)
-// and checks that every edge is processed exactly once, in both modes.
+// TestExactlyOnceDelivery checks that every edge is processed exactly once
+// and every answer lands at its pair's index, in both modes: under heavy
+// stealing (tiny grain, many workers), and at the batch lengths around the
+// inline boundary, where a batch of at most one grain runs on the caller
+// as one worker. Merged, CASRetries and the workers' Stats must sum what
+// the spans reported, and a traced batch keeps one record per worker.
 func TestExactlyOnceDelivery(t *testing.T) {
-	const m = 100_000
-	edges := make([]Edge, m)
-	for i := range edges {
-		edges[i] = Edge{X: uint32(i), Y: ^uint32(0)}
-	}
-	tgt := &countingTarget{counts: make([]atomic.Int32, m)}
-	res := UniteAll(tgt, edges, Config{Workers: 8, Grain: 2, Seed: 41})
-	for i := range tgt.counts {
-		if got := tgt.counts[i].Swap(0); got != 1 {
-			t.Fatalf("edge %d delivered %d times, want 1", i, got)
+	type input struct{ m, workers, grain int }
+	inputs := []input{{100_000, 8, 2}, {100_000, 8, 3}}
+	const grain = 16
+	for _, m := range []int{0, 1, grain - 1, grain, grain + 1, 2*grain + 1} {
+		for _, workers := range []int{1, 2, 4} {
+			inputs = append(inputs, input{m, workers, grain})
 		}
 	}
-	if res.CASRetries != m {
-		t.Fatalf("CASRetries = %d, want %d (one per delivered unite)", res.CASRetries, m)
-	}
-	out, _ := SameSetAll(tgt, edges, Config{Workers: 8, Grain: 3, Seed: 43})
-	for i := range tgt.counts {
-		if got := tgt.counts[i].Load(); got != 1 {
-			t.Fatalf("query %d delivered %d times, want 1", i, got)
+	rec := tracespan.New(tracespan.Config{})
+	for _, in := range inputs {
+		edges := make([]Edge, in.m)
+		evens := int64(0)
+		for i := range edges {
+			edges[i] = Edge{X: uint32(i), Y: ^uint32(0)}
+			if i%2 == 0 {
+				evens++
+			}
 		}
-		if out[i] != (i%2 == 0) {
-			t.Fatalf("query %d answered %v, want %v", i, out[i], i%2 == 0)
+		wantWorkers := min(in.workers, in.m)
+		if in.m <= in.grain && in.m > 0 {
+			wantWorkers = 1
+		}
+		for _, query := range []bool{false, true} {
+			name := fmt.Sprintf("m=%d workers=%d grain=%d query=%v", in.m, in.workers, in.grain, query)
+			tgt := &countingTarget{counts: make([]atomic.Int32, in.m)}
+			cfg := Config{Workers: in.workers, Grain: in.grain, Seed: 41}
+			if in.m < 1000 {
+				// The boundary inputs run traced, so they keep per-worker
+				// records; the stealing inputs run untraced.
+				op := tracespan.OpUnite
+				if query {
+					op = tracespan.OpQuery
+				}
+				cfg.Trace = rec.Start(op, tracespan.SourceBlocking)
+			}
+			var res Result
+			var out []bool
+			if query {
+				out, res = SameSetAll(tgt, edges, cfg)
+			} else {
+				res = UniteAll(tgt, edges, cfg)
+			}
+			for i := range tgt.counts {
+				if got := tgt.counts[i].Load(); got != 1 {
+					t.Fatalf("%s: edge %d delivered %d times, want 1", name, i, got)
+				}
+				if query && out[i] != (i%2 == 0) {
+					t.Fatalf("%s: query %d answered %v, want %v", name, i, out[i], i%2 == 0)
+				}
+			}
+			if res.Workers != wantWorkers {
+				t.Errorf("%s: Workers = %d, want %d", name, res.Workers, wantWorkers)
+			}
+			if res.Merged != tgt.merged.Load() || res.CASRetries != tgt.retries.Load() {
+				t.Errorf("%s: Merged, CASRetries = %d, %d; the spans reported %d, %d",
+					name, res.Merged, res.CASRetries, tgt.merged.Load(), tgt.retries.Load())
+			}
+			if !query && (res.Merged != evens || res.CASRetries != int64(in.m)) {
+				t.Errorf("%s: Merged, CASRetries = %d, %d; want %d, %d (one merge per even index, one retry per unite)",
+					name, res.Merged, res.CASRetries, evens, in.m)
+			}
+			if got := res.Stats().Ops; got != int64(in.m) {
+				t.Errorf("%s: Stats().Ops = %d, want %d (one per delivered edge)", name, got, in.m)
+			}
+			if cfg.Trace == nil {
+				continue
+			}
+			if len(res.PerWorker) != res.Workers {
+				t.Errorf("%s: %d per-worker records for %d workers", name, len(res.PerWorker), res.Workers)
+			}
+			var sum core.Stats
+			for _, st := range res.PerWorker {
+				sum.Add(st)
+			}
+			if sum != res.WorkerStats {
+				t.Errorf("%s: per-worker records sum to %+v, WorkerStats = %+v", name, sum, res.WorkerStats)
+			}
 		}
 	}
 }
@@ -220,19 +290,37 @@ func TestMixedSelfLoopsMatchBaseline(t *testing.T) {
 
 func TestEmptyAndTinyBatches(t *testing.T) {
 	d := core.New(8, core.Config{})
-	if res := UniteAll(d, nil, Config{Workers: 4}); res.Merged != 0 || len(res.PerWorker) != 0 {
+	if res := UniteAll(d, nil, Config{Workers: 4}); res.Merged != 0 || len(res.PerWorker) != 0 || res.Workers != 0 {
 		t.Errorf("empty batch: got %+v", res)
 	}
-	res := UniteAll(d, []Edge{{X: 0, Y: 1}}, Config{Workers: 16})
-	if res.Workers != 1 {
-		t.Errorf("one-edge batch resolved %d workers, want 1", res.Workers)
-	}
-	if res.Merged != 1 {
-		t.Errorf("one-edge batch Merged = %d, want 1", res.Merged)
-	}
-	out, _ := SameSetAll(d, []Edge{{X: 0, Y: 1}, {X: 0, Y: 2}}, Config{Workers: 16})
-	if !out[0] || out[1] {
-		t.Errorf("tiny SameSetAll = %v, want [true false]", out)
+	// A one-edge batch fits in one grain, whatever the pool size asked
+	// for: it runs on the caller as one worker, and its accounting reads
+	// as a pool run's would.
+	rec := tracespan.New(tracespan.Config{})
+	for _, workers := range []int{0, 1, 2, 4, 16} {
+		d := core.New(8, core.Config{})
+		cfg := Config{Workers: workers, Trace: rec.Start(tracespan.OpUnite, tracespan.SourceBlocking)}
+		res := UniteAll(d, []Edge{{X: 0, Y: 1}}, cfg)
+		if res.Workers != 1 {
+			t.Errorf("workers=%d: one-edge batch resolved %d workers, want 1", workers, res.Workers)
+		}
+		if res.Merged != 1 || res.CASRetries != 0 {
+			t.Errorf("workers=%d: one-edge batch Merged, CASRetries = %d, %d; want 1, 0", workers, res.Merged, res.CASRetries)
+		}
+		if st := res.Stats(); st.Ops != 1 || st.Links != 1 || st.Finds != 2 {
+			t.Errorf("workers=%d: one-edge batch Stats ops=%d links=%d finds=%d, want 1, 1, 2", workers, st.Ops, st.Links, st.Finds)
+		}
+		if len(res.PerWorker) != 1 || res.PerWorker[0] != res.WorkerStats {
+			t.Errorf("workers=%d: traced one-edge batch kept %d per-worker records, want 1 equal to WorkerStats", workers, len(res.PerWorker))
+		}
+		out, qres := SameSetAll(d, []Edge{{X: 0, Y: 1}, {X: 0, Y: 2}}, Config{Workers: workers})
+		if !out[0] || out[1] {
+			t.Errorf("workers=%d: tiny SameSetAll = %v, want [true false]", workers, out)
+		}
+		if qres.Workers != 1 || qres.Stats().Ops != 2 || qres.PerWorker != nil {
+			t.Errorf("workers=%d: untraced tiny SameSetAll: Workers=%d ops=%d PerWorker=%v; want 1, 2, nil",
+				workers, qres.Workers, qres.Stats().Ops, qres.PerWorker)
+		}
 	}
 }
 

@@ -51,11 +51,14 @@ type Edge = core.Edge
 
 // Config tunes one batch run. The zero value is ready to use.
 type Config struct {
-	// Workers is the pool size; 0 means runtime.GOMAXPROCS(0).
+	// Workers is the pool size; 0 means runtime.GOMAXPROCS(0). A batch of
+	// at most one grain runs on the caller as one worker, whatever the
+	// pool size.
 	Workers int
 	// Grain is the number of edges a worker claims per span access; 0
 	// selects the engine's default (1024). Smaller grains balance better,
-	// larger grains amortize the claim CAS over more real work.
+	// larger grains amortize the claim CAS over more real work. A batch
+	// of at most one grain has nothing to steal and runs on the caller.
 	Grain int
 	// Seed makes each worker's victim-selection order deterministic. Runs
 	// with equal seeds scan victims in the same order (the interleaving of
@@ -86,25 +89,28 @@ type Config struct {
 	Find core.Find
 	// Trace, when non-nil, is the batch's span tree: the Executor records
 	// an execute span around the backend call, synthesizes filter and
-	// per-worker sub-spans from the Result's accounting, and attributes
-	// the batch's CASRetries. Nil (the default, and the disabled
+	// per-worker sub-spans from the Result's accounting (the engine keeps
+	// Result.PerWorker for traced batches only), and attributes the
+	// batch's CASRetries. Nil (the default, and the disabled
 	// mode) records nothing — every tracespan method is a nil-safe no-op,
 	// so untraced batches pay only a nil check.
 	Trace *tracespan.Trace
 }
 
 // Result reports what one batch run did, across every execution path. The
-// flat engine fills the pool fields (Workers, Grain, Steals, PerWorker);
-// the sharded path additionally fills the per-phase fields (Intra, Spill,
-// SelfLoops, Reanchors, PerShard, Bridge, ReanchorStats); both fill the
-// filter accounting (Filtered, FilterElapsed, FilterStats) identically —
-// the parity the unified type enforces by construction.
+// flat engine fills the pool fields (Workers, Grain, Steals, WorkerStats,
+// PerWorker); the sharded path additionally fills the per-phase fields
+// (Intra, Spill, SelfLoops, Reanchors, PerShard, Bridge, ReanchorStats);
+// both fill the filter accounting (Filtered, FilterElapsed, FilterStats)
+// identically — the parity the unified type enforces by construction.
 type Result struct {
 	// Workers is the resolved size of the pool that produced this record:
 	// set whenever a single engine pool ran the batch (flat runs, and
 	// sharded SameSetAll/ScreenConnected, which drive one pool over the
-	// two-level view). Zero only on sharded UniteAll, where the budget
-	// splits across the per-shard runs — see PerShard.
+	// two-level view). It is 1 when the batch fit in one grain, which runs
+	// on the caller. Zero on an empty batch, where no worker ran, and on
+	// sharded UniteAll, where the budget splits across the per-shard runs
+	// — see PerShard.
 	Workers int
 	// Grain is the resolved claim granularity (set exactly when Workers is).
 	Grain int
@@ -146,8 +152,13 @@ type Result struct {
 	// connected screen's finds; the dedup pass touches no shared memory)
 	// plus the Filtered tally, so Counted callers see the drops too.
 	FilterStats core.Stats
-	// PerWorker holds each worker's operation counters, in worker order
-	// (flat path).
+	// WorkerStats sums the operation counters of the pool's workers (set
+	// exactly when Workers is).
+	WorkerStats core.Stats
+	// PerWorker breaks WorkerStats down by worker, in worker order. The
+	// engine keeps it only for traced batches (Config.Trace non-nil), whose
+	// worker spans are its one reader, so an untraced batch allocates no
+	// per-batch slice.
 	PerWorker []core.Stats
 	// PerShard holds each shard's local engine run, in shard order (sharded
 	// path; zero-value entries for shards that received no intra edges).
@@ -175,10 +186,7 @@ type Result struct {
 // Stats returns the summed work counters of every phase of the run: pool
 // workers, per-shard runs, the bridge run, re-anchoring, and filter passes.
 func (r Result) Stats() core.Stats {
-	var total core.Stats
-	for i := range r.PerWorker {
-		total.Add(r.PerWorker[i])
-	}
+	total := r.WorkerStats
 	for i := range r.PerShard {
 		total.Add(r.PerShard[i].Stats())
 	}

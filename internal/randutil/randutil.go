@@ -42,8 +42,15 @@ type Xoshiro256 struct {
 }
 
 // NewXoshiro256 returns a generator whose state is expanded from seed with
-// splitmix64, per the authors' recommendation.
+// splitmix64, per the authors' recommendation. It inlines, so a caller that
+// holds the generator by value (rng := *NewXoshiro256(seed)) keeps its
+// state off the heap.
 func NewXoshiro256(seed uint64) *Xoshiro256 {
+	x := xoshiro256(seed)
+	return &x
+}
+
+func xoshiro256(seed uint64) Xoshiro256 {
 	sm := NewSplitMix64(seed)
 	var x Xoshiro256
 	for i := range x.s {
@@ -54,7 +61,7 @@ func NewXoshiro256(seed uint64) *Xoshiro256 {
 	if x.s[0]|x.s[1]|x.s[2]|x.s[3] == 0 {
 		x.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &x
+	return x
 }
 
 // Next returns the next 64-bit value in the stream.
