@@ -16,7 +16,6 @@ import (
 	"repro/internal/forest"
 	"repro/internal/sched"
 	"repro/internal/seqdsu"
-	"repro/internal/shard"
 	"repro/internal/simdsu"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -373,31 +372,6 @@ func BenchmarkE18BatchUniteAll(b *testing.B) {
 	})
 }
 
-// BenchmarkE19ShardedUniteAll measures the sharded batch path across shard
-// counts on one community-structured edge batch (the E19 table's sweet
-// spot), with the flat engine as the shards=0 baseline.
-func BenchmarkE19ShardedUniteAll(b *testing.B) {
-	const n = 1 << 18
-	m := 4 * n
-	edges := engine.FromOps(workload.CommunityUnions(n, m, 64, 0.95, 10))
-	b.Run("flat", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d := core.New(n, core.Config{Seed: 11})
-			engine.UniteAll(d, edges, engine.Config{Workers: 4, Seed: 11})
-		}
-		b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mop/s")
-	})
-	for _, s := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", s), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d := shard.New(n, s, core.Config{Seed: 11})
-				d.UniteAll(edges, engine.Config{Workers: 4, Seed: 11})
-			}
-			b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mop/s")
-		})
-	}
-}
-
 // BenchmarkE20StreamIngest measures streamed ingestion (dsu.Stream, batches
 // overlapping execution) against the blocking batch loop on one uniform
 // edge stream — the E20 comparison at a fixed buffer size.
@@ -478,8 +452,8 @@ func BenchmarkE21AdaptiveFind(b *testing.B) {
 }
 
 // BenchmarkE23LockFree measures the lock-free kind on the E23 shapes: one
-// uniform batch per kind (flat / sharded / lock-free, identical edges and
-// worker budget; lock-free runs the flat core, so it should match flat),
+// uniform batch per kind (flat / lock-free, identical edges and worker
+// budget; lock-free runs the flat core, so it should match flat),
 // plus the regime the concurrent capability promises — k genuinely
 // overlapping UniteAll calls on one structure.
 func BenchmarkE23LockFree(b *testing.B) {
@@ -491,7 +465,6 @@ func BenchmarkE23LockFree(b *testing.B) {
 		make func() dsu.Backend
 	}{
 		{"flat", func() dsu.Backend { return dsu.New(n, dsu.WithSeed(11)) }},
-		{"sharded-4", func() dsu.Backend { return dsu.NewSharded(n, 4, dsu.WithSeed(11)) }},
 		{"lockfree", func() dsu.Backend { return dsu.NewLockFree(n, dsu.WithSeed(11)) }},
 	}
 	for _, kind := range kinds {

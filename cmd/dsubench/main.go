@@ -11,11 +11,15 @@
 // case-insensitively, and the systems tables answer to aliases:
 //
 //	dsubench -exp batch   # E18, batch-engine throughput
-//	dsubench -exp shard   # E19, sharded DSU vs flat engine
 //	dsubench -exp stream  # E20, stream vs blocking-batch ingestion
 //	dsubench -exp adapt   # E21, adaptive vs fixed find variants
-//	dsubench -exp lockfree # E23, lock-free kind (concurrent core) vs sharded
+//	dsubench -exp wire    # E22, remote vs in-process batches
+//	dsubench -exp lockfree # E23, lock-free kind (concurrent core) scaling
 //	dsubench -exp fastpath # E24, pipelined pooled wire path vs per-RPC
+//	dsubench -exp wal     # E25, durable tenants (also: durable)
+//
+// E19 (the retired sharded kind against the flat engine) has no runner;
+// EXPERIMENTS.md keeps its last recorded table.
 package main
 
 import (

@@ -81,7 +81,7 @@ func kindName(k uint8) string {
 	case 1:
 		return "flat"
 	case 2:
-		return "sharded"
+		return "sharded (retired; recovers as flat)"
 	case 3:
 		return "lockfree"
 	default:

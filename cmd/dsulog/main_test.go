@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/dsu"
+	"repro/internal/wal"
 )
 
 // buildLog grows a durable tenant and seals its log, returning the log
@@ -44,6 +45,65 @@ func buildLog(t *testing.T, n, batches int, checkpointAt int) (string, []uint32)
 	return filepath.Join(dir, "t.dsulog"), labels
 }
 
+// buildRetiredLog writes a log under the header the retired sharded kind
+// wrote (kind byte 2, two shards): six batches, a snapshot of their
+// partition in that kind's flattened form (each element pointing at its
+// set's minimum), and four more. A flat tenant then recovers it, appends
+// three batches and a checkpoint under the same header, and seals it. It
+// returns the log path and the tenant's final labels.
+func buildRetiredLog(t *testing.T, n int) (string, []uint32) {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "old.dsulog")
+	w, _, err := wal.Open(path, wal.Meta{Tenant: "old", N: n, Kind: 2, Find: uint8(dsu.TwoTrySplitting), Shards: 2, Seed: 5}, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	batch := func() []dsu.Edge {
+		edges := make([]dsu.Edge, 1+rng.Intn(10))
+		for j := range edges {
+			edges[j] = dsu.Edge{X: uint32(rng.Intn(n)), Y: uint32(rng.Intn(n))}
+		}
+		return edges
+	}
+	flat := dsu.New(n)
+	for i := 0; i < 10; i++ {
+		if i == 6 {
+			if _, err := w.WriteSnapshot(2, flat.CanonicalLabels()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		edges := batch()
+		flat.UniteAll(edges)
+		if _, err := w.Append(edges); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := dsu.NewRegistry(dsu.WithDurability(dir))
+	if _, err := reg.RestoreTenants(); err != nil {
+		t.Fatal(err)
+	}
+	u, _ := reg.Get("old")
+	for i := 0; i < 3; i++ {
+		if _, err := u.UniteAll(dsu.UniteRequest{Edges: batch()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := u.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	labels := u.CanonicalLabels()
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path, labels
+}
+
 func TestInfoAndVerifySealed(t *testing.T) {
 	path, _ := buildLog(t, 200, 12, 6)
 
@@ -63,6 +123,21 @@ func TestInfoAndVerifySealed(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "ok (12 batches") {
 		t.Errorf("verify output: %s", out.String())
+	}
+
+	// A log the retired sharded kind wrote, appended to by the flat
+	// tenant that recovered it, still verifies strictly.
+	old, _ := buildRetiredLog(t, 150)
+	out.Reset()
+	if err := runInfo([]string{old}, &out); err != nil {
+		t.Fatalf("info on a retired-kind log: %v", err)
+	}
+	if !strings.Contains(out.String(), "kind=sharded (retired; recovers as flat)") || !strings.Contains(out.String(), "batches     13") {
+		t.Errorf("info output on a retired-kind log:\n%s", out.String())
+	}
+	out.Reset()
+	if err := runVerify([]string{"-strict", old}, &out); err != nil {
+		t.Fatalf("verify -strict on a retired-kind log: %v", err)
 	}
 }
 
@@ -154,6 +229,31 @@ func TestReplayMatchesStructure(t *testing.T) {
 	}
 	if err := runReplay([]string{"-at", "99", path}, &out); err == nil {
 		t.Fatalf("replay past the log's end succeeded")
+	}
+
+	// A log of the retired sharded kind replays to the labels the flat
+	// tenant that recovered and extended it served, validating both its
+	// flattened snapshot and the flat tenant's.
+	old, oldLabels := buildRetiredLog(t, 150)
+	out.Reset()
+	if err := runReplay([]string{old}, &out); err != nil {
+		t.Fatalf("replay of a retired-kind log: %v", err)
+	}
+	for _, want := range []string{"snapshot at seq 6: matches oracle", "snapshot at seq 13: matches oracle"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("replay of a retired-kind log missing %q:\n%s", want, out.String())
+		}
+	}
+	out.Reset()
+	if err := runReplay([]string{"-labels", old}, &out); err != nil {
+		t.Fatalf("replay -labels of a retired-kind log: %v", err)
+	}
+	want.Reset()
+	if err := json.NewEncoder(&want).Encode(oldLabels); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != want.String() {
+		t.Fatalf("replay -labels of a retired-kind log differs from the tenant's labelling")
 	}
 }
 

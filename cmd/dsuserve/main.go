@@ -8,15 +8,15 @@
 //
 //	dsuserve -addr :8080 \
 //	    -tenant alpha:1000000 \
-//	    -tenant beta:4000000:8:auto \
+//	    -tenant beta:4000000:flat:auto \
 //	    -tenant gamma:1000000:lockfree
 //
-// The spec is name:n[:kind[:find]] — kind is a shard count (0 means a
-// flat structure) or a structure-kind name per dsu.ParseKind ("flat",
-// "sharded", "lockfree"); find names a strategy per dsu.ParseFindStrategy
-// ("auto" turns on the adaptive compaction policy). Lock-free tenants
-// serve their RPCs and stream batches truly concurrently — no per-tenant
-// queueing.
+// The spec is name:n[:kind[:find]] — kind is a structure-kind name per
+// dsu.ParseKind ("flat", the default, or "lockfree"); find names a strategy
+// per dsu.ParseFindStrategy ("auto" turns on the adaptive compaction
+// policy). A spec the server cannot honour stops it at startup. Lock-free
+// tenants serve their RPCs and stream batches truly concurrently — no
+// per-tenant queueing.
 //
 // With -data the server is durable: every tenant keeps a chunked,
 // CRC-verified write-ahead log in the directory (<tenant>.dsulog), every
@@ -77,9 +77,9 @@ type tenantFlags []string
 func (t *tenantFlags) String() string     { return strings.Join(*t, ",") }
 func (t *tenantFlags) Set(v string) error { *t = append(*t, v); return nil }
 
-// parseTenant parses name:n[:kind[:find]], where kind is a shard count
-// (digits, 0 = flat) or a structure-kind name ("flat", "sharded",
-// "lockfree" — validated by the spec's Options translation).
+// parseTenant parses name:n[:kind[:find]], where kind is a structure-kind
+// name ("flat" or "lockfree" — validated by the spec's Options
+// translation).
 func parseTenant(spec string) (server.TenantSpec, error) {
 	parts := strings.Split(spec, ":")
 	if len(parts) < 2 || len(parts) > 4 {
@@ -91,12 +91,8 @@ func parseTenant(spec string) (server.TenantSpec, error) {
 		return server.TenantSpec{}, fmt.Errorf("tenant spec %q: bad n: %v", spec, err)
 	}
 	out.N = n
-	if len(parts) >= 3 && parts[2] != "" {
-		if shards, err := strconv.Atoi(parts[2]); err == nil {
-			out.Shards = shards
-		} else {
-			out.Kind = parts[2]
-		}
+	if len(parts) >= 3 {
+		out.Kind = parts[2]
 	}
 	if len(parts) == 4 {
 		out.Find = parts[3]
@@ -215,7 +211,7 @@ func main() {
 			fatal("tenant create failed", "tenant", ts.Name, "err", err)
 		}
 		logger.Info("tenant ready", "tenant", u.Name(), "n", u.N(),
-			"kind", u.Kind(), "shards", u.Shards(), "adaptive", u.Adaptive())
+			"kind", u.Kind(), "adaptive", u.Adaptive())
 	}
 
 	srv := server.New(server.Config{
@@ -301,7 +297,7 @@ func main() {
 			tm := u.Metrics()
 			logger.Info("tenant totals", "tenant", name,
 				"unite_batches", tm.UniteBatches, "unite_edges", tm.UniteEdges,
-				"merged", tm.Merged, "filtered", tm.Filtered,
+				"merged", tm.Merged,
 				"query_batches", tm.QueryBatches, "query_pairs", tm.QueryPairs,
 				"find_steps", tm.FindSteps, "cas_retries", tm.CASRetries, "sets", u.Sets())
 		}

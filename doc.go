@@ -4,15 +4,15 @@
 //
 // The public library lives in repro/dsu: point operations (Unite, SameSet,
 // Find), batched bulk operations (UniteAll, SameSetAll) that fan an edge
-// list out over a work-stealing worker pool, a sharded structure
-// (Sharded) that partitions the universe across per-shard engines with
-// cross-shard reconciliation, a streaming ingestion front (Stream)
-// that overlaps batch accumulation with execution behind backpressure and
-// per-batch completion callbacks, and an adaptive compaction mode
-// (WithAdaptiveFind) that downgrades query batches to cheaper find
-// variants while the forest is flat. Flat and sharded structures share
-// one Backend surface, and every batch path — blocking, streamed,
-// filtered — drives one unified execution seam per structure.
+// list out over a work-stealing worker pool, a lock-free kind (LockFree)
+// that serves the same forest with overlap as its contract, a streaming
+// ingestion front (Stream) that overlaps batch accumulation with
+// execution behind backpressure and per-batch completion callbacks, and
+// an adaptive compaction mode (WithAdaptiveFind) that downgrades query
+// batches to cheaper find variants while the forest is flat. Every
+// tenant is one forest, as in the paper: both kinds share one Backend
+// surface, and every batch path — blocking or streamed — drives one
+// unified execution seam per structure.
 //
 // The client-facing surface is the tenant-scoped Universe API: a Registry
 // of named, isolated universes (one structure each, kind chosen per
@@ -29,9 +29,9 @@
 //
 // The substrates — the APRAM simulator, sequential baselines, the
 // Anderson–Woll comparator, the linearizability checker, workload
-// generators, the batch engine, the execution layer, the sharded
-// subsystem, the ingestion pipeline, the wire codec, the HTTP server, and
-// the experiment harness — live under internal/. See README.md for the
+// generators, the batch engine, the execution layer, the ingestion
+// pipeline, the wire codec, the HTTP server, the write-ahead log, and the
+// experiment harness — live under internal/. See README.md for the
 // map, DESIGN.md for the system inventory and per-experiment index, and
 // EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
 // bench_test.go regenerate one measurement per experiment; cmd/dsubench

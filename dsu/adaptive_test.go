@@ -17,8 +17,16 @@ func adaptivePairs(n, m int, seed uint64) []dsu.Edge {
 	return pairs
 }
 
+// newKind builds the named structure kind ("flat" or "lockfree").
+func newKind(kind string, n int, opts ...dsu.Option) dsu.Backend {
+	if kind == "lockfree" {
+		return dsu.NewLockFree(n, opts...)
+	}
+	return dsu.New(n, opts...)
+}
+
 // TestAdaptiveMatchesFixed is the acceptance cross-validation for the
-// adaptive compaction policy: across seeds × {flat, sharded} backends ×
+// adaptive compaction policy: across seeds × {flat, lockfree} backends ×
 // batch sizes, a structure in WithAdaptiveFind mode driven through
 // alternating mutate/query phases must produce the exact partition and the
 // exact query answers of an identically seeded fixed-variant structure —
@@ -31,16 +39,10 @@ func TestAdaptiveMatchesFixed(t *testing.T) {
 		edges = append(edges, engine.FromOps(workload.CommunityUnions(n, 2*n, 8, 0.9, seed+400))...)
 		queries := adaptivePairs(n, n, seed+500)
 		for _, batch := range []int{193, 2048} {
-			for _, backend := range []string{"flat", "sharded"} {
+			for _, backend := range []string{"flat", "lockfree"} {
 				t.Run(fmt.Sprintf("seed=%d/batch=%d/%s", seed, batch, backend), func(t *testing.T) {
-					var fixed, adaptive dsu.Backend
-					if backend == "flat" {
-						fixed = dsu.New(n, dsu.WithSeed(seed))
-						adaptive = dsu.New(n, dsu.WithSeed(seed), dsu.WithAdaptiveFind())
-					} else {
-						fixed = dsu.NewSharded(n, 3, dsu.WithSeed(seed))
-						adaptive = dsu.NewSharded(n, 3, dsu.WithSeed(seed), dsu.WithAdaptiveFind())
-					}
+					fixed := newKind(backend, n, dsu.WithSeed(seed))
+					adaptive := newKind(backend, n, dsu.WithSeed(seed), dsu.WithAdaptiveFind())
 					// Alternate mutate and query phases batch by batch, so
 					// the estimator sees the churn/flatten cycle mid-test.
 					for lo := 0; lo < len(edges); lo += batch {
@@ -81,16 +83,10 @@ func TestAdaptiveStreamMatchesFixed(t *testing.T) {
 	for _, seed := range []uint64{5, 23} {
 		edges := engine.FromOps(workload.CommunityUnions(n, 4*n, 6, 0.85, seed+700))
 		for _, buffer := range []int{97, 1024} {
-			for _, backend := range []string{"flat", "sharded"} {
+			for _, backend := range []string{"flat", "lockfree"} {
 				t.Run(fmt.Sprintf("seed=%d/buffer=%d/%s", seed, buffer, backend), func(t *testing.T) {
-					var fixed, adaptive dsu.Backend
-					if backend == "flat" {
-						fixed = dsu.New(n, dsu.WithSeed(seed))
-						adaptive = dsu.New(n, dsu.WithSeed(seed), dsu.WithAdaptiveFind())
-					} else {
-						fixed = dsu.NewSharded(n, 4, dsu.WithSeed(seed))
-						adaptive = dsu.NewSharded(n, 4, dsu.WithSeed(seed), dsu.WithAdaptiveFind())
-					}
+					fixed := newKind(backend, n, dsu.WithSeed(seed))
+					adaptive := newKind(backend, n, dsu.WithSeed(seed), dsu.WithAdaptiveFind())
 					for lo := 0; lo < len(edges); lo += buffer {
 						fixed.UniteAll(edges[lo:min(lo+buffer, len(edges))], dsu.WithWorkers(2))
 					}
@@ -138,14 +134,9 @@ func TestAdaptiveDowngradeObservable(t *testing.T) {
 	const n = 1 << 12
 	edges := engine.FromOps(workload.RandomUnions(n, 4*n, 9))
 	pairs := adaptivePairs(n, n, 31)
-	for _, backend := range []string{"flat", "sharded"} {
+	for _, backend := range []string{"flat", "lockfree"} {
 		t.Run(backend, func(t *testing.T) {
-			var d dsu.Backend
-			if backend == "flat" {
-				d = dsu.New(n, dsu.WithSeed(4), dsu.WithAdaptiveFind())
-			} else {
-				d = dsu.NewSharded(n, 3, dsu.WithSeed(4), dsu.WithAdaptiveFind())
-			}
+			d := newKind(backend, n, dsu.WithSeed(4), dsu.WithAdaptiveFind())
 			d.UniteAll(edges, dsu.WithWorkers(2))
 			for i := 0; i < 10; i++ {
 				var st dsu.Stats

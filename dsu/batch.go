@@ -37,11 +37,11 @@ func WithGrain(grain int) BatchOption {
 	return batchOptionFunc(func(c *exec.Config) { c.Grain = grain })
 }
 
-// batchConfig resolves the execution configuration for one batch call —
-// the single options funnel the blocking, sharded, and stream paths all
-// route through. The scheduling seed is plumbed from the structure's
-// WithSeed option, so a structure built for reproducibility also schedules
-// its batches reproducibly.
+// batchConfig resolves the execution configuration for one batch call — the
+// single options funnel the blocking and stream paths route through. The
+// scheduling seed is plumbed from the structure's WithSeed option, so a
+// structure built for reproducibility also schedules its batches
+// reproducibly.
 func batchConfig(seed uint64, opts []BatchOption) exec.Config {
 	cfg := exec.Config{Workers: runtime.GOMAXPROCS(0), Seed: seed}
 	for _, o := range opts {
@@ -52,8 +52,8 @@ func batchConfig(seed uint64, opts []BatchOption) exec.Config {
 
 // uniteVeneer and queryVeneer phrase an option-vocabulary batch call in
 // the Universe layer's request/response form — the thin veneer every
-// in-process batch entry point (flat and sharded) now is, so remote and
-// local batches run through one funnel and one validation. The only error
+// in-process batch entry point is, so remote and local batches run
+// through one funnel and one validation. The only error
 // the DTO layer can report on an in-process call is a contract violation
 // (an element outside the universe), which was always a panic; it just
 // panics with a diagnosis now instead of an index fault inside a worker.

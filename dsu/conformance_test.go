@@ -14,31 +14,27 @@ import (
 )
 
 // This file is the shared Backend conformance suite: one table of
-// constructors — flat, sharded, lock-free — driven through the contract
-// every structure kind must honor. Constructor boundaries, batch ≡
-// blocking partitions, oracle cross-validation, filter neutrality, and
-// counted accounting are each written once here, as are the concurrent
-// kind's overlap and retry-accounting contracts; per-kind test files keep
-// only what is genuinely specific to their kind (shard clamping, stream
-// ordering), and point-op linearizability is checked on the one core
-// (internal/core). CI runs the suite under -race.
+// constructors — flat, lock-free — driven through the contract every
+// structure kind must honor. Constructor boundaries, batch ≡ blocking
+// partitions and merge counts, oracle cross-validation, and counted
+// accounting are each written once here, as are the concurrent kind's
+// overlap and retry-accounting contracts; per-kind test files keep only
+// what is genuinely specific to their kind (stream ordering), and
+// point-op linearizability is checked on the one core (internal/core).
+// CI runs the suite under -race.
 
 // backendCase names one structure kind and how to build it.
 type backendCase struct {
 	name string
 	make func(n int, opts ...dsu.Option) dsu.Backend
-	// exactMerge marks kinds whose UniteAll count equals the sequential
-	// pass's exactly (the sharded count is structural and may exceed it).
-	exactMerge bool
 	// splittingOnly marks kinds restricted to the splitting find family.
 	splittingOnly bool
 }
 
 func backendCases() []backendCase {
 	return []backendCase{
-		{"flat", func(n int, opts ...dsu.Option) dsu.Backend { return dsu.New(n, opts...) }, true, false},
-		{"sharded", func(n int, opts ...dsu.Option) dsu.Backend { return dsu.NewSharded(n, 4, opts...) }, false, false},
-		{"lockfree", func(n int, opts ...dsu.Option) dsu.Backend { return dsu.NewLockFree(n, opts...) }, true, true},
+		{"flat", func(n int, opts ...dsu.Option) dsu.Backend { return dsu.New(n, opts...) }, false},
+		{"lockfree", func(n int, opts ...dsu.Option) dsu.Backend { return dsu.NewLockFree(n, opts...) }, true},
 	}
 }
 
@@ -68,8 +64,8 @@ func checkLabelsMatch(t *testing.T, got, want []uint32) {
 // TestBackendConformanceOracle is the acceptance cross-validation, run
 // against every structure kind: a multi-batch schedule must leave each
 // backend with exactly the sequential oracle's partition — same canonical
-// labels, set count, batch and point SameSet answers, snapshot roots, and
-// component materialization.
+// labels, set count, batch and point SameSet answers, snapshot roots,
+// component materialization, and an ID permutation.
 func TestBackendConformanceOracle(t *testing.T) {
 	const n = 2500
 	for _, bc := range backendCases() {
@@ -129,6 +125,16 @@ func TestBackendConformanceOracle(t *testing.T) {
 				if total != n {
 					t.Fatalf("components cover %d elements, want %d", total, n)
 				}
+
+				// ID is a permutation of 0..n−1, fixed at construction.
+				seen := make([]bool, n)
+				for x := 0; x < n; x++ {
+					id := d.ID(uint32(x))
+					if id >= uint32(n) || seen[id] {
+						t.Fatalf("ID(%d) = %d is out of range or duplicated", x, id)
+					}
+					seen[id] = true
+				}
 			})
 		}
 	}
@@ -136,8 +142,7 @@ func TestBackendConformanceOracle(t *testing.T) {
 
 // TestBackendBatchEqualsBlocking pins batch ≡ blocking: a UniteAll over a
 // batch leaves exactly the partition of a point-op loop over the same
-// edges, for every kind, and the exact-merge kinds report exactly the
-// loop's merge count.
+// edges, for every kind, and reports exactly the loop's merge count.
 func TestBackendBatchEqualsBlocking(t *testing.T) {
 	const n = 1500
 	edges := engine.FromOps(workload.CommunityUnions(n, 3*n, 6, 0.8, 17))
@@ -154,7 +159,7 @@ func TestBackendBatchEqualsBlocking(t *testing.T) {
 				}
 			}
 			checkLabelsMatch(t, batch.CanonicalLabels(), point.CanonicalLabels())
-			if bc.exactMerge && merged != pointMerged {
+			if merged != pointMerged {
 				t.Fatalf("batch merged %d, blocking loop %d", merged, pointMerged)
 			}
 			if batch.Sets() != point.Sets() {
@@ -187,24 +192,37 @@ func TestBackendFindVariantConformance(t *testing.T) {
 	}
 }
 
-// TestBackendPrefilterConformance checks the filter options leave the
-// partition and merge count untouched on every kind's batch path.
-func TestBackendPrefilterConformance(t *testing.T) {
-	const n = 1000
-	edges := engine.FromOps(workload.ZipfMixed(n, 4*n, 1.0, 1.2, 43))
-	if kept := dsu.Prefilter(edges); len(kept) >= len(edges) {
-		t.Fatalf("Zipf batch should shrink under Prefilter: %d -> %d", len(edges), len(kept))
-	}
+// TestBatchOptionBoundaries sweeps WithWorkers and WithGrain through their
+// documented degenerate values — zero, negative, larger than the batch —
+// on every kind's batch path, checking the partition is immune.
+func TestBatchOptionBoundaries(t *testing.T) {
+	const n = 1200
+	edges := engine.FromOps(workload.RandomUnions(n, 2*n, 41))
+	flat := dsu.New(n)
+	flat.UniteAll(edges)
+	want := flat.CanonicalLabels()
+
 	for _, bc := range backendCases() {
-		t.Run(bc.name, func(t *testing.T) {
-			raw, filtered := bc.make(n), bc.make(n)
-			a := raw.UniteAll(edges)
-			b := filtered.UniteAll(edges, dsu.WithPrefilter(), dsu.WithConnectedFilter())
-			if a != b {
-				t.Errorf("merged %d raw vs %d filtered", a, b)
+		for _, workers := range []int{0, -1, 1, len(edges) + 7} {
+			for _, grain := range []int{0, -5, 1, len(edges) * 3} {
+				t.Run(fmt.Sprintf("%s/workers=%d/grain=%d", bc.name, workers, grain), func(t *testing.T) {
+					d := bc.make(n)
+					d.UniteAll(edges, dsu.WithWorkers(workers), dsu.WithGrain(grain))
+					checkLabelsMatch(t, d.CanonicalLabels(), want)
+				})
 			}
-			checkLabelsMatch(t, filtered.CanonicalLabels(), raw.CanonicalLabels())
-		})
+		}
+	}
+
+	// Queries under the same degenerate options.
+	for _, bc := range backendCases() {
+		d := bc.make(n)
+		d.UniteAll(edges)
+		for i, ans := range d.SameSetAll(edges, dsu.WithWorkers(-2), dsu.WithGrain(0)) {
+			if !ans {
+				t.Fatalf("%s: united pair %d answered false", bc.name, i)
+			}
+		}
 	}
 }
 
@@ -246,12 +264,6 @@ func TestBackendConstructorContract(t *testing.T) {
 		{"flat/early termination + halving", func() { dsu.New(4, dsu.WithFind(dsu.Halving), dsu.WithEarlyTermination()) }},
 		{"flat/early termination + compression", func() { dsu.New(4, dsu.WithFind(dsu.Compression), dsu.WithEarlyTermination()) }},
 		{"dynamic/negative capacity", func() { dsu.NewDynamic(-1) }},
-		{"sharded/zero shards", func() { dsu.NewSharded(100, 0) }},
-		{"sharded/negative shards", func() { dsu.NewSharded(100, -4) }},
-		{"sharded/negative n", func() { dsu.NewSharded(-1, 2) }},
-		{"sharded/early termination + halving", func() {
-			dsu.NewSharded(16, 2, dsu.WithFind(dsu.Halving), dsu.WithEarlyTermination())
-		}},
 		{"lockfree/negative n", func() { dsu.NewLockFree(-1) }},
 		{"lockfree/n over 2^31-1", func() { dsu.NewLockFree(1 << 31) }},
 		{"lockfree/early termination", func() { dsu.NewLockFree(4, dsu.WithEarlyTermination()) }},
@@ -342,7 +354,7 @@ func TestOverlappingBatchesExactMerges(t *testing.T) {
 
 // TestBatchCASRetriesMatchRounds pins the retry plumbing from the core's
 // Algorithm 3 loop to the batch reply. Each link attempt is one round, so
-// on an unfiltered unite batch every non-self-loop edge costs one round
+// on a unite batch every non-self-loop edge costs one round
 // plus one per lost link race: CASRetries = Rounds − (Ops − self-loops),
 // exactly. A reply that dropped or double-counted retries breaks the
 // identity. The batch makes the races real: every edge joins one hot key

@@ -24,10 +24,8 @@
 //	d := dsu.New(n, dsu.WithFind(dsu.OneTrySplitting), dsu.WithEarlyTermination())
 //
 // For workloads that create elements on line, NewDynamic provides MakeSet
-// (lock-free; see the paper's Section 3 remark). For universes past one
-// parent array's cache footprint, NewSharded partitions the elements
-// across per-shard engines with cross-shard reconciliation (see Sharded).
-// For genuinely concurrent mutation — goroutines issuing point operations
+// (lock-free; see the paper's Section 3 remark). For genuinely concurrent
+// mutation — goroutines issuing point operations
 // and batches with no coordination, the paper's own regime — NewLockFree
 // serves the same structure with the ConcurrentBackend capability, so
 // the stream and server layers let its operations overlap arbitrarily
@@ -39,7 +37,7 @@
 // the sealed batches themselves).
 //
 // All structure kinds implement the common Backend interface and can be
-// created by name through Registry/Universe with WithKind (flat, sharded,
+// created by name through Registry/Universe with WithKind (flat,
 // lockfree) — the tenant vocabulary the network front end serves.
 //
 // Observability is opt-in and free when off. WithMetrics attaches a
@@ -137,8 +135,8 @@ type Stats = core.Stats
 // called from any number of goroutines concurrently.
 type DSU struct {
 	c *core.DSU
-	// x is the unified execution seam all batch, stream, and filter paths
-	// route through (and, with FindAuto, the adaptive policy's home).
+	// x is the unified execution seam all batch and stream paths route
+	// through (and, with FindAuto, the adaptive policy's home).
 	x *exec.Executor
 	// uni is the structure's anonymous Universe — the tenant-API layer the
 	// batch and stream veneers phrase their calls through.
@@ -164,8 +162,8 @@ func New(n int, opts ...Option) *DSU {
 	return d
 }
 
-// executor exposes the execution seam to the batch, stream, and filter
-// paths (Backend).
+// executor exposes the execution seam to the batch and stream paths
+// (Backend).
 func (d *DSU) executor() *exec.Executor { return d.x }
 
 // universe exposes the anonymous Universe the veneers route through
@@ -217,8 +215,8 @@ func (d *DSU) Snapshot() []uint32 { return d.c.Snapshot() }
 func (d *DSU) Components() [][]uint32 { return componentsFromLabels(d.c.CanonicalLabels()) }
 
 // componentsFromLabels buckets a canonical labelling into sorted sets
-// ordered by their minima — the one materialization both structure kinds
-// share (labels are minima, encountered in ascending element order).
+// ordered by their minima (labels are minima, encountered in ascending
+// element order).
 func componentsFromLabels(labels []uint32) [][]uint32 {
 	sizes := make(map[uint32]int, 16)
 	for _, l := range labels {

@@ -132,7 +132,7 @@ func WithDurability(dir string, opts ...DurabilityOption) RegistryOption {
 type durableState struct {
 	w    *wal.Writer
 	b    Backend
-	kind Kind
+	kind uint8 // the log header's kind byte, echoed by every snapshot
 	mu   sync.Mutex
 }
 
@@ -146,7 +146,7 @@ func (d *durableState) checkpoint() error {
 	defer d.mu.Unlock()
 	var err error
 	d.b.executor().Quiesce(func(uint64) {
-		_, err = d.w.WriteSnapshot(uint8(d.kind), d.b.Snapshot())
+		_, err = d.w.WriteSnapshot(d.kind, d.b.Snapshot())
 	})
 	return err
 }
@@ -162,7 +162,7 @@ func (d *durableState) autoCheckpoint() {
 	}
 	defer d.mu.Unlock()
 	d.b.executor().Quiesce(func(uint64) {
-		d.w.WriteSnapshot(uint8(d.kind), d.b.Snapshot())
+		d.w.WriteSnapshot(d.kind, d.b.Snapshot())
 	})
 }
 
@@ -187,35 +187,55 @@ func (r *Registry) logPath(tenant string) string {
 }
 
 // durableMeta phrases a tenant's resolved configuration as the log
-// header's Meta. shards must already be resolved (Create resolves the
-// GOMAXPROCS default before calling) — a log created under one CPU
-// count must recover identically under another.
+// header's Meta.
 func durableMeta(name string, n int, kind Kind, cfg config) wal.Meta {
-	var shards uint32
-	if kind == KindSharded {
-		shards = uint32(cfg.shards)
-	}
 	return wal.Meta{
 		Tenant: name,
 		N:      n,
 		Kind:   uint8(kind),
 		Find:   uint8(cfg.find),
 		Early:  cfg.early,
-		Shards: shards,
 		Seed:   cfg.seed,
 	}
+}
+
+// retiredKind is the log header kind byte of the retired sharded kind.
+// What its logs make durable is the partition — chunks of edges, and
+// snapshots of the flattened forest — so such a log recovers into a flat
+// tenant and keeps appending under its own header.
+const retiredKind = 2
+
+// kindOfLog maps a log header's kind byte to the kind that serves it.
+func kindOfLog(m wal.Meta) Kind {
+	if m.Kind == retiredKind {
+		return KindFlat
+	}
+	return Kind(m.Kind)
+}
+
+// adoptRetiredHeader returns the header of the log at path when the
+// retired sharded kind wrote it under want's configuration otherwise,
+// and want itself in every other case. A flat tenant reopening such a
+// log must present the log's own header, whose fingerprint folds in the
+// kind byte and the shard count, or the log would refuse it.
+func adoptRetiredHeader(path string, want wal.Meta) wal.Meta {
+	got, err := wal.ReadMeta(path)
+	if err != nil || got.Kind != retiredKind {
+		return want
+	}
+	if got.Tenant != want.Tenant || got.N != want.N || got.Find != want.Find || got.Early != want.Early || got.Seed != want.Seed {
+		return want
+	}
+	return got
 }
 
 // optionsFromMeta reconstructs the option list a log's header describes
 // — how RestoreTenants and Rewind rebuild a structure that replays the
 // log under the configuration that wrote it.
 func optionsFromMeta(m wal.Meta) []Option {
-	opts := []Option{WithKind(Kind(m.Kind)), WithSeed(m.Seed), WithFind(FindStrategy(m.Find))}
+	opts := []Option{WithKind(kindOfLog(m)), WithSeed(m.Seed), WithFind(FindStrategy(m.Find))}
 	if m.Early {
 		opts = append(opts, WithEarlyTermination())
-	}
-	if m.Shards > 0 {
-		opts = append(opts, WithShards(int(m.Shards)))
 	}
 	return opts
 }
@@ -223,15 +243,10 @@ func optionsFromMeta(m wal.Meta) []Option {
 // newBackendFromMeta builds an unregistered structure under the log's
 // recorded configuration (Rewind's materialization path).
 func newBackendFromMeta(m wal.Meta) Backend {
-	opts := optionsFromMeta(m)
-	switch Kind(m.Kind) {
-	case KindSharded:
-		return NewSharded(m.N, int(m.Shards), opts...)
-	case KindLockFree:
-		return NewLockFree(m.N, opts...)
-	default:
-		return New(m.N, opts...)
+	if kindOfLog(m) == KindLockFree {
+		return NewLockFree(m.N, optionsFromMeta(m)...)
 	}
+	return New(m.N, optionsFromMeta(m)...)
 }
 
 // restoreBlock is how many snapshot-derived edges restore batches at a
@@ -306,7 +321,12 @@ func (r *Registry) openDurable(u *Universe, n int, kind Kind, cfg config) error 
 	if err := os.MkdirAll(r.dur.dir, 0o755); err != nil {
 		return err
 	}
-	w, rd, err := wal.Open(r.logPath(u.name), durableMeta(u.name, n, kind, cfg), wal.Options{
+	path := r.logPath(u.name)
+	meta := durableMeta(u.name, n, kind, cfg)
+	if kind == KindFlat {
+		meta = adoptRetiredHeader(path, meta)
+	}
+	w, rd, err := wal.Open(path, meta, wal.Options{
 		Sync:            r.dur.sync.wal(),
 		CheckpointEvery: r.dur.checkpointEvery,
 	})
@@ -319,7 +339,7 @@ func (r *Registry) openDurable(u *Universe, n int, kind Kind, cfg config) error 
 			return fmt.Errorf("dsu: recovering tenant %q: %w", u.name, err)
 		}
 	}
-	d := &durableState{w: w, b: u.b, kind: kind}
+	d := &durableState{w: w, b: u.b, kind: meta.Kind}
 	u.dur = d
 	u.b.executor().AttachWAL(w, d.autoCheckpoint)
 	return nil

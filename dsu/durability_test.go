@@ -11,6 +11,7 @@ import (
 
 	"repro/dsu"
 	"repro/internal/seqdsu"
+	"repro/internal/wal"
 )
 
 // durBatches deterministically generates mutation batches over [0, n).
@@ -70,7 +71,6 @@ func TestDurableRecoveryAcrossKinds(t *testing.T) {
 		opts []dsu.Option
 	}{
 		{"flat", []dsu.Option{dsu.WithKind(dsu.KindFlat)}},
-		{"sharded", []dsu.Option{dsu.WithKind(dsu.KindSharded), dsu.WithShards(3)}},
 		{"lockfree", []dsu.Option{dsu.WithKind(dsu.KindLockFree)}},
 	}
 	for _, k := range kinds {
@@ -325,8 +325,43 @@ func TestRewind(t *testing.T) {
 	}
 }
 
+// writeShardedLog writes, at path, the log a tenant of the retired
+// sharded kind left behind: the header that kind wrote (kind byte 2, two
+// shards, default find, seed), the head batches, a snapshot of their
+// partition in that kind's flattened form — every element pointing at
+// its set's representative — and the tail batches, sealed.
+func writeShardedLog(t *testing.T, path, tenant string, n int, seed uint64, head, tail [][]dsu.Edge) {
+	t.Helper()
+	meta := wal.Meta{Tenant: tenant, N: n, Kind: 2, Find: uint8(dsu.TwoTrySplitting), Shards: 2, Seed: seed}
+	w, rd, err := wal.Open(path, meta, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd != nil {
+		t.Fatalf("%s already exists", path)
+	}
+	for _, b := range head {
+		if _, err := w.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.WriteSnapshot(meta.Kind, oracleLabels(n, head)); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range tail {
+		if _, err := w.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRestoreTenants: a fresh registry discovers and recovers every
-// persisted tenant under its recorded configuration.
+// persisted tenant under its recorded configuration — including a log
+// the retired sharded kind wrote, which recovers as a flat tenant, keeps
+// appending under its own header, and survives a second restore.
 func TestRestoreTenants(t *testing.T) {
 	const n = 128
 	dir := t.TempDir()
@@ -338,15 +373,12 @@ func TestRestoreTenants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ub, err := reg.Create("beta", n, dsu.WithShards(2), dsu.WithSeed(99))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ingest(t, ua, alpha)
-	ingest(t, ub, beta)
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
 	}
+	betaLog := filepath.Join(dir, "beta.dsulog")
+	writeShardedLog(t, betaLog, "beta", n, 99, beta[:5], beta[5:])
 
 	reg2 := dsu.NewRegistry(dsu.WithDurability(dir))
 	names, err := reg2.RestoreTenants()
@@ -361,8 +393,8 @@ func TestRestoreTenants(t *testing.T) {
 	if ua2.Kind() != "lockfree" {
 		t.Fatalf("alpha restored as %s", ua2.Kind())
 	}
-	if ub2.Kind() != "sharded" || ub2.Shards() != 2 {
-		t.Fatalf("beta restored as %s/%d shards", ub2.Kind(), ub2.Shards())
+	if ub2.Kind() != "flat" || ub2.Seq() != uint64(len(beta)) {
+		t.Fatalf("beta restored as %s at seq %d, want flat at %d", ub2.Kind(), ub2.Seq(), len(beta))
 	}
 	sameLabels(t, "alpha", ua2.CanonicalLabels(), oracleLabels(n, alpha))
 	sameLabels(t, "beta", ub2.CanonicalLabels(), oracleLabels(n, beta))
@@ -371,7 +403,39 @@ func TestRestoreTenants(t *testing.T) {
 	if err != nil || len(names) != 0 {
 		t.Fatalf("second RestoreTenants = %v, %v", names, err)
 	}
+	// Rewind reads the old log as flat too.
+	rw, err := reg2.Rewind("beta", 5)
+	if err != nil {
+		t.Fatalf("Rewind: %v", err)
+	}
+	if rw.Kind() != "flat" {
+		t.Fatalf("beta rewound as %s", rw.Kind())
+	}
+	sameLabels(t, "beta@5", rw.CanonicalLabels(), oracleLabels(n, beta[:5]))
+
+	// New batches and a checkpoint land in the same file, under the old
+	// header, and survive a second restore.
+	more := durBatches(n, 4, 6, 53)
+	ingest(t, ub2, more[:2])
+	if err := ub2.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	ingest(t, ub2, more[2:])
 	reg2.Close()
+	if m, err := wal.ReadMeta(betaLog); err != nil || m.Kind != 2 || m.Shards != 2 {
+		t.Fatalf("beta header after appends = %+v, %v; want the sharded header kept", m, err)
+	}
+	reg3 := dsu.NewRegistry(dsu.WithDurability(dir))
+	if _, err := reg3.RestoreTenants(); err != nil {
+		t.Fatalf("second restore: %v", err)
+	}
+	ub3, _ := reg3.Get("beta")
+	all := append(append([][]dsu.Edge{}, beta...), more...)
+	if ub3.Kind() != "flat" || ub3.Seq() != uint64(len(all)) {
+		t.Fatalf("beta re-restored as %s at seq %d, want flat at %d", ub3.Kind(), ub3.Seq(), len(all))
+	}
+	sameLabels(t, "beta after appends", ub3.CanonicalLabels(), oracleLabels(n, all))
+	reg3.Close()
 
 	// A non-durable registry has nothing to restore.
 	if _, err := dsu.NewRegistry().RestoreTenants(); !errors.Is(err, dsu.ErrNotDurable) {

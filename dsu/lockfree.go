@@ -29,7 +29,6 @@ type LockFree struct {
 // 0..n−1. It panics if n is out of range or the options are inconsistent:
 // the find strategy must be NoCompaction, OneTrySplitting,
 // TwoTrySplitting, or FindAuto, and early termination is not supported.
-// WithShards is ignored, as in New.
 func NewLockFree(n int, opts ...Option) *LockFree {
 	cfg := defaultConfig()
 	for _, o := range opts {

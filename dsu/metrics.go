@@ -29,12 +29,10 @@ import (
 // Per tenant (label "tenant"; batch series split by "op" = unite|query):
 //
 //	dsu_batches_total{tenant,op}            executed batch calls
-//	dsu_batch_edges_total{tenant,op}        batch elements before filtering
-//	dsu_find_steps_total{tenant,op}         find-loop iterations, all phases
+//	dsu_batch_edges_total{tenant,op}        batch elements (edges or pairs)
+//	dsu_find_steps_total{tenant,op}         find-loop iterations
 //	dsu_batch_seconds{tenant,op}            end-to-end batch latency histogram
 //	dsu_merged_edges_total{tenant}          edges that performed a merge
-//	dsu_filtered_edges_total{tenant}        edges dropped by filter passes
-//	dsu_screen_find_steps_total{tenant}     ConnectedFilter screen find work
 //	dsu_cas_retries_total{tenant}           root-link CAS retries (contention)
 //	dsu_find_variant_total{tenant,find}     query batches by resolved variant
 //	dsu_tenant_seq{tenant}                  applied-batch sequence (gauge)
@@ -49,16 +47,14 @@ import (
 type Metrics struct {
 	reg *metrics.Registry
 
-	batches     *metrics.CounterVec
-	edges       *metrics.CounterVec
-	findSteps   *metrics.CounterVec
-	latency     *metrics.HistogramVec
-	merged      *metrics.CounterVec
-	filtered    *metrics.CounterVec
-	screenFinds *metrics.CounterVec
-	casRetries  *metrics.CounterVec
-	picks       *metrics.CounterVec
-	seq         *metrics.GaugeVec
+	batches    *metrics.CounterVec
+	edges      *metrics.CounterVec
+	findSteps  *metrics.CounterVec
+	latency    *metrics.HistogramVec
+	merged     *metrics.CounterVec
+	casRetries *metrics.CounterVec
+	picks      *metrics.CounterVec
+	seq        *metrics.GaugeVec
 
 	streamsActive   *metrics.GaugeVec
 	streamInFlight  *metrics.GaugeVec
@@ -71,17 +67,15 @@ type Metrics struct {
 func NewMetrics() *Metrics {
 	reg := metrics.NewRegistry()
 	return &Metrics{
-		reg:         reg,
-		batches:     reg.CounterVec("dsu_batches_total", "Batch calls executed, by tenant and operation kind.", "tenant", "op"),
-		edges:       reg.CounterVec("dsu_batch_edges_total", "Batch elements received (edges or query pairs), before filter passes.", "tenant", "op"),
-		findSteps:   reg.CounterVec("dsu_find_steps_total", "Find-loop iterations across every batch phase (workers, shards, bridge, re-anchoring, filters).", "tenant", "op"),
-		latency:     reg.HistogramVec("dsu_batch_seconds", "End-to-end batch wall-clock latency in seconds, filter passes included.", nil, "tenant", "op"),
-		merged:      reg.CounterVec("dsu_merged_edges_total", "Unite-batch edges that performed a merge.", "tenant"),
-		filtered:    reg.CounterVec("dsu_filtered_edges_total", "Edges dropped before dispatch by Prefilter dedup or the ConnectedFilter screen.", "tenant"),
-		screenFinds: reg.CounterVec("dsu_screen_find_steps_total", "Find-loop iterations spent in ConnectedFilter screen passes.", "tenant"),
-		casRetries:  reg.CounterVec("dsu_cas_retries_total", "Root-link CAS attempts that lost a race to a concurrent link and retried, summed over unite batches (contention on roots).", "tenant"),
-		picks:       reg.CounterVec("dsu_find_variant_total", "Query batches by the find variant that actually ran (the adaptive policy's picks).", "tenant", "find"),
-		seq:         reg.GaugeVec("dsu_tenant_seq", "Applied-batch sequence number: the durable log position when persistence is on, a plain batch count otherwise. Compare across replicas.", "tenant"),
+		reg:        reg,
+		batches:    reg.CounterVec("dsu_batches_total", "Batch calls executed, by tenant and operation kind.", "tenant", "op"),
+		edges:      reg.CounterVec("dsu_batch_edges_total", "Batch elements received (edges or query pairs).", "tenant", "op"),
+		findSteps:  reg.CounterVec("dsu_find_steps_total", "Find-loop iterations across the batch's workers.", "tenant", "op"),
+		latency:    reg.HistogramVec("dsu_batch_seconds", "End-to-end batch wall-clock latency in seconds.", nil, "tenant", "op"),
+		merged:     reg.CounterVec("dsu_merged_edges_total", "Unite-batch edges that performed a merge.", "tenant"),
+		casRetries: reg.CounterVec("dsu_cas_retries_total", "Root-link CAS attempts that lost a race to a concurrent link and retried, summed over unite batches (contention on roots).", "tenant"),
+		picks:      reg.CounterVec("dsu_find_variant_total", "Query batches by the find variant that actually ran (the adaptive policy's picks).", "tenant", "find"),
+		seq:        reg.GaugeVec("dsu_tenant_seq", "Applied-batch sequence number: the durable log position when persistence is on, a plain batch count otherwise. Compare across replicas.", "tenant"),
 
 		streamsActive:   reg.GaugeVec("dsu_streams_active", "Open streams (ingestion pipelines).", "tenant"),
 		streamInFlight:  reg.GaugeVec("dsu_stream_inflight_batches", "Sealed stream batches past the accumulator: queued, blocked, or executing.", "tenant"),
@@ -128,11 +122,9 @@ func (m *Metrics) instruments(tenant string) *exec.Instruments {
 			FindSteps: m.findSteps.With(tenant, "query"),
 			Latency:   m.latency.With(tenant, "query"),
 		},
-		Merged:          m.merged.With(tenant),
-		Filtered:        m.filtered.With(tenant),
-		ScreenFindSteps: m.screenFinds.With(tenant),
-		CASRetries:      m.casRetries.With(tenant),
-		Seq:             m.seq.With(tenant),
+		Merged:     m.merged.With(tenant),
+		CASRetries: m.casRetries.With(tenant),
+		Seq:        m.seq.With(tenant),
 	}
 	for f := core.FindNaive; f <= core.FindCompress; f++ {
 		ins.Picks[f] = m.picks.With(tenant, f.String())
@@ -178,15 +170,13 @@ type TenantMetrics struct {
 	Instrumented bool
 
 	// UniteBatches/QueryBatches count executed batch calls; UniteEdges/
-	// QueryPairs their elements (before filter passes).
+	// QueryPairs their elements.
 	UniteBatches, QueryBatches int64
 	UniteEdges, QueryPairs     int64
-	// Merged counts edges that performed a merge; Filtered counts edges
-	// dropped by filter passes.
-	Merged, Filtered int64
-	// FindSteps sums find-loop iterations across unite and query batches
-	// (every phase); ScreenFindSteps is the ConnectedFilter screen's share.
-	FindSteps, ScreenFindSteps int64
+	// Merged counts edges that performed a merge.
+	Merged int64
+	// FindSteps sums find-loop iterations across unite and query batches.
+	FindSteps int64
 	// CASRetries counts root-link CAS retries across unite batches.
 	CASRetries int64
 	// Seq is the applied-batch sequence gauge (Universe.Seq as last
@@ -214,9 +204,7 @@ func (u *Universe) Metrics() TenantMetrics {
 		UniteEdges:            ins.Unite.Edges.Value(),
 		QueryPairs:            ins.Query.Edges.Value(),
 		Merged:                ins.Merged.Value(),
-		Filtered:              ins.Filtered.Value(),
 		FindSteps:             ins.Unite.FindSteps.Value() + ins.Query.FindSteps.Value(),
-		ScreenFindSteps:       ins.ScreenFindSteps.Value(),
 		CASRetries:            ins.CASRetries.Value(),
 		Seq:                   ins.Seq.Value(),
 		VariantPicks:          make(map[FindStrategy]int64),

@@ -28,7 +28,6 @@ func TestMetricsMatchReplies(t *testing.T) {
 		opts []Option
 	}{
 		{"flat", nil},
-		{"sharded", []Option{WithShards(4)}},
 		{"lockfree", []Option{WithKind(KindLockFree)}},
 	}
 	for _, k := range kinds {
@@ -43,9 +42,6 @@ func TestMetricsMatchReplies(t *testing.T) {
 			var want TenantMetrics
 			for batch := 0; batch < 5; batch++ {
 				req := UniteRequest{Edges: metricsEdges(n, 700, int64(batch))}
-				if batch%2 == 0 {
-					req.Options.ConnectedFilter = true
-				}
 				rep, err := u.UniteAll(req)
 				if err != nil {
 					t.Fatal(err)
@@ -53,7 +49,6 @@ func TestMetricsMatchReplies(t *testing.T) {
 				want.UniteBatches++
 				want.UniteEdges += int64(len(req.Edges))
 				want.Merged += rep.Merged
-				want.Filtered += int64(rep.Filtered)
 				want.FindSteps += rep.Stats.FindSteps
 				want.CASRetries += rep.CASRetries
 			}
@@ -80,9 +75,6 @@ func TestMetricsMatchReplies(t *testing.T) {
 			}
 			if got.Merged != want.Merged {
 				t.Errorf("Merged = %d, want %d", got.Merged, want.Merged)
-			}
-			if got.Filtered != want.Filtered {
-				t.Errorf("Filtered = %d, want %d", got.Filtered, want.Filtered)
 			}
 			if got.FindSteps != want.FindSteps {
 				t.Errorf("FindSteps = %d, want %d", got.FindSteps, want.FindSteps)

@@ -1,28 +1,26 @@
 package dsu
 
 type config struct {
-	find   FindStrategy
-	early  bool
-	seed   uint64
-	shards int
-	kind   Kind
+	find  FindStrategy
+	early bool
+	seed  uint64
+	kind  Kind
 }
 
-// Kind names a structure kind — which of the package's three backends a
+// Kind names a structure kind — which of the package's two backends a
 // Registry.Create (or a remote tenant-create request) selects. The zero
-// value means "unset": shard-count resolution applies (a positive
-// WithShards selects KindSharded, otherwise KindFlat).
+// value means "unset", which selects KindFlat. The values are the kind
+// byte of a durable tenant's log header, so they are fixed: 2 belonged to
+// a retired sharded kind, and a log carrying it recovers as KindFlat.
 type Kind int
 
 const (
 	// KindFlat is the single parent-array structure (New).
-	KindFlat Kind = iota + 1
-	// KindSharded is the two-level partitioned structure (NewSharded).
-	KindSharded
+	KindFlat Kind = 1
 	// KindLockFree is the lock-free concurrent structure (NewLockFree):
 	// the whole operation surface, batches included, is safe under full
 	// concurrency with no quiescence requirement.
-	KindLockFree
+	KindLockFree Kind = 3
 )
 
 // String returns the kind name used in tenant info and experiment tables.
@@ -30,8 +28,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindFlat:
 		return "flat"
-	case KindSharded:
-		return "sharded"
 	case KindLockFree:
 		return "lockfree"
 	default:
@@ -64,9 +60,9 @@ func WithFind(f FindStrategy) Option {
 // in a flatness estimator and downgrades query batches (SameSetAll) to
 // cheaper find variants — two-try → one-try → naive — while the forest is
 // flat, restoring compacting variants once mutation batches churn it.
-// Honored uniformly by the flat DSU, the sharded DSU, and any Stream over
-// either; partitions and answers are identical to fixed variants in every
-// mode (the find variant never changes which unites merge).
+// Honored uniformly by every structure kind and any Stream over one;
+// partitions and answers are identical to fixed variants in every mode
+// (the find variant never changes which unites merge).
 func WithAdaptiveFind() Option {
 	return optionFunc(func(c *config) { c.find = FindAuto })
 }
@@ -86,20 +82,10 @@ func WithSeed(seed uint64) Option {
 	return optionFunc(func(c *config) { c.seed = seed })
 }
 
-// WithShards routes a shard count through the option list: a positive value
-// overrides NewSharded's positional count, so plumbing that carries one
-// []Option can select the partition too. New, NewDynamic, and NewLockFree
-// ignore it.
-func WithShards(shards int) Option {
-	return optionFunc(func(c *config) { c.shards = shards })
-}
-
 // WithKind selects the structure kind for plumbing that carries one
 // []Option — Registry.Create and the network front end's tenant-create
-// path. An explicit kind wins over shard-count resolution; KindSharded
-// without a shard count uses one shard per available CPU. The direct
-// constructors (New, NewSharded, NewLockFree) each build their own kind
-// and ignore it.
+// path; unset selects KindFlat. The direct constructors (New,
+// NewLockFree) each build their own kind and ignore it.
 func WithKind(k Kind) Option {
 	return optionFunc(func(c *config) { c.kind = k })
 }

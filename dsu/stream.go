@@ -11,8 +11,8 @@ import (
 
 // BatchResult reports one executed stream batch to the OnBatch callback:
 // batch id (1-based seal order), edge count, the full unified execution
-// record (merges, filter drops, per-phase fields, Stats(), elapsed time),
-// and the execution error for abandoned batches.
+// record (merges, Stats(), elapsed time), and the execution error for
+// abandoned batches.
 type BatchResult = pipeline.Result
 
 // ErrStreamClosed is reported by Stream.Push and Stream.Flush after Close.
@@ -91,39 +91,37 @@ func WithOnBatch(fn func(BatchResult)) StreamOption {
 }
 
 // WithBatchOptions sets the BatchOptions applied to every batch the
-// stream dispatches — worker count, grain, filters. A Flush call may
+// stream dispatches — worker count, grain. A Flush call may
 // override them per batch: its options apply after these, so they win
 // field by field.
 func WithBatchOptions(opts ...BatchOption) StreamOption {
 	return streamOptionFunc(func(c *streamConfig) { c.defaults = opts })
 }
 
-// Stream is the asynchronous ingestion front over a DSU or Sharded
-// backend: Push accumulates edges into batches that a background
-// dispatcher drives through UniteAll while the next batch fills, so the
-// caller streams edges instead of blocking per batch. Batches execute
-// strictly in seal order on one dispatcher, which is why a stream
-// produces exactly the partition of a blocking UniteAll loop over the
-// same edge sequence — on either backend, for any buffer size. Over a
+// Stream is the asynchronous ingestion front over any Backend: Push
+// accumulates edges into batches that a background dispatcher drives
+// through UniteAll while the next batch fills, so the caller streams
+// edges instead of blocking per batch. Batches execute strictly in seal
+// order on one dispatcher, which is why a stream produces exactly the
+// partition of a blocking UniteAll loop over the same edge sequence, for
+// any buffer size. Over a
 // ConcurrentBackend, WithConcurrentBatches trades the ordering for
 // overlap: up to MaxInFlight batches execute simultaneously, with the
 // same final partition.
 //
 // Push, Flush, and Close are safe for concurrent producers. Concurrent
-// queries against the backend (SameSet, Find) follow the backend's own
-// contract: on *DSU they are linearizable against whatever batches have
-// executed; on *Sharded the true-is-definite rule applies. The backend
-// must not be mutated outside the stream while the stream is open if
-// batch/blocking equivalence is to hold.
+// queries against the backend (SameSet, Find) are linearizable against
+// whatever batches have executed. The backend must not be mutated
+// outside the stream while the stream is open if batch/blocking
+// equivalence is to hold.
 type Stream struct {
 	p        *pipeline.Pipeline
 	defaults []BatchOption
 
-	batches  atomic.Uint64
-	edges    atomic.Int64
-	merged   atomic.Int64
-	filtered atomic.Int64
-	failed   atomic.Uint64
+	batches atomic.Uint64
+	edges   atomic.Int64
+	merged  atomic.Int64
+	failed  atomic.Uint64
 }
 
 // NewStream starts a stream ingesting into b. The returned Stream owns a
@@ -183,7 +181,6 @@ func (u *Universe) NewStream(opts ...StreamOption) *Stream {
 				s.failed.Add(1)
 			} else {
 				s.merged.Add(r.Merged)
-				s.filtered.Add(int64(r.Filtered))
 			}
 			if cfg.onBatch != nil {
 				cfg.onBatch(r)
@@ -214,7 +211,7 @@ func (s *Stream) PushLinked(link TraceContext, edges ...Edge) error {
 // Flush seals the current buffer even below the threshold. Options, if
 // given, override the stream's WithBatchOptions defaults for this batch
 // only (applied after them, so they win field by field) — per-batch
-// worker counts or filters without rebuilding the stream. Flushing an
+// worker counts or grains without rebuilding the stream. Flushing an
 // empty buffer is a no-op.
 //
 // Once the stream context (WithStreamContext) is cancelled, Flush fails
@@ -251,10 +248,6 @@ func (s *Stream) Edges() int64 { return s.edges.Load() }
 
 // Merged returns the total merges across successfully executed batches.
 func (s *Stream) Merged() int64 { return s.merged.Load() }
-
-// Filtered returns the total edges dropped by filter passes across
-// successfully executed batches.
-func (s *Stream) Filtered() int64 { return s.filtered.Load() }
 
 // Failed returns the number of abandoned batches (context cancellation or
 // a panicking batch run).

@@ -18,8 +18,8 @@ import (
 // seeded identically so partitions are comparable structure to structure.
 func streamBackends(n int, seed uint64) map[string]func() dsu.Backend {
 	return map[string]func() dsu.Backend{
-		"flat":    func() dsu.Backend { return dsu.New(n, dsu.WithSeed(seed)) },
-		"sharded": func() dsu.Backend { return dsu.NewSharded(n, 3, dsu.WithSeed(seed)) },
+		"flat":     func() dsu.Backend { return dsu.New(n, dsu.WithSeed(seed)) },
+		"lockfree": func() dsu.Backend { return dsu.NewLockFree(n, dsu.WithSeed(seed)) },
 	}
 }
 
@@ -31,11 +31,11 @@ func labelsOf(t *testing.T, b dsu.Backend) []uint32 {
 }
 
 // TestStreamMatchesBlocking is the acceptance cross-validation: for seeds
-// × buffer sizes × {flat, sharded} backends, pushing an edge sequence
+// × buffer sizes × {flat, lockfree} backends, pushing an edge sequence
 // through dsu.Stream (in randomly sized chunks, with occasional explicit
 // flushes) must produce the exact partition of a blocking UniteAll loop
-// over the same sequence, plus the same total merge count on the flat
-// backend. CI runs this under -race.
+// over the same sequence, plus the same total merge count. CI runs this
+// under -race.
 func TestStreamMatchesBlocking(t *testing.T) {
 	const n = 2000
 	for _, seed := range []uint64{1, 7, 42} {
@@ -78,9 +78,7 @@ func TestStreamMatchesBlocking(t *testing.T) {
 					if s.Edges() != int64(len(edges)) {
 						t.Fatalf("stream drained %d edges, pushed %d", s.Edges(), len(edges))
 					}
-					if name == "flat" && s.Merged() != int64(refMerged) {
-						// Sharded merge counts are structural and batching-
-						// dependent (see Sharded docs); flat counts are exact.
+					if s.Merged() != int64(refMerged) {
 						t.Fatalf("stream merged %d, blocking %d", s.Merged(), refMerged)
 					}
 					want, got := labelsOf(t, ref), labelsOf(t, back)
@@ -142,29 +140,28 @@ func TestStreamCallbackOrdering(t *testing.T) {
 }
 
 // TestStreamPerBatchOverrides checks Flush's option overrides reach
-// exactly one batch: a duplicate-heavy prefix flushed with WithPrefilter
-// reports drops, while default batches (no filters) report none.
+// exactly one batch: a batch flushed with WithWorkers(2) and WithGrain(64)
+// runs on that pool and grain, while the next batch, under the stream's
+// one-worker defaults, runs on the caller.
 func TestStreamPerBatchOverrides(t *testing.T) {
 	const n = 500
 	var results []dsu.BatchResult
 	s := dsu.NewStream(dsu.New(n),
 		dsu.WithBufferSize(1<<20), // only explicit flushes seal
+		dsu.WithBatchOptions(dsu.WithWorkers(1)),
 		dsu.WithOnBatch(func(r dsu.BatchResult) { results = append(results, r) }))
 
-	dups := make([]dsu.Edge, 100)
-	for i := range dups {
-		dups[i] = dsu.Edge{X: 1, Y: 2}
-	}
-	if err := s.Push(dups...); err != nil {
+	edges := engine.FromOps(workload.RandomUnions(n, 1000, 13))
+	if err := s.Push(edges...); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(dsu.WithPrefilter()); err != nil {
+	if err := s.Flush(dsu.WithWorkers(2), dsu.WithGrain(64)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Push(dups...); err != nil {
+	if err := s.Push(edges...); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(); err != nil { // stream defaults: no filter
+	if err := s.Flush(); err != nil { // stream defaults: one worker
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -173,17 +170,11 @@ func TestStreamPerBatchOverrides(t *testing.T) {
 	if len(results) != 2 {
 		t.Fatalf("batches = %d, want 2", len(results))
 	}
-	if results[0].Filtered != 99 {
-		t.Errorf("prefiltered batch dropped %d, want 99", results[0].Filtered)
+	if r := results[0]; r.Workers != 2 || r.Grain != 64 {
+		t.Errorf("overridden batch ran %d workers at grain %d, want 2 at 64", r.Workers, r.Grain)
 	}
-	if results[0].Stats().Filtered != 99 {
-		t.Errorf("prefiltered batch stats.Filtered = %d, want 99", results[0].Stats().Filtered)
-	}
-	if results[1].Filtered != 0 {
-		t.Errorf("default batch dropped %d, want 0 (override must not stick)", results[1].Filtered)
-	}
-	if s.Filtered() != 99 {
-		t.Errorf("stream filtered total = %d, want 99", s.Filtered())
+	if r := results[1]; r.Workers != 1 || r.Grain == 64 {
+		t.Errorf("default batch ran %d workers at grain %d, want 1 at the default (override must not stick)", r.Workers, r.Grain)
 	}
 }
 
@@ -218,107 +209,6 @@ func TestStreamContextAbort(t *testing.T) {
 	}
 }
 
-// TestConnectedFilter checks WithConnectedFilter drops exactly the edges
-// that cannot merge: partitions are untouched on both backends, the flat
-// merge count is untouched, drops land in the stats, and on a re-ingested
-// stream the second pass drops every edge.
-func TestConnectedFilter(t *testing.T) {
-	const n = 1200
-	edges := engine.FromOps(workload.CommunityUnions(n, 3*n, 6, 0.85, 91))
-
-	t.Run("flat", func(t *testing.T) {
-		raw, screened := dsu.New(n), dsu.New(n)
-		var st dsu.Stats
-		a := raw.UniteAll(edges)
-		b := screened.UniteAllCounted(edges, &st, dsu.WithConnectedFilter())
-		if a != b {
-			t.Errorf("merged %d raw vs %d screened (flat counts must match)", a, b)
-		}
-		want, got := raw.CanonicalLabels(), screened.CanonicalLabels()
-		for x := range got {
-			if got[x] != want[x] {
-				t.Fatalf("label[%d] = %d, want %d", x, got[x], want[x])
-			}
-		}
-		if st.Filtered == 0 {
-			t.Error("screen on a community batch dropped nothing")
-		}
-		// Re-ingest: everything is now connected, so the screen drops all.
-		var st2 dsu.Stats
-		if again := screened.UniteAllCounted(edges, &st2, dsu.WithConnectedFilter()); again != 0 {
-			t.Errorf("re-ingested batch merged %d, want 0", again)
-		}
-		if st2.Filtered != int64(len(edges)) {
-			t.Errorf("re-ingested screen dropped %d, want %d", st2.Filtered, len(edges))
-		}
-	})
-
-	t.Run("sharded", func(t *testing.T) {
-		flat, screened := dsu.New(n), dsu.NewSharded(n, 4)
-		flat.UniteAll(edges)
-		var st dsu.Stats
-		screened.UniteAllCounted(edges, &st, dsu.WithConnectedFilter(), dsu.WithPrefilter())
-		want, got := flat.CanonicalLabels(), screened.CanonicalLabels()
-		for x := range got {
-			if got[x] != want[x] {
-				t.Fatalf("label[%d] = %d, want %d", x, got[x], want[x])
-			}
-		}
-		if st.Filtered == 0 {
-			t.Error("composed prefilter+screen dropped nothing on a community batch")
-		}
-	})
-
-	t.Run("stream", func(t *testing.T) {
-		ref, back := dsu.New(n), dsu.New(n)
-		ref.UniteAll(edges)
-		s := dsu.NewStream(back,
-			dsu.WithBufferSize(512),
-			dsu.WithBatchOptions(dsu.WithConnectedFilter()))
-		if err := s.Push(edges...); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if s.Filtered() == 0 {
-			t.Error("streamed screen dropped nothing")
-		}
-		want, got := ref.CanonicalLabels(), back.CanonicalLabels()
-		for x := range got {
-			if got[x] != want[x] {
-				t.Fatalf("label[%d] = %d, want %d", x, got[x], want[x])
-			}
-		}
-	})
-}
-
-// TestFilterStatsAccounting pins the satellite fix: filtered-edge counts
-// flow into Stats.Filtered consistently on the flat and sharded batch
-// paths, and a filterless run reports zero.
-func TestFilterStatsAccounting(t *testing.T) {
-	const n = 800
-	edges := engine.FromOps(workload.ZipfMixed(n, 4*n, 1.0, 1.3, 53))
-	dropped := len(edges) - len(dsu.Prefilter(edges))
-	if dropped == 0 {
-		t.Fatal("test batch has no duplicates; pick a different seed")
-	}
-
-	var flatSt, shardSt, cleanSt dsu.Stats
-	dsu.New(n).UniteAllCounted(edges, &flatSt, dsu.WithPrefilter())
-	dsu.NewSharded(n, 3).UniteAllCounted(edges, &shardSt, dsu.WithPrefilter())
-	dsu.New(n).UniteAllCounted(edges, &cleanSt)
-	if flatSt.Filtered != int64(dropped) {
-		t.Errorf("flat Stats.Filtered = %d, want %d", flatSt.Filtered, dropped)
-	}
-	if shardSt.Filtered != int64(dropped) {
-		t.Errorf("sharded Stats.Filtered = %d, want %d (flat and sharded must agree)", shardSt.Filtered, dropped)
-	}
-	if cleanSt.Filtered != 0 {
-		t.Errorf("filterless Stats.Filtered = %d, want 0", cleanSt.Filtered)
-	}
-}
-
 // TestStreamSoak is the randomized shutdown/ordering soak CI runs under
 // -race on the GOMAXPROCS matrix: concurrent producers hammer one stream
 // per iteration with pushes and flushes, Close drains, and the final
@@ -340,7 +230,7 @@ func TestStreamSoak(t *testing.T) {
 
 		var back dsu.Backend = dsu.New(n, dsu.WithSeed(seed))
 		if it%2 == 1 {
-			back = dsu.NewSharded(n, 1+it%4, dsu.WithSeed(seed))
+			back = dsu.NewLockFree(n, dsu.WithSeed(seed))
 		}
 		var delivered int64
 		var mu sync.Mutex

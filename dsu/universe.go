@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -17,7 +16,7 @@ import (
 )
 
 // A Universe is the tenant-scoped view of one disjoint-set structure: a
-// name, a Backend (flat or sharded, fixed or adaptive — whatever the
+// name, a Backend (flat or lock-free, fixed or adaptive — whatever the
 // construction options selected), and the request/response surface remote
 // and in-process callers share. The DTO methods (UniteAll, SameSetAll)
 // take plain-data requests, validate them against the universe — element
@@ -61,17 +60,13 @@ func (u *Universe) Name() string { return u.name }
 // Backend returns the wrapped structure.
 func (u *Universe) Backend() Backend { return u.b }
 
-// Kind reports the structure kind: "flat" for *DSU, "sharded" for
-// *Sharded, "lockfree" for *LockFree.
+// Kind reports the structure kind: "flat" for *DSU, "lockfree" for
+// *LockFree.
 func (u *Universe) Kind() string {
-	switch u.b.(type) {
-	case *Sharded:
-		return KindSharded.String()
-	case *LockFree:
+	if _, ok := u.b.(*LockFree); ok {
 		return KindLockFree.String()
-	default:
-		return KindFlat.String()
 	}
+	return KindFlat.String()
 }
 
 // Concurrent reports whether the universe's structure is a
@@ -83,14 +78,6 @@ func (u *Universe) Kind() string {
 func (u *Universe) Concurrent() bool {
 	_, ok := u.b.(ConcurrentBackend)
 	return ok
-}
-
-// Shards returns the shard count of a sharded universe, 0 for a flat one.
-func (u *Universe) Shards() int {
-	if s, ok := u.b.(*Sharded); ok {
-		return s.Shards()
-	}
-	return 0
 }
 
 // Adaptive reports whether the universe runs the adaptive compaction
@@ -123,10 +110,9 @@ func (u *Universe) Snapshot() []uint32        { return u.b.Snapshot() }
 func (u *Universe) ID(x uint32) uint32        { return u.b.ID(x) }
 
 // BatchOptions is the plain-data mirror of the per-batch option vocabulary
-// (WithWorkers, WithGrain, WithPrefilter, WithConnectedFilter) plus an
-// optional per-batch find-variant override — the form a batch's tuning
-// takes inside a request DTO, where a []BatchOption cannot travel. The
-// zero value selects every default.
+// (WithWorkers, WithGrain) plus an optional per-batch find-variant override
+// — the form a batch's tuning takes inside a request DTO, where a
+// []BatchOption cannot travel. The zero value selects every default.
 type BatchOptions struct {
 	// Workers is the batch worker-pool size; values ≤ 0 select
 	// runtime.GOMAXPROCS(0).
@@ -134,12 +120,6 @@ type BatchOptions struct {
 	// Grain is the span-claim granularity; values ≤ 0 select the engine
 	// default (1024).
 	Grain int `json:"grain,omitempty"`
-	// Prefilter runs the self-loop/duplicate dedup pass before dispatch
-	// (WithPrefilter).
-	Prefilter bool `json:"prefilter,omitempty"`
-	// ConnectedFilter screens the batch through SameSet before dispatch
-	// (WithConnectedFilter).
-	ConnectedFilter bool `json:"connected_filter,omitempty"`
 	// Find, when non-zero, overrides the structure's find variant for this
 	// batch. FindAuto is a structure-level policy, not a per-batch value,
 	// and is rejected; Halving and Compression are rejected on structures
@@ -160,12 +140,6 @@ func (o BatchOptions) Options() []BatchOption {
 	if o.Grain > 0 {
 		opts = append(opts, WithGrain(o.Grain))
 	}
-	if o.Prefilter {
-		opts = append(opts, WithPrefilter())
-	}
-	if o.ConnectedFilter {
-		opts = append(opts, WithConnectedFilter())
-	}
 	return opts
 }
 
@@ -177,12 +151,7 @@ func batchOptionsOf(opts []BatchOption) BatchOptions {
 	for _, o := range opts {
 		o.applyBatch(&cfg)
 	}
-	return BatchOptions{
-		Workers:         cfg.Workers,
-		Grain:           cfg.Grain,
-		Prefilter:       cfg.Prefilter,
-		ConnectedFilter: cfg.ConnectedFilter,
-	}
+	return BatchOptions{Workers: cfg.Workers, Grain: cfg.Grain}
 }
 
 // UniteRequest asks a universe to merge across a batch of edges.
@@ -198,7 +167,7 @@ type QueryRequest struct {
 }
 
 // BatchReply reports one executed batch — the response DTO shared by
-// in-process callers and the wire. Merged, Filtered, Find, Elapsed, and
+// in-process callers and the wire. Merged, Find, CASRetries, Elapsed, and
 // Stats carry the execution layer's unified accounting (exec.Result);
 // Answers is filled by query batches only, indexed like the request's
 // Pairs.
@@ -206,10 +175,9 @@ type BatchReply struct {
 	// Answers is nil on unite replies; on query replies it is non-nil and
 	// indexed like the request's Pairs (no omitempty: a zero-pair query's
 	// empty slice must survive the JSON encoding like it does the binary).
-	Answers  []bool       `json:"answers"`
-	Merged   int64        `json:"merged"`
-	Filtered int          `json:"filtered,omitempty"`
-	Find     FindStrategy `json:"find,omitempty"`
+	Answers []bool       `json:"answers"`
+	Merged  int64        `json:"merged"`
+	Find    FindStrategy `json:"find,omitempty"`
 	// CASRetries carries exec.Result.CASRetries: root-link CAS attempts
 	// that lost a race to a concurrent link and retried, summed over the
 	// batch's workers — the contention metric of every kind (zero under
@@ -245,7 +213,6 @@ func replyOf(answers []bool, res exec.Result) BatchReply {
 	return BatchReply{
 		Answers:    answers,
 		Merged:     res.Merged,
-		Filtered:   res.Filtered,
 		Find:       findStrategyOf(res.Find),
 		CASRetries: res.CASRetries,
 		Elapsed:    res.Elapsed,
@@ -268,13 +235,7 @@ func (u *Universe) resolve(o BatchOptions) (exec.Config, error) {
 		o.Workers = MaxBatchWorkers
 	}
 	x := u.b.executor()
-	cfg := exec.Config{
-		Workers:         o.Workers,
-		Grain:           o.Grain,
-		Seed:            x.Seed(),
-		Prefilter:       o.Prefilter,
-		ConnectedFilter: o.ConnectedFilter,
-	}
+	cfg := exec.Config{Workers: o.Workers, Grain: o.Grain, Seed: x.Seed()}
 	switch o.Find {
 	case 0:
 		// Structure default (or the adaptive policy's pick, on query batches).
@@ -326,11 +287,10 @@ func ReplyOf(r BatchResult) BatchReply { return replyOf(nil, r.Result) }
 // UniteAll merges across every edge of the request's batch and reports the
 // run. It is the mutation entry point of the tenant API: requests are
 // validated (element range, find override) and then driven through the
-// structure's execution seam — the same funnel DSU.UniteAll,
-// Sharded.UniteAll, and every Stream batch use, so remote and in-process
-// batches are indistinguishable to the structure and to the adaptive
-// policy. The reply's Merged follows the backend's own counting contract
-// (exact sequential count on flat, structural two-level count on sharded).
+// structure's execution seam — the same funnel DSU.UniteAll and every
+// Stream batch use, so remote and in-process batches are
+// indistinguishable to the structure and to the adaptive policy. The
+// reply's Merged is the exact sequential merge count.
 func (u *Universe) UniteAll(req UniteRequest) (BatchReply, error) {
 	return u.UniteAllTraced(req, nil)
 }
@@ -371,18 +331,15 @@ func ParseFindStrategy(s string) (FindStrategy, error) {
 }
 
 // ParseKind maps a wire- or flag-friendly name to its structure Kind,
-// case-insensitively: "flat", "sharded" (or "shard"), and "lockfree" (or
-// "lock-free", "concurrent"). The empty string and "default" return 0 —
-// unset, letting shard-count resolution choose. Each kind's String()
-// round-trips.
+// case-insensitively: "flat" and "lockfree" (or "lock-free",
+// "concurrent"). The empty string and "default" return 0 — unset, which
+// Create resolves to KindFlat. Each kind's String() round-trips.
 func ParseKind(s string) (Kind, error) {
 	switch strings.ToLower(s) {
 	case "", "default":
 		return 0, nil
 	case "flat":
 		return KindFlat, nil
-	case "sharded", "shard":
-		return KindSharded, nil
 	case "lockfree", "lock-free", "concurrent":
 		return KindLockFree, nil
 	default:
@@ -446,20 +403,17 @@ func (r *Registry) Metrics() *Metrics { return r.metrics }
 func (r *Registry) Tracing() *Tracing { return r.tracing }
 
 // Create builds a new universe under name and registers it. The structure
-// kind is chosen by the option vocabulary: an explicit WithKind wins;
-// otherwise a positive WithShards selects a sharded structure, and flat
-// is the default. KindSharded without a shard count uses one shard per
-// available CPU; KindLockFree rejects WithShards (the lock-free structure
-// is one array), WithEarlyTermination, and the Halving/Compression find
-// strategies (the kind's contract covers the splitting family only).
-// WithFind/WithAdaptiveFind and WithSeed apply as in the
-// constructors. It returns an error — never panics — on a taken name, an
-// out-of-range n, or an inconsistent option set, so remote tenant
-// creation cannot crash a server. The structure is allocated under the
-// registry lock, which keeps the check-then-insert atomic but blocks
-// lookups of other tenants for the allocation's duration — for a very
-// large n that is not brief, so callers exposed to untrusted sizes should
-// cap n (the network front end's MaxN does).
+// kind is chosen by WithKind, flat by default. KindLockFree rejects
+// WithEarlyTermination and the Halving/Compression find strategies (the
+// kind's contract covers the splitting family only).
+// WithFind/WithAdaptiveFind and WithSeed apply as in the constructors. It
+// returns an error — never panics — on a taken name, an out-of-range n, or
+// an inconsistent option set, so remote tenant creation cannot crash a
+// server. The structure is allocated under the registry lock, which keeps
+// the check-then-insert atomic but blocks lookups of other tenants for the
+// allocation's duration — for a very large n that is not brief, so callers
+// exposed to untrusted sizes should cap n (the network front end's MaxN
+// does).
 func (r *Registry) Create(name string, n int, opts ...Option) (*Universe, error) {
 	if name == "" {
 		return nil, errors.New("dsu: universe name must be non-empty")
@@ -481,18 +435,11 @@ func (r *Registry) Create(name string, n int, opts ...Option) (*Universe, error)
 	}
 	kind := cfg.kind
 	if kind == 0 {
-		if cfg.shards > 0 {
-			kind = KindSharded
-		} else {
-			kind = KindFlat
-		}
+		kind = KindFlat
 	}
 	switch kind {
-	case KindFlat, KindSharded:
+	case KindFlat:
 	case KindLockFree:
-		if cfg.shards > 0 {
-			return nil, errors.New("dsu: the lock-free kind does not shard (one atomic parent array)")
-		}
 		if cfg.early {
 			return nil, errors.New("dsu: early termination is not supported by the lock-free kind")
 		}
@@ -508,18 +455,9 @@ func (r *Registry) Create(name string, n int, opts ...Option) (*Universe, error)
 		return nil, fmt.Errorf("dsu: universe %q already exists", name)
 	}
 	var b Backend
-	switch kind {
-	case KindSharded:
-		// Resolve the shard count before the structure (and before the
-		// durable log header records it): a GOMAXPROCS default frozen here
-		// is what lets the log recover identically on a different machine.
-		if cfg.shards <= 0 {
-			cfg.shards = runtime.GOMAXPROCS(0)
-		}
-		b = NewSharded(n, cfg.shards, opts...)
-	case KindLockFree:
+	if kind == KindLockFree {
 		b = NewLockFree(n, opts...)
-	default:
+	} else {
 		b = New(n, opts...)
 	}
 	u := &Universe{name: name, b: b}

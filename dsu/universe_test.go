@@ -18,15 +18,15 @@ func TestRegistryLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := reg.Create("beta", 100, dsu.WithShards(4), dsu.WithAdaptiveFind())
+	lf, err := reg.Create("beta", 100, dsu.WithKind(dsu.KindLockFree), dsu.WithAdaptiveFind())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flat.Kind() != "flat" || flat.Shards() != 0 || flat.Adaptive() {
-		t.Errorf("alpha: kind=%q shards=%d adaptive=%v, want flat/0/false", flat.Kind(), flat.Shards(), flat.Adaptive())
+	if flat.Kind() != "flat" || flat.Concurrent() || flat.Adaptive() {
+		t.Errorf("alpha: kind=%q concurrent=%v adaptive=%v, want flat/false/false", flat.Kind(), flat.Concurrent(), flat.Adaptive())
 	}
-	if sharded.Kind() != "sharded" || sharded.Shards() != 4 || !sharded.Adaptive() {
-		t.Errorf("beta: kind=%q shards=%d adaptive=%v, want sharded/4/true", sharded.Kind(), sharded.Shards(), sharded.Adaptive())
+	if lf.Kind() != "lockfree" || !lf.Concurrent() || !lf.Adaptive() {
+		t.Errorf("beta: kind=%q concurrent=%v adaptive=%v, want lockfree/true/true", lf.Kind(), lf.Concurrent(), lf.Adaptive())
 	}
 	if got := reg.Names(); !reflect.DeepEqual(got, []string{"alpha", "beta"}) {
 		t.Errorf("Names() = %v", got)
@@ -47,6 +47,10 @@ func TestRegistryLifecycle(t *testing.T) {
 			_, err := reg.Create("bad", 10, dsu.WithFind(dsu.Halving), dsu.WithEarlyTermination())
 			return err
 		},
+		// 2 was the retired sharded kind: a log header may still carry it,
+		// but no tenant is created with it.
+		"retired kind": func() error { _, err := reg.Create("bad", 10, dsu.WithKind(dsu.Kind(2))); return err },
+		"unknown kind": func() error { _, err := reg.Create("bad", 10, dsu.WithKind(dsu.Kind(9))); return err },
 	} {
 		if err := build(); err == nil {
 			t.Errorf("%s: Create succeeded, want error", name)
@@ -76,14 +80,14 @@ func TestUniverseDTOEquivalence(t *testing.T) {
 		build func() dsu.Backend
 	}{
 		{"flat", func() dsu.Backend { return dsu.New(n, dsu.WithSeed(5)) }},
-		{"sharded", func() dsu.Backend { return dsu.NewSharded(n, 4, dsu.WithSeed(5)) }},
+		{"lockfree", func() dsu.Backend { return dsu.NewLockFree(n, dsu.WithSeed(5)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			classic := tc.build()
 			viaDTO := dsu.NewUniverse("t", tc.build())
 
-			wantMerged := classic.UniteAll(edges, dsu.WithPrefilter())
-			rep, err := viaDTO.UniteAll(dsu.UniteRequest{Edges: edges, Options: dsu.BatchOptions{Prefilter: true}})
+			wantMerged := classic.UniteAll(edges, dsu.WithGrain(256))
+			rep, err := viaDTO.UniteAll(dsu.UniteRequest{Edges: edges, Options: dsu.BatchOptions{Grain: 256}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,61 +161,8 @@ func TestVeneerPanicsOnRangeViolation(t *testing.T) {
 	d.UniteAll([]dsu.Edge{{X: 1, Y: 9}})
 }
 
-// TestShardedReadParity checks the Backend surface gap is closed:
-// Snapshot, Components, and ID behave coherently on Sharded and match the
-// flat structure's partition semantics.
-func TestShardedReadParity(t *testing.T) {
-	const n, m = 500, 900
-	edges := randomEdges(n, m, 3)
-	flat := dsu.New(n, dsu.WithSeed(9))
-	sh := dsu.NewSharded(n, 3, dsu.WithSeed(9))
-	flat.UniteAll(edges)
-	sh.UniteAll(edges)
-
-	if !reflect.DeepEqual(flat.Components(), sh.Components()) {
-		t.Error("Components() differ between flat and sharded")
-	}
-
-	// Snapshot on sharded is the flattened forest: depth ≤ 1, roots are
-	// global representatives, and tree membership is exactly the partition.
-	snap := sh.Snapshot()
-	if len(snap) != n {
-		t.Fatalf("Snapshot length %d, want %d", len(snap), n)
-	}
-	labels := sh.CanonicalLabels()
-	for x := 0; x < n; x++ {
-		r := snap[x]
-		if snap[r] != r {
-			t.Fatalf("element %d's representative %d is not a root", x, r)
-		}
-		if labels[x] != labels[r] {
-			t.Fatalf("element %d flattened into representative %d of a different set", x, r)
-		}
-		if !sh.SameSet(uint32(x), r) {
-			t.Fatalf("element %d not connected to its snapshot root %d", x, r)
-		}
-	}
-
-	// ID is a permutation of 0..n−1, fixed at construction.
-	seen := make([]bool, n)
-	for x := 0; x < n; x++ {
-		id := sh.ID(uint32(x))
-		if id >= uint32(n) || seen[id] {
-			t.Fatalf("ID(%d) = %d is out of range or duplicated", x, id)
-		}
-		seen[id] = true
-	}
-
-	// The Backend interface exposes all three uniformly.
-	for _, b := range []dsu.Backend{flat, sh} {
-		if len(b.Snapshot()) != n || len(b.Components()) != b.Sets() {
-			t.Errorf("%T: Backend read surface inconsistent", b)
-		}
-		_ = b.ID(0)
-	}
-}
-
-// TestParseFindStrategy checks the wire-name round trip.
+// TestParseFindStrategy checks the wire-name round trips of find
+// strategies and structure kinds.
 func TestParseFindStrategy(t *testing.T) {
 	for _, f := range []dsu.FindStrategy{dsu.NoCompaction, dsu.OneTrySplitting, dsu.TwoTrySplitting, dsu.Halving, dsu.Compression, dsu.FindAuto} {
 		got, err := dsu.ParseFindStrategy(f.String())
@@ -224,6 +175,18 @@ func TestParseFindStrategy(t *testing.T) {
 	}
 	if _, err := dsu.ParseFindStrategy("zorp"); err == nil {
 		t.Error("ParseFindStrategy(zorp) accepted")
+	}
+	// The kind names round-trip the same way; the retired sharded kind and
+	// its shard-count spelling are unknown names.
+	for _, k := range []dsu.Kind{dsu.KindFlat, dsu.KindLockFree} {
+		if got, err := dsu.ParseKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for _, name := range []string{"sharded", "shard", "4"} {
+		if _, err := dsu.ParseKind(name); err == nil {
+			t.Errorf("ParseKind(%q) accepted", name)
+		}
 	}
 }
 

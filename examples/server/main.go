@@ -1,6 +1,6 @@
 // Example server: a remote client of cmd/dsuserve that proves the wire
 // path end to end. It creates three isolated tenants — "alpha" flat,
-// "beta" sharded with the adaptive compaction policy, "gamma" of the
+// "beta" flat with the adaptive compaction policy, "gamma" of the
 // lock-free kind — ingests a random edge batch into alpha over a
 // streaming connection (binary framing, per-batch replies), into beta over
 // batch RPC (JSON debug mode), and into gamma over a pipelined connection
@@ -36,7 +36,6 @@ func main() {
 		addr    = flag.String("addr", "http://127.0.0.1:7421", "dsuserve base URL")
 		n       = flag.Int("n", 20000, "elements per tenant")
 		m       = flag.Int("m", 60000, "edges per tenant")
-		shards  = flag.Int("shards", 4, "shard count for the sharded tenant")
 		seed    = flag.Int64("seed", 42, "edge-generation seed")
 		buffer  = flag.Int("buffer", 4096, "stream buffer (edges)")
 		wait    = flag.Duration("wait", 10*time.Second, "how long to wait for the server to come up")
@@ -67,17 +66,17 @@ func main() {
 	}
 	alphaEdges, betaEdges, gammaEdges := edges(), edges(), edges()
 
-	// Three isolated tenants, three structure kinds, one API.
+	// Three isolated tenants, three configurations, one API.
 	for _, spec := range []server.TenantSpec{
 		{Name: "alpha", N: *n},
-		{Name: "beta", N: *n, Shards: *shards, Find: "auto"},
+		{Name: "beta", N: *n, Find: "auto"},
 		{Name: "gamma", N: *n, Kind: "lockfree"},
 	} {
 		info, err := c.CreateTenant(ctx, spec)
 		if err != nil {
 			log.Fatalf("create %s: %v", spec.Name, err)
 		}
-		log.Printf("tenant %-5s  kind=%-7s shards=%d adaptive=%-5v n=%d", info.Name, info.Kind, info.Shards, info.Adaptive, info.N)
+		log.Printf("tenant %-5s  kind=%-8s adaptive=%-5v n=%d", info.Name, info.Kind, info.Adaptive, info.N)
 	}
 
 	// Alpha: streaming ingest over the binary framing, watching per-batch
@@ -111,7 +110,7 @@ func main() {
 	log.Printf("alpha  stream: %d edges in %d batches, %d merged, %v (%d replies seen)",
 		end.Edges, end.Batches, end.Merged, time.Since(start).Round(time.Millisecond), batches)
 
-	// Beta: batch RPC in the JSON debug mode, prefiltered.
+	// Beta: batch RPC in the JSON debug mode.
 	jc := server.NewClient(*addr, server.WithFormat(wire.JSON))
 	start = time.Now()
 	var betaMerged int64
@@ -120,7 +119,7 @@ func main() {
 		if hi > len(betaEdges) {
 			hi = len(betaEdges)
 		}
-		rep, err := jc.UniteAll(ctx, "beta", dsu.UniteRequest{Edges: betaEdges[i:hi], Options: dsu.BatchOptions{Prefilter: true}})
+		rep, err := jc.UniteAll(ctx, "beta", dsu.UniteRequest{Edges: betaEdges[i:hi]})
 		if err != nil {
 			log.Fatalf("beta unite: %v", err)
 		}
@@ -131,7 +130,7 @@ func main() {
 	// Oracles: the same edges through the in-process API.
 	alphaOracle := dsu.New(*n)
 	alphaOracle.UniteAll(alphaEdges)
-	betaOracle := dsu.NewSharded(*n, *shards, dsu.WithAdaptiveFind())
+	betaOracle := dsu.New(*n, dsu.WithAdaptiveFind())
 	betaOracle.UniteAll(betaEdges)
 
 	fail := 0

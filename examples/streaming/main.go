@@ -1,6 +1,6 @@
 // Streaming computes connected components over a streamed edge list using
 // the asynchronous ingestion front: edges arrive in small chunks (as they
-// would from a network tap, a log shard, or a graph loader) and are pushed
+// would from a network tap, a log, or a graph loader) and are pushed
 // into a dsu.Stream, which accumulates them into double-buffered batches
 // and drives each sealed batch through UniteAll while the next one fills —
 // the caller never blocks per batch, per-batch results arrive through a
@@ -8,9 +8,7 @@
 // Alistarh et al. (2019) identify as the throughput lever: keep the
 // structure's workers fed while ingestion keeps running.
 //
-// The backend is the flat DSU by default; -shards selects the sharded
-// structure to show the stream front is backend-agnostic. The final
-// partition is validated against an exact sequential BFS.
+// The final partition is validated against an exact sequential BFS.
 //
 // -adaptive turns on the adaptive compaction policy (dsu.WithAdaptiveFind):
 // the stream's batches train the flatness estimator, and any query batches
@@ -18,7 +16,7 @@
 // is flat. The partition is identical either way.
 //
 //	go run ./examples/streaming [-n 1000000] [-m 4000000] [-buffer 65536] \
-//	    [-inflight 1] [-workers 0] [-shards 0] [-connected] [-adaptive] [-chunk 8192]
+//	    [-inflight 1] [-workers 0] [-adaptive] [-chunk 8192]
 package main
 
 import (
@@ -34,15 +32,13 @@ import (
 
 func main() {
 	var (
-		n         = flag.Int("n", 1_000_000, "vertices")
-		m         = flag.Int("m", 4_000_000, "streamed edges")
-		buffer    = flag.Int("buffer", 1<<16, "edges per sealed batch (stream buffer size)")
-		inflight  = flag.Int("inflight", 1, "bounded in-flight batches (1 = double buffering)")
-		workers   = flag.Int("workers", 0, "pool size per batch (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", 0, "shard count for the backend (0 = flat DSU)")
-		connected = flag.Bool("connected", false, "screen already-connected edges before each batch")
-		adaptive  = flag.Bool("adaptive", false, "adaptive find-variant policy (dsu.WithAdaptiveFind)")
-		chunk     = flag.Int("chunk", 8192, "arrival granularity (edges per Push)")
+		n        = flag.Int("n", 1_000_000, "vertices")
+		m        = flag.Int("m", 4_000_000, "streamed edges")
+		buffer   = flag.Int("buffer", 1<<16, "edges per sealed batch (stream buffer size)")
+		inflight = flag.Int("inflight", 1, "bounded in-flight batches (1 = double buffering)")
+		workers  = flag.Int("workers", 0, "pool size per batch (0 = GOMAXPROCS)")
+		adaptive = flag.Bool("adaptive", false, "adaptive find-variant policy (dsu.WithAdaptiveFind)")
+		chunk    = flag.Int("chunk", 8192, "arrival granularity (edges per Push)")
 	)
 	flag.Parse()
 	if *buffer <= 0 || *chunk <= 0 {
@@ -57,36 +53,21 @@ func main() {
 	if pool <= 0 {
 		pool = runtime.GOMAXPROCS(0)
 	}
-	batchOpts := []dsu.BatchOption{dsu.WithWorkers(*workers)}
-	if *connected {
-		batchOpts = append(batchOpts, dsu.WithConnectedFilter())
-	}
-
 	structOpts := []dsu.Option{dsu.WithSeed(1)}
 	mode := "two-try splitting"
 	if *adaptive {
 		structOpts = append(structOpts, dsu.WithAdaptiveFind())
 		mode = "adaptive (auto)"
 	}
-	// The common Backend surface means the rest of the program does not
-	// care which structure it got.
-	var backend dsu.Backend
-	if *shards > 0 {
-		d := dsu.NewSharded(*n, *shards, structOpts...)
-		backend = d
-		fmt.Printf("backend: sharded DSU, %d shards, %s finds\n", d.Shards(), mode)
-	} else {
-		backend = dsu.New(*n, structOpts...)
-		fmt.Printf("backend: flat DSU, %s finds\n", mode)
-	}
-	labels, sets := backend.CanonicalLabels, backend.Sets
+	d := dsu.New(*n, structOpts...)
+	fmt.Printf("backend: flat DSU, %s finds\n", mode)
 
 	fmt.Printf("streaming in %d-edge arrivals, %d-edge buffers, %d in flight, %d workers...\n",
 		*chunk, *buffer, *inflight, pool)
-	s := dsu.NewStream(backend,
+	s := dsu.NewStream(d,
 		dsu.WithBufferSize(*buffer),
 		dsu.WithMaxInFlight(*inflight),
-		dsu.WithBatchOptions(batchOpts...),
+		dsu.WithBatchOptions(dsu.WithWorkers(*workers)),
 		dsu.WithOnBatch(func(r dsu.BatchResult) {
 			if r.Err != nil {
 				fmt.Fprintf(os.Stderr, "batch %d failed: %v\n", r.ID, r.Err)
@@ -116,11 +97,11 @@ func main() {
 	fmt.Printf("streamed %d edges in %d batches in %v (%.2f Medges/s)\n",
 		s.Edges(), s.Batches(), elapsed.Round(time.Millisecond),
 		float64(s.Edges())/elapsed.Seconds()/1e6)
-	fmt.Printf("components: %d (merged %d, screened %d)\n", sets(), s.Merged(), s.Filtered())
+	fmt.Printf("components: %d (merged %d)\n", d.Sets(), s.Merged())
 
 	fmt.Println("validating against sequential BFS...")
 	want := graph.RefComponents(*n, stream)
-	got := labels()
+	got := d.CanonicalLabels()
 	for v := range got {
 		if got[v] != want[v] {
 			fmt.Fprintf(os.Stderr, "MISMATCH at vertex %d: streamed label %d, BFS label %d\n",
@@ -128,11 +109,10 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *shards == 0 && *n > 0 && int(s.Merged()) != *n-sets() {
-		// Flat merge counts are exact; sharded counts are structural and
-		// may exceed the component drop (see the Sharded docs).
+	if *n > 0 && int(s.Merged()) != *n-d.Sets() {
+		// Merge counts are exact: each merge drops one component.
 		fmt.Fprintf(os.Stderr, "MISMATCH: merged %d but components dropped by %d\n",
-			s.Merged(), *n-sets())
+			s.Merged(), *n-d.Sets())
 		os.Exit(1)
 	}
 	fmt.Println("OK: streamed components match the exact reference.")
@@ -152,7 +132,7 @@ func main() {
 	qstart := time.Now()
 	var qstats dsu.Stats
 	for k := 0; k < queryBatches; k++ {
-		answers := backend.SameSetAllCounted(queries, &qstats, dsu.WithWorkers(*workers))
+		answers := d.SameSetAllCounted(queries, &qstats, dsu.WithWorkers(*workers))
 		for i, e := range stream {
 			if answers[i] != (want[e.U] == want[e.V]) {
 				fmt.Fprintf(os.Stderr, "MISMATCH: query (%d,%d) answered %v, BFS says %v\n",

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/exec"
-	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -21,17 +20,11 @@ const (
 	adaptQueryBatches = 4
 )
 
-// adaptExecutor builds one executor per (backend, mode) cell: fixed modes
-// configure the structure with that variant, the adaptive mode runs the
-// two-try base plus the flatness estimator.
-func adaptExecutor(backend string, n int, seed uint64, find core.Find, adaptive bool) *exec.Executor {
-	cfg := core.Config{Find: find, Seed: seed}
-	switch backend {
-	case "flat":
-		return exec.NewExecutor(engine.Flat{D: core.New(n, cfg)}, adaptive)
-	default: // sharded
-		return exec.NewExecutor(shard.New(n, 4, cfg), adaptive)
-	}
+// adaptExecutor builds one executor per mode: fixed modes configure the
+// structure with that variant, the adaptive mode runs the two-try base
+// plus the flatness estimator.
+func adaptExecutor(n int, seed uint64, find core.Find, adaptive bool) *exec.Executor {
+	return exec.NewExecutor(engine.Flat{D: core.New(n, core.Config{Find: find, Seed: seed})}, adaptive)
 }
 
 // adaptRun drives the alternating mutate/query phases through one executor
@@ -82,9 +75,9 @@ func pickSummary(picks []core.Find) string {
 // the forest is flat-ish (E18's SameSetAll rows), so a fixed compacting
 // variant pays CAS overhead per query that naive skips — the adaptive mode
 // should track the best fixed variant per phase without being told which.
-// Workloads: uniform, Zipf-skewed, and community-structured streams; flat
-// and 4-shard backends. Throughputs are query-phase only (mutation phases
-// are identical across modes by construction).
+// Workloads: uniform, Zipf-skewed, and community-structured streams.
+// Throughputs are query-phase only (mutation phases are identical across
+// modes by construction).
 func runE21(cfg Config) error {
 	header(cfg, "E21", "Adaptive vs fixed find variants across mutate/query phases", "systems extension; ROADMAP batch-aware compaction item, Alistarh et al. 2019")
 	n := 1 << 20
@@ -117,23 +110,18 @@ func runE21(cfg Config) error {
 	for _, shape := range shapes {
 		fmt.Fprintf(cfg.Out, "### %s stream (n=%d, m=%d; %d rounds × %d query batches of %d pairs)\n\n",
 			shape.name, n, len(shape.edges), adaptRounds, adaptQueryBatches, len(queries))
-		tb := stats.NewTable("mode", "flat q-Mop/s", "shard q-Mop/s")
-		adaptivePicks := map[string]string{}
+		tb := stats.NewTable("mode", "q-Mop/s")
+		var adaptivePicks string
 		for _, mode := range modes {
-			row := []any{mode.name}
-			for _, backend := range []string{"flat", "sharded"} {
-				x := adaptExecutor(backend, n, cfg.Seed+1, mode.find, mode.adaptive)
-				qt, picks := adaptRun(x, shape.edges, queries, workers, cfg.Seed)
-				row = append(row, mops(queryOps, qt))
-				if mode.adaptive {
-					adaptivePicks[backend] = pickSummary(picks)
-				}
+			x := adaptExecutor(n, cfg.Seed+1, mode.find, mode.adaptive)
+			qt, picks := adaptRun(x, shape.edges, queries, workers, cfg.Seed)
+			tb.AddRowf(mode.name, mops(queryOps, qt))
+			if mode.adaptive {
+				adaptivePicks = pickSummary(picks)
 			}
-			tb.AddRowf(row...)
 		}
 		fmt.Fprint(cfg.Out, tb)
-		fmt.Fprintf(cfg.Out, "\nadaptive picks: flat %s | sharded %s\n\n",
-			adaptivePicks["flat"], adaptivePicks["sharded"])
+		fmt.Fprintf(cfg.Out, "\nadaptive picks: %s\n\n", adaptivePicks)
 	}
 
 	fmt.Fprintf(cfg.Out, "Shape check: the per-batch variants behind \"adaptive picks\" must show the\n")

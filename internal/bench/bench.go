@@ -1,10 +1,11 @@
 // Package bench is the experiment harness: one runner per experiment in
-// DESIGN.md's per-experiment index (E1–E25), each regenerating the
-// table/check that validates one of the paper's theorems or constructions
-// (E18 measures the batch engine, E19 the sharded subsystem, E20 the
-// streaming ingestion front, E21 the adaptive compaction policy, E22 the
-// wire protocol, E23 the lock-free kind over the concurrent core, and E24 the
-// zero-allocation wire fast path — the repo's systems extensions).
+// DESIGN.md's per-experiment index (E1–E25; E19 is retired), each
+// regenerating the table/check that validates one of the paper's theorems
+// or constructions (E18 measures the batch engine, E20 the streaming
+// ingestion front, E21 the adaptive compaction policy, E22 the wire
+// protocol, E23 the lock-free kind over the concurrent core, E24 the
+// zero-allocation wire fast path, and E25 durable tenants — the repo's
+// systems extensions).
 // The harness is shared by cmd/dsubench (which writes the tables behind
 // EXPERIMENTS.md) and the root-level Go benchmarks.
 //
@@ -100,21 +101,20 @@ func All() []Experiment {
 		{"E16", "Contention ablation on skewed workloads", "Section 1 (path interactions)", runE16},
 		{"E17", "Section 5 potential properties along executions", "Section 5 properties (i)–(vi)", runE17},
 		{"E18", "Batch engine throughput and speedup", "systems extension; Fedorov et al. 2023, Alistarh et al. 2019", runE18},
-		{"E19", "Sharded DSU vs flat engine", "systems extension; ROADMAP sharding item, Fedorov et al. 2023", runE19},
 		{"E20", "Stream vs blocking-batch ingestion", "systems extension; ROADMAP async-pipelines item, Alistarh et al. 2019", runE20},
 		{"E21", "Adaptive vs fixed find variants across mutate/query phases", "systems extension; ROADMAP batch-aware compaction item, Alistarh et al. 2019", runE21},
 		{"E22", "Wire-protocol throughput: remote vs in-process batches", "systems extension; ROADMAP wire-measurement item", runE22},
-		{"E23", "Lock-free kind (concurrent core) vs sharded", "Jayanti–Tarjan Section 3; systems extension, ROADMAP one-concurrent-core item", runE23},
+		{"E23", "Lock-free kind (concurrent core): batch, point-op and overlap scaling", "Jayanti–Tarjan Section 3; systems extension, ROADMAP one-concurrent-core item", runE23},
 		{"E24", "Wire fast path: pipelined pooled codecs vs per-RPC exchanges", "systems extension; E22 follow-up, ROADMAP wire-measurement item", runE24},
 		{"E25", "Durable tenants: WAL ingest cost and recovery time", "systems extension; ROADMAP durable-tenants item", runE25},
 	}
 }
 
 // aliases maps friendly experiment names to IDs, for the CLI.
-var aliases = map[string]string{"batch": "E18", "shard": "E19", "stream": "E20", "adapt": "E21", "wire": "E22", "lockfree": "E23", "fastpath": "E24", "wal": "E25", "durable": "E25"}
+var aliases = map[string]string{"batch": "E18", "stream": "E20", "adapt": "E21", "wire": "E22", "lockfree": "E23", "fastpath": "E24", "wal": "E25", "durable": "E25"}
 
 // ByID returns the experiment with the given ID or alias, matched
-// case-insensitively so `-exp e19` and `-exp E19` name the same table.
+// case-insensitively so `-exp e20` and `-exp E20` name the same table.
 func ByID(id string) (Experiment, bool) {
 	if canonical, ok := aliases[strings.ToLower(id)]; ok {
 		id = canonical

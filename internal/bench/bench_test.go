@@ -8,8 +8,8 @@ import (
 
 func TestAllExperimentsRegistered(t *testing.T) {
 	all := All()
-	if len(all) != 25 {
-		t.Fatalf("registered %d experiments, want 25 (E1–E25)", len(all))
+	if len(all) != 24 {
+		t.Fatalf("registered %d experiments, want 24 (E1–E25, E19 retired)", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
@@ -33,9 +33,6 @@ func TestByID(t *testing.T) {
 	if e, ok := ByID("batch"); !ok || e.ID != "E18" {
 		t.Fatal("ByID(batch) should alias E18")
 	}
-	if e, ok := ByID("shard"); !ok || e.ID != "E19" {
-		t.Fatal("ByID(shard) should alias E19")
-	}
 	if e, ok := ByID("stream"); !ok || e.ID != "E20" {
 		t.Fatal("ByID(stream) should alias E20")
 	}
@@ -51,9 +48,15 @@ func TestByID(t *testing.T) {
 	if e, ok := ByID("wal"); !ok || e.ID != "E25" {
 		t.Fatal("ByID(wal) should alias E25")
 	}
-	for _, id := range []string{"e19", "E19", "SHARD"} {
-		if e, ok := ByID(id); !ok || e.ID != "E19" {
-			t.Fatalf("ByID(%q) should resolve case-insensitively to E19", id)
+	for _, id := range []string{"e20", "E20", "STREAM"} {
+		if e, ok := ByID(id); !ok || e.ID != "E20" {
+			t.Fatalf("ByID(%q) should resolve case-insensitively to E20", id)
+		}
+	}
+	// E19 (sharded vs flat) is retired, and its alias with it.
+	for _, id := range []string{"E19", "shard"} {
+		if _, ok := ByID(id); ok {
+			t.Fatalf("ByID(%q) should not exist", id)
 		}
 	}
 }

@@ -46,15 +46,14 @@ func runCorePoints(n int, seed uint64, perProc [][]workload.Op) (time.Duration, 
 }
 
 // runE23 measures the lock-free kind — the flat core and engine serving
-// concurrent callers — against the sharded kind on uniform, Zipf-skewed,
-// and community-structured batches, then measures the regime the
-// concurrent capability exists for: point-operation scaling from p
-// unsynchronized goroutines and genuinely overlapping UniteAll calls on
-// one structure. CAS-retry columns expose the price of optimism: a retry
-// is a unite whose link CAS lost to a concurrent link and had to re-find
-// its roots.
+// concurrent callers — on uniform, Zipf-skewed, and community-structured
+// batches, then measures the regime the concurrent capability exists for:
+// point-operation scaling from p unsynchronized goroutines and genuinely
+// overlapping UniteAll calls on one structure. CAS-retry columns expose the
+// price of optimism: a retry is a unite whose link CAS lost to a concurrent
+// link and had to re-find its roots.
 func runE23(cfg Config) error {
-	header(cfg, "E23", "Lock-free kind (concurrent core) vs sharded", "Jayanti–Tarjan Section 3; systems extension, ROADMAP one-concurrent-core item")
+	header(cfg, "E23", "Lock-free kind (concurrent core): batch, point-op and overlap scaling", "Jayanti–Tarjan Section 3; systems extension, ROADMAP one-concurrent-core item")
 	n := 1 << 20
 	if cfg.Quick {
 		n = 1 << 16
@@ -91,22 +90,13 @@ func runE23(cfg Config) error {
 			row = append(row, mops(len(shape.edges), res.Elapsed))
 		}
 		tb.AddRowf(append(row, fmt.Sprintf("%.4f", lastRetries))...)
-
-		row = []any{"sharded-4"}
-		for _, w := range workerSweep {
-			res := bestShardedUniteAll(n, 4, cfg.Seed+1, shape.edges, engine.Config{Workers: w, Seed: cfg.Seed})
-			lastRetries = float64(res.CASRetries) / float64(len(shape.edges))
-			row = append(row, mops(len(shape.edges), res.Elapsed))
-		}
-		tb.AddRowf(append(row, fmt.Sprintf("%.4f", lastRetries))...)
 		fmt.Fprint(cfg.Out, tb)
 		fmt.Fprintln(cfg.Out)
 	}
 
 	// Table 2: point-operation scaling. This is the paper's own regime —
 	// p asynchronous processes issuing Unite/SameSet with no batch framing
-	// and no locks anywhere. The sharded kind cannot play: its point
-	// mutations serialize on a lock.
+	// and no locks anywhere.
 	fmt.Fprintf(cfg.Out, "### core point ops, p goroutines (n=%d, 60%% unite mixed workload)\n\n", n)
 	tb := stats.NewTable("p", "Mop/s", "retries/op")
 	opsEach := m / 4
@@ -128,8 +118,7 @@ func runE23(cfg Config) error {
 	// Table 3: overlapping batches — k concurrent UniteAll calls on ONE
 	// structure (total edges fixed), against the same edges pushed through
 	// one 2-worker batch. The engine holds no barrier against other calls,
-	// so the k runs genuinely overlap; the sharded kind would serialize
-	// them on its mutation lock.
+	// so the k runs genuinely overlap.
 	fmt.Fprintf(cfg.Out, "### overlapping UniteAll calls, one core structure (uniform, m=%d)\n\n", len(shapes[0].edges))
 	tb = stats.NewTable("k batches × w=2", "Mop/s", "retries/op", "merged Σ")
 	edges := shapes[0].edges

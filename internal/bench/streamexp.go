@@ -12,7 +12,7 @@ import (
 
 // streamChunk is the Push granularity of the stream measurements: edges
 // "arrive" a few thousand at a time, as they would off a network tap or a
-// log shard, regardless of the batch buffer size under test.
+// log, regardless of the batch buffer size under test.
 const streamChunk = 8192
 
 // blockingIngest drives the edge list through buffer-sized blocking
@@ -70,8 +70,7 @@ func bestOf(run func() time.Duration) time.Duration {
 
 // runE20 measures the streaming ingestion front against blocking batched
 // ingestion: buffer sizes × worker counts on uniform, Zipf-skewed, and
-// community-structured edge streams, flat backend per cell, plus a sharded
-// comparison and the connected screen's re-ingestion win. The stream's
+// community-structured edge streams. The stream's
 // upside is overlap — accumulation and chunk copying proceed while the
 // dispatcher executes the previous batch — so it needs at least two real
 // cores to show; on a single-core host the stream pays its plumbing with
@@ -122,53 +121,7 @@ func runE20(cfg Config) error {
 		fmt.Fprintln(cfg.Out)
 	}
 
-	// Sharded backend: the stream front is backend-agnostic, so one line
-	// on the community stream (sharding's sweet spot) records the combined
-	// overlap + locality picture at the middle buffer size.
-	community := shapes[2].edges
-	shStrm := bestOf(func() time.Duration {
-		return streamIngest(func() dsu.Backend {
-			return dsu.NewSharded(n, 4, dsu.WithSeed(cfg.Seed+1))
-		}, community, 1<<16, 4)
-	})
-	flatStrm := bestOf(func() time.Duration {
-		return streamIngest(func() dsu.Backend {
-			return dsu.New(n, dsu.WithSeed(cfg.Seed+1))
-		}, community, 1<<16, 4)
-	})
-	fmt.Fprintf(cfg.Out, "Sharded backend on the community stream (buffer=%d, w=4): flat %.2f Mop/s, 4 shards %.2f Mop/s.\n",
-		1<<16, mops(len(community), flatStrm), mops(len(community), shStrm))
-
-	// Connected screen on a re-ingested stream: the whole stream arrives a
-	// second time (log replay), so every second-pass edge is already
-	// connected and the screen's SameSet pass replaces the engine's unite
-	// pass. Measured end to end across both passes.
-	reingest := func(opts ...dsu.BatchOption) time.Duration {
-		s := dsu.NewStream(dsu.New(n, dsu.WithSeed(cfg.Seed+2)),
-			dsu.WithBufferSize(1<<16),
-			dsu.WithBatchOptions(append([]dsu.BatchOption{dsu.WithWorkers(4)}, opts...)...),
-			dsu.WithOnBatch(requireBatch))
-		start := time.Now()
-		for pass := 0; pass < 2; pass++ {
-			for lo := 0; lo < len(community); lo += streamChunk {
-				hi := min(lo+streamChunk, len(community))
-				if err := s.Push(community[lo:hi]...); err != nil {
-					panic(fmt.Sprintf("bench: stream push failed: %v", err))
-				}
-			}
-		}
-		if err := s.Close(); err != nil {
-			panic(fmt.Sprintf("bench: stream close failed: %v", err))
-		}
-		return time.Since(start)
-	}
-	raw := bestOf(func() time.Duration { return reingest() })
-	screened := bestOf(func() time.Duration { return reingest(dsu.WithConnectedFilter()) })
-	fmt.Fprintf(cfg.Out, "Re-ingested community stream (2 passes, %d edges): raw %.2f Mop/s, connected screen %.2f Mop/s (× %.2f).\n",
-		2*len(community), mops(2*len(community), raw), mops(2*len(community), screened),
-		ratio(mops(2*len(community), screened), mops(2*len(community), raw)))
-
-	fmt.Fprintf(cfg.Out, "\nShape check: the × columns compare stream against blocking ingestion of the\n")
+	fmt.Fprintf(cfg.Out, "Shape check: the × columns compare stream against blocking ingestion of the\n")
 	fmt.Fprintf(cfg.Out, "same sequence at the same buffer size. With ≥2 real cores the stream should\n")
 	fmt.Fprintf(cfg.Out, "win (accumulation overlaps execution, ×>1, most at small buffers where blocking\n")
 	fmt.Fprintf(cfg.Out, "pays dispatch latency per batch); on a single-core host expect ×≈0.9–1.0 —\n")

@@ -96,12 +96,6 @@ type Stats struct {
 	Links       int64 // successful links (CAS that changed a root's parent)
 	Rewrites    int64 // successful parent-pointer rewrites on find paths (compaction CASes that landed; links excluded)
 	Ops         int64 // SameSet/Unite operations completed
-	// Filtered counts batch edges dropped by a filter pass (prefilter dedup
-	// or the connected screen) before they reached the structure. It is set
-	// by the batch layers, not by point operations, and is excluded from
-	// Work(): a dropped edge did no shared-memory work beyond what the
-	// screen itself already tallied in the fields above.
-	Filtered int64
 }
 
 // Add accumulates other into s.
@@ -115,7 +109,6 @@ func (s *Stats) Add(other Stats) {
 	s.Links += other.Links
 	s.Rewrites += other.Rewrites
 	s.Ops += other.Ops
-	s.Filtered += other.Filtered
 }
 
 // Work returns total shared-memory steps: reads plus CAS attempts, the
@@ -143,6 +136,12 @@ type DSU struct {
 	parent []atomic.Uint32
 	id     []uint32 // random total order; immutable after New
 	cfg    Config
+	// views holds the find-variant views over this forest, indexed by
+	// Find and shared by every view. New builds them once, so WithFind is
+	// a lookup: the adaptive executor resolves one on every downgraded
+	// query batch. Variants the early-termination setting does not define
+	// are nil.
+	views *[FindCompress + 1]*DSU
 }
 
 // New returns a DSU over n singleton elements. It panics if n is negative,
@@ -174,6 +173,17 @@ func New(n int, cfg Config) *DSU {
 	}
 	for i := range d.parent {
 		d.parent[i].Store(uint32(i))
+	}
+	d.views = new([FindCompress + 1]*DSU)
+	for f := FindNaive; f <= FindCompress; f++ {
+		switch {
+		case f == cfg.Find:
+			d.views[f] = d
+		case !cfg.EarlyTermination || f <= FindTwoTry:
+			v := *d
+			v.cfg.Find = f
+			d.views[f] = &v
+		}
 	}
 	return d
 }
@@ -539,26 +549,17 @@ func (d *DSU) uniteEarly(x, y uint32, st *Stats) bool {
 // variant preserves the Lemma 3.1 invariant that a parent swing moves the
 // pointer to a union-forest ancestor, on the same forest — which is what
 // the adaptive batch policy exploits to downgrade query-phase compaction.
-// It panics on an unknown variant or one the structure's early-termination
+// The views are built once, in New, so the call allocates nothing. It
+// panics on an unknown variant or one the structure's early-termination
 // setting does not support, exactly as New would.
 func (d *DSU) WithFind(f Find) *DSU {
-	if f == d.cfg.Find {
-		return d
-	}
-	switch f {
-	case FindNaive, FindOneTry, FindTwoTry, FindHalving, FindCompress:
-	default:
+	if f < FindNaive || f > FindCompress {
 		panic("core: unknown find strategy")
 	}
-	if d.cfg.EarlyTermination {
-		switch f {
-		case FindNaive, FindOneTry, FindTwoTry:
-		default:
-			panic("core: early termination is defined only for naive and splitting finds")
-		}
+	v := d.views[f]
+	if v == nil {
+		panic("core: early termination is defined only for naive and splitting finds")
 	}
-	v := &DSU{parent: d.parent, id: d.id, cfg: d.cfg}
-	v.cfg.Find = f
 	return v
 }
 

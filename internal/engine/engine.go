@@ -22,12 +22,11 @@
 // merges endpoint sets, SameSetAll answers connectivity queries into a
 // result slice. Both hand each claimed span of the batch, whole, to a
 // Target, so the static core.DSU (whose span kernel overlaps the span's
-// cache misses), the growing core.Dynamic and the sharded view are driven
-// by one runner. The pool holds no barrier against anything else running
-// on the target: any number of batch calls, streams and point callers may
-// overlap on one core.DSU, and the summed Merged across overlapping calls
-// stays exact, because each successful link is counted by exactly one
-// Unite.
+// cache misses) and the growing core.Dynamic are driven by one runner.
+// The pool holds no barrier against anything else running on the target:
+// any number of batch calls, streams and point callers may overlap on one
+// core.DSU, and the summed Merged across overlapping calls stays exact,
+// because each successful link is counted by exactly one Unite.
 package engine
 
 import (
@@ -43,8 +42,8 @@ import (
 )
 
 // Edge is one (X, Y) element pair of a batch: an edge to unite across, or a
-// connectivity query to answer. It is the exec layer's Edge — the engine,
-// the sharded path, and the pipeline all speak the same batch vocabulary.
+// connectivity query to answer. It is the exec layer's Edge — the engine
+// and the pipeline speak the same batch vocabulary.
 type Edge = exec.Edge
 
 // FromOps converts a workload op list into a batch of its element pairs.
@@ -58,14 +57,13 @@ func FromOps(ops []workload.Op) []Edge {
 	return edges
 }
 
-// Target is the operation surface the engine drives: a worker hands it
-// each span of edges it claims, in one call. core.DSU, core.Dynamic and
-// the sharded structure's view satisfy it. The engine requires
-// wait-freedom (or at least lock-freedom) from the target, since workers
-// never coordinate beyond the span protocol and a blocking target would
-// stall a whole worker. Implementations own the self-loop rule: a pair
-// with X == Y never merges and is in its own set, so it counts as one
-// completed operation (Stats.Ops) and pays no finds.
+// Target is the operation surface the engine drives: a worker hands it each
+// span of edges it claims, in one call. core.DSU and core.Dynamic satisfy
+// it. The engine requires wait-freedom (or at least lock-freedom) from the
+// target, since workers never coordinate beyond the span protocol and a
+// blocking target would stall a whole worker. Implementations own the
+// self-loop rule: a pair with X == Y never merges and is in its own set, so
+// it counts as one completed operation (Stats.Ops) and pays no finds.
 type Target interface {
 	// UniteSpan merges across every edge of the span, reporting how many
 	// edges performed a merge and how many times their root-link CASes
@@ -77,10 +75,9 @@ type Target interface {
 	SameSetSpan(pairs []Edge, out []bool, st *core.Stats)
 }
 
-// Config tunes one batch run; it is the exec layer's Config, shared with
-// the sharded path so one option funnel configures both. The zero value is
-// ready to use. The engine's free functions ignore Config.Find (a Target
-// is opaque); the Flat backend below resolves it.
+// Config tunes one batch run; it is the exec layer's Config. The zero
+// value is ready to use. The engine's free functions ignore Config.Find
+// (a Target is opaque); the Flat backend below resolves it.
 type Config = exec.Config
 
 // defaultGrain amortizes one claim CAS over enough unite/query work to make
@@ -90,16 +87,17 @@ type Config = exec.Config
 const defaultGrain = 1024
 
 // Result reports what one batch run did: the exec layer's unified Result.
-// The engine fills the flat-path fields (Workers, Grain, Merged, Steals,
-// WorkerStats, PerWorker, filter accounting, Elapsed); the sharded path
-// fills the rest.
+// The engine fills the pool fields (Workers, Grain, Merged, Steals,
+// CASRetries, WorkerStats, PerWorker, Elapsed); the Executor adds Seq and
+// Err.
 type Result = exec.Result
 
 // Flat adapts one core.DSU to the exec.Backend seam: batches run through
 // the engine's worker pool against the structure, and Config.Find is
-// resolved into a variant view of the same forest (core.DSU.WithFind), so
-// the adaptive executor can downgrade query-phase compaction without
-// touching the structure's configuration.
+// resolved into a variant view of the same forest (core.DSU.WithFind, a
+// lookup of views built with the structure), so the adaptive executor can
+// downgrade query-phase compaction without touching the structure's
+// configuration or allocating.
 type Flat struct {
 	D *core.DSU
 }
@@ -115,7 +113,7 @@ func (f Flat) target(v core.Find) *core.DSU {
 }
 
 // UniteAll drives the batch through the pool in Unite mode, honoring the
-// Config's filter passes and find-variant override.
+// find-variant override.
 func (f Flat) UniteAll(edges []Edge, cfg Config) Result {
 	t := f.target(cfg.Find)
 	res := UniteAll(t, edges, cfg)
@@ -132,15 +130,6 @@ func (f Flat) SameSetAll(pairs []Edge, cfg Config) ([]bool, Result) {
 	return out, res
 }
 
-// ScreenConnected drops already-connected edges through the pool in
-// SameSet mode (see the free function below).
-func (f Flat) ScreenConnected(edges []Edge, cfg Config) ([]Edge, Result) {
-	t := f.target(cfg.Find)
-	kept, res := ScreenConnected(t, edges, cfg)
-	res.Find = t.Config().Find
-	return kept, res
-}
-
 // Seed returns the structure seed, the default batch-scheduling seed.
 func (f Flat) Seed() uint64 { return f.D.Config().Seed }
 
@@ -153,50 +142,7 @@ func (f Flat) CoreConfig() core.Config { return f.D.Config() }
 // order-independent), and Result.Merged equals the number of merges that
 // pass would perform.
 func UniteAll(t Target, edges []Edge, cfg Config) Result {
-	var filtered int
-	var filterElapsed time.Duration
-	var filterStats core.Stats
-	if cfg.Prefilter {
-		start := time.Now()
-		kept := exec.Dedup(edges)
-		filtered += len(edges) - len(kept)
-		filterElapsed += time.Since(start)
-		edges = kept
-	}
-	if cfg.ConnectedFilter {
-		start := time.Now()
-		kept, sres := ScreenConnected(t, edges, cfg)
-		filtered += len(edges) - len(kept)
-		filterElapsed += time.Since(start)
-		filterStats.Add(sres.Stats())
-		edges = kept
-	}
-	res := run(t, edges, cfg, nil)
-	res.Filtered = filtered
-	res.FilterElapsed = filterElapsed
-	res.FilterStats = filterStats
-	res.FilterStats.Filtered = int64(filtered)
-	res.Elapsed += filterElapsed // Elapsed stays end-to-end: filter passes count
-	return res
-}
-
-// ScreenConnected drops edges whose endpoints are already connected,
-// answering the batch through the pool in SameSet mode and compacting the
-// survivors. Sound because a true SameSet is definite (see
-// Config.ConnectedFilter); the screen's Result carries its work counters.
-// The sharded path reuses it against its two-level target, which is how
-// the screen stays one implementation across both batch paths.
-func ScreenConnected(t Target, edges []Edge, cfg Config) ([]Edge, Result) {
-	scfg := cfg
-	scfg.Prefilter, scfg.ConnectedFilter = false, false
-	connected, sres := SameSetAll(t, edges, scfg)
-	kept := make([]Edge, 0, len(edges))
-	for i, e := range edges {
-		if !connected[i] {
-			kept = append(kept, e)
-		}
-	}
-	return kept, sres
+	return run(t, edges, cfg, nil)
 }
 
 // SameSetAll answers pairs[i] into the returned slice's element i. Answers

@@ -217,8 +217,8 @@ func TestExactlyOnceDelivery(t *testing.T) {
 	}
 }
 
-// TestSelfLoopsSkipFinds pins the self-loop rule every Target implements
-// (the sharded view's copy is pinned in internal/shard): a self-loop edge
+// TestSelfLoopsSkipFinds pins the self-loop rule every Target implements:
+// a self-loop edge
 // is answered without a merge, finds or shared-memory traffic, while still
 // counting as a completed operation.
 func TestSelfLoopsSkipFinds(t *testing.T) {

@@ -1,17 +1,9 @@
-// Package exec is the unified batch-execution layer: one Backend seam over
-// the flat engine target and the sharded DSU, one Result type shared by
-// every batch path (blocking, sharded, streamed), and the adaptive
-// compaction policy that rides that seam.
-//
-// Before this layer existed, the flat, sharded, and streaming paths each
-// carried their own batch glue — engine.Result, shard.Result, and
-// pipeline.Result duplicated the same per-batch accounting, and the sharded
-// structure's SameSetAll even returned a different result type than its own
-// UniteAll. Any policy that wanted to observe batches and steer later ones
-// (the ROADMAP's batch-aware compaction item) would have had to be written
-// three times. Now internal/engine and internal/shard both speak exec's
-// types, dsu's batch, stream, and filter paths all funnel through one
-// Executor, and the policy below is written once.
+// Package exec is the unified batch-execution layer: one Backend seam
+// over the engine's flat core target, one Result type shared by every
+// batch path (blocking and streamed), and the adaptive compaction policy
+// that rides that seam. dsu's batch and stream paths all funnel through
+// one Executor per structure, so per-batch policy, durability and
+// instrumentation are written once.
 //
 // # Adaptive compaction
 //
@@ -22,7 +14,7 @@
 // compaction strategy wins across workload phases; Jayanti–Tarjan's
 // linking-by-random-index forest makes switching variants between batches
 // safe, because every variant maintains the same Lemma 3.1 invariants over
-// the same parent array (core.DSU.WithFind builds the variant views).
+// the same parent array (core.DSU.WithFind returns the variant views).
 //
 // The Executor exploits both facts: it tracks per-batch observables — find
 // steps per find, parent-pointer rewrites, merge ratio — in a small
@@ -64,20 +56,6 @@ type Config struct {
 	// with equal seeds scan victims in the same order (the interleaving of
 	// operations still varies with goroutine scheduling).
 	Seed uint64
-	// Prefilter runs the batch through the dedup pass before UniteAll
-	// dispatches it: self-loops and exact duplicates are dropped up front
-	// instead of paying finds inside the structure. The final partition and
-	// merge count are unchanged (dropped edges can never merge). SameSetAll
-	// ignores the flag — its answers are indexed by the caller's slice.
-	Prefilter bool
-	// ConnectedFilter screens the batch through SameSet before UniteAll
-	// dispatches it, dropping edges whose endpoints are already connected.
-	// The screen is racy but sound: a true SameSet answer is definite even
-	// concurrently with mutations, so a dropped edge could never have
-	// merged — the final partition is exactly the unscreened batch's. The
-	// screen's work and elapsed time land in Result.FilterStats /
-	// Result.FilterElapsed. SameSetAll ignores the flag, like Prefilter.
-	ConnectedFilter bool
 	// Find, when non-zero, overrides the backend's configured find variant
 	// for this batch: the backend drives the batch through a variant view
 	// over the same forest (core.DSU.WithFind), which is safe between and
@@ -88,8 +66,8 @@ type Config struct {
 	// it).
 	Find core.Find
 	// Trace, when non-nil, is the batch's span tree: the Executor records
-	// an execute span around the backend call, synthesizes filter and
-	// per-worker sub-spans from the Result's accounting (the engine keeps
+	// an execute span around the backend call, synthesizes per-worker
+	// sub-spans from the Result's accounting (the engine keeps
 	// Result.PerWorker for traced batches only), and attributes the
 	// batch's CASRetries. Nil (the default, and the disabled
 	// mode) records nothing — every tracespan method is a nil-safe no-op,
@@ -97,20 +75,12 @@ type Config struct {
 	Trace *tracespan.Trace
 }
 
-// Result reports what one batch run did, across every execution path. The
-// flat engine fills the pool fields (Workers, Grain, Steals, WorkerStats,
-// PerWorker); the sharded path additionally fills the per-phase fields
-// (Intra, Spill, SelfLoops, Reanchors, PerShard, Bridge, ReanchorStats);
-// both fill the filter accounting (Filtered, FilterElapsed, FilterStats)
-// identically — the parity the unified type enforces by construction.
+// Result reports what one batch run did, across every execution path:
+// the engine's pool accounting plus what the Executor adds (Seq, Err).
 type Result struct {
-	// Workers is the resolved size of the pool that produced this record:
-	// set whenever a single engine pool ran the batch (flat runs, and
-	// sharded SameSetAll/ScreenConnected, which drive one pool over the
-	// two-level view). It is 1 when the batch fit in one grain, which runs
-	// on the caller. Zero on an empty batch, where no worker ran, and on
-	// sharded UniteAll, where the budget splits across the per-shard runs
-	// — see PerShard.
+	// Workers is the resolved size of the pool that ran the batch. It is 1
+	// when the batch fit in one grain, which runs on the caller, and zero
+	// on an empty batch, where no worker ran.
 	Workers int
 	// Grain is the resolved claim granularity (set exactly when Workers is).
 	Grain int
@@ -118,40 +88,19 @@ type Result struct {
 	// backend from Config.Find and its own configuration. The adaptive
 	// executor's downgrades are observable here (E21 prints them).
 	Find core.Find
-	// Merged counts Unites that performed a merge. On the flat path this is
-	// exactly the sequential pass's count for any schedule; on the sharded
-	// path it tallies structural merges across both levels and can exceed
-	// the flat count (see the shard package docs) while the partition is
-	// identical.
+	// Merged counts Unites that performed a merge: exactly the sequential
+	// pass's count for any schedule, and, across batches that overlap on
+	// one structure, exactly the combined edge set's count in sum.
 	Merged int64
-	// Steals counts successful span steals — a load-imbalance diagnostic
-	// (flat path; per-shard runs report theirs in PerShard).
+	// Steals counts successful span steals — a load-imbalance diagnostic.
 	Steals int64
-	// Intra and Spill count the batch's edges after shard classification;
-	// SelfLoops counts edges dropped during routing (X == Y). All three are
-	// zero on the flat path.
-	Intra, Spill, SelfLoops int
-	// Reanchors counts closure-restoring bridge unions issued by a sharded
-	// run (zero on the flat path).
-	Reanchors int
 	// CASRetries counts root-link CAS attempts that lost a race to a
 	// concurrent link and retried (Algorithm 3's retry loop), summed over
-	// every worker of the batch — and, on the sharded path, over the
-	// per-shard and bridge runs. It measures how hard this batch's workers
+	// every worker of the batch. It measures how hard this batch's workers
 	// collided on roots with each other and with whatever else ran on the
 	// structure at the same time (overlapping batches, streams, point
 	// callers); E23 prints it. Early-termination structures report zero.
 	CASRetries int64
-	// Filtered counts edges dropped before dispatch by the batch's filter
-	// passes (Prefilter dedup and/or the ConnectedFilter screen).
-	Filtered int
-	// FilterElapsed is the wall-clock time of those passes; Elapsed
-	// includes it, so Elapsed stays end-to-end.
-	FilterElapsed time.Duration
-	// FilterStats holds the shared-memory work of the filter passes (the
-	// connected screen's finds; the dedup pass touches no shared memory)
-	// plus the Filtered tally, so Counted callers see the drops too.
-	FilterStats core.Stats
 	// WorkerStats sums the operation counters of the pool's workers (set
 	// exactly when Workers is).
 	WorkerStats core.Stats
@@ -160,17 +109,7 @@ type Result struct {
 	// worker spans are its one reader, so an untraced batch allocates no
 	// per-batch slice.
 	PerWorker []core.Stats
-	// PerShard holds each shard's local engine run, in shard order (sharded
-	// path; zero-value entries for shards that received no intra edges).
-	PerShard []Result
-	// Bridge is the engine run that drove the spill list through the bridge
-	// forest (sharded path; nil when the batch had no cross-shard edges).
-	Bridge *Result
-	// ReanchorStats accounts the work of the re-anchor passes (sharded
-	// path).
-	ReanchorStats core.Stats
-	// Elapsed is the wall-clock duration of the whole batch call, filter
-	// passes included.
+	// Elapsed is the wall-clock duration of the whole batch call.
 	Elapsed time.Duration
 	// Seq is the batch's position in the applied mutation order, assigned
 	// by the Executor: the durable log sequence when a WAL is attached, a
@@ -183,37 +122,18 @@ type Result struct {
 	Err error
 }
 
-// Stats returns the summed work counters of every phase of the run: pool
-// workers, per-shard runs, the bridge run, re-anchoring, and filter passes.
-func (r Result) Stats() core.Stats {
-	total := r.WorkerStats
-	for i := range r.PerShard {
-		total.Add(r.PerShard[i].Stats())
-	}
-	if r.Bridge != nil {
-		total.Add(r.Bridge.Stats())
-	}
-	total.Add(r.ReanchorStats)
-	total.Add(r.FilterStats)
-	return total
-}
+// Stats returns the summed work counters of the pool's workers.
+func (r Result) Stats() core.Stats { return r.WorkerStats }
 
-// Backend is the execution seam every batch path drives: the flat core
-// target (engine.Flat) and the sharded DSU (shard.DSU) both implement it,
-// which is what lets dsu's batch, stream, and filter paths — and the
-// adaptive policy — be written once. Implementations must honor
-// Config.Find by running the batch through a variant view of their forest,
-// and must fill Result's filter accounting identically.
+// Backend is the execution seam every batch path drives; engine.Flat,
+// the core forest behind the pool, implements it. Implementations must
+// honor Config.Find by running the batch through a variant view of their
+// forest.
 type Backend interface {
 	// UniteAll merges across every edge of the batch and reports the run.
 	UniteAll(edges []Edge, cfg Config) Result
 	// SameSetAll answers pairs[i] into element i of the returned slice.
 	SameSetAll(pairs []Edge, cfg Config) ([]bool, Result)
-	// ScreenConnected drops edges whose endpoints are already connected,
-	// returning the survivors and the screen's own run. Sound under
-	// concurrency (true SameSet answers are definite); exactness follows
-	// the backend's query contract.
-	ScreenConnected(edges []Edge, cfg Config) ([]Edge, Result)
 	// Seed returns the structure seed, plumbed into batch scheduling so a
 	// structure built for reproducibility schedules reproducibly too.
 	Seed() uint64

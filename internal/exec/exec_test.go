@@ -8,23 +8,21 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/pipeline"
-	"repro/internal/shard"
+	"repro/internal/tracespan"
 	"repro/internal/workload"
 )
 
 // TestUnifiedResultType is the field-parity guard the unified layer makes
-// structural: the engine's, the sharded path's, and the pipeline's batch
-// records are the one exec.Result type, so the flat and sharded filter
-// accounting (Filtered / FilterElapsed / FilterStats) cannot drift apart
-// again without a compile error or this test failing.
+// structural: the engine's and the pipeline's batch records are the one
+// exec.Result type, so stream callbacks and blocking calls cannot drift
+// apart without a compile error or this test failing.
 func TestUnifiedResultType(t *testing.T) {
 	// engine.Result is an alias of exec.Result (compile-time assignment).
 	var r exec.Result
 	var _ engine.Result = r
 
-	// Both backends flow through the one seam.
+	// The engine's core target is the seam's backend.
 	var _ exec.Backend = engine.Flat{}
-	var _ exec.Backend = (*shard.DSU)(nil)
 
 	// The pipeline's per-batch record embeds exec.Result, so stream
 	// callbacks see exactly the blocking paths' accounting.
@@ -32,162 +30,33 @@ func TestUnifiedResultType(t *testing.T) {
 	if !ok || !f.Anonymous || f.Type != reflect.TypeOf(r) {
 		t.Fatal("pipeline.Result does not embed exec.Result")
 	}
-
-	// shard.DSU's two batch entry points return the same type — the
-	// UniteAll/SameSetAll asymmetry stays dead.
-	sh := reflect.TypeOf((*shard.DSU)(nil))
-	um, _ := sh.MethodByName("UniteAll")
-	sm, _ := sh.MethodByName("SameSetAll")
-	if um.Type.Out(0) != reflect.TypeOf(r) {
-		t.Errorf("Sharded UniteAll returns %v, want exec.Result", um.Type.Out(0))
-	}
-	if sm.Type.Out(1) != reflect.TypeOf(r) {
-		t.Errorf("Sharded SameSetAll returns %v, want exec.Result", sm.Type.Out(1))
-	}
 }
 
-// TestFilterAccountingParity pins the behavioral half of the parity
-// satellite: the same filtered batch reports identical Filtered counts and
-// live FilterElapsed / FilterStats on the flat and sharded backends, on
-// first ingestion (dedup drops) and re-ingestion (the connected screen
-// drops everything).
-func TestFilterAccountingParity(t *testing.T) {
-	const n = 2048
-	edges := engine.FromOps(onlyUnites(workload.ZipfMixed(n, 4*n, 1.0, 1.3, 91)))
-	cfg := exec.Config{Workers: 2, Seed: 9, Prefilter: true, ConnectedFilter: true}
-
-	flat := engine.Flat{D: core.New(n, core.Config{Seed: 5})}
-	sh := shard.New(n, 3, core.Config{Seed: 5})
-
-	for pass := 0; pass < 2; pass++ {
-		fres := flat.UniteAll(edges, cfg)
-		sres := sh.UniteAll(edges, cfg)
-		if fres.Filtered != sres.Filtered {
-			t.Fatalf("pass %d: flat filtered %d, sharded %d (must match)", pass, fres.Filtered, sres.Filtered)
-		}
-		if fres.Filtered == 0 {
-			t.Fatalf("pass %d: filters dropped nothing on a duplicate-heavy Zipf batch", pass)
-		}
-		if fres.FilterElapsed <= 0 || sres.FilterElapsed <= 0 {
-			t.Errorf("pass %d: filter elapsed flat %v, sharded %v — both must be recorded",
-				pass, fres.FilterElapsed, sres.FilterElapsed)
-		}
-		if fres.FilterStats.Filtered != sres.FilterStats.Filtered {
-			t.Errorf("pass %d: FilterStats.Filtered flat %d, sharded %d",
-				pass, fres.FilterStats.Filtered, sres.FilterStats.Filtered)
-		}
-		if fres.Elapsed < fres.FilterElapsed || sres.Elapsed < sres.FilterElapsed {
-			t.Errorf("pass %d: Elapsed excludes the filter pass on one backend", pass)
-		}
-	}
-
-	// Re-ingestion check happened in pass 1 implicitly; make it explicit:
-	// everything is connected now, so the screen drops every edge the dedup
-	// pass leaves, on both backends equally.
-	fres := flat.UniteAll(edges, cfg)
-	if fres.Merged != 0 {
-		t.Errorf("re-ingested flat batch merged %d, want 0", fres.Merged)
-	}
-	if fres.Filtered != len(edges) {
-		t.Errorf("re-ingested flat batch filtered %d, want %d", fres.Filtered, len(edges))
-	}
-	sres := sh.UniteAll(edges, cfg)
-	if sres.Filtered != len(edges) {
-		t.Errorf("re-ingested sharded batch filtered %d, want %d", sres.Filtered, len(edges))
-	}
-}
-
-// TestScreenConnectedBackends exercises the Backend seam's standalone
-// screen on both implementations: it must drop exactly the pairs the
-// partition already connects (sound — every dropped edge could never
-// merge), keep the rest, honor the find-variant override, and agree
-// between backends on identically seeded structures.
-func TestScreenConnectedBackends(t *testing.T) {
-	const n = 1024
-	build := engine.FromOps(workload.CommunityUnions(n, 2*n, 8, 0.9, 47))
-	probe := engine.FromOps(workload.RandomUnions(n, n, 53))
-
-	backends := map[string]exec.Backend{
-		"flat":    engine.Flat{D: core.New(n, core.Config{Seed: 6})},
-		"sharded": shard.New(n, 3, core.Config{Seed: 6}),
-	}
-	kept := map[string]int{}
-	for name, b := range backends {
-		b.UniteAll(build, exec.Config{Workers: 2, Seed: 8})
-		for _, find := range []core.Find{0, core.FindNaive} {
-			cfg := exec.Config{Workers: 2, Seed: 8, Find: find}
-			survivors, res := b.ScreenConnected(probe, cfg)
-			if find == core.FindNaive && res.Find != core.FindNaive {
-				t.Errorf("%s: screen ran %v, want the naive override", name, res.Find)
-			}
-			// Quiescent ground truth: the screen must drop exactly the
-			// connected pairs and keep the rest, in order.
-			connected, _ := b.SameSetAll(probe, cfg)
-			want := probe[:0:0]
-			for i, e := range probe {
-				if !connected[i] {
-					want = append(want, e)
-				}
-			}
-			if len(survivors) != len(want) {
-				t.Fatalf("%s (find=%v): screen kept %d pairs, want %d", name, find, len(survivors), len(want))
-			}
-			for i := range want {
-				if survivors[i] != want[i] {
-					t.Fatalf("%s (find=%v): survivor[%d] = %v, want %v", name, find, i, survivors[i], want[i])
-				}
-			}
-			if res.Stats().Finds == 0 {
-				t.Errorf("%s: screen reported no find work", name)
-			}
-			kept[name] = len(survivors)
-		}
-		if got := len(probe) - kept[name]; got == 0 {
-			t.Errorf("%s: screen dropped nothing over a built community partition", name)
-		}
-	}
-	if kept["flat"] != kept["sharded"] {
-		t.Errorf("screen kept %d pairs on flat, %d on sharded (same seed, same partition)",
-			kept["flat"], kept["sharded"])
-	}
-}
-
-// TestResultStatsAggregation pins exec.Result.Stats over the sharded
-// per-phase shape: per-shard runs, the bridge run, re-anchor passes, and
-// filter work all land in the sum exactly once.
+// TestResultStatsAggregation pins exec.Result.Stats as the pool's sum:
+// every pair of the batch counts as one operation, and on a traced batch,
+// whose per-worker breakdown the engine keeps, the workers' counters sum
+// to it exactly.
 func TestResultStatsAggregation(t *testing.T) {
 	const n = 1024
-	sh := shard.New(n, 4, core.Config{Seed: 13})
+	flat := engine.Flat{D: core.New(n, core.Config{Seed: 13})}
 	edges := engine.FromOps(workload.RandomUnions(n, 4*n, 17))
-	res := sh.UniteAll(edges, exec.Config{Workers: 2, Seed: 3})
+	tr := tracespan.New(tracespan.Config{}).Start("unite", tracespan.SourceBlocking)
+	res := flat.UniteAll(edges, exec.Config{Workers: 2, Grain: 64, Seed: 3, Trace: tr})
 
+	if got := res.Stats(); got != res.WorkerStats {
+		t.Errorf("Stats() = %+v, want the pool's WorkerStats %+v", got, res.WorkerStats)
+	}
+	if res.Stats().Ops != int64(len(edges)) {
+		t.Errorf("Stats().Ops = %d, batch has %d edges", res.Stats().Ops, len(edges))
+	}
+	if len(res.PerWorker) != res.Workers || res.Workers != 2 {
+		t.Fatalf("traced batch kept %d per-worker records for %d workers, want 2", len(res.PerWorker), res.Workers)
+	}
 	var manual core.Stats
-	for i := range res.PerShard {
-		manual.Add(res.PerShard[i].Stats())
+	for _, w := range res.PerWorker {
+		manual.Add(w)
 	}
-	if res.Bridge == nil {
-		t.Fatal("uniform batch across 4 shards produced no bridge run")
+	if manual != res.Stats() {
+		t.Errorf("Σ PerWorker = %+v, Stats() %+v", manual, res.Stats())
 	}
-	manual.Add(res.Bridge.Stats())
-	manual.Add(res.ReanchorStats)
-	manual.Add(res.FilterStats)
-	if got := res.Stats(); got != manual {
-		t.Errorf("Stats() = %+v, manual phase sum %+v", got, manual)
-	}
-	if res.Intra+res.Spill+res.SelfLoops != len(edges) {
-		t.Errorf("classification covers %d edges, batch has %d",
-			res.Intra+res.Spill+res.SelfLoops, len(edges))
-	}
-}
-
-// onlyUnites filters a workload op list down to its unions (mirrors the
-// bench helper; query ops would make UniteAll merge counts meaningless).
-func onlyUnites(ops []workload.Op) []workload.Op {
-	out := ops[:0:0]
-	for _, op := range ops {
-		if op.Kind == workload.OpUnite {
-			out = append(out, op)
-		}
-	}
-	return out
 }

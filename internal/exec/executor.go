@@ -8,12 +8,12 @@ import (
 )
 
 // Executor is the one funnel every dsu batch path routes through: blocking
-// UniteAll/SameSetAll calls, the stream dispatcher, and the filter paths
-// all drive the same Executor, so per-batch policy lives here exactly
-// once. In fixed mode (est == nil) it is a transparent passthrough to the
-// Backend; in adaptive mode it trains the flatness Estimator on every
-// batch and downgrades query batches to cheaper find variants while the
-// forest is flat.
+// UniteAll/SameSetAll calls and the stream dispatcher all drive the same
+// Executor, so per-batch policy lives here exactly once. In fixed mode
+// (est == nil) it is a transparent passthrough to the Backend; in
+// adaptive mode it trains the flatness Estimator on every batch and
+// downgrades query batches to cheaper find variants while the forest is
+// flat.
 //
 // The executor is also where durability and the applied-batch sequence
 // live: with a WAL attached (AttachWAL), every mutation batch is

@@ -14,12 +14,10 @@ import (
 type OpInstruments struct {
 	// Batches counts executed batch calls.
 	Batches *metrics.Counter
-	// Edges counts the elements of those batches (edges or query pairs),
-	// before any filter pass.
+	// Edges counts the elements of those batches (edges or query pairs).
 	Edges *metrics.Counter
-	// FindSteps counts find-loop iterations across every phase of the
-	// batch (workers, shards, bridge, re-anchoring, filters) — the paper's
-	// work-per-operation observable, live.
+	// FindSteps counts find-loop iterations across the batch's workers —
+	// the paper's work-per-operation observable, live.
 	FindSteps *metrics.Counter
 	// Latency is the end-to-end batch wall-clock histogram, in seconds.
 	Latency *metrics.Histogram
@@ -46,20 +44,11 @@ func (o *OpInstruments) observe(n int, st core.Stats, res *Result) {
 // Adds to them, so any number of executors may share a bundle (they
 // don't, in practice — one tenant, one structure, one executor).
 type Instruments struct {
-	// Unite and Query split the per-op series by batch kind; the
-	// ConnectedFilter screen's work is accounted under the batch that ran
-	// it (Screen counts its finds separately below).
+	// Unite and Query split the per-op series by batch kind.
 	Unite, Query OpInstruments
 	// Merged counts edges that performed a merge, summed over unite
 	// batches — comparable against a scrape-time Sets() delta.
 	Merged *metrics.Counter
-	// Filtered counts edges dropped before dispatch by Prefilter dedup or
-	// the ConnectedFilter screen.
-	Filtered *metrics.Counter
-	// ScreenFindSteps counts the find work of ConnectedFilter screen
-	// passes alone (already included in the owning batch's FindSteps via
-	// Result.Stats; broken out so screen cost is observable).
-	ScreenFindSteps *metrics.Counter
 	// CASRetries counts root-link CAS retries (Result.CASRetries) — the
 	// structure's contention metric, live.
 	CASRetries *metrics.Counter
@@ -77,11 +66,8 @@ type Instruments struct {
 
 // observeUnite records one mutation batch.
 func (m *Instruments) observeUnite(n int, res *Result) {
-	st := res.Stats()
-	m.Unite.observe(n, st, res)
+	m.Unite.observe(n, res.Stats(), res)
 	m.Merged.Add(res.Merged)
-	m.Filtered.Add(int64(res.Filtered))
-	m.ScreenFindSteps.Add(res.FilterStats.FindSteps)
 	m.CASRetries.Add(res.CASRetries)
 }
 

@@ -70,14 +70,13 @@ const defaultBufferSize = 1 << 16
 
 // Result reports one sealed batch's execution, delivered to the callback
 // exactly once per batch, in batch-id order. The embedded exec.Result is
-// the batch run's full unified record — Merged, Filtered, per-phase
-// fields, Stats(), Elapsed — exactly as the backend reported it (zero
-// when Err is set), so stream callbacks see the same accounting blocking
-// callers do.
+// the batch run's full unified record — Merged, Stats(), Elapsed —
+// exactly as the backend reported it (zero when Err is set), so stream
+// callbacks see the same accounting blocking callers do.
 type Result struct {
 	// ID is the batch's 1-based seal sequence number.
 	ID uint64
-	// Edges is the sealed batch's edge count (before any filter pass).
+	// Edges is the sealed batch's edge count.
 	Edges int
 	// Result is the batch run's execution record.
 	exec.Result

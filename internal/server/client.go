@@ -357,7 +357,7 @@ type StreamConfig struct {
 	// default of 1; the server clamps to its own maximum).
 	InFlight int
 	// Batch configures every batch the connection's stream executes
-	// (workers, grain, filters; the Find override is RPC-only).
+	// (workers, grain; the Find override is RPC-only).
 	Batch dsu.BatchOptions
 	// OnReply, when non-nil, observes every per-batch envelope (reply or
 	// error) as it arrives, from the stream's reader goroutine. The
@@ -398,12 +398,6 @@ func (c *Client) OpenStream(ctx context.Context, tenant string, cfg StreamConfig
 	}
 	if cfg.Batch.Grain > 0 {
 		q.Set("grain", strconv.Itoa(cfg.Batch.Grain))
-	}
-	if cfg.Batch.Prefilter {
-		q.Set("prefilter", "1")
-	}
-	if cfg.Batch.ConnectedFilter {
-		q.Set("connected", "1")
 	}
 	path := "/v1/tenants/" + url.PathEscape(tenant) + "/stream"
 	if enc := q.Encode(); enc != "" {

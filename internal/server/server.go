@@ -1,6 +1,6 @@
 // Package server is the network front end: a stdlib net/http service
 // exposing the dsu package's tenant-scoped Universe API — named universes
-// over flat, sharded or lock-free backends, batched UniteAll/SameSetAll,
+// over flat or lock-free backends, batched UniteAll/SameSetAll,
 // and streaming ingestion — to remote clients over the wire package's
 // framing (length-prefixed binary, or newline-delimited JSON for
 // debugging).
@@ -197,15 +197,14 @@ func (s *Server) Stop() { s.stop() }
 // TenantSpec is the JSON body of POST /v1/tenants: the tenant name plus
 // the structure configuration, phrased in the dsu option vocabulary's
 // wire-friendly form. Kind names the structure kind per dsu.ParseKind
-// ("flat", "sharded", "lockfree"); left empty, Shards > 0 selects a
-// sharded structure. Find names a strategy per dsu.ParseFindStrategy
-// ("auto" turns on the adaptive policy); Seed fixes the random linking
-// order for reproducible tenants.
+// ("flat", the default, or "lockfree"). Find names a strategy per
+// dsu.ParseFindStrategy ("auto" turns on the adaptive policy); Seed fixes
+// the random linking order for reproducible tenants. POST /v1/tenants
+// refuses a body naming any other field.
 type TenantSpec struct {
 	Name             string `json:"name"`
 	N                int    `json:"n"`
 	Kind             string `json:"kind,omitempty"`
-	Shards           int    `json:"shards,omitempty"`
 	Find             string `json:"find,omitempty"`
 	EarlyTermination bool   `json:"early_termination,omitempty"`
 	Seed             uint64 `json:"seed,omitempty"`
@@ -236,9 +235,6 @@ func (sp TenantSpec) Options() ([]dsu.Option, error) {
 	if sp.Seed != 0 {
 		opts = append(opts, dsu.WithSeed(sp.Seed))
 	}
-	if sp.Shards > 0 {
-		opts = append(opts, dsu.WithShards(sp.Shards))
-	}
 	return opts, nil
 }
 
@@ -247,7 +243,6 @@ type TenantInfo struct {
 	Name     string `json:"name"`
 	N        int    `json:"n"`
 	Kind     string `json:"kind"`
-	Shards   int    `json:"shards,omitempty"`
 	Adaptive bool   `json:"adaptive,omitempty"`
 	// Concurrent reports the lock-free kind's capability: this tenant's
 	// requests run truly concurrently (no per-tenant RPC queueing,
@@ -268,7 +263,6 @@ func infoOf(u *dsu.Universe) TenantInfo {
 		Name:       u.Name(),
 		N:          u.N(),
 		Kind:       u.Kind(),
-		Shards:     u.Shards(),
 		Adaptive:   u.Adaptive(),
 		Concurrent: u.Concurrent(),
 		Sets:       u.Sets(),
@@ -384,7 +378,9 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, infos)
 	case http.MethodPost:
 		var spec TenantSpec
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&spec); err != nil {
+		dec := json.NewDecoder(io.LimitReader(r.Body, 1<<16))
+		dec.DisallowUnknownFields() // a knob the server lacks must not be dropped silently
+		if err := dec.Decode(&spec); err != nil {
 			http.Error(w, "bad tenant spec: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -411,7 +407,7 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.log.Info("tenant created",
-			"tenant", u.Name(), "n", u.N(), "kind", u.Kind(), "shards", u.Shards())
+			"tenant", u.Name(), "n", u.N(), "kind", u.Kind())
 		writeJSON(w, http.StatusCreated, infoOf(u))
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -537,8 +533,8 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request, u *dsu.Univer
 	tr := u.TraceRecorder().Start(traceOp(want), tracespan.SourceRPC) // nil (all no-ops) on an untraced tenant
 	wd := tr.Start(tracespan.StageWireDecode, tracespan.Root)
 	// Pooled codec: the request envelope lives in decoder scratch, which
-	// is safe here because execution is synchronous and neither the
-	// executor nor the prefilter retains the edge slice past the call.
+	// is safe here because execution is synchronous and the executor does
+	// not retain the edge slice past the call.
 	dec := wire.AcquireDecoder(s.wireBody(r.Body), format, s.cfg.MaxFrame)
 	defer wire.ReleaseDecoder(dec)
 	env, err := dec.Decode()
@@ -759,8 +755,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 	}
 
 	// Connection-level stream tuning from query parameters, clamped to the
-	// server's own bounds.
+	// server's own bounds. A parameter outside the four is refused, so a
+	// knob the server lacks is never dropped silently.
 	q := r.URL.Query()
+	for k := range q {
+		switch k {
+		case "buffer", "inflight", "workers", "grain":
+		default:
+			http.Error(w, fmt.Sprintf("unknown stream parameter %q (want buffer, inflight, workers, grain)", k), http.StatusBadRequest)
+			return
+		}
+	}
 	buffer := s.cfg.StreamBuffer
 	if v, err := strconv.Atoi(q.Get("buffer")); err == nil && v > 0 {
 		buffer = v
@@ -775,10 +780,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 	if inflight > s.cfg.MaxInFlight {
 		inflight = s.cfg.MaxInFlight
 	}
-	batch := dsu.BatchOptions{
-		Prefilter:       q.Get("prefilter") == "1" || q.Get("prefilter") == "true",
-		ConnectedFilter: q.Get("connected") == "1" || q.Get("connected") == "true",
-	}
+	var batch dsu.BatchOptions
 	if v, err := strconv.Atoi(q.Get("workers")); err == nil && v > 0 {
 		// Stream batches bypass the DTO resolve step, so apply its
 		// goroutine cap here.
@@ -852,11 +854,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 		closeErr = abortErr
 	}
 	end := &wire.Envelope{Kind: wire.KindEnd, End: &wire.StreamEnd{
-		Batches:  st.Batches(),
-		Edges:    st.Edges(),
-		Merged:   st.Merged(),
-		Filtered: st.Filtered(),
-		Failed:   st.Failed(),
+		Batches: st.Batches(),
+		Edges:   st.Edges(),
+		Merged:  st.Merged(),
+		Failed:  st.Failed(),
 	}}
 	if closeErr != nil {
 		end.Error = closeErr.Error()

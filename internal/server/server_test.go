@@ -48,12 +48,12 @@ func TestTenantAdmin(t *testing.T) {
 	if flat.Kind != "flat" || flat.N != 100 || flat.Sets != 100 {
 		t.Errorf("alpha info = %+v", flat)
 	}
-	sh, err := c.CreateTenant(ctx, TenantSpec{Name: "beta", N: 100, Shards: 4, Find: "auto"})
+	ad, err := c.CreateTenant(ctx, TenantSpec{Name: "beta", N: 100, Find: "auto"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.Kind != "sharded" || sh.Shards != 4 || !sh.Adaptive {
-		t.Errorf("beta info = %+v", sh)
+	if ad.Kind != "flat" || !ad.Adaptive {
+		t.Errorf("beta info = %+v", ad)
 	}
 	infos, err := c.Tenants(ctx)
 	if err != nil || len(infos) != 2 {
@@ -71,9 +71,22 @@ func TestTenantAdmin(t *testing.T) {
 		{Name: "x", N: 1 << 30}, // past the server's MaxN resource cap
 		{Name: "x", N: 5, Find: "zorp"},
 		{Name: "x", N: 5, Find: "halving", EarlyTermination: true},
+		{Name: "x", N: 5, Kind: "sharded"}, // the retired kind
+		{Name: "x", N: 5, Kind: "4"},       // dsuserve -tenant x:5:4, the retired shard-count form
 	} {
 		if _, err := c.CreateTenant(ctx, bad); err == nil {
 			t.Errorf("spec %+v accepted", bad)
+		}
+	}
+	// A spec field the server does not know is refused, not ignored.
+	for _, body := range []string{`{"name":"x","n":5,"shards":4}`, `{"name":"x","n":5,"zorp":1}`} {
+		resp, err := c.hc.Post(c.base+"/v1/tenants", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("create %s: status = %d, want 400", body, resp.StatusCode)
 		}
 	}
 	if err := c.DropTenant(ctx, "alpha"); err != nil {
@@ -102,16 +115,16 @@ func TestRPCMatchesInProcess(t *testing.T) {
 				t.Fatal(err)
 			}
 			oracle := dsu.New(n, dsu.WithSeed(11))
-			wantMerged := oracle.UniteAll(edges, dsu.WithPrefilter())
+			wantMerged := oracle.UniteAll(edges)
 
-			rep, err := c.UniteAll(ctx, "t", dsu.UniteRequest{Edges: edges, Options: dsu.BatchOptions{Prefilter: true}})
+			rep, err := c.UniteAll(ctx, "t", dsu.UniteRequest{Edges: edges, Options: dsu.BatchOptions{Grain: 256}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if int(rep.Merged) != wantMerged {
 				t.Errorf("remote Merged = %d, want %d", rep.Merged, wantMerged)
 			}
-			if rep.Stats.Ops == 0 || rep.Elapsed <= 0 || rep.Filtered == 0 {
+			if rep.Stats.Ops == 0 || rep.Elapsed <= 0 {
 				t.Errorf("reply accounting looks empty: %+v", rep)
 			}
 
@@ -144,7 +157,7 @@ func TestRPCMatchesInProcess(t *testing.T) {
 }
 
 // TestConcurrentTenantsMatchOracle is the acceptance test: three isolated
-// tenants — flat, sharded+adaptive, and lock-free — each served
+// tenants — flat, flat+adaptive, and lock-free — each served
 // concurrently by stream and RPC clients in both encodings, with queries
 // in flight, must end with exactly the partition a sequential in-process
 // pass produces. The lock-free tenant exercises the concurrent path end to
@@ -164,7 +177,7 @@ func TestConcurrentTenantsMatchOracle(t *testing.T) {
 		edges []dsu.Edge
 	}{
 		{TenantSpec{Name: "flat", N: n}, testEdges(n, m, 101)},
-		{TenantSpec{Name: "shard", N: n, Shards: 4, Find: "auto"}, testEdges(n, m, 202)},
+		{TenantSpec{Name: "adaptive", N: n, Find: "auto"}, testEdges(n, m, 202)},
 		{TenantSpec{Name: "lockfree", N: n, Kind: "lockfree"}, testEdges(n, m, 303)},
 	}
 	for _, tn := range tenants {
@@ -371,6 +384,19 @@ func TestStreamRejectsBadFrames(t *testing.T) {
 	}
 	if rejected.Load() != 1 {
 		t.Errorf("rejected frames = %d, want 1", rejected.Load())
+	}
+
+	// A stream parameter the server does not know is refused before the
+	// stream opens, not ignored.
+	for _, q := range []string{"prefilter=1", "connected=1", "buffer=64&zorp=2"} {
+		resp, err := c.hc.Post(c.base+"/v1/tenants/t/stream?"+q, wire.Binary.ContentType(), strings.NewReader(""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("stream?%s: status = %d, want 400", q, resp.StatusCode)
+		}
 	}
 }
 

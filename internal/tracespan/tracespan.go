@@ -5,7 +5,7 @@
 // tracespan answers "why was THIS batch slow?". Every batch admitted to
 // a traced Universe — through the blocking veneer, a dsu.Stream push, or
 // a remote RPC/stream frame — gets a Trace: a fixed-capacity tree of
-// named spans (queue-wait, seal, dispatch, filter, execute, per-worker,
+// named spans (queue-wait, seal, dispatch, execute, per-worker,
 // reply-encode) with typed numeric attributes. Completed traces land in
 // a fixed-size lock-free ring buffer; traces whose end-to-end latency
 // meets a threshold are additionally promoted to a retained "slow" ring
@@ -40,15 +40,14 @@ import (
 
 // Span stage names. The taxonomy is documented in DESIGN.md; parents are
 // noted here. All stages hang off the root span (named after the batch
-// op, "unite" or "query") except filter and worker spans, which nest
-// under execute.
+// op, "unite" or "query") except worker spans, which nest under
+// execute.
 const (
 	StageWireDecode  = "wire-decode"  // server: frame read + decode (parent: root)
 	StageQueueWait   = "queue-wait"   // RPC budget wait / sealed-batch channel wait (parent: root)
 	StageSeal        = "seal"         // stream: first edge into buffer → seal (parent: root)
 	StageDispatch    = "dispatch"     // pipeline: dispatcher picks up → Exec returns (parent: root)
 	StageExecute     = "execute"      // executor: backend UniteAll/SameSetAll call (parent: root)
-	StageFilter      = "filter"       // executor: prefilter/connected-filter portion (parent: execute)
 	StageWorker      = "worker"       // executor: per-worker attribution (parent: execute)
 	StageReplyEncode = "reply-encode" // server: reply envelope encode + write (parent: root)
 )
@@ -98,7 +97,6 @@ func (c Context) Valid() bool { return c.Trace != 0 }
 type SpanAttrs struct {
 	Edges      int64  `json:"edges,omitempty"`       // batch size entering the stage
 	Merged     int64  `json:"merged,omitempty"`      // unions that changed the partition
-	Filtered   int64  `json:"filtered,omitempty"`    // edges removed by prefilter/connected-filter
 	Ops        int64  `json:"ops,omitempty"`         // operations a worker performed
 	FindSteps  int64  `json:"find_steps,omitempty"`  // parent-pointer dereferences
 	CASRetries int64  `json:"cas_retries,omitempty"` // root-link CAS retries (execute); all failed CASes (worker)
@@ -175,7 +173,7 @@ func (t *Trace) Start(name string, parent SpanRef) SpanRef {
 }
 
 // StartAt claims a span with an explicit start offset from the trace's
-// begin time — used to synthesize sub-spans (filter, per-worker) after
+// begin time — used to synthesize sub-spans (per-worker) after
 // the fact from an execution's accounting.
 func (t *Trace) StartAt(name string, parent SpanRef, start time.Duration) SpanRef {
 	if t == nil {

@@ -104,16 +104,17 @@ type Meta struct {
 	// N is the universe size.
 	N int
 	// Kind is the structure kind, as the dsu layer's Kind numbering
-	// (1 flat, 2 sharded, 3 lockfree).
+	// (1 flat, 3 lockfree; 2 was a retired sharded kind, whose logs the
+	// dsu layer recovers as flat).
 	Kind uint8
 	// Find is the configured find strategy, as the dsu layer's
 	// FindStrategy numbering.
 	Find uint8
 	// Early records WithEarlyTermination.
 	Early bool
-	// Shards is the resolved shard count (0 for unsharded kinds) — the
-	// resolved value, so a log created under one GOMAXPROCS recovers
-	// identically under another.
+	// Shards is the shard count the retired sharded kind recorded; logs
+	// of every other kind carry 0. It stays in the header and the
+	// fingerprint, so logs of either age keep their bytes.
 	Shards uint32
 	// Seed is the structure seed of the random linking order.
 	Seed uint64
@@ -250,9 +251,9 @@ func readRecord(data []byte, pos int) (op byte, body []byte, next int, ok bool) 
 
 // SnapshotRecord is one decoded snapshot checkpoint: the partition of
 // the structure after batch Seq, as the backend's flattened Snapshot()
-// array (element space; roots satisfy Parents[x] == x on the concurrent
-// and sharded kinds, parent chains on the flat kind — either applies
-// identically).
+// array (element space; roots satisfy Parents[x] == x, and non-roots
+// hold parent chains or, in logs of the retired sharded kind, point
+// straight at their representative — either applies identically).
 type SnapshotRecord struct {
 	// Seq is the last batch sequence the snapshot covers (0: a snapshot
 	// of the empty log).

@@ -18,29 +18,34 @@ import (
 //	unite/query  [workers i32][grain i32][find u8][flags u8]
 //	             [trace u64][span u64]                    (only when flags bit2)
 //	             [edges: X u32, Y u32 ...]
-//	reply        [merged i64][filtered i64][casretries i64][elapsed i64][stats 10×i64]
+//	reply        [merged i64][0 i64][casretries i64][elapsed i64][stats 10×i64]
 //	             [find u8][flags u8]
 //	             [trace u64][span u64]                    (only when flags bit1)
 //	             [answer count u32][answer bitset]        (count+bitset only when flags bit0)
 //	error        [utf-8 message]
-//	end          [batches u64][edges i64][merged i64][filtered i64][failed u64][utf-8 close error]
+//	end          [batches u64][edges i64][merged i64][0 i64][failed u64][utf-8 close error]
 //	flush        (empty)
 //
 // Edge counts are never declared — they are derived from the frame length,
 // so a count can't contradict the bytes that actually arrived. The answer
 // bitset does declare a count (answers aren't byte-aligned) and the
 // decoder insists the bitset length matches it exactly. Option flags:
-// bit 0 prefilter, bit 1 connected-filter, bit 2 "trace context present"
-// (a 16-byte trace/span pair follows the flags byte — optional, so peers
-// that predate tracing still interoperate: old frames decode here as
-// untraced, and old decoders never see the bit from an untraced sender).
+// bit 2 "trace context present" (a 16-byte trace/span pair follows the
+// flags byte — optional, so peers that predate tracing still
+// interoperate: old frames decode here as untraced, and old decoders
+// never see the bit from an untraced sender). Bits 0 and 1 once asked
+// for batch filter passes the server no longer has; a frame setting
+// them, or any other bit, is corrupt. The zero slots of reply and end
+// (and the tenth stats slot) once carried filtered-edge counts: they
+// are written as 0 and ignored on read, which keeps both layouts
+// unchanged for peers of either age.
 // Reply flags: bit 0 "answers present" (distinguishing a unite reply's
 // absent answers from a query reply with zero pairs), bit 1 "trace
 // context present" (same 16-byte pair, before the answer count). A trace
 // extension with a zero trace ID contradicts itself and is rejected as
 // corrupt. Stats order is the core.Stats field order — Reads,
 // CASAttempts, CASFailures, FindSteps, Rounds, Finds, Links, Rewrites,
-// Ops, Filtered — and must be revisited if core.Stats grows.
+// Ops, then the zero slot — and must be revisited if core.Stats grows.
 const (
 	binHeaderLen = 4
 	binMetaLen   = 1 + 8 // kind + seq
@@ -53,11 +58,9 @@ const (
 
 // Flag bits of the unite/query options byte and the reply flags byte.
 const (
-	optFlagPrefilter = 1 << 0
-	optFlagConnected = 1 << 1
-	optFlagTrace     = 1 << 2
-	repFlagAnswers   = 1 << 0
-	repFlagTrace     = 1 << 1
+	optFlagTrace   = 1 << 2
+	repFlagAnswers = 1 << 0
+	repFlagTrace   = 1 << 1
 )
 
 type binaryEncoder struct {
@@ -84,12 +87,6 @@ func appendOptions(b []byte, o dsu.BatchOptions, trace, span uint64) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(clamp32(o.Grain)))
 	b = append(b, byte(o.Find))
 	var flags byte
-	if o.Prefilter {
-		flags |= optFlagPrefilter
-	}
-	if o.ConnectedFilter {
-		flags |= optFlagConnected
-	}
 	if trace != 0 {
 		flags |= optFlagTrace
 	}
@@ -110,7 +107,7 @@ func appendEdges(b []byte, edges []dsu.Edge) []byte {
 }
 
 func appendStats(b []byte, s core.Stats) []byte {
-	for _, v := range [...]int64{s.Reads, s.CASAttempts, s.CASFailures, s.FindSteps, s.Rounds, s.Finds, s.Links, s.Rewrites, s.Ops, s.Filtered} {
+	for _, v := range [...]int64{s.Reads, s.CASAttempts, s.CASFailures, s.FindSteps, s.Rounds, s.Finds, s.Links, s.Rewrites, s.Ops, 0} {
 		b = binary.BigEndian.AppendUint64(b, uint64(v))
 	}
 	return b
@@ -143,7 +140,7 @@ func (e *binaryEncoder) Encode(env *Envelope) error {
 			rep = *env.Reply
 		}
 		b = binary.BigEndian.AppendUint64(b, uint64(rep.Merged))
-		b = binary.BigEndian.AppendUint64(b, uint64(int64(rep.Filtered)))
+		b = binary.BigEndian.AppendUint64(b, 0)
 		b = binary.BigEndian.AppendUint64(b, uint64(rep.CASRetries))
 		b = binary.BigEndian.AppendUint64(b, uint64(int64(rep.Elapsed)))
 		b = appendStats(b, rep.Stats)
@@ -184,7 +181,7 @@ func (e *binaryEncoder) Encode(env *Envelope) error {
 		b = binary.BigEndian.AppendUint64(b, end.Batches)
 		b = binary.BigEndian.AppendUint64(b, uint64(end.Edges))
 		b = binary.BigEndian.AppendUint64(b, uint64(end.Merged))
-		b = binary.BigEndian.AppendUint64(b, uint64(end.Filtered))
+		b = binary.BigEndian.AppendUint64(b, 0)
 		b = binary.BigEndian.AppendUint64(b, end.Failed)
 		b = append(b, env.Error...) // the close error rides the end frame
 	default:
@@ -340,11 +337,10 @@ func (d *binaryDecoder) Decode() (*Envelope, error) {
 			end = &StreamEnd{}
 		}
 		*end = StreamEnd{
-			Batches:  binary.BigEndian.Uint64(body[0:8]),
-			Edges:    int64(binary.BigEndian.Uint64(body[8:16])),
-			Merged:   int64(binary.BigEndian.Uint64(body[16:24])),
-			Filtered: int64(binary.BigEndian.Uint64(body[24:32])),
-			Failed:   binary.BigEndian.Uint64(body[32:40]),
+			Batches: binary.BigEndian.Uint64(body[0:8]),
+			Edges:   int64(binary.BigEndian.Uint64(body[8:16])),
+			Merged:  int64(binary.BigEndian.Uint64(body[16:24])),
+			Failed:  binary.BigEndian.Uint64(body[32:40]),
 		}
 		env.End = end
 		env.Error = string(body[binEndLen:])
@@ -361,12 +357,13 @@ func (d *binaryDecoder) parseBatch(body []byte, env *Envelope) (dsu.BatchOptions
 	if len(body) < binOptsLen {
 		return dsu.BatchOptions{}, nil, fmt.Errorf("%w: batch body is %d bytes, want ≥ %d", ErrCorruptFrame, len(body), binOptsLen)
 	}
+	if flags := body[9]; flags&^optFlagTrace != 0 {
+		return dsu.BatchOptions{}, nil, fmt.Errorf("%w: batch option flag byte %d", ErrCorruptFrame, flags)
+	}
 	opts := dsu.BatchOptions{
-		Workers:         int(int32(binary.BigEndian.Uint32(body[0:4]))),
-		Grain:           int(int32(binary.BigEndian.Uint32(body[4:8]))),
-		Find:            dsu.FindStrategy(body[8]),
-		Prefilter:       body[9]&optFlagPrefilter != 0,
-		ConnectedFilter: body[9]&optFlagConnected != 0,
+		Workers: int(int32(binary.BigEndian.Uint32(body[0:4]))),
+		Grain:   int(int32(binary.BigEndian.Uint32(body[4:8]))),
+		Find:    dsu.FindStrategy(body[8]),
 	}
 	raw := body[binOptsLen:]
 	if body[9]&optFlagTrace != 0 {
@@ -398,7 +395,7 @@ func parseStats(b []byte) core.Stats {
 	at := func(i int) int64 { return int64(binary.BigEndian.Uint64(b[i*8:])) }
 	return core.Stats{
 		Reads: at(0), CASAttempts: at(1), CASFailures: at(2), FindSteps: at(3),
-		Rounds: at(4), Finds: at(5), Links: at(6), Rewrites: at(7), Ops: at(8), Filtered: at(9),
+		Rounds: at(4), Finds: at(5), Links: at(6), Rewrites: at(7), Ops: at(8),
 	}
 }
 
@@ -408,7 +405,6 @@ func (d *binaryDecoder) parseReply(body []byte, env *Envelope, rep *dsu.BatchRep
 	}
 	*rep = dsu.BatchReply{
 		Merged:     int64(binary.BigEndian.Uint64(body[0:8])),
-		Filtered:   int(int64(binary.BigEndian.Uint64(body[8:16]))),
 		CASRetries: int64(binary.BigEndian.Uint64(body[16:24])),
 		Elapsed:    time.Duration(binary.BigEndian.Uint64(body[24:32])),
 		Stats:      parseStats(body[32 : 32+binStatsLen]),

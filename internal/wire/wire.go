@@ -104,11 +104,10 @@ func kindFromString(s string) Kind {
 // cancellation, say) in the enclosing envelope's Error field when the
 // shutdown lost batches.
 type StreamEnd struct {
-	Batches  uint64 `json:"batches"`
-	Edges    int64  `json:"edges"`
-	Merged   int64  `json:"merged"`
-	Filtered int64  `json:"filtered"`
-	Failed   uint64 `json:"failed"`
+	Batches uint64 `json:"batches"`
+	Edges   int64  `json:"edges"`
+	Merged  int64  `json:"merged"`
+	Failed  uint64 `json:"failed"`
 }
 
 // Envelope is one protocol message: a kind, a sequence number (request

@@ -32,11 +32,9 @@ func randomEnvelope(rng *rand.Rand) *Envelope {
 	}
 	opts := func() dsu.BatchOptions {
 		return dsu.BatchOptions{
-			Workers:         rng.Intn(65) - 32,
-			Grain:           rng.Intn(5000) - 100,
-			Prefilter:       rng.Intn(2) == 0,
-			ConnectedFilter: rng.Intn(2) == 0,
-			Find:            dsu.FindStrategy(rng.Intn(7)),
+			Workers: rng.Intn(65) - 32,
+			Grain:   rng.Intn(5000) - 100,
+			Find:    dsu.FindStrategy(rng.Intn(7)),
 		}
 	}
 	env := &Envelope{Seq: rng.Uint64()}
@@ -70,14 +68,13 @@ func randomEnvelope(rng *rand.Rand) *Envelope {
 		env.Kind = KindReply
 		rep := &dsu.BatchReply{
 			Merged:     rng.Int63() - rng.Int63(),
-			Filtered:   rng.Intn(1000),
 			Find:       dsu.FindStrategy(rng.Intn(6)),
 			CASRetries: rng.Int63n(1 << 30),
 			Elapsed:    time.Duration(rng.Int63n(1 << 40)),
 			Stats: core.Stats{
 				Reads: rng.Int63n(1 << 30), CASAttempts: rng.Int63n(1 << 30), CASFailures: rng.Int63n(1 << 20),
 				FindSteps: rng.Int63n(1 << 30), Rounds: rng.Int63n(1 << 20), Finds: rng.Int63n(1 << 30),
-				Links: rng.Int63n(1 << 20), Rewrites: rng.Int63n(1 << 20), Ops: rng.Int63n(1 << 30), Filtered: rng.Int63n(1 << 20),
+				Links: rng.Int63n(1 << 20), Rewrites: rng.Int63n(1 << 20), Ops: rng.Int63n(1 << 30),
 			},
 		}
 		if rng.Intn(3) != 0 {
@@ -96,7 +93,7 @@ func randomEnvelope(rng *rand.Rand) *Envelope {
 		env.Error = "tenant \"x\" not found — try again\n…"
 	case 5:
 		env.Kind = KindEnd
-		env.End = &StreamEnd{Batches: rng.Uint64() % 1000, Edges: rng.Int63n(1 << 40), Merged: rng.Int63n(1 << 40), Filtered: rng.Int63n(1 << 30), Failed: rng.Uint64() % 10}
+		env.End = &StreamEnd{Batches: rng.Uint64() % 1000, Edges: rng.Int63n(1 << 40), Merged: rng.Int63n(1 << 40), Failed: rng.Uint64() % 10}
 		if rng.Intn(2) == 0 {
 			env.Error = "context canceled" // the close error rides the end frame
 		}
@@ -206,6 +203,18 @@ func TestOversizedFrames(t *testing.T) {
 	}
 }
 
+// retiredFlagFrame is a one-edge binary batch frame of the given kind
+// whose options byte carries flags — valid in every other respect.
+func retiredFlagFrame(kind Kind, flags byte) []byte {
+	return []byte{
+		0, 0, 0, 27, // payload length: 9 meta + 10 opts + 8 edge
+		byte(kind), 0, 0, 0, 0, 0, 0, 0, 1, // kind, seq=1
+		0, 0, 0, 0, 0, 0, 0, 0, // workers, grain
+		0, flags, // find, flags
+		0, 0, 0, 1, 0, 0, 0, 2, // edge {1,2}
+	}
+}
+
 // TestCorruptFrames feeds structurally inconsistent payloads: wrong edge
 // alignment, bitset/count mismatches, unknown kinds, stray bytes.
 func TestCorruptFrames(t *testing.T) {
@@ -255,6 +264,11 @@ func TestCorruptFrames(t *testing.T) {
 			b[len(b)-1] = 2
 			return append(b, make([]byte, binTraceLen)...)
 		}()...),
+		// Bits 0 and 1 of the options byte once asked for the prefilter and
+		// the connected screen; a frame still setting them is refused.
+		"retired prefilter flag": retiredFlagFrame(KindUnite, 1),
+		"retired connected flag": retiredFlagFrame(KindQuery, 2),
+		"unknown option flag":    retiredFlagFrame(KindUnite, 8),
 	}
 	for name, raw := range cases {
 		if _, err := NewDecoder(bytes.NewReader(raw), Binary, 0).Decode(); !errors.Is(err, ErrCorruptFrame) {
@@ -327,7 +341,7 @@ func TestTraceContextRoundTrip(t *testing.T) {
 // exact bytes an old peer emits — proving the trace extension is purely
 // additive: no flag bit, no extension bytes, untraced envelope out.
 func TestUntracedFramesCompat(t *testing.T) {
-	// Binary unite: header + kind/seq + options(prefilter, no trace bit)
+	// Binary unite: header + kind/seq + options(no flags, no trace bit)
 	// + one edge.
 	unite := []byte{
 		0, 0, 0, 27, // payload length: 9 meta + 10 opts + 8 edge
@@ -335,14 +349,14 @@ func TestUntracedFramesCompat(t *testing.T) {
 		0, 0, 0, 2, // workers=2
 		0, 0, 0, 0, // grain=0
 		0,                      // find
-		1,                      // flags: prefilter only
+		0,                      // flags: none
 		0, 0, 0, 1, 0, 0, 0, 2, // edge {1,2}
 	}
 	env, err := NewDecoder(bytes.NewReader(unite), Binary, 0).Decode()
 	if err != nil {
 		t.Fatalf("old unite frame: %v", err)
 	}
-	if env.Trace != 0 || env.Span != 0 || !env.Unite.Options.Prefilter ||
+	if env.Trace != 0 || env.Span != 0 || env.Unite.Options.Workers != 2 ||
 		len(env.Unite.Edges) != 1 || env.Unite.Edges[0] != (dsu.Edge{X: 1, Y: 2}) {
 		t.Fatalf("old unite frame decoded as %+v", env)
 	}
@@ -434,6 +448,9 @@ func FuzzBinaryDecode(f *testing.F) {
 	_ = enc.Encode(&Envelope{Kind: KindUnite, Seq: 2,
 		Unite: &dsu.UniteRequest{Edges: []dsu.Edge{{X: 10, Y: 11}}}})
 	f.Add(mixed.Bytes())
+	// Frames setting the retired filter bits of the options byte.
+	f.Add(retiredFlagFrame(KindUnite, 1))
+	f.Add(retiredFlagFrame(KindQuery, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := NewDecoder(bytes.NewReader(data), Binary, 1<<20)
 		// The pooled decoder reads the same bytes in lockstep; any place

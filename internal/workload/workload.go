@@ -97,10 +97,8 @@ func ZipfMixed(n, m int, uniteFrac, skew float64, seed uint64) []Op {
 // with probability pIntra, keeps both endpoints inside it; otherwise the
 // second endpoint lands in a different community. This models the locality
 // of real graphs — most edges stay inside a community, few cross — and,
-// because communities are contiguous blocks, it maps directly onto the
-// sharded structure's block partition (aligned when c is a multiple of the
-// shard count), making it the workload that separates sharded from flat
-// behaviour.
+// because communities are contiguous blocks of elements, it gives a batch
+// the spatial locality a cache-sized block of the parent array rewards.
 func CommunityUnions(n, m, c int, pIntra float64, seed uint64) []Op {
 	requirePositive(n, m)
 	if c < 1 || c > n {
