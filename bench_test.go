@@ -451,35 +451,25 @@ func BenchmarkE21AdaptiveFind(b *testing.B) {
 	}
 }
 
-// BenchmarkE23LockFree measures the lock-free kind on the E23 shapes: one
-// uniform batch per kind (flat / lock-free, identical edges and worker
-// budget; lock-free runs the flat core, so it should match flat),
-// plus the regime the concurrent capability promises — k genuinely
-// overlapping UniteAll calls on one structure.
+// BenchmarkE23LockFree measures the concurrent core on the E23 shapes: one
+// uniform batch on a fresh structure, plus the regime the paper's
+// algorithm is for — k genuinely overlapping UniteAll calls on one
+// structure.
 func BenchmarkE23LockFree(b *testing.B) {
 	const n = 1 << 18
 	m := 4 * n
 	edges := engine.FromOps(workload.RandomUnions(n, m, 10))
-	kinds := []struct {
-		name string
-		make func() dsu.Backend
-	}{
-		{"flat", func() dsu.Backend { return dsu.New(n, dsu.WithSeed(11)) }},
-		{"lockfree", func() dsu.Backend { return dsu.NewLockFree(n, dsu.WithSeed(11)) }},
-	}
-	for _, kind := range kinds {
-		b.Run("batch/"+kind.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				kind.make().UniteAll(edges, dsu.WithWorkers(4))
-			}
-			b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mop/s")
-		})
-	}
+	b.Run("batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dsu.New(n, dsu.WithSeed(11)).UniteAll(edges, dsu.WithWorkers(4))
+		}
+		b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mop/s")
+	})
 	for _, k := range []int{2, 4} {
 		b.Run(fmt.Sprintf("overlap/k=%d", k), func(b *testing.B) {
 			chunk := (len(edges) + k - 1) / k
 			for i := 0; i < b.N; i++ {
-				d := dsu.NewLockFree(n, dsu.WithSeed(11))
+				d := dsu.New(n, dsu.WithSeed(11))
 				var wg sync.WaitGroup
 				for j := 0; j < k; j++ {
 					lo, hi := j*chunk, min((j+1)*chunk, len(edges))

@@ -14,7 +14,7 @@
 //	dsubench -exp stream  # E20, stream vs blocking-batch ingestion
 //	dsubench -exp adapt   # E21, adaptive vs fixed find variants
 //	dsubench -exp wire    # E22, remote vs in-process batches
-//	dsubench -exp lockfree # E23, lock-free kind (concurrent core) scaling
+//	dsubench -exp lockfree # E23, concurrent-core scaling
 //	dsubench -exp fastpath # E24, pipelined pooled wire path vs per-RPC
 //	dsubench -exp wal     # E25, durable tenants (also: durable)
 //

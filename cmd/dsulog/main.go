@@ -83,7 +83,7 @@ func kindName(k uint8) string {
 	case 2:
 		return "sharded (retired; recovers as flat)"
 	case 3:
-		return "lockfree"
+		return "lockfree (retired; recovers as flat)"
 	default:
 		return fmt.Sprintf("kind(%d)", k)
 	}

@@ -45,17 +45,29 @@ func buildLog(t *testing.T, n, batches int, checkpointAt int) (string, []uint32)
 	return filepath.Join(dir, "t.dsulog"), labels
 }
 
-// buildRetiredLog writes a log under the header the retired sharded kind
-// wrote (kind byte 2, two shards): six batches, a snapshot of their
-// partition in that kind's flattened form (each element pointing at its
-// set's minimum), and four more. A flat tenant then recovers it, appends
-// three batches and a checkpoint under the same header, and seals it. It
-// returns the log path and the tenant's final labels.
-func buildRetiredLog(t *testing.T, n int) (string, []uint32) {
+// retiredKinds are the header kind bytes of the retired kinds: 2, the
+// sharded kind (which recorded two shards here), and 3, the lock-free
+// kind.
+var retiredKinds = []struct {
+	kind   uint8
+	shards uint32
+	info   string
+}{
+	{2, 2, "kind=sharded (retired; recovers as flat)"},
+	{3, 0, "kind=lockfree (retired; recovers as flat)"},
+}
+
+// buildRetiredLog writes a log under the header a retired kind wrote:
+// six batches, a snapshot of their partition in that kind's form (the
+// sharded kind flattened each element to its set's minimum, the
+// lock-free kind wrote its forest), and four more. A tenant then recovers
+// it, appends three batches and a checkpoint under the same header, and
+// seals it. It returns the log path and the tenant's final labels.
+func buildRetiredLog(t *testing.T, n int, kind uint8, shards uint32) (string, []uint32) {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "old.dsulog")
-	w, _, err := wal.Open(path, wal.Meta{Tenant: "old", N: n, Kind: 2, Find: uint8(dsu.TwoTrySplitting), Shards: 2, Seed: 5}, wal.Options{})
+	w, _, err := wal.Open(path, wal.Meta{Tenant: "old", N: n, Kind: kind, Find: uint8(dsu.TwoTrySplitting), Shards: shards, Seed: 5}, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +79,14 @@ func buildRetiredLog(t *testing.T, n int) (string, []uint32) {
 		}
 		return edges
 	}
-	flat := dsu.New(n)
+	flat := dsu.New(n, dsu.WithSeed(5))
 	for i := 0; i < 10; i++ {
 		if i == 6 {
-			if _, err := w.WriteSnapshot(2, flat.CanonicalLabels()); err != nil {
+			snap := flat.Snapshot()
+			if kind == 2 {
+				snap = flat.CanonicalLabels()
+			}
+			if _, err := w.WriteSnapshot(kind, snap); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -125,19 +141,21 @@ func TestInfoAndVerifySealed(t *testing.T) {
 		t.Errorf("verify output: %s", out.String())
 	}
 
-	// A log the retired sharded kind wrote, appended to by the flat
-	// tenant that recovered it, still verifies strictly.
-	old, _ := buildRetiredLog(t, 150)
-	out.Reset()
-	if err := runInfo([]string{old}, &out); err != nil {
-		t.Fatalf("info on a retired-kind log: %v", err)
-	}
-	if !strings.Contains(out.String(), "kind=sharded (retired; recovers as flat)") || !strings.Contains(out.String(), "batches     13") {
-		t.Errorf("info output on a retired-kind log:\n%s", out.String())
-	}
-	out.Reset()
-	if err := runVerify([]string{"-strict", old}, &out); err != nil {
-		t.Fatalf("verify -strict on a retired-kind log: %v", err)
+	// A log a retired kind wrote, appended to by the tenant that
+	// recovered it, still verifies strictly.
+	for _, rk := range retiredKinds {
+		old, _ := buildRetiredLog(t, 150, rk.kind, rk.shards)
+		out.Reset()
+		if err := runInfo([]string{old}, &out); err != nil {
+			t.Fatalf("info on a kind-%d log: %v", rk.kind, err)
+		}
+		if !strings.Contains(out.String(), rk.info) || !strings.Contains(out.String(), "batches     13") {
+			t.Errorf("info output on a kind-%d log:\n%s", rk.kind, out.String())
+		}
+		out.Reset()
+		if err := runVerify([]string{"-strict", old}, &out); err != nil {
+			t.Fatalf("verify -strict on a kind-%d log: %v", rk.kind, err)
+		}
 	}
 }
 
@@ -231,29 +249,31 @@ func TestReplayMatchesStructure(t *testing.T) {
 		t.Fatalf("replay past the log's end succeeded")
 	}
 
-	// A log of the retired sharded kind replays to the labels the flat
-	// tenant that recovered and extended it served, validating both its
-	// flattened snapshot and the flat tenant's.
-	old, oldLabels := buildRetiredLog(t, 150)
-	out.Reset()
-	if err := runReplay([]string{old}, &out); err != nil {
-		t.Fatalf("replay of a retired-kind log: %v", err)
-	}
-	for _, want := range []string{"snapshot at seq 6: matches oracle", "snapshot at seq 13: matches oracle"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("replay of a retired-kind log missing %q:\n%s", want, out.String())
+	// A log of a retired kind replays to the labels the tenant that
+	// recovered and extended it served, validating both the retired
+	// kind's snapshot and the recovering tenant's.
+	for _, rk := range retiredKinds {
+		old, oldLabels := buildRetiredLog(t, 150, rk.kind, rk.shards)
+		out.Reset()
+		if err := runReplay([]string{old}, &out); err != nil {
+			t.Fatalf("replay of a kind-%d log: %v", rk.kind, err)
 		}
-	}
-	out.Reset()
-	if err := runReplay([]string{"-labels", old}, &out); err != nil {
-		t.Fatalf("replay -labels of a retired-kind log: %v", err)
-	}
-	want.Reset()
-	if err := json.NewEncoder(&want).Encode(oldLabels); err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != want.String() {
-		t.Fatalf("replay -labels of a retired-kind log differs from the tenant's labelling")
+		for _, want := range []string{"snapshot at seq 6: matches oracle", "snapshot at seq 13: matches oracle"} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("replay of a kind-%d log missing %q:\n%s", rk.kind, want, out.String())
+			}
+		}
+		out.Reset()
+		if err := runReplay([]string{"-labels", old}, &out); err != nil {
+			t.Fatalf("replay -labels of a kind-%d log: %v", rk.kind, err)
+		}
+		want.Reset()
+		if err := json.NewEncoder(&want).Encode(oldLabels); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != want.String() {
+			t.Fatalf("replay -labels of a kind-%d log differs from the tenant's labelling", rk.kind)
+		}
 	}
 }
 

@@ -12,11 +12,12 @@
 //	    -tenant gamma:1000000:lockfree
 //
 // The spec is name:n[:kind[:find]] — kind is a structure-kind name per
-// dsu.ParseKind ("flat", the default, or "lockfree"); find names a strategy
-// per dsu.ParseFindStrategy ("auto" turns on the adaptive compaction
-// policy). A spec the server cannot honour stops it at startup. Lock-free
-// tenants serve their RPCs and stream batches truly concurrently — no
-// per-tenant queueing.
+// dsu.ParseKind ("flat" or "lockfree"; both build the same structure, and
+// the names stay so that older specs parse); find names a strategy per
+// dsu.ParseFindStrategy ("auto" turns on the adaptive compaction policy).
+// A spec the server cannot honour stops it at startup. Every tenant is
+// served under one policy: its RPCs take the per-tenant -inflight budget,
+// and its stream batches run in seal order.
 //
 // With -data the server is durable: every tenant keeps a chunked,
 // CRC-verified write-ahead log in the directory (<tenant>.dsulog), every
@@ -78,8 +79,7 @@ func (t *tenantFlags) String() string     { return strings.Join(*t, ",") }
 func (t *tenantFlags) Set(v string) error { *t = append(*t, v); return nil }
 
 // parseTenant parses name:n[:kind[:find]], where kind is a structure-kind
-// name ("flat" or "lockfree" — validated by the spec's Options
-// translation).
+// name (validated by the spec's Options translation).
 func parseTenant(spec string) (server.TenantSpec, error) {
 	parts := strings.Split(spec, ":")
 	if len(parts) < 2 || len(parts) > 4 {
@@ -180,8 +180,7 @@ func main() {
 		}
 		for _, name := range restored {
 			u, _ := reg.Get(name)
-			logger.Info("tenant recovered", "tenant", name, "n", u.N(),
-				"kind", u.Kind(), "seq", u.Seq())
+			logger.Info("tenant recovered", "tenant", name, "n", u.N(), "seq", u.Seq())
 		}
 	}
 	for _, spec := range tenants {
@@ -210,8 +209,7 @@ func main() {
 		if err != nil {
 			fatal("tenant create failed", "tenant", ts.Name, "err", err)
 		}
-		logger.Info("tenant ready", "tenant", u.Name(), "n", u.N(),
-			"kind", u.Kind(), "adaptive", u.Adaptive())
+		logger.Info("tenant ready", "tenant", u.Name(), "n", u.N(), "adaptive", u.Adaptive())
 	}
 
 	srv := server.New(server.Config{

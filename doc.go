@@ -3,19 +3,18 @@
 // (PODC 2016; revised as arXiv:1612.01514).
 //
 // The public library lives in repro/dsu: point operations (Unite, SameSet,
-// Find), batched bulk operations (UniteAll, SameSetAll) that fan an edge
-// list out over a work-stealing worker pool, a lock-free kind (LockFree)
-// that serves the same forest with overlap as its contract, a streaming
-// ingestion front (Stream) that overlaps batch accumulation with
-// execution behind backpressure and per-batch completion callbacks, and
-// an adaptive compaction mode (WithAdaptiveFind) that downgrades query
-// batches to cheaper find variants while the forest is flat. Every
-// tenant is one forest, as in the paper: both kinds share one Backend
-// surface, and every batch path — blocking or streamed — drives one
-// unified execution seam per structure.
+// Find) and batched bulk operations (UniteAll, SameSetAll) that fan an
+// edge list out over a work-stealing worker pool, all of which may
+// overlap freely on one structure; a streaming ingestion front (Stream)
+// that overlaps batch accumulation with execution behind backpressure and
+// per-batch completion callbacks; and an adaptive compaction mode
+// (WithAdaptiveFind) that downgrades query batches to cheaper find
+// variants while the forest is flat. Every tenant is one forest, as in
+// the paper, and every batch path — blocking, streamed or remote — drives
+// one unified execution seam per structure.
 //
 // The client-facing surface is the tenant-scoped Universe API: a Registry
-// of named, isolated universes (one structure each, kind chosen per
+// of named, isolated universes (one structure each, options chosen per
 // tenant via the option vocabulary) whose batch methods speak plain
 // request/response DTOs (UniteRequest, QueryRequest, BatchReply) shared
 // verbatim by in-process callers and the network front end —

@@ -17,16 +17,17 @@ func adaptivePairs(n, m int, seed uint64) []dsu.Edge {
 	return pairs
 }
 
-// newKind builds the named structure kind ("flat" or "lockfree").
-func newKind(kind string, n int, opts ...dsu.Option) dsu.Backend {
+// newKind builds the structure under the named kind: "flat" through New,
+// "lockfree" through a spec naming the retired lock-free kind.
+func newKind(kind string, n int, opts ...dsu.Option) *dsu.DSU {
 	if kind == "lockfree" {
-		return dsu.NewLockFree(n, opts...)
+		return newLockFreeSpec(n, opts...)
 	}
 	return dsu.New(n, opts...)
 }
 
 // TestAdaptiveMatchesFixed is the acceptance cross-validation for the
-// adaptive compaction policy: across seeds × {flat, lockfree} backends ×
+// adaptive compaction policy: across seeds × {flat, lockfree} specs ×
 // batch sizes, a structure in WithAdaptiveFind mode driven through
 // alternating mutate/query phases must produce the exact partition and the
 // exact query answers of an identically seeded fixed-variant structure —
@@ -129,7 +130,7 @@ func TestAdaptiveStreamMatchesFixed(t *testing.T) {
 // public API alone: naive finds issue no CAS instructions, so once the
 // downgrade reaches naive, a counted query batch reports zero CAS
 // attempts. After a flattening UniteAll that must happen within a few
-// batches on both backends.
+// batches, however the structure was built.
 func TestAdaptiveDowngradeObservable(t *testing.T) {
 	const n = 1 << 12
 	edges := engine.FromOps(workload.RandomUnions(n, 4*n, 9))

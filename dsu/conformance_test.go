@@ -13,29 +13,39 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the shared Backend conformance suite: one table of
-// constructors — flat, lock-free — driven through the contract every
-// structure kind must honor. Constructor boundaries, batch ≡ blocking
-// partitions and merge counts, oracle cross-validation, and counted
-// accounting are each written once here, as are the concurrent kind's
-// overlap and retry-accounting contracts; per-kind test files keep only
-// what is genuinely specific to their kind (stream ordering), and
-// point-op linearizability is checked on the one core (internal/core).
-// CI runs the suite under -race.
+// This file is the shared conformance suite: one table of the ways to
+// build the structure — New, and a Registry spec naming the retired
+// lock-free kind — driven through the one contract. Constructor
+// boundaries, batch ≡ blocking partitions and merge counts, oracle
+// cross-validation, and counted accounting are each written once here,
+// as are the overlap and retry-accounting contracts; point-op
+// linearizability is checked on the core (internal/core). CI runs the
+// suite under -race.
 
-// backendCase names one structure kind and how to build it.
+// backendCase names one way to build the structure.
 type backendCase struct {
 	name string
-	make func(n int, opts ...dsu.Option) dsu.Backend
-	// splittingOnly marks kinds restricted to the splitting find family.
-	splittingOnly bool
+	make func(n int, opts ...dsu.Option) *dsu.DSU
 }
 
 func backendCases() []backendCase {
 	return []backendCase{
-		{"flat", func(n int, opts ...dsu.Option) dsu.Backend { return dsu.New(n, opts...) }, false},
-		{"lockfree", func(n int, opts ...dsu.Option) dsu.Backend { return dsu.NewLockFree(n, opts...) }, true},
+		{"flat", func(n int, opts ...dsu.Option) *dsu.DSU { return dsu.New(n, opts...) }},
+		{"lockfree", newLockFreeSpec},
 	}
+}
+
+// newLockFreeSpec builds the structure the way an older spec naming the
+// retired lock-free kind does: Registry.Create with
+// WithKind(KindLockFree). Every kind name builds the same structure, so
+// the suite holds it to New's contract. It panics where Create errs, as
+// New would.
+func newLockFreeSpec(n int, opts ...dsu.Option) *dsu.DSU {
+	u, err := dsu.NewRegistry().Create("spec", n, append([]dsu.Option{dsu.WithKind(dsu.KindLockFree)}, opts...)...)
+	if err != nil {
+		panic(err)
+	}
+	return u.Backend()
 }
 
 // oracle replays edges through the classical sequential structure.
@@ -62,8 +72,8 @@ func checkLabelsMatch(t *testing.T, got, want []uint32) {
 }
 
 // TestBackendConformanceOracle is the acceptance cross-validation, run
-// against every structure kind: a multi-batch schedule must leave each
-// backend with exactly the sequential oracle's partition — same canonical
+// against every way of building the structure: a multi-batch schedule
+// must leave it with exactly the sequential oracle's partition — same canonical
 // labels, set count, batch and point SameSet answers, snapshot roots,
 // component materialization, and an ID permutation.
 func TestBackendConformanceOracle(t *testing.T) {
@@ -142,7 +152,7 @@ func TestBackendConformanceOracle(t *testing.T) {
 
 // TestBackendBatchEqualsBlocking pins batch ≡ blocking: a UniteAll over a
 // batch leaves exactly the partition of a point-op loop over the same
-// edges, for every kind, and reports exactly the loop's merge count.
+// edges, however built, and reports exactly the loop's merge count.
 func TestBackendBatchEqualsBlocking(t *testing.T) {
 	const n = 1500
 	edges := engine.FromOps(workload.CommunityUnions(n, 3*n, 6, 0.8, 17))
@@ -169,20 +179,15 @@ func TestBackendBatchEqualsBlocking(t *testing.T) {
 	}
 }
 
-// TestBackendFindVariantConformance sweeps every find strategy each kind
-// defines — the splitting family everywhere, halving and compression on
-// the core-backed kinds, and the adaptive policy on all — checking the
-// partition is variant-independent.
+// TestBackendFindVariantConformance sweeps every find strategy — the
+// splitting family, halving, compression and the adaptive policy —
+// checking the partition is variant-independent.
 func TestBackendFindVariantConformance(t *testing.T) {
 	const n = 800
 	edges := engine.FromOps(workload.CommunityUnions(n, 2*n, 4, 0.8, 31))
 	want := oracle(n, edges).CanonicalLabels()
 	for _, bc := range backendCases() {
-		strategies := []dsu.FindStrategy{dsu.NoCompaction, dsu.OneTrySplitting, dsu.TwoTrySplitting, dsu.FindAuto}
-		if !bc.splittingOnly {
-			strategies = append(strategies, dsu.Halving, dsu.Compression)
-		}
-		for _, f := range strategies {
+		for _, f := range []dsu.FindStrategy{dsu.NoCompaction, dsu.OneTrySplitting, dsu.TwoTrySplitting, dsu.FindAuto, dsu.Halving, dsu.Compression} {
 			t.Run(fmt.Sprintf("%s/%v", bc.name, f), func(t *testing.T) {
 				d := bc.make(n, dsu.WithFind(f), dsu.WithSeed(33))
 				d.UniteAll(edges, dsu.WithWorkers(3))
@@ -194,7 +199,7 @@ func TestBackendFindVariantConformance(t *testing.T) {
 
 // TestBatchOptionBoundaries sweeps WithWorkers and WithGrain through their
 // documented degenerate values — zero, negative, larger than the batch —
-// on every kind's batch path, checking the partition is immune.
+// on the batch path, checking the partition is immune.
 func TestBatchOptionBoundaries(t *testing.T) {
 	const n = 1200
 	edges := engine.FromOps(workload.RandomUnions(n, 2*n, 41))
@@ -227,7 +232,7 @@ func TestBatchOptionBoundaries(t *testing.T) {
 }
 
 // TestBackendCountedConformance checks the counted batch variants account
-// work on every kind: a mutation batch reports operations and nonzero
+// work: a mutation batch reports operations and nonzero
 // work, and a query batch reports exactly one operation per pair.
 func TestBackendCountedConformance(t *testing.T) {
 	const n = 1500
@@ -250,9 +255,9 @@ func TestBackendCountedConformance(t *testing.T) {
 }
 
 // TestBackendConstructorContract pins every constructor's documented
-// boundaries in one table: the shared rejections (out-of-range n, unknown
-// strategies, undefined option combinations) plus each kind's own, and
-// the combinations that must construct.
+// boundaries in one table: the rejections (out-of-range n, unknown
+// strategies, undefined option combinations), and the combinations that
+// must construct, whichever way the structure is built.
 func TestBackendConstructorContract(t *testing.T) {
 	panics := []struct {
 		name string
@@ -264,12 +269,6 @@ func TestBackendConstructorContract(t *testing.T) {
 		{"flat/early termination + halving", func() { dsu.New(4, dsu.WithFind(dsu.Halving), dsu.WithEarlyTermination()) }},
 		{"flat/early termination + compression", func() { dsu.New(4, dsu.WithFind(dsu.Compression), dsu.WithEarlyTermination()) }},
 		{"dynamic/negative capacity", func() { dsu.NewDynamic(-1) }},
-		{"lockfree/negative n", func() { dsu.NewLockFree(-1) }},
-		{"lockfree/n over 2^31-1", func() { dsu.NewLockFree(1 << 31) }},
-		{"lockfree/early termination", func() { dsu.NewLockFree(4, dsu.WithEarlyTermination()) }},
-		{"lockfree/halving", func() { dsu.NewLockFree(4, dsu.WithFind(dsu.Halving)) }},
-		{"lockfree/compression", func() { dsu.NewLockFree(4, dsu.WithFind(dsu.Compression)) }},
-		{"lockfree/unknown find strategy", func() { dsu.NewLockFree(4, dsu.WithFind(dsu.FindStrategy(99))) }},
 	}
 	for _, c := range panics {
 		t.Run(c.name, func(t *testing.T) {
@@ -282,74 +281,94 @@ func TestBackendConstructorContract(t *testing.T) {
 		})
 	}
 
-	// Accepted combinations, per kind: every strategy the kind defines,
-	// early termination where Section 6 defines it, and the empty universe.
-	for _, f := range []dsu.FindStrategy{dsu.NoCompaction, dsu.OneTrySplitting, dsu.TwoTrySplitting, dsu.Halving, dsu.Compression} {
-		if d := dsu.New(4, dsu.WithFind(f)); d.N() != 4 {
-			t.Errorf("flat %v: N = %d, want 4", f, d.N())
-		}
-	}
-	for _, f := range []dsu.FindStrategy{dsu.NoCompaction, dsu.OneTrySplitting, dsu.TwoTrySplitting} {
-		d := dsu.New(4, dsu.WithFind(f), dsu.WithEarlyTermination())
-		d.Unite(0, 1)
-		if !d.SameSet(0, 1) {
-			t.Errorf("flat %v+early: SameSet(0,1) = false after Unite", f)
-		}
-		l := dsu.NewLockFree(4, dsu.WithFind(f))
-		l.Unite(0, 1)
-		if !l.SameSet(0, 1) {
-			t.Errorf("lockfree %v: SameSet(0,1) = false after Unite", f)
-		}
-	}
+	// Accepted combinations, whichever way the structure is built: every
+	// strategy, early termination where Section 6 defines it, and the
+	// empty universe.
 	for _, bc := range backendCases() {
+		for _, f := range []dsu.FindStrategy{dsu.NoCompaction, dsu.OneTrySplitting, dsu.TwoTrySplitting, dsu.Halving, dsu.Compression} {
+			if d := bc.make(4, dsu.WithFind(f)); d.N() != 4 {
+				t.Errorf("%s %v: N = %d, want 4", bc.name, f, d.N())
+			}
+		}
+		for _, f := range []dsu.FindStrategy{dsu.NoCompaction, dsu.OneTrySplitting, dsu.TwoTrySplitting} {
+			d := bc.make(4, dsu.WithFind(f), dsu.WithEarlyTermination())
+			d.Unite(0, 1)
+			if !d.SameSet(0, 1) {
+				t.Errorf("%s %v+early: SameSet(0,1) = false after Unite", bc.name, f)
+			}
+		}
 		if e := bc.make(0); e.N() != 0 || e.Sets() != 0 {
 			t.Errorf("%s: empty universe should construct", bc.name)
 		}
 	}
 }
 
-// TestOverlappingBatchesExactMerges is the concurrent kind's no-barrier
-// contract, accounting half: many UniteAll calls overlapping on one
-// structure from many goroutines, with point operations racing them, must
-// sum their merge counts to exactly initial sets − final sets — every
-// successful link counted exactly once — and land on the oracle partition.
+// overlapConfigs are the eight configurations New accepts: the five finds,
+// and early termination with naive, one-try and two-try.
+var overlapConfigs = []struct {
+	find  dsu.FindStrategy
+	early bool
+}{
+	{dsu.NoCompaction, false}, {dsu.OneTrySplitting, false}, {dsu.TwoTrySplitting, false},
+	{dsu.Halving, false}, {dsu.Compression, false},
+	{dsu.NoCompaction, true}, {dsu.OneTrySplitting, true}, {dsu.TwoTrySplitting, true},
+}
+
+// TestOverlappingBatchesExactMerges is the no-barrier contract, accounting
+// half, under every configuration New accepts: many UniteAll calls
+// overlapping on one structure from many goroutines, with point
+// operations racing them, must sum their merge counts to exactly initial
+// sets − final sets — every successful link counted exactly once — and
+// land on the oracle partition.
 func TestOverlappingBatchesExactMerges(t *testing.T) {
 	const n, batches, perBatch = 2048, 8, 1024
-	d := dsu.NewLockFree(n, dsu.WithSeed(21))
 	rng := randutil.NewXoshiro256(77)
 	all := make([][]dsu.Edge, batches)
 	for i := range all {
 		all[i] = engine.FromOps(workload.RandomUnions(n, perBatch, rng.Next()))
 	}
 	points := engine.FromOps(workload.RandomUnions(n, 256, 123))
+	want := oracle(n, append(all, points)...).CanonicalLabels()
 
-	var wg sync.WaitGroup
-	merged := make([]int, batches)
-	for i := range all {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			merged[i] = d.UniteAll(all[i], dsu.WithWorkers(2))
-		}(i)
-	}
-	// Point operations race the batches; their merges must be counted by
-	// them alone (Unite returning true), never double-counted by a batch.
-	pointMerged := 0
-	for _, e := range points {
-		if d.Unite(e.X, e.Y) {
-			pointMerged++
+	for _, c := range overlapConfigs {
+		name := c.find.String()
+		opts := []dsu.Option{dsu.WithFind(c.find), dsu.WithSeed(21)}
+		if c.early {
+			name += "+early"
+			opts = append(opts, dsu.WithEarlyTermination())
 		}
-	}
-	wg.Wait()
+		t.Run(name, func(t *testing.T) {
+			d := dsu.New(n, opts...)
+			var wg sync.WaitGroup
+			merged := make([]int, batches)
+			for i := range all {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					merged[i] = d.UniteAll(all[i], dsu.WithWorkers(2))
+				}(i)
+			}
+			// Point operations race the batches; their merges must be
+			// counted by them alone (Unite returning true), never
+			// double-counted by a batch.
+			pointMerged := 0
+			for _, e := range points {
+				if d.Unite(e.X, e.Y) {
+					pointMerged++
+				}
+			}
+			wg.Wait()
 
-	total := pointMerged
-	for _, m := range merged {
-		total += m
+			total := pointMerged
+			for _, m := range merged {
+				total += m
+			}
+			if want := n - d.Sets(); total != want {
+				t.Fatalf("summed merges %d, want exactly %d (initial − final sets)", total, want)
+			}
+			checkLabelsMatch(t, d.CanonicalLabels(), want)
+		})
 	}
-	if want := n - d.Sets(); total != want {
-		t.Fatalf("summed merges %d, want exactly %d (initial − final sets)", total, want)
-	}
-	checkLabelsMatch(t, d.CanonicalLabels(), oracle(n, append(all, points)...).CanonicalLabels())
 }
 
 // TestBatchCASRetriesMatchRounds pins the retry plumbing from the core's

@@ -23,22 +23,19 @@
 //
 //	d := dsu.New(n, dsu.WithFind(dsu.OneTrySplitting), dsu.WithEarlyTermination())
 //
-// For workloads that create elements on line, NewDynamic provides MakeSet
-// (lock-free; see the paper's Section 3 remark). For genuinely concurrent
-// mutation — goroutines issuing point operations
-// and batches with no coordination, the paper's own regime — NewLockFree
-// serves the same structure with the ConcurrentBackend capability, so
-// the stream and server layers let its operations overlap arbitrarily
-// (see LockFree and ConcurrentBackend). For edges
-// that arrive over time, NewStream wraps any structure in an asynchronous
-// ingestion front: pushes accumulate into double-buffered batches executed
-// in the background, with backpressure and per-batch completion callbacks
-// (see Stream; over a ConcurrentBackend, WithConcurrentBatches overlaps
-// the sealed batches themselves).
+// Every DSU serves the paper's regime as it stands: goroutines may issue
+// point operations and batches (UniteAll, SameSetAll) with no
+// coordination, under every find variant, and overlapping batches sum
+// their merge counts exactly. For workloads that create elements on line,
+// NewDynamic provides MakeSet (lock-free; see the paper's Section 3
+// remark). For edges that arrive over time, NewStream wraps a structure
+// in an asynchronous ingestion front: pushes accumulate into
+// double-buffered batches executed in the background, in seal order, with
+// backpressure and per-batch completion callbacks (see Stream).
 //
-// All structure kinds implement the common Backend interface and can be
-// created by name through Registry/Universe with WithKind (flat,
-// lockfree) — the tenant vocabulary the network front end serves.
+// Registry and Universe name structures as tenants — the vocabulary the
+// network front end serves. WithKind and ParseKind keep the kind names of
+// older specs ("flat", "lockfree"); every name builds the same DSU.
 //
 // Observability is opt-in and free when off. WithMetrics attaches a
 // Metrics registry (per-tenant counters, latency histograms, Prometheus
@@ -55,8 +52,9 @@
 package dsu
 
 import (
+	"fmt"
+
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/exec"
 )
 
@@ -95,11 +93,20 @@ const (
 )
 
 // String returns the strategy name used in the paper and experiment tables.
+// The zero value, which selects the caller's default, prints "default";
+// ParseFindStrategy maps every name printed here, except that of an
+// unknown value, back to its strategy.
 func (f FindStrategy) String() string {
-	if f == FindAuto {
+	switch f {
+	case 0:
+		return "default"
+	case FindAuto:
 		return "auto"
+	case NoCompaction, OneTrySplitting, TwoTrySplitting, Halving, Compression:
+		return coreFind(f).String()
+	default:
+		return fmt.Sprintf("FindStrategy(%d)", int(f))
 	}
-	return coreFind(f).String()
 }
 
 func coreFind(f FindStrategy) core.Find {
@@ -132,7 +139,9 @@ type Stats = core.Stats
 
 // DSU is a concurrent wait-free disjoint-set structure over a fixed element
 // universe 0..n−1. The zero value is not usable; call New. Methods may be
-// called from any number of goroutines concurrently.
+// called from any number of goroutines concurrently, batches included:
+// the partition after overlapping calls is that of their combined edges,
+// and their Merged counts sum to that edge set's exact count.
 type DSU struct {
 	c *core.DSU
 	// x is the unified execution seam all batch and stream paths route
@@ -157,18 +166,10 @@ func New(n int, opts ...Option) *DSU {
 		EarlyTermination: cfg.early,
 		Seed:             cfg.seed,
 	})
-	d := &DSU{c: c, x: exec.NewExecutor(engine.Flat{D: c}, cfg.find == FindAuto)}
+	d := &DSU{c: c, x: exec.NewExecutor(c, cfg.find == FindAuto)}
 	d.uni = &Universe{b: d}
 	return d
 }
-
-// executor exposes the execution seam to the batch and stream paths
-// (Backend).
-func (d *DSU) executor() *exec.Executor { return d.x }
-
-// universe exposes the anonymous Universe the veneers route through
-// (Backend).
-func (d *DSU) universe() *Universe { return d.uni }
 
 // N returns the number of elements.
 func (d *DSU) N() int { return d.c.N() }

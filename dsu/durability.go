@@ -131,7 +131,7 @@ func WithDurability(dir string, opts ...DurabilityOption) RegistryOption {
 // at a time" true across the on-demand and automatic triggers.
 type durableState struct {
 	w    *wal.Writer
-	b    Backend
+	b    *DSU
 	kind uint8 // the log header's kind byte, echoed by every snapshot
 	mu   sync.Mutex
 }
@@ -145,7 +145,7 @@ func (d *durableState) checkpoint() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var err error
-	d.b.executor().Quiesce(func(uint64) {
+	d.b.x.Quiesce(func(uint64) {
 		_, err = d.w.WriteSnapshot(d.kind, d.b.Snapshot())
 	})
 	return err
@@ -161,7 +161,7 @@ func (d *durableState) autoCheckpoint() {
 		return
 	}
 	defer d.mu.Unlock()
-	d.b.executor().Quiesce(func(uint64) {
+	d.b.x.Quiesce(func(uint64) {
 		d.w.WriteSnapshot(d.kind, d.b.Snapshot())
 	})
 }
@@ -187,40 +187,43 @@ func (r *Registry) logPath(tenant string) string {
 }
 
 // durableMeta phrases a tenant's resolved configuration as the log
-// header's Meta.
-func durableMeta(name string, n int, kind Kind, cfg config) wal.Meta {
+// header's Meta. New logs carry kind byte 1 (KindFlat), whatever kind
+// name the tenant was created under.
+func durableMeta(name string, n int, cfg config) wal.Meta {
 	return wal.Meta{
 		Tenant: name,
 		N:      n,
-		Kind:   uint8(kind),
+		Kind:   uint8(KindFlat),
 		Find:   uint8(cfg.find),
 		Early:  cfg.early,
 		Seed:   cfg.seed,
 	}
 }
 
-// retiredKind is the log header kind byte of the retired sharded kind.
-// What its logs make durable is the partition — chunks of edges, and
-// snapshots of the flattened forest — so such a log recovers into a flat
-// tenant and keeps appending under its own header.
-const retiredKind = 2
+// retiredKind reports whether a log header's kind byte belongs to a
+// retired kind: 2, the sharded kind, or 3, the lock-free kind. What their
+// logs make durable is the partition — chunks of edges, and snapshots of
+// the forest — so such a log recovers into the one structure and keeps
+// appending under its own header.
+func retiredKind(k uint8) bool { return k == 2 || k == uint8(KindLockFree) }
 
-// kindOfLog maps a log header's kind byte to the kind that serves it.
+// kindOfLog maps a log header's kind byte to the kind that serves it;
+// any other byte comes back as itself, which Create refuses.
 func kindOfLog(m wal.Meta) Kind {
-	if m.Kind == retiredKind {
+	if retiredKind(m.Kind) {
 		return KindFlat
 	}
 	return Kind(m.Kind)
 }
 
-// adoptRetiredHeader returns the header of the log at path when the
-// retired sharded kind wrote it under want's configuration otherwise,
-// and want itself in every other case. A flat tenant reopening such a
-// log must present the log's own header, whose fingerprint folds in the
-// kind byte and the shard count, or the log would refuse it.
+// adoptRetiredHeader returns the header of the log at path when a
+// retired kind wrote it under want's configuration otherwise, and want
+// itself in every other case. A tenant reopening such a log must present
+// the log's own header, whose fingerprint folds in the kind byte and the
+// shard count, or the log would refuse it.
 func adoptRetiredHeader(path string, want wal.Meta) wal.Meta {
 	got, err := wal.ReadMeta(path)
-	if err != nil || got.Kind != retiredKind {
+	if err != nil || !retiredKind(got.Kind) {
 		return want
 	}
 	if got.Tenant != want.Tenant || got.N != want.N || got.Find != want.Find || got.Early != want.Early || got.Seed != want.Seed {
@@ -240,15 +243,6 @@ func optionsFromMeta(m wal.Meta) []Option {
 	return opts
 }
 
-// newBackendFromMeta builds an unregistered structure under the log's
-// recorded configuration (Rewind's materialization path).
-func newBackendFromMeta(m wal.Meta) Backend {
-	if kindOfLog(m) == KindLockFree {
-		return NewLockFree(m.N, optionsFromMeta(m)...)
-	}
-	return New(m.N, optionsFromMeta(m)...)
-}
-
 // restoreBlock is how many snapshot-derived edges restore batches at a
 // time.
 const restoreBlock = 1 << 16
@@ -258,8 +252,8 @@ const restoreBlock = 1 << 16
 // tail (snapshot, upTo], prime the applied sequence. Runs before the
 // WAL is attached, so nothing here is re-logged, and before
 // instrumentation, so recovery work never pollutes tenant metrics.
-func restoreBackend(b Backend, rd *wal.Reader, upTo uint64) error {
-	x := b.executor()
+func restoreBackend(d *DSU, rd *wal.Reader, upTo uint64) error {
+	x := d.x
 	var after uint64
 	if si, ok := rd.LatestSnapshotAt(upTo); ok {
 		sr, err := rd.ReadSnapshot(si)
@@ -285,7 +279,7 @@ func restoreBackend(b Backend, rd *wal.Reader, upTo uint64) error {
 // applyParents merges a snapshot's flattened forest into the structure:
 // every non-root parent edge (i, parents[i]), in blocks. The snapshot
 // records a partition, not a forest shape, and unites reproduce exactly
-// that partition on any backend kind.
+// that partition.
 func applyParents(x *exec.Executor, parents []uint32) error {
 	buf := make([]exec.Edge, 0, restoreBlock)
 	flush := func() error {
@@ -314,7 +308,7 @@ func applyParents(x *exec.Executor, parents []uint32) error {
 // the universe. Called by Create under the registry lock, before the
 // universe is instrumented or published; on error the universe is never
 // registered.
-func (r *Registry) openDurable(u *Universe, n int, kind Kind, cfg config) error {
+func (r *Registry) openDurable(u *Universe, n int, cfg config) error {
 	if !validDurableName(u.name) {
 		return fmt.Errorf("dsu: tenant name %q is not usable as a log filename (want [a-zA-Z0-9._-], max 128)", u.name)
 	}
@@ -322,10 +316,7 @@ func (r *Registry) openDurable(u *Universe, n int, kind Kind, cfg config) error 
 		return err
 	}
 	path := r.logPath(u.name)
-	meta := durableMeta(u.name, n, kind, cfg)
-	if kind == KindFlat {
-		meta = adoptRetiredHeader(path, meta)
-	}
+	meta := adoptRetiredHeader(path, durableMeta(u.name, n, cfg))
 	w, rd, err := wal.Open(path, meta, wal.Options{
 		Sync:            r.dur.sync.wal(),
 		CheckpointEvery: r.dur.checkpointEvery,
@@ -341,7 +332,7 @@ func (r *Registry) openDurable(u *Universe, n int, kind Kind, cfg config) error 
 	}
 	d := &durableState{w: w, b: u.b, kind: meta.Kind}
 	u.dur = d
-	u.b.executor().AttachWAL(w, d.autoCheckpoint)
+	u.b.x.AttachWAL(w, d.autoCheckpoint)
 	return nil
 }
 
@@ -354,7 +345,7 @@ func (u *Universe) Durable() bool { return u.dur != nil }
 // position (primed by recovery, advanced by every logged batch).
 // Operators compare it across replicas; TenantInfo and the
 // dsu_tenant_seq gauge surface it.
-func (u *Universe) Seq() uint64 { return u.b.executor().Seq() }
+func (u *Universe) Seq() uint64 { return u.b.x.Seq() }
 
 // Checkpoint snapshots the universe into its log, now. It drains
 // in-flight mutation batches first (holding new ones briefly at the
@@ -377,7 +368,7 @@ func (u *Universe) durableUnite(x, y uint32) bool {
 	if n := uint32(u.b.N()); x >= n || y >= n {
 		panic(fmt.Sprintf("dsu: Unite(%d,%d) outside the %d-element universe", x, y, n))
 	}
-	res := u.b.executor().UniteAll([]exec.Edge{{X: x, Y: y}}, exec.Config{Workers: 1})
+	res := u.b.x.UniteAll([]exec.Edge{{X: x, Y: y}}, exec.Config{Workers: 1})
 	if res.Err != nil {
 		panic(fmt.Errorf("dsu: durable Unite not logged: %w", res.Err))
 	}
@@ -467,9 +458,14 @@ func (r *Registry) Rewind(tenant string, seq uint64) (*Universe, error) {
 	if seq > rd.LastSeq() {
 		return nil, fmt.Errorf("dsu: tenant %q log ends at sequence %d, cannot rewind to %d", tenant, rd.LastSeq(), seq)
 	}
-	b := newBackendFromMeta(rd.Meta())
-	if err := restoreBackend(b, rd, seq); err != nil {
+	m := rd.Meta()
+	opts := optionsFromMeta(m)
+	if _, err := checkConfig(m.N, opts); err != nil {
+		return nil, fmt.Errorf("dsu: rewinding tenant %q: %w", tenant, err)
+	}
+	d := New(m.N, opts...)
+	if err := restoreBackend(d, rd, seq); err != nil {
 		return nil, fmt.Errorf("dsu: rewinding tenant %q to %d: %w", tenant, seq, err)
 	}
-	return NewUniverse(fmt.Sprintf("%s@%d", tenant, seq), b), nil
+	return NewUniverse(fmt.Sprintf("%s@%d", tenant, seq), d), nil
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -325,14 +326,12 @@ func TestRewind(t *testing.T) {
 	}
 }
 
-// writeShardedLog writes, at path, the log a tenant of the retired
-// sharded kind left behind: the header that kind wrote (kind byte 2, two
-// shards, default find, seed), the head batches, a snapshot of their
-// partition in that kind's flattened form — every element pointing at
-// its set's representative — and the tail batches, sealed.
-func writeShardedLog(t *testing.T, path, tenant string, n int, seed uint64, head, tail [][]dsu.Edge) {
+// writeRetiredLog writes, at path, the log a tenant of a retired kind
+// left behind: meta is the header that kind wrote, then the head batches,
+// a snapshot of their partition (snap, in the form that kind wrote it),
+// and the tail batches, sealed.
+func writeRetiredLog(t *testing.T, path string, meta wal.Meta, head, tail [][]dsu.Edge, snap []uint32) {
 	t.Helper()
-	meta := wal.Meta{Tenant: tenant, N: n, Kind: 2, Find: uint8(dsu.TwoTrySplitting), Shards: 2, Seed: seed}
 	w, rd, err := wal.Open(path, meta, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +344,7 @@ func writeShardedLog(t *testing.T, path, tenant string, n int, seed uint64, head
 			t.Fatal(err)
 		}
 	}
-	if _, err := w.WriteSnapshot(meta.Kind, oracleLabels(n, head)); err != nil {
+	if _, err := w.WriteSnapshot(meta.Kind, snap); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range tail {
@@ -359,14 +358,34 @@ func writeShardedLog(t *testing.T, path, tenant string, n int, seed uint64, head
 }
 
 // TestRestoreTenants: a fresh registry discovers and recovers every
-// persisted tenant under its recorded configuration — including a log
-// the retired sharded kind wrote, which recovers as a flat tenant, keeps
-// appending under its own header, and survives a second restore.
+// persisted tenant under its recorded configuration. A tenant created
+// under the lock-free kind name writes kind byte 1. Logs the retired
+// kinds wrote — the sharded kind (byte 2, its snapshots flattened) and
+// the lock-free kind (byte 3, its snapshots a forest) — recover into the
+// one structure, keep appending under their own headers, and survive a
+// second restore; a log with an unknown kind byte or find strategy is
+// refused.
 func TestRestoreTenants(t *testing.T) {
 	const n = 128
 	dir := t.TempDir()
 	alpha := durBatches(n, 6, 6, 51)
-	beta := durBatches(n, 9, 6, 52)
+	retired := []struct {
+		name string
+		meta wal.Meta
+		all  [][]dsu.Edge
+		snap func(head [][]dsu.Edge) []uint32
+	}{
+		{"beta", wal.Meta{Tenant: "beta", N: n, Kind: 2, Find: uint8(dsu.TwoTrySplitting), Shards: 2, Seed: 99},
+			durBatches(n, 9, 6, 52), func(head [][]dsu.Edge) []uint32 { return oracleLabels(n, head) }},
+		{"gamma", wal.Meta{Tenant: "gamma", N: n, Kind: 3, Find: uint8(dsu.OneTrySplitting), Seed: 98},
+			durBatches(n, 9, 6, 54), func(head [][]dsu.Edge) []uint32 {
+				d := dsu.New(n, dsu.WithFind(dsu.OneTrySplitting), dsu.WithSeed(98))
+				for _, b := range head {
+					d.UniteAll(b)
+				}
+				return d.Snapshot()
+			}},
+	}
 
 	reg := dsu.NewRegistry(dsu.WithDurability(dir))
 	ua, err := reg.Create("alpha", n, dsu.WithKind(dsu.KindLockFree))
@@ -377,65 +396,84 @@ func TestRestoreTenants(t *testing.T) {
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	betaLog := filepath.Join(dir, "beta.dsulog")
-	writeShardedLog(t, betaLog, "beta", n, 99, beta[:5], beta[5:])
+	if m, err := wal.ReadMeta(filepath.Join(dir, "alpha.dsulog")); err != nil || m.Kind != uint8(dsu.KindFlat) {
+		t.Fatalf("alpha header = %+v, %v; want kind byte 1", m, err)
+	}
+	for _, r := range retired {
+		writeRetiredLog(t, filepath.Join(dir, r.name+".dsulog"), r.meta, r.all[:5], r.all[5:], r.snap(r.all[:5]))
+	}
 
 	reg2 := dsu.NewRegistry(dsu.WithDurability(dir))
 	names, err := reg2.RestoreTenants()
 	if err != nil {
 		t.Fatalf("RestoreTenants: %v", err)
 	}
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "beta" {
+	if !reflect.DeepEqual(names, []string{"alpha", "beta", "gamma"}) {
 		t.Fatalf("restored %v", names)
 	}
 	ua2, _ := reg2.Get("alpha")
-	ub2, _ := reg2.Get("beta")
-	if ua2.Kind() != "lockfree" {
-		t.Fatalf("alpha restored as %s", ua2.Kind())
-	}
-	if ub2.Kind() != "flat" || ub2.Seq() != uint64(len(beta)) {
-		t.Fatalf("beta restored as %s at seq %d, want flat at %d", ub2.Kind(), ub2.Seq(), len(beta))
-	}
 	sameLabels(t, "alpha", ua2.CanonicalLabels(), oracleLabels(n, alpha))
-	sameLabels(t, "beta", ub2.CanonicalLabels(), oracleLabels(n, beta))
 	// Idempotent: a second call restores nothing new.
 	names, err = reg2.RestoreTenants()
 	if err != nil || len(names) != 0 {
 		t.Fatalf("second RestoreTenants = %v, %v", names, err)
 	}
-	// Rewind reads the old log as flat too.
-	rw, err := reg2.Rewind("beta", 5)
-	if err != nil {
-		t.Fatalf("Rewind: %v", err)
-	}
-	if rw.Kind() != "flat" {
-		t.Fatalf("beta rewound as %s", rw.Kind())
-	}
-	sameLabels(t, "beta@5", rw.CanonicalLabels(), oracleLabels(n, beta[:5]))
-
-	// New batches and a checkpoint land in the same file, under the old
-	// header, and survive a second restore.
 	more := durBatches(n, 4, 6, 53)
-	ingest(t, ub2, more[:2])
-	if err := ub2.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
+	for _, r := range retired {
+		u, _ := reg2.Get(r.name)
+		if u.Seq() != uint64(len(r.all)) {
+			t.Fatalf("%s restored at seq %d, want %d", r.name, u.Seq(), len(r.all))
+		}
+		sameLabels(t, r.name, u.CanonicalLabels(), oracleLabels(n, r.all))
+		// Rewind reads the old log too.
+		rw, err := reg2.Rewind(r.name, 5)
+		if err != nil {
+			t.Fatalf("Rewind %s: %v", r.name, err)
+		}
+		sameLabels(t, r.name+"@5", rw.CanonicalLabels(), oracleLabels(n, r.all[:5]))
+
+		// New batches and a checkpoint land in the same file, under the
+		// old header.
+		ingest(t, u, more[:2])
+		if err := u.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint %s: %v", r.name, err)
+		}
+		ingest(t, u, more[2:])
 	}
-	ingest(t, ub2, more[2:])
 	reg2.Close()
-	if m, err := wal.ReadMeta(betaLog); err != nil || m.Kind != 2 || m.Shards != 2 {
-		t.Fatalf("beta header after appends = %+v, %v; want the sharded header kept", m, err)
-	}
 	reg3 := dsu.NewRegistry(dsu.WithDurability(dir))
 	if _, err := reg3.RestoreTenants(); err != nil {
 		t.Fatalf("second restore: %v", err)
 	}
-	ub3, _ := reg3.Get("beta")
-	all := append(append([][]dsu.Edge{}, beta...), more...)
-	if ub3.Kind() != "flat" || ub3.Seq() != uint64(len(all)) {
-		t.Fatalf("beta re-restored as %s at seq %d, want flat at %d", ub3.Kind(), ub3.Seq(), len(all))
+	for _, r := range retired {
+		if m, err := wal.ReadMeta(filepath.Join(dir, r.name+".dsulog")); err != nil || m != r.meta {
+			t.Fatalf("%s header after appends = %+v, %v; want the retired header %+v kept", r.name, m, err, r.meta)
+		}
+		u, _ := reg3.Get(r.name)
+		all := append(append([][]dsu.Edge{}, r.all...), more...)
+		if u.Seq() != uint64(len(all)) {
+			t.Fatalf("%s re-restored at seq %d, want %d", r.name, u.Seq(), len(all))
+		}
+		sameLabels(t, r.name+" after appends", u.CanonicalLabels(), oracleLabels(n, all))
 	}
-	sameLabels(t, "beta after appends", ub3.CanonicalLabels(), oracleLabels(n, all))
 	reg3.Close()
+
+	// A header no tenant could have written — kind byte 9, or find
+	// strategy 99 — is refused with an error, by restore and rewind alike.
+	for _, m := range []wal.Meta{
+		{Tenant: "delta", N: n, Kind: 9, Find: uint8(dsu.TwoTrySplitting)},
+		{Tenant: "delta", N: n, Kind: 1, Find: 99},
+	} {
+		odd := t.TempDir()
+		writeRetiredLog(t, filepath.Join(odd, "delta.dsulog"), m, alpha[:2], alpha[2:], oracleLabels(n, alpha[:2]))
+		oddReg := dsu.NewRegistry(dsu.WithDurability(odd))
+		if names, err := oddReg.RestoreTenants(); err == nil || len(names) != 0 {
+			t.Fatalf("RestoreTenants of a log with kind %d, find %d = %v, %v; want an error", m.Kind, m.Find, names, err)
+		}
+		if _, err := oddReg.Rewind("delta", 1); err == nil {
+			t.Fatalf("Rewind of a log with kind %d, find %d succeeded", m.Kind, m.Find)
+		}
+	}
 
 	// A non-durable registry has nothing to restore.
 	if _, err := dsu.NewRegistry().RestoreTenants(); !errors.Is(err, dsu.ErrNotDurable) {

@@ -155,7 +155,7 @@ func (u *Universe) Instrument(m *Metrics) {
 	if m == nil {
 		return
 	}
-	u.b.executor().Instrument(m.instruments(u.name))
+	u.b.x.Instrument(m.instruments(u.name))
 	u.sg = m.gauges(u.name)
 }
 
@@ -193,7 +193,7 @@ type TenantMetrics struct {
 // uninstrumented universe it returns the zero TenantMetrics (Instrumented
 // false).
 func (u *Universe) Metrics() TenantMetrics {
-	ins := u.b.executor().Instruments()
+	ins := u.b.x.Instruments()
 	if ins == nil {
 		return TenantMetrics{}
 	}

@@ -7,23 +7,25 @@ type config struct {
 	kind  Kind
 }
 
-// Kind names a structure kind — which of the package's two backends a
-// Registry.Create (or a remote tenant-create request) selects. The zero
-// value means "unset", which selects KindFlat. The values are the kind
-// byte of a durable tenant's log header, so they are fixed: 2 belonged to
-// a retired sharded kind, and a log carrying it recovers as KindFlat.
+// Kind names a structure kind in a Registry.Create (or a remote
+// tenant-create request). Every kind builds the same structure, a DSU as
+// New builds it; the names stay so that older specs and logs still open.
+// The zero value means "unset". The values are the kind byte of a durable
+// tenant's log header, so they are fixed: new logs carry 1, and a log
+// carrying 2 (a retired sharded kind) or 3 recovers into the same
+// structure.
 type Kind int
 
 const (
-	// KindFlat is the single parent-array structure (New).
+	// KindFlat is the structure New builds.
 	KindFlat Kind = 1
-	// KindLockFree is the lock-free concurrent structure (NewLockFree):
-	// the whole operation surface, batches included, is safe under full
-	// concurrency with no quiescence requirement.
+	// KindLockFree names the retired lock-free kind, which served the
+	// same structure; it now builds what KindFlat builds.
 	KindLockFree Kind = 3
 )
 
-// String returns the kind name used in tenant info and experiment tables.
+// String returns the name ParseKind reads for KindFlat and KindLockFree,
+// and "unset" for any other value.
 func (k Kind) String() string {
 	switch k {
 	case KindFlat:
@@ -60,7 +62,7 @@ func WithFind(f FindStrategy) Option {
 // in a flatness estimator and downgrades query batches (SameSetAll) to
 // cheaper find variants — two-try → one-try → naive — while the forest is
 // flat, restoring compacting variants once mutation batches churn it.
-// Honored uniformly by every structure kind and any Stream over one;
+// Honored uniformly by every batch path and any Stream over the structure;
 // partitions and answers are identical to fixed variants in every mode
 // (the find variant never changes which unites merge).
 func WithAdaptiveFind() Option {
@@ -82,10 +84,10 @@ func WithSeed(seed uint64) Option {
 	return optionFunc(func(c *config) { c.seed = seed })
 }
 
-// WithKind selects the structure kind for plumbing that carries one
+// WithKind names the structure kind for plumbing that carries one
 // []Option — Registry.Create and the network front end's tenant-create
-// path; unset selects KindFlat. The direct constructors (New,
-// NewLockFree) each build their own kind and ignore it.
+// path, which refuse an unknown kind. Every known kind builds the same
+// structure; New ignores the option.
 func WithKind(k Kind) Option {
 	return optionFunc(func(c *config) { c.kind = k })
 }

@@ -20,12 +20,11 @@ var ErrStreamClosed = pipeline.ErrClosed
 
 // streamConfig resolves the StreamOption list.
 type streamConfig struct {
-	buffer     int
-	inflight   int
-	concurrent bool
-	ctx        context.Context
-	onBatch    func(BatchResult)
-	defaults   []BatchOption
+	buffer   int
+	inflight int
+	ctx      context.Context
+	onBatch  func(BatchResult)
+	defaults []BatchOption
 }
 
 // StreamOption configures NewStream.
@@ -52,22 +51,6 @@ func WithBufferSize(n int) StreamOption {
 // the dispatcher catches up — the stream's backpressure contract.
 func WithMaxInFlight(n int) StreamOption {
 	return streamOptionFunc(func(c *streamConfig) { c.inflight = n })
-}
-
-// WithConcurrentBatches lets the stream execute up to MaxInFlight sealed
-// batches simultaneously instead of strictly in seal order — the
-// streaming face of the concurrent capability. It is honored only when
-// the stream's structure is a ConcurrentBackend (batch calls safe to
-// overlap, per that contract); on a plain Backend the option is ignored
-// and the stream keeps its single in-order dispatcher, so callers can set
-// it unconditionally. Under concurrent dispatch the final partition is
-// unchanged (unite batches are order-independent) and OnBatch callbacks
-// stay serialized and exactly-once, but they arrive in completion order —
-// BatchResult.ID still carries the seal sequence. Pair it with
-// WithMaxInFlight(k) for k-way overlap; the default in-flight bound of 1
-// makes the option a no-op.
-func WithConcurrentBatches() StreamOption {
-	return streamOptionFunc(func(c *streamConfig) { c.concurrent = true })
 }
 
 // WithStreamContext attaches a cancellation context: once ctx is
@@ -98,20 +81,17 @@ func WithBatchOptions(opts ...BatchOption) StreamOption {
 	return streamOptionFunc(func(c *streamConfig) { c.defaults = opts })
 }
 
-// Stream is the asynchronous ingestion front over any Backend: Push
-// accumulates edges into batches that a background dispatcher drives
-// through UniteAll while the next batch fills, so the caller streams
-// edges instead of blocking per batch. Batches execute strictly in seal
-// order on one dispatcher, which is why a stream produces exactly the
-// partition of a blocking UniteAll loop over the same edge sequence, for
-// any buffer size. Over a
-// ConcurrentBackend, WithConcurrentBatches trades the ordering for
-// overlap: up to MaxInFlight batches execute simultaneously, with the
-// same final partition.
+// Stream is the asynchronous ingestion front over a DSU: Push accumulates
+// edges into batches that a background dispatcher drives through UniteAll
+// while the next batch fills, so the caller streams edges instead of
+// blocking per batch. Batches execute strictly in seal order on one
+// dispatcher, which is why a stream produces exactly the partition of a
+// blocking UniteAll loop over the same edge sequence, for any buffer
+// size, and why OnBatch callbacks arrive in seal order.
 //
 // Push, Flush, and Close are safe for concurrent producers. Concurrent
-// queries against the backend (SameSet, Find) are linearizable against
-// whatever batches have executed. The backend must not be mutated
+// queries against the structure (SameSet, Find) are linearizable against
+// whatever batches have executed. The structure must not be mutated
 // outside the stream while the stream is open if batch/blocking
 // equivalence is to hold.
 type Stream struct {
@@ -124,10 +104,10 @@ type Stream struct {
 	failed  atomic.Uint64
 }
 
-// NewStream starts a stream ingesting into b. The returned Stream owns a
+// NewStream starts a stream ingesting into d. The returned Stream owns a
 // dispatcher goroutine; Close releases it. The stream's batches drive the
-// backend's own execution seam — the same funnel blocking UniteAll calls
-// use — so per-batch options resolve identically and, under
+// structure's own execution seam — the same funnel blocking UniteAll
+// calls use — so per-batch options resolve identically and, under
 // WithAdaptiveFind, streamed batches train the same flatness estimator
 // blocking batches do.
 //
@@ -137,8 +117,8 @@ type Stream struct {
 //	        dsu.WithOnBatch(func(r dsu.BatchResult) { log(r.ID, r.Merged) }))
 //	for e := range arrivals { s.Push(e) }
 //	s.Close() // flush remainder, drain, stop
-func NewStream(b Backend, opts ...StreamOption) *Stream {
-	return b.universe().NewStream(opts...)
+func NewStream(d *DSU, opts ...StreamOption) *Stream {
+	return d.uni.NewStream(opts...)
 }
 
 // NewStream starts a stream ingesting into the universe's structure — the
@@ -152,7 +132,7 @@ func (u *Universe) NewStream(opts ...StreamOption) *Stream {
 		o.applyStream(&cfg)
 	}
 	s := &Stream{defaults: cfg.defaults}
-	x := u.b.executor()
+	x := u.b.x
 	run := func(edges []exec.Edge, o any, tr *tracespan.Trace) pipeline.Result {
 		bopts := s.defaults
 		if extra, ok := o.([]BatchOption); ok && len(extra) > 0 {
@@ -166,11 +146,9 @@ func (u *Universe) NewStream(opts ...StreamOption) *Stream {
 		// applied, and the stream's completion callback must see it fail.
 		return pipeline.Result{Result: res, Err: res.Err}
 	}
-	_, concurrentOK := u.b.(ConcurrentBackend)
 	s.p = pipeline.New(run, pipeline.Config{
 		BufferSize:  cfg.buffer,
 		MaxInFlight: cfg.inflight,
-		Concurrent:  cfg.concurrent && concurrentOK,
 		Context:     cfg.ctx,
 		Gauges:      u.sg,  // zero (recording nothing) when uninstrumented
 		Tracer:      u.rec, // nil (untraced) when tracing is off

@@ -14,24 +14,24 @@ import (
 	"repro/internal/workload"
 )
 
-// streamBackends builds the two backends the stream contract covers, both
-// seeded identically so partitions are comparable structure to structure.
-func streamBackends(n int, seed uint64) map[string]func() dsu.Backend {
-	return map[string]func() dsu.Backend{
-		"flat":     func() dsu.Backend { return dsu.New(n, dsu.WithSeed(seed)) },
-		"lockfree": func() dsu.Backend { return dsu.NewLockFree(n, dsu.WithSeed(seed)) },
+// streamBackends builds the structure both ways the stream contract
+// covers — New, and a spec naming the retired lock-free kind — seeded
+// identically so partitions are comparable structure to structure.
+func streamBackends(n int, seed uint64) map[string]func() *dsu.DSU {
+	return map[string]func() *dsu.DSU{
+		"flat":     func() *dsu.DSU { return dsu.New(n, dsu.WithSeed(seed)) },
+		"lockfree": func() *dsu.DSU { return newLockFreeSpec(n, dsu.WithSeed(seed)) },
 	}
 }
 
-// labelsOf reads the canonical partition off either backend, through the
-// common Backend surface.
-func labelsOf(t *testing.T, b dsu.Backend) []uint32 {
+// labelsOf reads the canonical partition off a structure.
+func labelsOf(t *testing.T, b *dsu.DSU) []uint32 {
 	t.Helper()
 	return b.CanonicalLabels()
 }
 
 // TestStreamMatchesBlocking is the acceptance cross-validation: for seeds
-// × buffer sizes × {flat, lockfree} backends, pushing an edge sequence
+// × buffer sizes × {flat, lockfree} specs, pushing an edge sequence
 // through dsu.Stream (in randomly sized chunks, with occasional explicit
 // flushes) must produce the exact partition of a blocking UniteAll loop
 // over the same sequence, plus the same total merge count. CI runs this
@@ -228,10 +228,7 @@ func TestStreamSoak(t *testing.T) {
 		ref.UniteAll(edges)
 		want := ref.CanonicalLabels()
 
-		var back dsu.Backend = dsu.New(n, dsu.WithSeed(seed))
-		if it%2 == 1 {
-			back = dsu.NewLockFree(n, dsu.WithSeed(seed))
-		}
+		back := dsu.New(n, dsu.WithSeed(seed))
 		var delivered int64
 		var mu sync.Mutex
 		s := dsu.NewStream(back,

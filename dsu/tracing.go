@@ -245,7 +245,7 @@ func (u *Universe) UniteAllTraced(req UniteRequest, tr *Trace) (BatchReply, erro
 		defer u.rec.Finish(tr)
 	}
 	cfg.Trace = tr
-	res := u.b.executor().UniteAll(req.Edges, cfg)
+	res := u.b.x.UniteAll(req.Edges, cfg)
 	if res.Err != nil {
 		// Durability refused the batch: it was not applied, and no reply
 		// may acknowledge it.
@@ -274,7 +274,7 @@ func (u *Universe) SameSetAllTraced(req QueryRequest, tr *Trace) (BatchReply, er
 		defer u.rec.Finish(tr)
 	}
 	cfg.Trace = tr
-	out, res := u.b.executor().SameSetAll(req.Pairs, cfg)
+	out, res := u.b.x.SameSetAll(req.Pairs, cfg)
 	if a := tr.Attrs(tracespan.Root); a != nil {
 		a.Edges = int64(len(req.Pairs))
 	}

@@ -16,27 +16,27 @@ import (
 )
 
 // A Universe is the tenant-scoped view of one disjoint-set structure: a
-// name, a Backend (flat or lock-free, fixed or adaptive — whatever the
-// construction options selected), and the request/response surface remote
-// and in-process callers share. The DTO methods (UniteAll, SameSetAll)
-// take plain-data requests, validate them against the universe — element
-// range, per-batch find overrides — and answer with a BatchReply carrying
-// the execution layer's full accounting; the wire protocol
-// (internal/wire) carries exactly these types, so a batch means the same
-// thing whether it arrived over a socket or from the goroutine next door.
+// name, a *DSU (fixed or adaptive, as the construction options selected),
+// and the request/response surface remote and in-process callers share.
+// The DTO methods (UniteAll, SameSetAll) take plain-data requests,
+// validate them against the universe — element range, per-batch find
+// overrides — and answer with a BatchReply carrying the execution layer's
+// full accounting; the wire protocol (internal/wire) carries exactly
+// these types, so a batch means the same thing whether it arrived over a
+// socket or from the goroutine next door.
 // The package's own batch veneers (DSU.UniteAll and friends, Stream) route
 // through this layer too, which is what keeps the two worlds identical.
 //
 // A Universe is a stateless wrapper: all structure state lives in the
-// Backend, every method is safe for concurrent use under the backend's own
-// contract, and any number of Universe values may wrap one backend.
+// DSU, every method is safe for concurrent use, and any number of
+// Universe values may wrap one structure.
 type Universe struct {
 	name string
-	b    Backend
+	b    *DSU
 	// sg holds the tenant's stream pipeline gauges, resolved by
 	// Instrument; the zero value records nothing. Streams opened through
 	// this universe feed them (the executor-side instruments live on the
-	// backend's execution seam and need no per-universe state).
+	// structure's execution seam and need no per-universe state).
 	sg pipeline.Gauges
 	// rec is the tenant's trace recorder, resolved by EnableTracing; nil
 	// (the default) disables tracing — every batch path nil-checks once
@@ -51,46 +51,26 @@ type Universe struct {
 // NewUniverse wraps an existing structure as a named universe — for
 // serving a structure built by hand, outside a Registry. The name is
 // advisory (Registry enforces uniqueness, this does not).
-func NewUniverse(name string, b Backend) *Universe { return &Universe{name: name, b: b} }
+func NewUniverse(name string, d *DSU) *Universe { return &Universe{name: name, b: d} }
 
 // Name returns the universe's tenant name ("" for the anonymous universe
 // every structure carries internally).
 func (u *Universe) Name() string { return u.name }
 
 // Backend returns the wrapped structure.
-func (u *Universe) Backend() Backend { return u.b }
-
-// Kind reports the structure kind: "flat" for *DSU, "lockfree" for
-// *LockFree.
-func (u *Universe) Kind() string {
-	if _, ok := u.b.(*LockFree); ok {
-		return KindLockFree.String()
-	}
-	return KindFlat.String()
-}
-
-// Concurrent reports whether the universe's structure is a
-// ConcurrentBackend — its whole operation surface, batches included, safe
-// under full concurrency with no quiescence requirement. Layers that
-// queue requests to protect a plain backend (the server's per-tenant
-// in-flight budget, the stream dispatcher) consult this to let a tenant's
-// requests run truly concurrently instead.
-func (u *Universe) Concurrent() bool {
-	_, ok := u.b.(ConcurrentBackend)
-	return ok
-}
+func (u *Universe) Backend() *DSU { return u.b }
 
 // Adaptive reports whether the universe runs the adaptive compaction
 // policy (WithAdaptiveFind).
-func (u *Universe) Adaptive() bool { return u.b.executor().Adaptive() }
+func (u *Universe) Adaptive() bool { return u.b.x.Adaptive() }
 
 // N returns the number of elements.
 func (u *Universe) N() int { return u.b.N() }
 
-// Find, SameSet, and Unite are the point operations, delegated under the
-// backend's own concurrency contract. On a durable universe, Unite
-// routes through the execution seam as a one-edge batch so it is logged
-// before it is applied, like every other mutation on the tenant surface.
+// Find, SameSet, and Unite are the point operations, delegated to the
+// structure. On a durable universe, Unite routes through the execution
+// seam as a one-edge batch so it is logged before it is applied, like
+// every other mutation on the tenant surface.
 func (u *Universe) Find(x uint32) uint32     { return u.b.Find(x) }
 func (u *Universe) SameSet(x, y uint32) bool { return u.b.SameSet(x, y) }
 func (u *Universe) Unite(x, y uint32) bool {
@@ -101,8 +81,7 @@ func (u *Universe) Unite(x, y uint32) bool {
 }
 
 // Sets, CanonicalLabels, Components, Snapshot, and ID are the quiescent
-// read surface, identical across backend kinds (the parity the Backend
-// interface now guarantees).
+// read surface, delegated to the structure.
 func (u *Universe) Sets() int                 { return u.b.Sets() }
 func (u *Universe) CanonicalLabels() []uint32 { return u.b.CanonicalLabels() }
 func (u *Universe) Components() [][]uint32    { return u.b.Components() }
@@ -180,8 +159,8 @@ type BatchReply struct {
 	Find    FindStrategy `json:"find,omitempty"`
 	// CASRetries carries exec.Result.CASRetries: root-link CAS attempts
 	// that lost a race to a concurrent link and retried, summed over the
-	// batch's workers — the contention metric of every kind (zero under
-	// early termination, and zero for query batches). Remote callers read
+	// batch's workers — the contention metric (zero under early
+	// termination, and zero for query batches). Remote callers read
 	// their batches' contention here.
 	CASRetries int64         `json:"cas_retries,omitempty"`
 	Elapsed    time.Duration `json:"elapsed,omitempty"`
@@ -234,8 +213,7 @@ func (u *Universe) resolve(o BatchOptions) (exec.Config, error) {
 	if o.Workers > MaxBatchWorkers {
 		o.Workers = MaxBatchWorkers
 	}
-	x := u.b.executor()
-	cfg := exec.Config{Workers: o.Workers, Grain: o.Grain, Seed: x.Seed()}
+	cfg := exec.Config{Workers: o.Workers, Grain: o.Grain, Seed: u.b.x.Seed()}
 	switch o.Find {
 	case 0:
 		// Structure default (or the adaptive policy's pick, on query batches).
@@ -244,10 +222,7 @@ func (u *Universe) resolve(o BatchOptions) (exec.Config, error) {
 	case NoCompaction, OneTrySplitting, TwoTrySplitting:
 		cfg.Find = coreFind(o.Find)
 	case Halving, Compression:
-		if _, ok := u.b.(*LockFree); ok {
-			return cfg, fmt.Errorf("dsu: find override %v is outside the lock-free kind's contract (splitting family only)", o.Find)
-		}
-		if x.Backend().CoreConfig().EarlyTermination {
+		if u.b.c.Config().EarlyTermination {
 			return cfg, fmt.Errorf("dsu: find override %v is undefined on a structure built with early termination", o.Find)
 		}
 		cfg.Find = coreFind(o.Find)
@@ -332,8 +307,9 @@ func ParseFindStrategy(s string) (FindStrategy, error) {
 
 // ParseKind maps a wire- or flag-friendly name to its structure Kind,
 // case-insensitively: "flat" and "lockfree" (or "lock-free",
-// "concurrent"). The empty string and "default" return 0 — unset, which
-// Create resolves to KindFlat. Each kind's String() round-trips.
+// "concurrent"). The empty string and "default" return 0 — unset. Every
+// name builds the same structure; the names stay so that older specs
+// parse. Each kind's String() round-trips.
 func ParseKind(s string) (Kind, error) {
 	switch strings.ToLower(s) {
 	case "", "default":
@@ -402,14 +378,11 @@ func (r *Registry) Metrics() *Metrics { return r.metrics }
 // is untraced.
 func (r *Registry) Tracing() *Tracing { return r.tracing }
 
-// Create builds a new universe under name and registers it. The structure
-// kind is chosen by WithKind, flat by default. KindLockFree rejects
-// WithEarlyTermination and the Halving/Compression find strategies (the
-// kind's contract covers the splitting family only).
-// WithFind/WithAdaptiveFind and WithSeed apply as in the constructors. It
-// returns an error — never panics — on a taken name, an out-of-range n, or
-// an inconsistent option set, so remote tenant creation cannot crash a
-// server. The structure is allocated under the registry lock, which keeps
+// Create builds a new universe under name and registers it: a DSU built
+// as New builds it from opts, whichever kind WithKind names (KindFlat,
+// KindLockFree or unset). It returns an error — never panics — on a taken
+// name, an out-of-range n, an unknown kind, or an option set New would
+// refuse, so remote tenant creation cannot crash a server. The structure is allocated under the registry lock, which keeps
 // the check-then-insert atomic but blocks lookups of other tenants for the
 // allocation's duration — for a very large n that is not brief, so callers
 // exposed to untrusted sizes should cap n (the network front end's MaxN
@@ -418,55 +391,22 @@ func (r *Registry) Create(name string, n int, opts ...Option) (*Universe, error)
 	if name == "" {
 		return nil, errors.New("dsu: universe name must be non-empty")
 	}
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o.apply(&cfg)
-	}
-	if n < 0 || int64(n) > math.MaxInt32 {
-		return nil, fmt.Errorf("dsu: universe size %d out of range [0, 2³¹−1]", n)
-	}
-	switch cfg.find {
-	case NoCompaction, OneTrySplitting, TwoTrySplitting, Halving, Compression, FindAuto:
-	default:
-		return nil, fmt.Errorf("dsu: unknown find strategy %d", int(cfg.find))
-	}
-	if cfg.early && (cfg.find == Halving || cfg.find == Compression) {
-		return nil, fmt.Errorf("dsu: early termination is undefined with %v", cfg.find)
-	}
-	kind := cfg.kind
-	if kind == 0 {
-		kind = KindFlat
-	}
-	switch kind {
-	case KindFlat:
-	case KindLockFree:
-		if cfg.early {
-			return nil, errors.New("dsu: early termination is not supported by the lock-free kind")
-		}
-		if cfg.find == Halving || cfg.find == Compression {
-			return nil, fmt.Errorf("dsu: find strategy %v is outside the lock-free kind's contract (splitting family only)", cfg.find)
-		}
-	default:
-		return nil, fmt.Errorf("dsu: unknown structure kind %d", int(kind))
+	cfg, err := checkConfig(n, opts)
+	if err != nil {
+		return nil, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.m[name]; ok {
 		return nil, fmt.Errorf("dsu: universe %q already exists", name)
 	}
-	var b Backend
-	if kind == KindLockFree {
-		b = NewLockFree(n, opts...)
-	} else {
-		b = New(n, opts...)
-	}
-	u := &Universe{name: name, b: b}
+	u := &Universe{name: name, b: New(n, opts...)}
 	if r.dur != nil {
 		// Open (or recover) the tenant's log before the universe is
 		// instrumented or published: recovery replay is not re-logged and
 		// never pollutes tenant metrics, and a failed recovery registers
 		// nothing.
-		if err := r.openDurable(u, n, kind, cfg); err != nil {
+		if err := r.openDurable(u, n, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -474,10 +414,37 @@ func (r *Registry) Create(name string, n int, opts ...Option) (*Universe, error)
 	u.EnableTracing(r.tracing) // no-op (nil recorder) when untraced
 	if u.dur != nil {
 		// Publish the recovered position to the just-attached gauge.
-		b.executor().SetSeq(b.executor().Seq())
+		u.b.x.SetSeq(u.b.x.Seq())
 	}
 	r.m[name] = u
 	return u, nil
+}
+
+// checkConfig resolves opts and returns the error New would panic with on
+// them, or on n; it also refuses a kind outside KindFlat, KindLockFree and
+// unset.
+func checkConfig(n int, opts []Option) (config, error) {
+	cfg := defaultConfig()
+	for _, o := range opts {
+		o.apply(&cfg)
+	}
+	if n < 0 || int64(n) > math.MaxInt32 {
+		return cfg, fmt.Errorf("dsu: universe size %d out of range [0, 2³¹−1]", n)
+	}
+	switch cfg.find {
+	case NoCompaction, OneTrySplitting, TwoTrySplitting, Halving, Compression, FindAuto:
+	default:
+		return cfg, fmt.Errorf("dsu: unknown find strategy %d", int(cfg.find))
+	}
+	if cfg.early && (cfg.find == Halving || cfg.find == Compression) {
+		return cfg, fmt.Errorf("dsu: early termination is undefined with %v", cfg.find)
+	}
+	switch cfg.kind {
+	case 0, KindFlat, KindLockFree:
+	default:
+		return cfg, fmt.Errorf("dsu: unknown structure kind %d", int(cfg.kind))
+	}
+	return cfg, nil
 }
 
 // Get returns the universe registered under name.

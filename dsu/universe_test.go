@@ -3,6 +3,7 @@ package dsu_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -22,11 +23,20 @@ func TestRegistryLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flat.Kind() != "flat" || flat.Concurrent() || flat.Adaptive() {
-		t.Errorf("alpha: kind=%q concurrent=%v adaptive=%v, want flat/false/false", flat.Kind(), flat.Concurrent(), flat.Adaptive())
+	if flat.Adaptive() || !lf.Adaptive() {
+		t.Errorf("adaptive: alpha %v, beta %v; want false, true", flat.Adaptive(), lf.Adaptive())
 	}
-	if lf.Kind() != "lockfree" || !lf.Concurrent() || !lf.Adaptive() {
-		t.Errorf("beta: kind=%q concurrent=%v adaptive=%v, want lockfree/true/true", lf.Kind(), lf.Concurrent(), lf.Adaptive())
+	// The lock-free kind name builds the one structure, so it takes every
+	// configuration New takes.
+	for _, opts := range [][]dsu.Option{
+		{dsu.WithFind(dsu.Halving)},
+		{dsu.WithFind(dsu.Compression)},
+		{dsu.WithEarlyTermination()},
+	} {
+		u, err := dsu.NewRegistry().Create("gamma", 10, append(opts, dsu.WithKind(dsu.KindLockFree))...)
+		if err != nil || !u.Unite(1, 2) || !u.SameSet(1, 2) {
+			t.Errorf("lockfree spec with %d option(s): %v", len(opts), err)
+		}
 	}
 	if got := reg.Names(); !reflect.DeepEqual(got, []string{"alpha", "beta"}) {
 		t.Errorf("Names() = %v", got)
@@ -68,8 +78,8 @@ func TestRegistryLifecycle(t *testing.T) {
 // TestUniverseDTOEquivalence proves the acceptance criterion's in-process
 // half from the other side: driving a universe through the DTO layer and
 // driving the structure through its classic batch methods produce the same
-// partition, the same merge counts, and the same answers — on both
-// structure kinds.
+// partition, the same merge counts, and the same answers — whether New or
+// a lockfree spec built the structure.
 func TestUniverseDTOEquivalence(t *testing.T) {
 	const n, m = 3000, 9000
 	edges := randomEdges(n, m, 7)
@@ -77,10 +87,10 @@ func TestUniverseDTOEquivalence(t *testing.T) {
 
 	for _, tc := range []struct {
 		name  string
-		build func() dsu.Backend
+		build func() *dsu.DSU
 	}{
-		{"flat", func() dsu.Backend { return dsu.New(n, dsu.WithSeed(5)) }},
-		{"lockfree", func() dsu.Backend { return dsu.NewLockFree(n, dsu.WithSeed(5)) }},
+		{"flat", func() *dsu.DSU { return dsu.New(n, dsu.WithSeed(5)) }},
+		{"lockfree", func() *dsu.DSU { return newLockFreeSpec(n, dsu.WithSeed(5)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			classic := tc.build()
@@ -176,11 +186,30 @@ func TestParseFindStrategy(t *testing.T) {
 	if _, err := dsu.ParseFindStrategy("zorp"); err == nil {
 		t.Error("ParseFindStrategy(zorp) accepted")
 	}
-	// The kind names round-trip the same way; the retired sharded kind and
-	// its shard-count spelling are unknown names.
+	// String is total: the zero value prints the name that parses back to
+	// it, and an unknown value prints its number instead of panicking.
+	if s := dsu.FindStrategy(0).String(); s != "default" {
+		t.Errorf("FindStrategy(0).String() = %q, want default", s)
+	} else if got, err := dsu.ParseFindStrategy(s); err != nil || got != 0 {
+		t.Errorf("ParseFindStrategy(%q) = %v, %v; want 0, nil", s, got, err)
+	}
+	if s := dsu.FindStrategy(99).String(); s != "FindStrategy(99)" {
+		t.Errorf("FindStrategy(99).String() = %q", s)
+	}
+	if s := fmt.Sprintf("%+v", dsu.BatchOptions{}); strings.Contains(s, "PANIC") {
+		t.Errorf("zero BatchOptions formats as %s", s)
+	}
+	// The kind names round-trip the same way, and the older spellings of
+	// the lock-free kind still parse; the retired sharded kind and its
+	// shard-count spelling are unknown names.
 	for _, k := range []dsu.Kind{dsu.KindFlat, dsu.KindLockFree} {
 		if got, err := dsu.ParseKind(k.String()); err != nil || got != k {
 			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for _, name := range []string{"lock-free", "concurrent"} {
+		if got, err := dsu.ParseKind(name); err != nil || got != dsu.KindLockFree {
+			t.Errorf("ParseKind(%q) = %v, %v; want lockfree", name, got, err)
 		}
 	}
 	for _, name := range []string{"sharded", "shard", "4"} {

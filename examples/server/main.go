@@ -1,12 +1,13 @@
 // Example server: a remote client of cmd/dsuserve that proves the wire
-// path end to end. It creates three isolated tenants — "alpha" flat,
-// "beta" flat with the adaptive compaction policy, "gamma" of the
-// lock-free kind — ingests a random edge batch into alpha over a
-// streaming connection (binary framing, per-batch replies), into beta over
-// batch RPC (JSON debug mode), and into gamma over a pipelined connection
-// (binary framing, every reply checked), queries all three remotely, and
-// validates every answer and every final partition against in-process
-// oracles built from the same edges. Run it against a live server:
+// path end to end. It creates three isolated tenants — "alpha" with the
+// defaults, "beta" with the adaptive compaction policy, "gamma" under the
+// older "lockfree" kind name, which builds the same structure — ingests a
+// random edge batch into alpha over a streaming connection (binary
+// framing, per-batch replies), into beta over batch RPC (JSON debug
+// mode), and into gamma over a pipelined connection (binary framing,
+// every reply checked), queries all three remotely, and validates every
+// answer and every final partition against in-process oracles built from
+// the same edges. Run it against a live server:
 //
 //	go run ./cmd/dsuserve -addr 127.0.0.1:7421 &
 //	go run ./examples/server -addr http://127.0.0.1:7421 -n 20000 -m 60000
@@ -76,7 +77,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("create %s: %v", spec.Name, err)
 		}
-		log.Printf("tenant %-5s  kind=%-8s adaptive=%-5v n=%d", info.Name, info.Kind, info.Adaptive, info.N)
+		log.Printf("tenant %-5s  adaptive=%-5v n=%d", info.Name, info.Adaptive, info.N)
 	}
 
 	// Alpha: streaming ingest over the binary framing, watching per-batch
@@ -146,7 +147,7 @@ func main() {
 	// merge count is known before it arrives; a final query batch rides
 	// the same pipe. Replies arrive in request order on the pipe's reader
 	// goroutine, each echoing its request's sequence number.
-	gammaOracle := dsu.NewLockFree(*n)
+	gammaOracle := dsu.New(*n)
 	type expect struct {
 		merged  int
 		answers []bool // non-nil for the query batch
@@ -202,7 +203,7 @@ func main() {
 	for _, tc := range []struct {
 		name   string
 		edges  []dsu.Edge
-		oracle dsu.Backend
+		oracle *dsu.DSU
 	}{
 		{"alpha", alphaEdges, alphaOracle},
 		{"beta", betaEdges, betaOracle},

@@ -24,7 +24,7 @@ const (
 // structure with that variant, the adaptive mode runs the two-try base
 // plus the flatness estimator.
 func adaptExecutor(n int, seed uint64, find core.Find, adaptive bool) *exec.Executor {
-	return exec.NewExecutor(engine.Flat{D: core.New(n, core.Config{Find: find, Seed: seed})}, adaptive)
+	return exec.NewExecutor(core.New(n, core.Config{Find: find, Seed: seed}), adaptive)
 }
 
 // adaptRun drives the alternating mutate/query phases through one executor

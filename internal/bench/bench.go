@@ -3,9 +3,8 @@
 // regenerating the table/check that validates one of the paper's theorems
 // or constructions (E18 measures the batch engine, E20 the streaming
 // ingestion front, E21 the adaptive compaction policy, E22 the wire
-// protocol, E23 the lock-free kind over the concurrent core, E24 the
-// zero-allocation wire fast path, and E25 durable tenants — the repo's
-// systems extensions).
+// protocol, E23 the concurrent core, E24 the zero-allocation wire fast
+// path, and E25 durable tenants — the repo's systems extensions).
 // The harness is shared by cmd/dsubench (which writes the tables behind
 // EXPERIMENTS.md) and the root-level Go benchmarks.
 //
@@ -104,7 +103,7 @@ func All() []Experiment {
 		{"E20", "Stream vs blocking-batch ingestion", "systems extension; ROADMAP async-pipelines item, Alistarh et al. 2019", runE20},
 		{"E21", "Adaptive vs fixed find variants across mutate/query phases", "systems extension; ROADMAP batch-aware compaction item, Alistarh et al. 2019", runE21},
 		{"E22", "Wire-protocol throughput: remote vs in-process batches", "systems extension; ROADMAP wire-measurement item", runE22},
-		{"E23", "Lock-free kind (concurrent core): batch, point-op and overlap scaling", "Jayanti–Tarjan Section 3; systems extension, ROADMAP one-concurrent-core item", runE23},
+		{"E23", "Concurrent core: batch, point-op and overlap scaling", "Jayanti–Tarjan Section 3; systems extension, ROADMAP one-concurrent-core item", runE23},
 		{"E24", "Wire fast path: pipelined pooled codecs vs per-RPC exchanges", "systems extension; E22 follow-up, ROADMAP wire-measurement item", runE24},
 		{"E25", "Durable tenants: WAL ingest cost and recovery time", "systems extension; ROADMAP durable-tenants item", runE25},
 	}

@@ -45,15 +45,15 @@ func runCorePoints(n int, seed uint64, perProc [][]workload.Op) (time.Duration, 
 	return elapsed, total
 }
 
-// runE23 measures the lock-free kind — the flat core and engine serving
-// concurrent callers — on uniform, Zipf-skewed, and community-structured
-// batches, then measures the regime the concurrent capability exists for:
-// point-operation scaling from p unsynchronized goroutines and genuinely
-// overlapping UniteAll calls on one structure. CAS-retry columns expose the
-// price of optimism: a retry is a unite whose link CAS lost to a concurrent
-// link and had to re-find its roots.
+// runE23 measures the concurrent core — the one structure every tenant
+// serves — on uniform, Zipf-skewed, and community-structured batches, then
+// measures the paper's own regime: point-operation scaling from p
+// unsynchronized goroutines and genuinely overlapping UniteAll calls on
+// one structure. CAS-retry columns expose the price of optimism: a retry
+// is a unite whose link CAS lost to a concurrent link and had to re-find
+// its roots.
 func runE23(cfg Config) error {
-	header(cfg, "E23", "Lock-free kind (concurrent core): batch, point-op and overlap scaling", "Jayanti–Tarjan Section 3; systems extension, ROADMAP one-concurrent-core item")
+	header(cfg, "E23", "Concurrent core: batch, point-op and overlap scaling", "Jayanti–Tarjan Section 3; systems extension, ROADMAP one-concurrent-core item")
 	n := 1 << 20
 	if cfg.Quick {
 		n = 1 << 16
@@ -69,20 +69,17 @@ func runE23(cfg Config) error {
 	}
 	workerSweep := []int{1, 2, 4, 8}
 
-	// Table 1: single-batch throughput, kind × workers. The flat and
-	// lock-free kinds run the same core and engine, so they share a row;
-	// the w=1 column is a contention-free baseline (one worker never loses
-	// a link CAS).
+	// Table 1: single-batch throughput, shape × workers. The w=1 column is
+	// a contention-free baseline (one worker never loses a link CAS).
+	fmt.Fprintf(cfg.Out, "### single UniteAll batch (n=%d)\n\n", n)
+	cols := []string{"batch", "m"}
+	for _, w := range workerSweep {
+		cols = append(cols, fmt.Sprintf("w=%d Mop/s", w))
+	}
+	cols = append(cols, "retries/op @w=8")
+	tb := stats.NewTable(cols...)
 	for _, shape := range shapes {
-		fmt.Fprintf(cfg.Out, "### %s batch (n=%d, m=%d)\n\n", shape.name, n, len(shape.edges))
-		cols := []string{"kind"}
-		for _, w := range workerSweep {
-			cols = append(cols, fmt.Sprintf("w=%d Mop/s", w))
-		}
-		cols = append(cols, "retries/op @w=8")
-		tb := stats.NewTable(cols...)
-
-		row := []any{"flat = lockfree"}
+		row := []any{shape.name, len(shape.edges)}
 		var lastRetries float64
 		for _, w := range workerSweep {
 			res := bestUniteAll(n, cfg.Seed+1, shape.edges, engine.Config{Workers: w, Seed: cfg.Seed})
@@ -90,15 +87,15 @@ func runE23(cfg Config) error {
 			row = append(row, mops(len(shape.edges), res.Elapsed))
 		}
 		tb.AddRowf(append(row, fmt.Sprintf("%.4f", lastRetries))...)
-		fmt.Fprint(cfg.Out, tb)
-		fmt.Fprintln(cfg.Out)
 	}
+	fmt.Fprint(cfg.Out, tb)
+	fmt.Fprintln(cfg.Out)
 
 	// Table 2: point-operation scaling. This is the paper's own regime —
 	// p asynchronous processes issuing Unite/SameSet with no batch framing
 	// and no locks anywhere.
 	fmt.Fprintf(cfg.Out, "### core point ops, p goroutines (n=%d, 60%% unite mixed workload)\n\n", n)
-	tb := stats.NewTable("p", "Mop/s", "retries/op")
+	tb = stats.NewTable("p", "Mop/s", "retries/op")
 	opsEach := m / 4
 	for _, p := range cfg.procSweep() {
 		perProc := make([][]workload.Op, p)

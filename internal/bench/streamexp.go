@@ -32,7 +32,7 @@ func blockingIngest(n int, seed uint64, edges []engine.Edge, buffer, workers int
 // arrival-sized chunks, sealed at the buffer size, executed by the
 // dispatcher while the next buffer fills. A failed batch would make the
 // throughput row a lie, so any stream error aborts the experiment.
-func streamIngest(mk func() dsu.Backend, edges []engine.Edge, buffer, workers int) time.Duration {
+func streamIngest(mk func() *dsu.DSU, edges []engine.Edge, buffer, workers int) time.Duration {
 	s := dsu.NewStream(mk(),
 		dsu.WithBufferSize(buffer),
 		dsu.WithBatchOptions(dsu.WithWorkers(workers)),
@@ -108,7 +108,7 @@ func runE20(cfg Config) error {
 					return blockingIngest(n, cfg.Seed+1, shape.edges, buffer, w)
 				})
 				strm := bestOf(func() time.Duration {
-					return streamIngest(func() dsu.Backend {
+					return streamIngest(func() *dsu.DSU {
 						return dsu.New(n, dsu.WithSeed(cfg.Seed+1))
 					}, shape.edges, buffer, w)
 				})

@@ -100,7 +100,7 @@ func runE25(cfg Config) error {
 	// for — several writers' batches share each fsync, so the durability
 	// tax divides across them instead of serializing.
 	const conWriters, conFrame = 16, 1 << 13
-	fmt.Fprintf(cfg.Out, "### Concurrent ingest, %d writers (lockfree tenant, frame=%d)\n\n", conWriters, conFrame)
+	fmt.Fprintf(cfg.Out, "### Concurrent ingest, %d writers (one tenant, frame=%d)\n\n", conWriters, conFrame)
 	tcon := stats.NewTable("policy", "aggregate Medge/s", "% of off")
 	conIngest := func(run string, opts []dsu.DurabilityOption) time.Duration {
 		var regOpts []dsu.RegistryOption
@@ -108,7 +108,7 @@ func runE25(cfg Config) error {
 			regOpts = durOpts(run, opts...)
 		}
 		reg := dsu.NewRegistry(regOpts...)
-		u, err := reg.Create("t", n, dsu.WithKind(dsu.KindLockFree), dsu.WithSeed(cfg.Seed+1))
+		u, err := reg.Create("t", n, dsu.WithSeed(cfg.Seed+1))
 		if err != nil {
 			panic(fmt.Sprintf("bench: tenant create: %v", err))
 		}
@@ -153,7 +153,7 @@ func runE25(cfg Config) error {
 	for _, writers := range []int{1, 4, 16} {
 		dir := filepath.Join(scratch, fmt.Sprintf("coalesce-%d", writers))
 		reg := dsu.NewRegistry(dsu.WithDurability(dir))
-		u, err := reg.Create("t", n, dsu.WithKind(dsu.KindLockFree), dsu.WithSeed(cfg.Seed+1))
+		u, err := reg.Create("t", n, dsu.WithSeed(cfg.Seed+1))
 		if err != nil {
 			return err
 		}

@@ -36,15 +36,15 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/randutil"
+	"repro/internal/tracespan"
 	"repro/internal/workload"
 )
 
 // Edge is one (X, Y) element pair of a batch: an edge to unite across, or a
-// connectivity query to answer. It is the exec layer's Edge — the engine
-// and the pipeline speak the same batch vocabulary.
-type Edge = exec.Edge
+// connectivity query to answer. It is core's Edge, so a batch slice reaches
+// the core's span kernel without a copy.
+type Edge = core.Edge
 
 // FromOps converts a workload op list into a batch of its element pairs.
 // The op kind is dropped: the batch call (UniteAll or SameSetAll) decides
@@ -75,10 +75,38 @@ type Target interface {
 	SameSetSpan(pairs []Edge, out []bool, st *core.Stats)
 }
 
-// Config tunes one batch run; it is the exec layer's Config. The zero
-// value is ready to use. The engine's free functions ignore Config.Find
-// (a Target is opaque); the Flat backend below resolves it.
-type Config = exec.Config
+// Config tunes one batch run. The zero value is ready to use.
+type Config struct {
+	// Workers is the pool size; 0 means runtime.GOMAXPROCS(0). A batch of
+	// at most one grain runs on the caller as one worker, whatever the
+	// pool size.
+	Workers int
+	// Grain is the number of edges a worker claims per span access; 0
+	// selects the default (1024). Smaller grains balance better, larger
+	// grains amortize the claim CAS over more real work. A batch of at
+	// most one grain has nothing to steal and runs on the caller.
+	Grain int
+	// Seed makes each worker's victim-selection order deterministic. Runs
+	// with equal seeds scan victims in the same order (the interleaving of
+	// operations still varies with goroutine scheduling).
+	Seed uint64
+	// Find, when non-zero, overrides the structure's configured find
+	// variant for this batch: the exec layer's Executor drives the batch
+	// through a variant view over the same forest (core.DSU.WithFind),
+	// which is safe between and during batches because every variant
+	// maintains the same structural invariants. Zero keeps the configured
+	// variant. The adaptive Executor sets this on query batches; the
+	// engine's free functions ignore it (a Target is opaque).
+	Find core.Find
+	// Trace, when non-nil, is the batch's span tree: the Executor records
+	// an execute span around the run, synthesizes per-worker sub-spans
+	// from the Result's accounting (the engine keeps Result.PerWorker for
+	// traced batches only), and attributes the batch's CASRetries. Nil
+	// (the default, and the disabled mode) records nothing — every
+	// tracespan method is a nil-safe no-op, so untraced batches pay only
+	// a nil check.
+	Trace *tracespan.Trace
+}
 
 // defaultGrain amortizes one claim CAS over enough unite/query work to make
 // span traffic negligible. It is also the inline threshold: a served frame
@@ -86,55 +114,57 @@ type Config = exec.Config
 // streamed 64K-edge batch still splits into enough grains to steal.
 const defaultGrain = 1024
 
-// Result reports what one batch run did: the exec layer's unified Result.
-// The engine fills the pool fields (Workers, Grain, Merged, Steals,
-// CASRetries, WorkerStats, PerWorker, Elapsed); the Executor adds Seq and
-// Err.
-type Result = exec.Result
-
-// Flat adapts one core.DSU to the exec.Backend seam: batches run through
-// the engine's worker pool against the structure, and Config.Find is
-// resolved into a variant view of the same forest (core.DSU.WithFind, a
-// lookup of views built with the structure), so the adaptive executor can
-// downgrade query-phase compaction without touching the structure's
-// configuration or allocating.
-type Flat struct {
-	D *core.DSU
+// Result reports what one batch run did, across every execution path: the
+// pool's accounting, filled here, plus what the exec layer's Executor adds
+// (Find, Seq, Err).
+type Result struct {
+	// Workers is the resolved size of the pool that ran the batch. It is 1
+	// when the batch fit in one grain, which runs on the caller, and zero
+	// on an empty batch, where no worker ran.
+	Workers int
+	// Grain is the resolved claim granularity (set exactly when Workers is).
+	Grain int
+	// Find is the variant the batch actually ran with, as the Executor
+	// resolved it from Config.Find and the structure's configuration. The
+	// adaptive executor's downgrades are observable here (E21 prints
+	// them).
+	Find core.Find
+	// Merged counts Unites that performed a merge: exactly the sequential
+	// pass's count for any schedule, and, across batches that overlap on
+	// one structure, exactly the combined edge set's count in sum.
+	Merged int64
+	// Steals counts successful span steals — a load-imbalance diagnostic.
+	Steals int64
+	// CASRetries counts root-link CAS attempts that lost a race to a
+	// concurrent link and retried (Algorithm 3's retry loop), summed over
+	// every worker of the batch. It measures how hard this batch's workers
+	// collided on roots with each other and with whatever else ran on the
+	// structure at the same time (overlapping batches, streams, point
+	// callers); E23 prints it. Early-termination structures report zero.
+	CASRetries int64
+	// WorkerStats sums the operation counters of the pool's workers (set
+	// exactly when Workers is).
+	WorkerStats core.Stats
+	// PerWorker breaks WorkerStats down by worker, in worker order. The
+	// engine keeps it only for traced batches (Config.Trace non-nil), whose
+	// worker spans are its one reader, so an untraced batch allocates no
+	// per-batch slice.
+	PerWorker []core.Stats
+	// Elapsed is the wall-clock duration of the whole batch call.
+	Elapsed time.Duration
+	// Seq is the batch's position in the applied mutation order, assigned
+	// by the Executor: the durable log sequence when a WAL is attached, a
+	// plain batch count otherwise. Zero for query batches, empty batches,
+	// and failed batches.
+	Seq uint64
+	// Err is set when durability refused the batch: the WAL append
+	// failed, the batch was NOT applied, and no reply path may
+	// acknowledge it. Always nil without a WAL attached.
+	Err error
 }
 
-var _ exec.Backend = Flat{}
-
-// target resolves the per-batch find-variant override.
-func (f Flat) target(v core.Find) *core.DSU {
-	if v == 0 {
-		return f.D
-	}
-	return f.D.WithFind(v)
-}
-
-// UniteAll drives the batch through the pool in Unite mode, honoring the
-// find-variant override.
-func (f Flat) UniteAll(edges []Edge, cfg Config) Result {
-	t := f.target(cfg.Find)
-	res := UniteAll(t, edges, cfg)
-	res.Find = t.Config().Find
-	return res
-}
-
-// SameSetAll answers the batch through the pool in SameSet mode, honoring
-// the find-variant override.
-func (f Flat) SameSetAll(pairs []Edge, cfg Config) ([]bool, Result) {
-	t := f.target(cfg.Find)
-	out, res := SameSetAll(t, pairs, cfg)
-	res.Find = t.Config().Find
-	return out, res
-}
-
-// Seed returns the structure seed, the default batch-scheduling seed.
-func (f Flat) Seed() uint64 { return f.D.Config().Seed }
-
-// CoreConfig returns the structure's variant configuration.
-func (f Flat) CoreConfig() core.Config { return f.D.Config() }
+// Stats returns the summed work counters of the pool's workers.
+func (r Result) Stats() core.Stats { return r.WorkerStats }
 
 // UniteAll drives every edge of the batch through t.UniteSpan and returns
 // the run's Result. Edges may appear in any order and multiplicity; the final

@@ -142,13 +142,13 @@ func TestEstimatorEarlyTerminationFallback(t *testing.T) {
 func firstOf(d float64, _ bool) float64 { return d }
 
 // TestExecutorAdaptiveDowngrade drives the real thing end to end on the
-// flat backend: a large UniteAll flattens the forest, and within a few
+// core forest: a large UniteAll flattens the forest, and within a few
 // query batches the executor must select a downgraded variant — the E21
 // acceptance behavior, pinned as a unit test.
 func TestExecutorAdaptiveDowngrade(t *testing.T) {
 	const n = 1 << 12
 	d := core.New(n, core.Config{Seed: 7})
-	x := exec.NewExecutor(engine.Flat{D: d}, true)
+	x := exec.NewExecutor(d, true)
 	if !x.Adaptive() || x.Estimator() == nil {
 		t.Fatal("executor built without the adaptive estimator")
 	}

@@ -17,12 +17,9 @@ import (
 // exec.Result type, so stream callbacks and blocking calls cannot drift
 // apart without a compile error or this test failing.
 func TestUnifiedResultType(t *testing.T) {
-	// engine.Result is an alias of exec.Result (compile-time assignment).
+	// exec.Result is an alias of engine.Result (compile-time assignment).
 	var r exec.Result
 	var _ engine.Result = r
-
-	// The engine's core target is the seam's backend.
-	var _ exec.Backend = engine.Flat{}
 
 	// The pipeline's per-batch record embeds exec.Result, so stream
 	// callbacks see exactly the blocking paths' accounting.
@@ -38,10 +35,10 @@ func TestUnifiedResultType(t *testing.T) {
 // to it exactly.
 func TestResultStatsAggregation(t *testing.T) {
 	const n = 1024
-	flat := engine.Flat{D: core.New(n, core.Config{Seed: 13})}
+	x := exec.NewExecutor(core.New(n, core.Config{Seed: 13}), false)
 	edges := engine.FromOps(workload.RandomUnions(n, 4*n, 17))
 	tr := tracespan.New(tracespan.Config{}).Start("unite", tracespan.SourceBlocking)
-	res := flat.UniteAll(edges, exec.Config{Workers: 2, Grain: 64, Seed: 3, Trace: tr})
+	res := x.UniteAll(edges, exec.Config{Workers: 2, Grain: 64, Seed: 3, Trace: tr})
 
 	if got := res.Stats(); got != res.WorkerStats {
 		t.Errorf("Stats() = %+v, want the pool's WorkerStats %+v", got, res.WorkerStats)

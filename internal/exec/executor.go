@@ -4,24 +4,29 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/tracespan"
 )
 
 // Executor is the one funnel every dsu batch path routes through: blocking
 // UniteAll/SameSetAll calls and the stream dispatcher all drive the same
-// Executor, so per-batch policy lives here exactly once. In fixed mode
-// (est == nil) it is a transparent passthrough to the Backend; in
-// adaptive mode it trains the flatness Estimator on every batch and
-// downgrades query batches to cheaper find variants while the forest is
-// flat.
+// Executor, so per-batch policy lives here exactly once. It runs each
+// batch through the engine's worker pool against its core.DSU, resolving
+// Config.Find into a variant view of the same forest (core.DSU.WithFind,
+// a lookup of views built with the structure, so a downgrade allocates
+// nothing). In fixed mode (est == nil) Config.Find comes from the caller
+// alone; in adaptive mode the executor trains the flatness Estimator on
+// every batch and downgrades query batches to cheaper find variants while
+// the forest is flat.
 //
 // The executor is also where durability and the applied-batch sequence
 // live: with a WAL attached (AttachWAL), every mutation batch is
 // appended — and durable, per the log's sync policy — before it touches
-// the backend, so a batch whose result any caller has seen is a batch
+// the structure, so a batch whose result any caller has seen is a batch
 // the log can replay. Queries never touch the log.
 type Executor struct {
-	b   Backend
+	d   *core.DSU
 	est *Estimator
 	// ins is the attached metrics bundle (nil until Instrument): because
 	// every batch path funnels through this type, feeding it here is what
@@ -59,23 +64,29 @@ type walHook struct {
 	checkpoint func()
 }
 
-// NewExecutor wraps b. With adaptive set, query batches pick their find
-// variant from the flatness estimate; without it the executor never
-// touches Config.Find.
-func NewExecutor(b Backend, adaptive bool) *Executor {
-	e := &Executor{b: b}
+// NewExecutor drives batches against d. With adaptive set, query batches
+// pick their find variant from the flatness estimate; without it the
+// executor never touches Config.Find.
+func NewExecutor(d *core.DSU, adaptive bool) *Executor {
+	e := &Executor{d: d}
 	if adaptive {
 		e.est = &Estimator{}
 	}
 	return e
 }
 
-// Backend returns the wrapped backend.
-func (e *Executor) Backend() Backend { return e.b }
+// Seed returns the structure seed, the default scheduling seed for its
+// batches: a structure built for reproducibility schedules reproducibly
+// too.
+func (e *Executor) Seed() uint64 { return e.d.Config().Seed }
 
-// Seed returns the backend's structure seed, the default scheduling seed
-// for its batches.
-func (e *Executor) Seed() uint64 { return e.b.Seed() }
+// target resolves the per-batch find-variant override.
+func (e *Executor) target(v core.Find) *core.DSU {
+	if v == 0 {
+		return e.d
+	}
+	return e.d.WithFind(v)
+}
 
 // Adaptive reports whether the adaptive compaction policy is active.
 func (e *Executor) Adaptive() bool { return e.est != nil }
@@ -141,7 +152,7 @@ func (e *Executor) publishSeq() {
 }
 
 // UniteAll drives a mutation batch. Mutation batches always run the
-// backend's configured variant (unless the caller overrode Config.Find
+// structure's configured variant (unless the caller overrode Config.Find
 // explicitly): compacting variants are what flatten the forest, and the
 // estimator learns how much this batch churned it.
 //
@@ -180,9 +191,11 @@ func (e *Executor) UniteAll(edges []Edge, cfg Config) Result {
 // execUnite is the pre-durability mutation path: run, trace, train,
 // observe.
 func (e *Executor) execUnite(edges []Edge, cfg Config) Result {
+	t := e.target(cfg.Find)
 	ex := cfg.Trace.Start(tracespan.StageExecute, tracespan.Root)
-	res := e.b.UniteAll(edges, cfg)
+	res := engine.UniteAll(t, edges, cfg)
 	cfg.Trace.End(ex)
+	res.Find = t.Config().Find
 	traceExecute(cfg.Trace, ex, len(edges), &res)
 	if e.est != nil && len(edges) > 0 {
 		e.est.ObserveMutate(res.Find, res.Stats(), len(edges), res.Merged)
@@ -199,11 +212,13 @@ func (e *Executor) execUnite(edges []Edge, cfg Config) Result {
 // observables train the next pick.
 func (e *Executor) SameSetAll(pairs []Edge, cfg Config) ([]bool, Result) {
 	if e.est != nil && cfg.Find == 0 {
-		cfg.Find = e.est.Pick(e.b.CoreConfig().Find)
+		cfg.Find = e.est.Pick(e.d.Config().Find)
 	}
+	t := e.target(cfg.Find)
 	ex := cfg.Trace.Start(tracespan.StageExecute, tracespan.Root)
-	out, res := e.b.SameSetAll(pairs, cfg)
+	out, res := engine.SameSetAll(t, pairs, cfg)
 	cfg.Trace.End(ex)
+	res.Find = t.Config().Find
 	traceExecute(cfg.Trace, ex, len(pairs), &res)
 	if e.est != nil && len(pairs) > 0 {
 		e.est.ObserveQuery(res.Find, res.Stats())

@@ -5,10 +5,10 @@ import (
 )
 
 // traceExecute records the execute stage of one batch into its trace:
-// the execute span itself (wrapping the backend call — the caller passes
+// the execute span itself (wrapping the engine run — the caller passes
 // the claimed ref), plus one worker span per pool worker synthesized from
 // the Result's accounting, spanning the run with that worker's operation
-// counters as attributes. The backend stays uninstrumented.
+// counters as attributes. The core stays uninstrumented.
 func traceExecute(t *tracespan.Trace, ex tracespan.SpanRef, n int, res *Result) {
 	if t == nil || ex == 0 {
 		return

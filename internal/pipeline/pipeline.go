@@ -19,25 +19,13 @@
 // up. Buffers recycle through a small free list, so steady-state ingestion
 // allocates nothing per batch.
 //
-// The dispatcher is a single goroutine by default: batches execute
-// strictly in seal order, the callback fires exactly once per sealed
-// batch (execution errors included), callbacks are serialized and ordered
-// by batch id, and Close returns only after every sealed batch's callback
-// has returned. Parallelism lives inside Exec (the engine's worker pool),
-// not in the dispatch loop — which is what makes a stream of batches
-// produce exactly the partition of a blocking batch loop over the same
-// edge sequence.
-//
-// Config.Concurrent trades the ordering half of that contract for overlap:
-// MaxInFlight dispatcher goroutines execute sealed batches simultaneously,
-// for backends whose batch calls are safe to overlap (the execution
-// layer's concurrent capability — dsu.ConcurrentBackend). Batches may
-// execute and complete out of seal order; callbacks remain serialized and
-// exactly-once (completion order, with Result.ID still carrying the seal
-// sequence), and the exactly-one-partition guarantee holds because unite
-// batches are order-independent — the final partition is the union of
-// every applied edge. The backpressure contract is unchanged: at most
-// MaxInFlight sealed batches exist past the accumulator.
+// The dispatcher is a single goroutine: batches execute strictly in seal
+// order, the callback fires exactly once per sealed batch (execution
+// errors included), callbacks are serialized and ordered by batch id, and
+// Close returns only after every sealed batch's callback has returned.
+// Parallelism lives inside Exec (the engine's worker pool), not in the
+// dispatch loop — which is what makes a stream of batches produce exactly
+// the partition of a blocking batch loop over the same edge sequence.
 //
 // # Shutdown
 //
@@ -71,7 +59,7 @@ const defaultBufferSize = 1 << 16
 // Result reports one sealed batch's execution, delivered to the callback
 // exactly once per batch, in batch-id order. The embedded exec.Result is
 // the batch run's full unified record — Merged, Stats(), Elapsed —
-// exactly as the backend reported it (zero when Err is set), so stream
+// exactly as the executor reported it (zero when Err is set), so stream
 // callbacks see the same accounting blocking callers do.
 type Result struct {
 	// ID is the batch's 1-based seal sequence number.
@@ -111,25 +99,15 @@ type Config struct {
 	// accumulator (waiting or executing); values ≤ 0 select 1, classic
 	// double buffering. A Push or Flush that would seal beyond the bound
 	// blocks until the dispatcher frees a slot — the backpressure contract.
-	// With Concurrent set it is also the dispatcher-goroutine count: how
-	// many batches execute simultaneously.
 	MaxInFlight int
-	// Concurrent runs MaxInFlight dispatcher goroutines instead of one,
-	// executing sealed batches simultaneously — only sound over a backend
-	// whose batch calls may overlap (the dsu layer gates this on its
-	// ConcurrentBackend capability). Batches may complete out of seal
-	// order; callbacks stay serialized and exactly-once, delivered in
-	// completion order with Result.ID carrying the seal sequence.
-	Concurrent bool
-	// Callback, when non-nil, receives every batch's Result on a
+	// Callback, when non-nil, receives every batch's Result on the
 	// dispatcher goroutine: serialized, exactly once per sealed batch, in
-	// batch-id order (completion order under Concurrent). It must return;
-	// a callback that blocks stalls the whole pipeline (that is the point
-	// — results apply backpressure too). It must not call back into the
-	// pipeline: a Push or Flush that seals a batch from inside the
-	// callback blocks sending to the dispatcher — which is busy running
-	// the callback — and a Close waits for a dispatcher that is waiting on
-	// the callback; either deadlocks.
+	// batch-id order. It must return; a callback that blocks stalls the
+	// whole pipeline (that is the point — results apply backpressure too).
+	// It must not call back into the pipeline: a Push or Flush that seals
+	// a batch from inside the callback blocks sending to the dispatcher —
+	// which is busy running the callback — and a Close waits for a
+	// dispatcher that is waiting on the callback; either deadlocks.
 	Callback func(Result)
 	// Context, when non-nil, aborts the pipeline on cancellation: batches
 	// observed after the cancellation are abandoned with their callbacks
@@ -201,12 +179,9 @@ type Pipeline struct {
 
 	batches chan sealed      // sized so executing + waiting batches ≤ MaxInFlight
 	free    chan []exec.Edge // recycled buffers
-	done    chan struct{}    // closed when every dispatcher has exited
-	// cbmu serializes callback delivery: a no-op with one dispatcher, the
-	// completion-order guarantee with Concurrent's many.
-	cbmu sync.Mutex
-	// abandoned records that a cancellation cost at least one batch.
-	// Dispatchers set it before done closes; Close reads it after <-done.
+	done    chan struct{}    // closed when the dispatcher exits
+	// abandoned records that a cancellation cost at least one batch. The
+	// dispatcher sets it before done closes; Close reads it after <-done.
 	abandoned atomic.Bool
 }
 
@@ -229,13 +204,8 @@ func New(run Exec, cfg Config) *Pipeline {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// One dispatcher holding a batch plus inflight−1 channel slots keeps
-	// sealed batches past the accumulator ≤ inflight; with Concurrent the
-	// inflight dispatchers are the slots, and the channel is unbuffered.
-	dispatchers, capacity := 1, inflight-1
-	if cfg.Concurrent {
-		dispatchers, capacity = inflight, 0
-	}
+	// The dispatcher holding a batch plus inflight−1 channel slots keeps
+	// sealed batches past the accumulator ≤ inflight.
 	p := &Pipeline{
 		exec:    run,
 		cb:      cfg.Callback,
@@ -244,23 +214,12 @@ func New(run Exec, cfg Config) *Pipeline {
 		g:       cfg.Gauges,
 		tracer:  cfg.Tracer,
 		buf:     make([]exec.Edge, 0, size),
-		batches: make(chan sealed, capacity),
+		batches: make(chan sealed, inflight-1),
 		free:    make(chan []exec.Edge, inflight+1),
 		done:    make(chan struct{}),
 	}
 	p.g.Active.Inc()
-	var wg sync.WaitGroup
-	wg.Add(dispatchers)
-	for i := 0; i < dispatchers; i++ {
-		go func() {
-			defer wg.Done()
-			p.dispatch()
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(p.done)
-	}()
+	go p.dispatch()
 	return p
 }
 
@@ -394,10 +353,10 @@ func (p *Pipeline) Close() error {
 	return nil
 }
 
-// dispatch is one dispatcher goroutine: execute batches as received (seal
-// order alone, or overlapping with its siblings under Concurrent),
+// dispatch is the dispatcher goroutine: execute batches in seal order,
 // deliver callbacks, recycle buffers.
 func (p *Pipeline) dispatch() {
+	defer close(p.done)
 	for b := range p.batches {
 		b.tr.End(b.qw)
 		dsp := b.tr.Start(tracespan.StageDispatch, tracespan.Root)
@@ -414,9 +373,7 @@ func (p *Pipeline) dispatch() {
 			}
 		}
 		if p.cb != nil {
-			p.cbmu.Lock()
 			p.cb(res)
-			p.cbmu.Unlock()
 		}
 		// Finish after the callback: a callback may add spans (the
 		// server's reply-encode); once recorded the trace is immutable.

@@ -66,7 +66,7 @@ func TestDurableServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Seq != 7 || info.Kind != "lockfree" {
+	if info.Seq != 7 || !info.Durable {
 		t.Fatalf("recovered info = %+v", info)
 	}
 	got, err := c2.Labels(ctx, "alpha")

@@ -270,13 +270,20 @@ func TestMetricsBudgetWaitsCounted(t *testing.T) {
 	req := dsu.UniteRequest{Edges: []dsu.Edge{{X: 0, Y: 1}}}
 	for _, tc := range []struct {
 		tenant string
+		kind   string
 		send   func() error
 	}{
-		{"rpc", func() error {
+		{"rpc", "", func() error {
 			_, err := c.UniteAll(ctx, "rpc", req)
 			return err
 		}},
-		{"pipe", func() error {
+		// A tenant created under the older lock-free kind name takes the
+		// same budget: the server has one admission policy.
+		{"lockfree", "lockfree", func() error {
+			_, err := c.UniteAll(ctx, "lockfree", req)
+			return err
+		}},
+		{"pipe", "", func() error {
 			var replyErr error // set by the reader goroutine, read after Close
 			cp, err := c.OpenPipe(ctx, "pipe", PipeConfig{OnReply: func(env *wire.Envelope) {
 				if env.Kind != wire.KindReply {
@@ -296,7 +303,7 @@ func TestMetricsBudgetWaitsCounted(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.tenant, func(t *testing.T) {
-			if _, err := c.CreateTenant(ctx, TenantSpec{Name: tc.tenant, N: 10}); err != nil {
+			if _, err := c.CreateTenant(ctx, TenantSpec{Name: tc.tenant, N: 10, Kind: tc.kind}); err != nil {
 				t.Fatal(err)
 			}
 			sem := s.sem(tc.tenant)

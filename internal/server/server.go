@@ -1,9 +1,8 @@
 // Package server is the network front end: a stdlib net/http service
-// exposing the dsu package's tenant-scoped Universe API — named universes
-// over flat or lock-free backends, batched UniteAll/SameSetAll,
-// and streaming ingestion — to remote clients over the wire package's
-// framing (length-prefixed binary, or newline-delimited JSON for
-// debugging).
+// exposing the dsu package's tenant-scoped Universe API — named
+// universes, batched UniteAll/SameSetAll, and streaming ingestion — to
+// remote clients over the wire package's framing (length-prefixed
+// binary, or newline-delimited JSON for debugging).
 //
 // # Surface
 //
@@ -46,16 +45,16 @@
 // tenant's universe: unite frames push edges into the stream's
 // double-buffered batches, flush frames seal early, and each executed
 // batch answers with a reply envelope (Seq = batch id) written as it
-// completes. Backpressure is end to end — when the stream is MaxInFlight
-// batches ahead, the handler blocks in Push, stops reading the request
-// body, and TCP pushes back on the producer. Closing the request body
-// drains the stream and answers a final end envelope carrying the
-// ingestion totals; Stop (server shutdown) cancels the stream context,
-// which ends ingestion promptly (the loop selects against the context,
-// so even a push-only connection blocked in a body read observes it),
-// surfaces the dsu layer's Flush/Close cancellation errors, and reports
-// the abort and any lost batches in the end envelope — the clean-shutdown
-// path those cancellation errors exist for.
+// completes, in seal order. Backpressure is end to end — when the stream
+// is MaxInFlight batches ahead, the handler blocks in Push, stops reading
+// the request body, and TCP pushes back on the producer. Closing the
+// request body drains the stream and answers a final end envelope
+// carrying the ingestion totals; Stop (server shutdown) cancels the
+// stream context, which ends ingestion promptly (the loop selects against
+// the context, so even a push-only connection blocked in a body read
+// observes it), surfaces the dsu layer's Flush/Close cancellation errors,
+// and reports the abort and any lost batches in the end envelope — the
+// clean-shutdown path those cancellation errors exist for.
 //
 // # Isolation
 //
@@ -67,17 +66,10 @@
 // tenants; streams bound in-flight batches per connection by
 // construction. Requests are validated against the tenant's universe
 // before execution — a remote frame can never reach the wait-free core's
-// unchecked indexing.
-//
-// Tenants whose structure is concurrent-capable (the lock-free kind —
-// dsu.Universe.Concurrent) skip the queueing half of that story: their
-// batch calls are safe to overlap, so batch requests execute
-// immediately without taking the per-tenant budget, and their stream
-// connections run with concurrent batch dispatch (up to the connection's
-// in-flight bound of batches executing simultaneously, replies in
-// completion order). The budget exists to serialize mutations a plain
-// backend can't take concurrently; a lock-free tenant doesn't need the
-// protection.
+// unchecked indexing. Every tenant is served under this one policy,
+// whatever kind name its spec gave: the structure takes overlapping
+// batches safely, and the budget is what bounds how many of them — each
+// with up to dsu.MaxBatchWorkers goroutines — one tenant runs at once.
 package server
 
 import (
@@ -109,10 +101,7 @@ type Config struct {
 	MaxFrame int
 	// MaxInFlight bounds, per tenant, the batch requests (single-shot or
 	// piped) executing concurrently, and caps the per-connection in-flight
-	// bound a stream may request; ≤ 0 selects 4. Concurrent-capable tenants
-	// (the lock-free kind) are exempt from the batch budget — overlap is
-	// their contract — but the stream cap still applies (it bounds
-	// buffered batches, which is memory, not safety).
+	// bound a stream may request; ≤ 0 selects 4.
 	MaxInFlight int
 	// StreamBuffer is the default stream seal threshold in edges; ≤ 0
 	// selects the dsu default (65536). Connections may override with the
@@ -197,7 +186,8 @@ func (s *Server) Stop() { s.stop() }
 // TenantSpec is the JSON body of POST /v1/tenants: the tenant name plus
 // the structure configuration, phrased in the dsu option vocabulary's
 // wire-friendly form. Kind names the structure kind per dsu.ParseKind
-// ("flat", the default, or "lockfree"). Find names a strategy per
+// ("flat" or "lockfree"; both build the same structure, and the field
+// stays so that older specs are accepted). Find names a strategy per
 // dsu.ParseFindStrategy ("auto" turns on the adaptive policy); Seed fixes
 // the random linking order for reproducible tenants. POST /v1/tenants
 // refuses a body naming any other field.
@@ -242,13 +232,8 @@ func (sp TenantSpec) Options() ([]dsu.Option, error) {
 type TenantInfo struct {
 	Name     string `json:"name"`
 	N        int    `json:"n"`
-	Kind     string `json:"kind"`
 	Adaptive bool   `json:"adaptive,omitempty"`
-	// Concurrent reports the lock-free kind's capability: this tenant's
-	// requests run truly concurrently (no per-tenant RPC queueing,
-	// concurrent stream dispatch).
-	Concurrent bool `json:"concurrent,omitempty"`
-	Sets       int  `json:"sets"`
+	Sets     int    `json:"sets"`
 	// Seq is the tenant's applied-batch sequence number — on a durable
 	// tenant, the durable log position. Operators compare it across
 	// replicas or against a log's dsulog info output.
@@ -260,14 +245,12 @@ type TenantInfo struct {
 
 func infoOf(u *dsu.Universe) TenantInfo {
 	return TenantInfo{
-		Name:       u.Name(),
-		N:          u.N(),
-		Kind:       u.Kind(),
-		Adaptive:   u.Adaptive(),
-		Concurrent: u.Concurrent(),
-		Sets:       u.Sets(),
-		Seq:        u.Seq(),
-		Durable:    u.Durable(),
+		Name:     u.Name(),
+		N:        u.N(),
+		Adaptive: u.Adaptive(),
+		Sets:     u.Sets(),
+		Seq:      u.Seq(),
+		Durable:  u.Durable(),
 	}
 }
 
@@ -406,8 +389,7 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), status)
 			return
 		}
-		s.log.Info("tenant created",
-			"tenant", u.Name(), "n", u.N(), "kind", u.Kind())
+		s.log.Info("tenant created", "tenant", u.Name(), "n", u.N())
 		writeJSON(w, http.StatusCreated, infoOf(u))
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -472,15 +454,12 @@ func (s *Server) sem(name string) chan struct{} {
 // once per /unite or /query request and once per pipe connection.
 type tenant struct {
 	u        *dsu.Universe
-	sem      chan struct{}  // in-flight budget; nil for a concurrent-capable tenant
+	sem      chan struct{}  // in-flight budget
 	inflight *metrics.Gauge // nil when uninstrumented
 }
 
 func (s *Server) tenant(u *dsu.Universe) tenant {
-	t := tenant{u: u}
-	if !u.Concurrent() {
-		t.sem = s.sem(u.Name())
-	}
+	t := tenant{u: u, sem: s.sem(u.Name())}
 	if s.m != nil {
 		t.inflight = s.m.rpcInFlight.With(u.Name())
 	}
@@ -579,25 +558,21 @@ func (s *Server) batch(ctx context.Context, t tenant, env *wire.Envelope, tr *tr
 	}
 	// Per-tenant bounded in-flight: a burst queues against its own tenant's
 	// budget (or gives up with the client), never against other tenants.
-	// Concurrent-capable tenants have no budget — their batch calls are
-	// safe to overlap, so queueing would only manufacture latency.
-	if t.sem != nil {
+	select {
+	case t.sem <- struct{}{}:
+	default:
+		// Budget full: the saturation counter records the event —
+		// dsu_server_rpc_waits_total climbing is the signal to raise
+		// MaxInFlight or split the tenant — then wait like before.
+		if s.m != nil {
+			s.m.rpcWaits.With(t.u.Name()).Inc()
+		}
 		select {
 		case t.sem <- struct{}{}:
-		default:
-			// Budget full: the saturation counter records the event —
-			// dsu_server_rpc_waits_total climbing is the signal to raise
-			// MaxInFlight or split the tenant — then wait like before.
-			if s.m != nil {
-				s.m.rpcWaits.With(t.u.Name()).Inc()
-			}
-			select {
-			case t.sem <- struct{}{}:
-			case <-ctx.Done():
-				return http.StatusRequestTimeout
-			case <-s.ctx.Done():
-				return http.StatusServiceUnavailable
-			}
+		case <-ctx.Done():
+			return http.StatusRequestTimeout
+		case <-s.ctx.Done():
+			return http.StatusServiceUnavailable
 		}
 	}
 	tr.End(qw)
@@ -613,9 +588,7 @@ func (s *Server) batch(ctx context.Context, t tenant, env *wire.Envelope, tr *tr
 		out.rep, err = t.u.SameSetAllTraced(*env.Query, tr)
 	}
 	t.inflight.Dec()
-	if t.sem != nil {
-		<-t.sem
-	}
+	<-t.sem
 	if err != nil {
 		// Rejected before it applied (validation, or a durability failure):
 		// nothing is poisoned, the error envelope is the whole story, and a
@@ -654,7 +627,7 @@ type conn struct {
 // openConn answers 200, switches the exchange to full duplex (HTTP/1.1:
 // read the body while answering), and starts the decode goroutine.
 // Replies leave through a coalescing writer: a burst of small reply frames
-// (pipelined requests, concurrent dispatch, tiny batches) lands in one
+// (pipelined requests, tiny batches) lands in one
 // underlying write and one HTTP flush instead of one of each per frame.
 // The returned func closes that writer, forcing the final flush, so it
 // must run once the handler is done writing.
@@ -799,9 +772,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 		dsu.WithStreamContext(c.ctx),
 		dsu.WithBufferSize(buffer),
 		dsu.WithMaxInFlight(inflight),
-		// Honored only by concurrent-capable tenants (the dsu layer gates
-		// it on the backend); plain tenants keep in-order dispatch.
-		dsu.WithConcurrentBatches(),
 		dsu.WithBatchOptions(batch.Options()...),
 		dsu.WithOnBatch(func(br dsu.BatchResult) {
 			if br.Err != nil {
@@ -815,7 +785,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 		}),
 	)
 	s.log.Info("stream open", "tenant", u.Name(), "format", format.String(),
-		"buffer", st.BufferSize(), "inflight", inflight, "concurrent", u.Concurrent())
+		"buffer", st.BufferSize(), "inflight", inflight)
 
 	abortErr := c.serve(func(env *wire.Envelope) bool {
 		switch env.Kind {
@@ -881,7 +851,7 @@ func (s *Server) handlePipe(w http.ResponseWriter, r *http.Request, u *dsu.Unive
 	c, done := s.openConn(w, r, format, "pipe")
 	defer done()
 	t := s.tenant(u)
-	s.log.Info("pipe open", "tenant", u.Name(), "format", format.String(), "concurrent", u.Concurrent())
+	s.log.Info("pipe open", "tenant", u.Name(), "format", format.String())
 
 	var served uint64
 	err := c.serve(func(env *wire.Envelope) bool {

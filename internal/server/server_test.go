@@ -45,18 +45,28 @@ func TestTenantAdmin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flat.Kind != "flat" || flat.N != 100 || flat.Sets != 100 {
+	if flat.N != 100 || flat.Sets != 100 || flat.Adaptive {
 		t.Errorf("alpha info = %+v", flat)
 	}
 	ad, err := c.CreateTenant(ctx, TenantSpec{Name: "beta", N: 100, Find: "auto"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ad.Kind != "flat" || !ad.Adaptive {
+	if !ad.Adaptive {
 		t.Errorf("beta info = %+v", ad)
 	}
+	// The lock-free kind name builds the one structure, so it takes every
+	// configuration the default kind takes.
+	for _, spec := range []TenantSpec{
+		{Name: "gamma", N: 100, Kind: "lockfree", Find: "halving"},
+		{Name: "delta", N: 100, Kind: "lockfree", EarlyTermination: true},
+	} {
+		if info, err := c.CreateTenant(ctx, spec); err != nil || info.N != 100 {
+			t.Errorf("create %+v = %+v, %v", spec, info, err)
+		}
+	}
 	infos, err := c.Tenants(ctx)
-	if err != nil || len(infos) != 2 {
+	if err != nil || len(infos) != 4 {
 		t.Fatalf("Tenants = %v, %v", infos, err)
 	}
 	if _, err := c.Tenant(ctx, "missing"); err == nil || !strings.Contains(err.Error(), "404") {
@@ -73,9 +83,10 @@ func TestTenantAdmin(t *testing.T) {
 		{Name: "x", N: 5, Find: "halving", EarlyTermination: true},
 		{Name: "x", N: 5, Kind: "sharded"}, // the retired kind
 		{Name: "x", N: 5, Kind: "4"},       // dsuserve -tenant x:5:4, the retired shard-count form
+		{Name: "x", N: 5, Kind: "zorp"},
 	} {
-		if _, err := c.CreateTenant(ctx, bad); err == nil {
-			t.Errorf("spec %+v accepted", bad)
+		if _, err := c.CreateTenant(ctx, bad); err == nil || !strings.Contains(err.Error(), "400") {
+			t.Errorf("spec %+v: err = %v, want a 400", bad, err)
 		}
 	}
 	// A spec field the server does not know is refused, not ignored.
@@ -157,13 +168,13 @@ func TestRPCMatchesInProcess(t *testing.T) {
 }
 
 // TestConcurrentTenantsMatchOracle is the acceptance test: three isolated
-// tenants — flat, flat+adaptive, and lock-free — each served
-// concurrently by stream and RPC clients in both encodings, with queries
-// in flight, must end with exactly the partition a sequential in-process
-// pass produces. The lock-free tenant exercises the concurrent path end to
-// end: its RPCs bypass the per-tenant admission semaphore and its stream
-// overlaps sealed batches, yet the final partition is still the oracle's.
-// Run under -race (CI does).
+// tenants — default, adaptive, and one created under the older
+// "lockfree" kind name — each served concurrently by stream and RPC
+// clients in both encodings, with queries in flight, must end with
+// exactly the partition a sequential in-process pass produces. Every
+// tenant is served under the one policy, the lockfree-spec tenant
+// included: its RPCs take the per-tenant budget, and its InFlight: 2
+// stream answers in ascending batch order. Run under -race (CI does).
 func TestConcurrentTenantsMatchOracle(t *testing.T) {
 	// Sparse enough (m/n = 2) that each tenant keeps a distinctive
 	// multi-component partition — a fully connected graph would make the
@@ -199,7 +210,12 @@ func TestConcurrentTenantsMatchOracle(t *testing.T) {
 				defer wg.Done()
 				switch idx {
 				case 0: // streaming ingest, binary, small batches
-					cs, err := c.OpenStream(ctx, name, StreamConfig{Buffer: 128, InFlight: 2})
+					var seqs []uint64 // appended by the reader goroutine; read after Close
+					cs, err := c.OpenStream(ctx, name, StreamConfig{Buffer: 128, InFlight: 2, OnReply: func(env *wire.Envelope) {
+						if env.Kind == wire.KindReply {
+							seqs = append(seqs, env.Seq)
+						}
+					}})
 					if err != nil {
 						errs <- fmt.Errorf("%s stream open: %w", name, err)
 						return
@@ -221,6 +237,15 @@ func TestConcurrentTenantsMatchOracle(t *testing.T) {
 					}
 					if end.Edges != int64(len(part)) || end.Failed != 0 {
 						errs <- fmt.Errorf("%s stream totals %+v, want %d edges, 0 failed", name, end, len(part))
+					}
+					for k := range seqs {
+						if seqs[k] != uint64(k+1) {
+							errs <- fmt.Errorf("%s stream replies arrived as %v, want batch ids 1, 2, … in seal order", name, seqs)
+							break
+						}
+					}
+					if uint64(len(seqs)) != end.Batches {
+						errs <- fmt.Errorf("%s stream: %d replies for %d batches", name, len(seqs), end.Batches)
 					}
 				case 1: // RPC, binary, chunked
 					for j := 0; j < len(part); j += 500 {
@@ -280,9 +305,6 @@ func TestConcurrentTenantsMatchOracle(t *testing.T) {
 		}
 		if info.Sets != oracle.Sets() {
 			t.Errorf("tenant %s: Sets = %d, oracle %d", tn.spec.Name, info.Sets, oracle.Sets())
-		}
-		if tn.spec.Kind == "lockfree" && (info.Kind != "lockfree" || !info.Concurrent) {
-			t.Errorf("tenant %s: info = %+v, want kind lockfree and Concurrent", tn.spec.Name, info)
 		}
 		labelSets = append(labelSets, got)
 	}

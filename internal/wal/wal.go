@@ -103,9 +103,9 @@ type Meta struct {
 	Tenant string
 	// N is the universe size.
 	N int
-	// Kind is the structure kind, as the dsu layer's Kind numbering
-	// (1 flat, 3 lockfree; 2 was a retired sharded kind, whose logs the
-	// dsu layer recovers as flat).
+	// Kind is the structure kind, as the dsu layer's Kind numbering. New
+	// logs carry 1; 2 and 3 were the retired sharded and lock-free kinds,
+	// whose logs the dsu layer recovers into the one structure.
 	Kind uint8
 	// Find is the configured find strategy, as the dsu layer's
 	// FindStrategy numbering.

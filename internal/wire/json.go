@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,7 +18,10 @@ import (
 // a line that isn't a well-formed envelope as ErrCorruptFrame, and a
 // stream ending without a final newline still yields its last line. The
 // dsu DTOs marshal under their own JSON tags, so what travels here is
-// exactly the tenant-API vocabulary.
+// exactly the tenant-API vocabulary — and nothing else: a line carrying a
+// key the envelope or its DTOs do not define (a retired option, a typo)
+// is ErrCorruptFrame, as the binary framing refuses unknown flag bits,
+// rather than a batch run without the knob its sender asked for.
 // Trace context travels as two optional numeric fields; omitted keys
 // mean untraced, so pre-tracing peers read and write the same lines they
 // always did, and a "span" without a "trace" is rejected just as the
@@ -110,8 +114,13 @@ func (d *jsonDecoder) Decode() (*Envelope, error) {
 			continue // blank lines are friendly in a debug protocol
 		}
 		var je jsonEnvelope
-		if err := json.Unmarshal(line, &je); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(line))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&je); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorruptFrame, err)
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return nil, fmt.Errorf("%w: data after the envelope", ErrCorruptFrame)
 		}
 		kind := kindFromString(je.Kind)
 		if kind == 0 {

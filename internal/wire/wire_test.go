@@ -284,6 +284,12 @@ func TestCorruptFrames(t *testing.T) {
 		"reply without body": `{"kind":"reply"}` + "\n",
 		"end without body":   `{"kind":"end"}` + "\n",
 		"span without trace": `{"kind":"flush","span":5}` + "\n",
+		"trailing data":      `{"kind":"flush"} {"kind":"flush"}` + "\n",
+		// A key the envelope does not define is refused, not dropped: the
+		// retired prefilter and connected-screen options, and an unknown
+		// top-level key.
+		"retired options": `{"kind":"unite","unite":{"edges":[{"X":1,"Y":2}],"options":{"prefilter":true,"connected_filter":true}}}` + "\n",
+		"unknown key":     `{"kind":"flush","zorp":1}` + "\n",
 	} {
 		if _, err := NewDecoder(bytes.NewReader([]byte(line)), JSON, 0).Decode(); !errors.Is(err, ErrCorruptFrame) {
 			t.Errorf("json %s: err = %v, want ErrCorruptFrame", name, err)
@@ -492,6 +498,9 @@ func FuzzJSONDecode(f *testing.F) {
 	f.Add([]byte(`{"kind":"unite","trace":123,"span":1,"unite":{"edges":[{"X":1,"Y":2}]}}` + "\n"))
 	f.Add([]byte(`{"kind":"reply","trace":456,"reply":{"merged":1}}` + "\n"))
 	f.Add([]byte("\n\n{\n"))
+	// Unknown keys: the retired filter options, and an unknown top-level key.
+	f.Add([]byte(`{"kind":"unite","unite":{"edges":[{"X":1,"Y":2}],"options":{"prefilter":true,"connected_filter":true}}}` + "\n"))
+	f.Add([]byte(`{"kind":"flush","zorp":1}` + "\n"))
 	// Back-to-back frames for the pooled-path lockstep below.
 	f.Add([]byte(`{"kind":"unite","seq":1,"unite":{"edges":[{"X":1,"Y":2}]}}` + "\n" +
 		`{"kind":"unite","seq":2,"unite":{"edges":[{"X":1,"Y":2}]}}` + "\n"))
