@@ -1,7 +1,8 @@
 // Command dsuserve runs the network front end: an HTTP server exposing
 // tenant-scoped disjoint-set universes — batched UniteAll/SameSetAll and
-// streaming ingestion over the wire protocol's binary framing (or its
-// JSON debug mode) — to remote clients.
+// streaming ingestion over the wire protocol's binary framing — to
+// remote clients. Tenant administration and the observability endpoints
+// speak JSON.
 //
 // Tenants are created remotely (POST /v1/tenants) or preloaded with
 // repeatable -tenant flags:
@@ -46,6 +47,12 @@
 // lines carrying tenant, endpoint, and trace ID at Debug (suppressed by
 // -quiet). -log-format selects the text or JSON handler.
 //
+// A client gets 10 s to send its request headers, and an idle keep-alive
+// connection is closed after 2 minutes, so a client that never finishes
+// its headers cannot hold a connection and its goroutine indefinitely.
+// There is no whole-request read or write deadline: stream and pipe
+// requests are long-lived.
+//
 // On SIGINT/SIGTERM the server shuts down cleanly: open stream
 // connections have their contexts cancelled (clients receive
 // loss-reporting end envelopes — the dsu layer's Flush/Close cancellation
@@ -70,6 +77,12 @@ import (
 
 	"repro/dsu"
 	"repro/internal/server"
+)
+
+// Connection timeouts, fixed rather than flags (see the package docs).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 // tenantFlags collects repeatable -tenant specs.
@@ -249,7 +262,12 @@ func main() {
 		}
 		handler = mux
 	}
-	hs := &http.Server{Addr: *addr, Handler: handler}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	errCh := make(chan error, 1)
 	go func() {

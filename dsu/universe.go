@@ -95,16 +95,16 @@ func (u *Universe) ID(x uint32) uint32        { return u.b.ID(x) }
 type BatchOptions struct {
 	// Workers is the batch worker-pool size; values ≤ 0 select
 	// runtime.GOMAXPROCS(0).
-	Workers int `json:"workers,omitempty"`
+	Workers int
 	// Grain is the span-claim granularity; values ≤ 0 select the engine
 	// default (1024).
-	Grain int `json:"grain,omitempty"`
+	Grain int
 	// Find, when non-zero, overrides the structure's find variant for this
 	// batch. FindAuto is a structure-level policy, not a per-batch value,
 	// and is rejected; Halving and Compression are rejected on structures
 	// built WithEarlyTermination (the combination is undefined, exactly as
 	// in New).
-	Find FindStrategy `json:"find,omitempty"`
+	Find FindStrategy
 }
 
 // Options converts o back into the option vocabulary, for configuring
@@ -135,14 +135,14 @@ func batchOptionsOf(opts []BatchOption) BatchOptions {
 
 // UniteRequest asks a universe to merge across a batch of edges.
 type UniteRequest struct {
-	Edges   []Edge       `json:"edges"`
-	Options BatchOptions `json:"options"`
+	Edges   []Edge
+	Options BatchOptions
 }
 
 // QueryRequest asks a universe to answer a batch of connectivity queries.
 type QueryRequest struct {
-	Pairs   []Edge       `json:"pairs"`
-	Options BatchOptions `json:"options"`
+	Pairs   []Edge
+	Options BatchOptions
 }
 
 // BatchReply reports one executed batch — the response DTO shared by
@@ -152,19 +152,20 @@ type QueryRequest struct {
 // Pairs.
 type BatchReply struct {
 	// Answers is nil on unite replies; on query replies it is non-nil and
-	// indexed like the request's Pairs (no omitempty: a zero-pair query's
-	// empty slice must survive the JSON encoding like it does the binary).
-	Answers []bool       `json:"answers"`
-	Merged  int64        `json:"merged"`
-	Find    FindStrategy `json:"find,omitempty"`
+	// indexed like the request's Pairs. The wire framing keeps nil and
+	// empty apart (a flag bit), so a zero-pair query's empty slice
+	// survives it.
+	Answers []bool
+	Merged  int64
+	Find    FindStrategy
 	// CASRetries carries exec.Result.CASRetries: root-link CAS attempts
 	// that lost a race to a concurrent link and retried, summed over the
 	// batch's workers — the contention metric (zero under early
 	// termination, and zero for query batches). Remote callers read
 	// their batches' contention here.
-	CASRetries int64         `json:"cas_retries,omitempty"`
-	Elapsed    time.Duration `json:"elapsed,omitempty"`
-	Stats      Stats         `json:"stats"`
+	CASRetries int64
+	Elapsed    time.Duration
+	Stats      Stats
 }
 
 // findStrategyOf maps a resolved core variant back to the public

@@ -2,12 +2,12 @@
 // path end to end. It creates three isolated tenants — "alpha" with the
 // defaults, "beta" with the adaptive compaction policy, "gamma" under the
 // older "lockfree" kind name, which builds the same structure — ingests a
-// random edge batch into alpha over a streaming connection (binary
-// framing, per-batch replies), into beta over batch RPC (JSON debug
-// mode), and into gamma over a pipelined connection (binary framing,
-// every reply checked), queries all three remotely, and validates every
-// answer and every final partition against in-process oracles built from
-// the same edges. Run it against a live server:
+// random edge batch into alpha over a streaming connection (per-batch
+// replies), into beta over batch RPC (one /unite exchange per 8K-edge
+// frame), and into gamma over a pipelined connection (every reply
+// checked), all in the binary framing, queries all three remotely, and
+// validates every answer and every final partition against in-process
+// oracles built from the same edges. Run it against a live server:
 //
 //	go run ./cmd/dsuserve -addr 127.0.0.1:7421 &
 //	go run ./examples/server -addr http://127.0.0.1:7421 -n 20000 -m 60000
@@ -80,8 +80,8 @@ func main() {
 		log.Printf("tenant %-5s  adaptive=%-5v n=%d", info.Name, info.Adaptive, info.N)
 	}
 
-	// Alpha: streaming ingest over the binary framing, watching per-batch
-	// replies arrive as the server executes.
+	// Alpha: streaming ingest, watching per-batch replies arrive as the
+	// server executes.
 	var batches int
 	cs, err := c.OpenStream(ctx, "alpha", server.StreamConfig{Buffer: *buffer, InFlight: 2, OnReply: func(env *wire.Envelope) {
 		if env.Kind == wire.KindReply {
@@ -111,8 +111,7 @@ func main() {
 	log.Printf("alpha  stream: %d edges in %d batches, %d merged, %v (%d replies seen)",
 		end.Edges, end.Batches, end.Merged, time.Since(start).Round(time.Millisecond), batches)
 
-	// Beta: batch RPC in the JSON debug mode.
-	jc := server.NewClient(*addr, server.WithFormat(wire.JSON))
+	// Beta: batch RPC, one request/reply exchange per frame.
 	start = time.Now()
 	var betaMerged int64
 	for i := 0; i < len(betaEdges); i += 8192 {
@@ -120,13 +119,13 @@ func main() {
 		if hi > len(betaEdges) {
 			hi = len(betaEdges)
 		}
-		rep, err := jc.UniteAll(ctx, "beta", dsu.UniteRequest{Edges: betaEdges[i:hi]})
+		rep, err := c.UniteAll(ctx, "beta", dsu.UniteRequest{Edges: betaEdges[i:hi]})
 		if err != nil {
 			log.Fatalf("beta unite: %v", err)
 		}
 		betaMerged += rep.Merged
 	}
-	log.Printf("beta   rpc(json): %d edges, %d merged, %v", len(betaEdges), betaMerged, time.Since(start).Round(time.Millisecond))
+	log.Printf("beta   rpc: %d edges, %d merged, %v", len(betaEdges), betaMerged, time.Since(start).Round(time.Millisecond))
 
 	// Oracles: the same edges through the in-process API.
 	alphaOracle := dsu.New(*n)
@@ -142,11 +141,11 @@ func main() {
 		}
 	}
 
-	// Gamma: one pipelined connection in the binary framing. The oracle
-	// runs the same unite batches in the same order first, so each reply's
-	// merge count is known before it arrives; a final query batch rides
-	// the same pipe. Replies arrive in request order on the pipe's reader
-	// goroutine, each echoing its request's sequence number.
+	// Gamma: one pipelined connection. The oracle runs the same unite
+	// batches in the same order first, so each reply's merge count is
+	// known before it arrives; a final query batch rides the same pipe.
+	// Replies arrive in request order on the pipe's reader goroutine, each
+	// echoing its request's sequence number.
 	gammaOracle := dsu.New(*n)
 	type expect struct {
 		merged  int

@@ -75,8 +75,8 @@ func runE24(cfg Config) error {
 	encAllocs, decAllocs := codecSteadyStateAllocs(1 << 10)
 	fmt.Fprintf(cfg.Out, "Steady-state pooled binary codec, 1K-edge unite envelope: %.1f allocs/encode, %.1f allocs/decode.\n\n", encAllocs, decAllocs)
 
-	fmt.Fprintf(cfg.Out, "### Pipelined pooled path vs per-RPC (n=%d, m=%d edges, one tenant, binary+json)\n\n", n, m)
-	tb := stats.NewTable("frame", "in-proc Medge/s", "rpc bin Medge/s", "allocs/fr", "pipe bin Medge/s", "allocs/fr", "pipe/rpc ×", "pipe json Medge/s", "allocs/fr")
+	fmt.Fprintf(cfg.Out, "### Pipelined pooled path vs per-RPC (n=%d, m=%d edges, one tenant)\n\n", n, m)
+	tb := stats.NewTable("frame", "in-proc Medge/s", "rpc Medge/s", "allocs/fr", "pipe Medge/s", "allocs/fr", "pipe/rpc ×")
 	for _, frame := range frames {
 		local := bestOf(func() time.Duration { return inProcessIngest(n, cfg.Seed+1, edges, frame) })
 		lth := mops(m, local)
@@ -93,25 +93,18 @@ func runE24(cfg Config) error {
 		hs.Close()
 		pipeTh := mops(m, pipeElapsed)
 
-		hs = newServer()
-		c = server.NewClient(hs.URL, server.WithHTTPClient(hs.Client()), server.WithFormat(wire.JSON))
-		jsonElapsed, jsonAPF := pipedIngest(c, "t0", edges, frame)
-		hs.Close()
-		jsonTh := mops(m, jsonElapsed)
-
-		tb.AddRowf(frame, lth, rpcTh, rpcAPF, pipeTh, pipeAPF, ratio(pipeTh, rpcTh), jsonTh, jsonAPF)
+		tb.AddRowf(frame, lth, rpcTh, rpcAPF, pipeTh, pipeAPF, ratio(pipeTh, rpcTh))
 	}
 	fmt.Fprint(cfg.Out, tb)
 	fmt.Fprintln(cfg.Out)
 
 	fmt.Fprintf(cfg.Out, "\nShape check: the pipe/rpc column should be largest at the smallest frame —\n")
 	fmt.Fprintf(cfg.Out, "per-RPC rows pay one HTTP exchange per 1K edges while the pipe pays one per\n")
-	fmt.Fprintf(cfg.Out, "connection, so pipelining should at least double 1K-frame binary throughput\n")
-	fmt.Fprintf(cfg.Out, "(the E24 acceptance bar) and converge toward 1.0 as frames grow and encode\n")
-	fmt.Fprintf(cfg.Out, "cost dominates. Binary pipe allocs/frame should sit far below the per-RPC\n")
-	fmt.Fprintf(cfg.Out, "figure: the codecs themselves are allocation-free (the line above), leaving\n")
-	fmt.Fprintf(cfg.Out, "only executor-side batch bookkeeping. JSON rides the same pipe but keeps\n")
-	fmt.Fprintf(cfg.Out, "reflection garbage — it is the debug mode, reported for scale, not a target.\n")
+	fmt.Fprintf(cfg.Out, "connection, so pipelining should at least double 1K-frame throughput (the\n")
+	fmt.Fprintf(cfg.Out, "E24 acceptance bar) and converge toward 1.0 as frames grow and encode cost\n")
+	fmt.Fprintf(cfg.Out, "dominates. Pipe allocs/frame should sit far below the per-RPC figure: the\n")
+	fmt.Fprintf(cfg.Out, "codecs themselves are allocation-free (the line above), leaving only\n")
+	fmt.Fprintf(cfg.Out, "executor-side batch bookkeeping.\n")
 	return nil
 }
 

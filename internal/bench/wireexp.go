@@ -12,7 +12,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/stats"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -67,11 +66,11 @@ func inProcessIngest(n int, seed uint64, edges []engine.Edge, frame int) time.Du
 }
 
 // runE22 measures the wire protocol's cost: remote batch RPC throughput
-// against in-process blocking calls, swept over frame sizes × encodings,
-// plus concurrent multi-tenant scaling and a streaming-ingest
-// comparison. The server runs in-process over a loopback HTTP listener,
-// so the rows isolate protocol cost — framing, encode/decode, HTTP
-// per-exchange overhead — not network latency.
+// against in-process blocking calls, swept over frame sizes, plus
+// concurrent multi-tenant scaling and a streaming-ingest comparison. The
+// server runs in-process over a loopback HTTP listener, so the rows
+// isolate protocol cost — framing, encode/decode, HTTP per-exchange
+// overhead — not network latency.
 func runE22(cfg Config) error {
 	header(cfg, "E22", "Wire-protocol throughput: remote vs in-process batches", "systems extension; ROADMAP wire-measurement item")
 	n := 1 << 18
@@ -93,23 +92,19 @@ func runE22(cfg Config) error {
 		return hs, reg
 	}
 
-	// Frame-size × encoding sweep, one tenant: the protocol tax and how
-	// batching amortizes it.
+	// Frame-size sweep, one tenant: the protocol tax and how batching
+	// amortizes it.
 	fmt.Fprintf(cfg.Out, "### Remote unite RPC vs in-process (n=%d, m=%d edges, one tenant)\n\n", n, m)
-	tb := stats.NewTable("frame", "in-proc Medge/s", "binary Medge/s", "×", "allocs/fr", "json Medge/s", "×", "allocs/fr")
+	tb := stats.NewTable("frame", "in-proc Medge/s", "remote Medge/s", "×", "allocs/fr")
 	for _, frame := range frames {
 		local := bestOf(func() time.Duration { return inProcessIngest(n, cfg.Seed+1, edges, frame) })
 		lth := mops(m, local)
-		row := []any{frame, lth}
-		for _, format := range []wire.Format{wire.Binary, wire.JSON} {
-			hs, _ := newServer(1)
-			c := server.NewClient(hs.URL, server.WithHTTPClient(hs.Client()), server.WithFormat(format))
-			remote, apf := remoteIngest(c, "t0", edges, frame)
-			hs.Close()
-			rth := mops(m, remote)
-			row = append(row, rth, ratio(rth, lth), apf)
-		}
-		tb.AddRowf(row...)
+		hs, _ := newServer(1)
+		c := server.NewClient(hs.URL, server.WithHTTPClient(hs.Client()))
+		remote, apf := remoteIngest(c, "t0", edges, frame)
+		hs.Close()
+		rth := mops(m, remote)
+		tb.AddRowf(frame, lth, rth, ratio(rth, lth), apf)
 	}
 	fmt.Fprint(cfg.Out, tb)
 	fmt.Fprintln(cfg.Out)
@@ -117,7 +112,7 @@ func runE22(cfg Config) error {
 	// Concurrent tenants: each client drives its own tenant's structure,
 	// so aggregate throughput should scale until cores saturate (tenant
 	// isolation is structural — no shared state between universes).
-	fmt.Fprintf(cfg.Out, "### Concurrent tenants (binary, frame=%d, %d edges per tenant)\n\n", 1<<13, m)
+	fmt.Fprintf(cfg.Out, "### Concurrent tenants (frame=%d, %d edges per tenant)\n\n", 1<<13, m)
 	tc := stats.NewTable("tenants", "aggregate Medge/s", "per-tenant Medge/s")
 	for _, tenants := range []int{1, 2, 4} {
 		hs, _ := newServer(tenants)
@@ -164,8 +159,7 @@ func runE22(cfg Config) error {
 		1<<16, streamChunk, mops(m, streamed))
 
 	fmt.Fprintf(cfg.Out, "\nShape check: remote throughput should climb with frame size (per-exchange\n")
-	fmt.Fprintf(cfg.Out, "HTTP + encode cost amortizes) and binary should beat JSON at every frame size\n")
-	fmt.Fprintf(cfg.Out, "(fixed-width codecs vs text). The × columns are remote/in-process; they can\n")
+	fmt.Fprintf(cfg.Out, "HTTP + encode cost amortizes). The × column is remote/in-process; it can\n")
 	fmt.Fprintf(cfg.Out, "approach but not pass 1.0 — the wire only ever adds work. Aggregate\n")
 	fmt.Fprintf(cfg.Out, "multi-tenant throughput should grow with tenant count on a multi-core host\n")
 	fmt.Fprintf(cfg.Out, "(structural isolation, no cross-tenant contention); on a single core it stays\n")

@@ -15,7 +15,7 @@ import (
 )
 
 // Client speaks the front end's protocol: tenant administration over
-// JSON, batch RPC and streaming ingestion over either wire format. It is
+// JSON, batch RPC and streaming ingestion over the binary framing. It is
 // what examples/server and the integration tests drive; it lives next to
 // the server so the two sides of the protocol evolve together.
 //
@@ -24,16 +24,11 @@ import (
 type Client struct {
 	base     string
 	hc       *http.Client
-	format   wire.Format
 	maxFrame int
 }
 
 // ClientOption configures NewClient.
 type ClientOption func(*Client)
-
-// WithFormat selects the batch encoding (default wire.Binary;
-// wire.JSON is the debug mode).
-func WithFormat(f wire.Format) ClientOption { return func(c *Client) { c.format = f } }
 
 // WithHTTPClient substitutes the underlying *http.Client (timeouts,
 // transports, test plumbing). The client must not have a global Timeout
@@ -46,7 +41,7 @@ func WithMaxFrame(n int) ClientOption { return func(c *Client) { c.maxFrame = n 
 // NewClient returns a client for the server at base (e.g.
 // "http://127.0.0.1:8080").
 func NewClient(base string, opts ...ClientOption) *Client {
-	c := &Client{base: base, hc: http.DefaultClient, format: wire.Binary}
+	c := &Client{base: base, hc: http.DefaultClient}
 	for _, o := range opts {
 		o(c)
 	}
@@ -168,7 +163,7 @@ func (c *Client) Labels(ctx context.Context, name string) ([]uint32, error) {
 // tenants and old servers).
 func (c *Client) rpc(ctx context.Context, tenant, action string, env *wire.Envelope) (dsu.BatchReply, dsu.TraceContext, error) {
 	var buf bytes.Buffer
-	if err := wire.NewEncoder(&buf, c.format).Encode(env); err != nil {
+	if err := wire.NewEncoder(&buf, wire.Binary).Encode(env); err != nil {
 		return dsu.BatchReply{}, dsu.TraceContext{}, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
@@ -176,7 +171,7 @@ func (c *Client) rpc(ctx context.Context, tenant, action string, env *wire.Envel
 	if err != nil {
 		return dsu.BatchReply{}, dsu.TraceContext{}, err
 	}
-	req.Header.Set("Content-Type", c.format.ContentType())
+	req.Header.Set("Content-Type", wire.ContentTypeBinary)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return dsu.BatchReply{}, dsu.TraceContext{}, err
@@ -185,7 +180,7 @@ func (c *Client) rpc(ctx context.Context, tenant, action string, env *wire.Envel
 	if resp.StatusCode != http.StatusOK {
 		return dsu.BatchReply{}, dsu.TraceContext{}, httpError(resp)
 	}
-	dec := wire.AcquireDecoder(resp.Body, c.format, c.maxFrame)
+	dec := wire.AcquireDecoder(resp.Body, wire.Binary, c.maxFrame)
 	defer wire.ReleaseDecoder(dec)
 	out, err := dec.Decode()
 	if err != nil {
@@ -247,7 +242,7 @@ func (c *Client) SameSetAllLinked(ctx context.Context, tenant string, req dsu.Qu
 type clientConn struct {
 	pw     *io.PipeWriter
 	fw     *wire.FlushWriter
-	enc    wire.Encoder
+	enc    *wire.Encoder
 	seq    uint64
 	resp   *http.Response
 	closed bool
@@ -271,7 +266,7 @@ func (c *Client) open(ctx context.Context, cc *clientConn, path string, onReply 
 		pw.Close()
 		return err
 	}
-	req.Header.Set("Content-Type", c.format.ContentType())
+	req.Header.Set("Content-Type", wire.ContentTypeBinary)
 	resp, err := c.hc.Do(req)
 	if err == nil && resp.StatusCode != http.StatusOK {
 		err = httpError(resp)
@@ -283,9 +278,9 @@ func (c *Client) open(ctx context.Context, cc *clientConn, path string, onReply 
 	}
 	cc.pw, cc.resp, cc.onReply = pw, resp, onReply
 	cc.fw = wire.NewFlushWriter(pw, 0, nil)
-	cc.enc = wire.AcquireEncoder(cc.fw, c.format)
+	cc.enc = wire.AcquireEncoder(cc.fw, wire.Binary)
 	cc.done = make(chan struct{})
-	go cc.read(wire.AcquireDecoder(resp.Body, c.format, c.maxFrame))
+	go cc.read(wire.AcquireDecoder(resp.Body, wire.Binary, c.maxFrame))
 	return nil
 }
 
@@ -294,7 +289,7 @@ func (c *Client) open(ctx context.Context, cc *clientConn, path string, onReply 
 // promptly is part of the backpressure loop: a client that never read
 // them would eventually stall the server's reply writes, not its own
 // requests.
-func (cc *clientConn) read(dec wire.Decoder) {
+func (cc *clientConn) read(dec *wire.Decoder) {
 	defer close(cc.done)
 	defer wire.ReleaseDecoder(dec)
 	for {

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/metrics"
-	"repro/internal/wire"
 )
 
 // serverMetrics is the front end's own instrument set, registered onto
@@ -17,13 +16,13 @@ import (
 //
 // Series catalog (all prefixed dsu_server_):
 //
-//	dsu_server_request_seconds{endpoint,encoding,status}  request latency histogram
-//	dsu_server_streams_active                             open stream connections (gauge)
-//	dsu_server_frames_total{dir}                          wire envelopes in/out
-//	dsu_server_bytes_total{dir}                           wire payload bytes in/out
-//	dsu_server_decode_errors_total                        frames rejected by the decoder
-//	dsu_server_rpc_inflight{tenant}                       batch requests executing, piped ones too (gauge)
-//	dsu_server_rpc_waits_total{tenant}                    batch requests, piped ones too, that found the tenant budget full
+//	dsu_server_request_seconds{endpoint,status}  request latency histogram
+//	dsu_server_streams_active                    open stream connections (gauge)
+//	dsu_server_frames_total{dir}                 wire envelopes in/out
+//	dsu_server_bytes_total{dir}                  wire payload bytes in/out
+//	dsu_server_decode_errors_total               frames rejected by the decoder
+//	dsu_server_rpc_inflight{tenant}              batch requests executing, piped ones too (gauge)
+//	dsu_server_rpc_waits_total{tenant}           batch requests, piped ones too, that found the tenant budget full
 type serverMetrics struct {
 	latency      *metrics.HistogramVec
 	streams      *metrics.Gauge
@@ -41,7 +40,7 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 		return nil
 	}
 	return &serverMetrics{
-		latency:      reg.HistogramVec("dsu_server_request_seconds", "End-to-end request latency in seconds, by endpoint, wire encoding, and HTTP status.", nil, "endpoint", "encoding", "status"),
+		latency:      reg.HistogramVec("dsu_server_request_seconds", "End-to-end request latency in seconds, by endpoint and HTTP status.", nil, "endpoint", "status"),
 		streams:      reg.Gauge("dsu_server_streams_active", "Open stream connections."),
 		frames:       reg.CounterVec("dsu_server_frames_total", "Wire envelopes decoded (in) and encoded (out) on RPC, stream and pipe connections.", "dir"),
 		bytes:        reg.CounterVec("dsu_server_bytes_total", "Wire bytes read (in) and written (out) on RPC, stream and pipe connections.", "dir"),
@@ -73,20 +72,6 @@ func endpointOf(path string) string {
 	default:
 		return "other"
 	}
-}
-
-// encodingOf names the request's wire encoding for the latency label:
-// "binary", "json", or "none" for the JSON-admin and unframed endpoints.
-func encodingOf(r *http.Request) string {
-	ct := r.Header.Get("Content-Type")
-	if ct == "" {
-		return "none"
-	}
-	f, ok := wire.FormatFor(ct)
-	if !ok {
-		return "none"
-	}
-	return f.String()
 }
 
 // statusRecorder captures the response status for the latency label.

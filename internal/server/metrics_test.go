@@ -44,7 +44,7 @@ func seriesValue(t *testing.T, text, series string) int64 {
 // The series a finished stream leaves on the server side: its request
 // recorded, and the active-stream gauge back to zero.
 const (
-	streamDone  = `dsu_server_request_seconds_count{endpoint="stream",encoding="binary",status="200"} 1`
+	streamDone  = `dsu_server_request_seconds_count{endpoint="stream",status="200"} 1`
 	streamsIdle = `dsu_server_streams_active 0`
 )
 
@@ -127,8 +127,8 @@ func TestMetricsScrape(t *testing.T) {
 	// samples, the wire moved frames and bytes both ways, and the stream
 	// gauge is back to zero now the connection is gone.
 	for _, series := range []string{
-		`dsu_server_request_seconds_count{endpoint="unite",encoding="binary",status="200"} 3`,
-		`dsu_server_request_seconds_count{endpoint="query",encoding="binary",status="200"} 1`,
+		`dsu_server_request_seconds_count{endpoint="unite",status="200"} 3`,
+		`dsu_server_request_seconds_count{endpoint="query",status="200"} 1`,
 		streamDone,
 		streamsIdle,
 		`dsu_server_rpc_inflight{tenant="alpha"} 0`,
@@ -179,7 +179,7 @@ func TestMetricsDecodeErrors(t *testing.T) {
 	if got := seriesValue(t, text, `dsu_server_decode_errors_total`); got != 1 {
 		t.Errorf("decode errors = %d, want 1", got)
 	}
-	if !strings.Contains(text, `dsu_server_request_seconds_count{endpoint="unite",encoding="binary",status="400"} 1`) {
+	if !strings.Contains(text, `dsu_server_request_seconds_count{endpoint="unite",status="400"} 1`) {
 		t.Error("exposition missing the 400 latency sample")
 	}
 }

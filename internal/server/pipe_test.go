@@ -32,90 +32,86 @@ func copyEnvelope(env *wire.Envelope) *wire.Envelope {
 	return &cp
 }
 
-// TestPipeMatchesInProcess drives the pipelined endpoint in both
-// encodings: interleaved unite and query batches enqueued without
-// waiting, replies collected from OnReply, and the result compared
-// against the sequential in-process oracle — seq-for-seq, in request
-// order.
+// TestPipeMatchesInProcess drives the pipelined endpoint: interleaved
+// unite and query batches enqueued without waiting, replies collected
+// from OnReply, and the result compared against the sequential in-process
+// oracle — seq-for-seq, in request order.
 func TestPipeMatchesInProcess(t *testing.T) {
 	const n, m = 600, 240
-	for _, format := range []wire.Format{wire.Binary, wire.JSON} {
-		t.Run(format.String(), func(t *testing.T) {
-			reg := dsu.NewRegistry()
-			_, c := newTestServer(t, Config{Registry: reg})
-			c.format = format
-			ctx := context.Background()
-			if _, err := c.CreateTenant(ctx, TenantSpec{Name: "p", N: n, Seed: 7}); err != nil {
-				t.Fatal(err)
-			}
-			oracle := dsu.New(n, dsu.WithSeed(7))
+	t.Run("binary", func(t *testing.T) {
+		reg := dsu.NewRegistry()
+		_, c := newTestServer(t, Config{Registry: reg})
+		ctx := context.Background()
+		if _, err := c.CreateTenant(ctx, TenantSpec{Name: "p", N: n, Seed: 7}); err != nil {
+			t.Fatal(err)
+		}
+		oracle := dsu.New(n, dsu.WithSeed(7))
 
-			var replies []*wire.Envelope
-			done := make(chan struct{})
-			cp, err := c.OpenPipe(ctx, "p", PipeConfig{OnReply: func(env *wire.Envelope) {
-				replies = append(replies, copyEnvelope(env)) // reader goroutine only
-			}})
+		var replies []*wire.Envelope
+		done := make(chan struct{})
+		cp, err := c.OpenPipe(ctx, "p", PipeConfig{OnReply: func(env *wire.Envelope) {
+			replies = append(replies, copyEnvelope(env)) // reader goroutine only
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { defer close(done); <-cp.done }()
+
+		type round struct {
+			seq     uint64
+			unite   []dsu.Edge
+			query   []dsu.Edge
+			merged  int
+			answers []bool
+		}
+		var rounds []round
+		const batches = 24
+		for i := 0; i < batches; i++ {
+			var r round
+			if i%3 == 2 {
+				r.query = testEdges(n, 40, int64(1000+i))
+				r.answers = oracle.SameSetAll(r.query)
+				r.seq, err = cp.SameSetAll(dsu.QueryRequest{Pairs: r.query})
+			} else {
+				r.unite = testEdges(n, 40, int64(2000+i))
+				r.merged = oracle.UniteAll(r.unite)
+				r.seq, err = cp.UniteAll(dsu.UniteRequest{Edges: r.unite})
+			}
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("enqueue #%d: %v", i, err)
 			}
-			go func() { defer close(done); <-cp.done }()
+			rounds = append(rounds, r)
+		}
+		if err := cp.Close(); err != nil {
+			t.Fatal(err)
+		}
+		<-done
 
-			type round struct {
-				seq     uint64
-				unite   []dsu.Edge
-				query   []dsu.Edge
-				merged  int
-				answers []bool
+		if len(replies) != batches {
+			t.Fatalf("got %d replies, want %d", len(replies), batches)
+		}
+		for i, r := range rounds {
+			env := replies[i]
+			if env.Kind != wire.KindReply || env.Seq != r.seq {
+				t.Fatalf("reply #%d = kind %v seq %d, want reply seq %d (error %q)", i, env.Kind, env.Seq, r.seq, env.Error)
 			}
-			var rounds []round
-			const batches = 24
-			for i := 0; i < batches; i++ {
-				var r round
-				if i%3 == 2 {
-					r.query = testEdges(n, 40, int64(1000+i))
-					r.answers = oracle.SameSetAll(r.query)
-					r.seq, err = cp.SameSetAll(dsu.QueryRequest{Pairs: r.query})
-				} else {
-					r.unite = testEdges(n, 40, int64(2000+i))
-					r.merged = oracle.UniteAll(r.unite)
-					r.seq, err = cp.UniteAll(dsu.UniteRequest{Edges: r.unite})
+			if r.query != nil {
+				if !reflect.DeepEqual(env.Reply.Answers, r.answers) {
+					t.Errorf("query seq %d answers differ from oracle", r.seq)
 				}
-				if err != nil {
-					t.Fatalf("enqueue #%d: %v", i, err)
-				}
-				rounds = append(rounds, r)
+			} else if int(env.Reply.Merged) != r.merged {
+				t.Errorf("unite seq %d Merged = %d, want %d", r.seq, env.Reply.Merged, r.merged)
 			}
-			if err := cp.Close(); err != nil {
-				t.Fatal(err)
-			}
-			<-done
+		}
 
-			if len(replies) != batches {
-				t.Fatalf("got %d replies, want %d", len(replies), batches)
-			}
-			for i, r := range rounds {
-				env := replies[i]
-				if env.Kind != wire.KindReply || env.Seq != r.seq {
-					t.Fatalf("reply #%d = kind %v seq %d, want reply seq %d (error %q)", i, env.Kind, env.Seq, r.seq, env.Error)
-				}
-				if r.query != nil {
-					if !reflect.DeepEqual(env.Reply.Answers, r.answers) {
-						t.Errorf("query seq %d answers differ from oracle", r.seq)
-					}
-				} else if int(env.Reply.Merged) != r.merged {
-					t.Errorf("unite seq %d Merged = %d, want %d", r.seq, env.Reply.Merged, r.merged)
-				}
-			}
-
-			labels, err := c.Labels(ctx, "p")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(labels, oracle.CanonicalLabels()) {
-				t.Error("piped tenant's final partition differs from oracle")
-			}
-		})
-	}
+		labels, err := c.Labels(ctx, "p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(labels, oracle.CanonicalLabels()) {
+			t.Error("piped tenant's final partition differs from oracle")
+		}
+	})
 }
 
 // TestPipeSurvivesValidationError pins the pipe's error contract: a
@@ -174,7 +170,7 @@ func TestPipeRejectsNonBatchKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", wire.Binary.ContentType())
+	req.Header.Set("Content-Type", wire.ContentTypeBinary)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		t.Fatal(err)

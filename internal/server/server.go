@@ -1,8 +1,7 @@
 // Package server is the network front end: a stdlib net/http service
 // exposing the dsu package's tenant-scoped Universe API — named
 // universes, batched UniteAll/SameSetAll, and streaming ingestion — to
-// remote clients over the wire package's framing (length-prefixed
-// binary, or newline-delimited JSON for debugging).
+// remote clients over the wire package's length-prefixed binary framing.
 //
 // # Surface
 //
@@ -19,10 +18,14 @@
 //	POST   /v1/tenants/{name}/checkpoint  snapshot a durable tenant's log
 //
 // The unite/query endpoints are batch RPC: one request envelope in the
-// body, one reply (or error) envelope back, encoding chosen by
-// Content-Type. Any transport-level problem is a plain HTTP status; once
-// a well-formed envelope arrives, outcomes travel as envelopes so the two
-// encodings behave identically.
+// body, one reply (or error) envelope back. The four data-plane URLs
+// (unite, query, stream, pipe) take bodies of type
+// application/x-dsu-batch (or no Content-Type at all) and refuse any other
+// type with 415; once the server stops, they refuse with 503 before
+// reading a frame. Tenant administration, labels, and the observability
+// endpoints speak JSON. Any transport-level problem is a plain HTTP
+// status; once a well-formed envelope arrives, outcomes travel as
+// envelopes.
 //
 // # Pipelining
 //
@@ -122,9 +125,9 @@ type Config struct {
 	// Metrics, when non-nil, instruments the front end onto the same
 	// registry that carries the dsu per-tenant series (pass the same
 	// *dsu.Metrics given to dsu.WithMetrics), so one /metrics scrape
-	// covers the whole stack: request latency by endpoint/encoding/
-	// status, active streams, wire frames and bytes in/out, decode
-	// errors, and per-tenant batch budget pressure. Nil leaves the server
+	// covers the whole stack: request latency by endpoint and status,
+	// active streams, wire frames and bytes in/out, decode errors, and
+	// per-tenant batch budget pressure. Nil leaves the server
 	// uninstrumented at zero cost.
 	Metrics *dsu.Metrics
 }
@@ -178,9 +181,10 @@ func New(cfg Config) *Server {
 
 // Stop begins shutdown: stream and pipe connections have their contexts
 // cancelled (stream clients get loss-reporting end envelopes, pipe
-// clients an abort envelope), and batch requests waiting on in-flight
-// budgets abort. Pair with http.Server.Shutdown, which handles the
-// listener and in-flight handlers. Idempotent.
+// clients an abort envelope), batch requests waiting on in-flight budgets
+// abort, and new data-plane requests are refused with 503. Pair with
+// http.Server.Shutdown, which handles the listener and in-flight
+// handlers. Idempotent.
 func (s *Server) Stop() { s.stop() }
 
 // TenantSpec is the JSON body of POST /v1/tenants: the tenant name plus
@@ -277,7 +281,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // ServeHTTP routes the request; when the server is instrumented it also
 // times the whole exchange into the latency histogram, labeled by
-// endpoint class, wire encoding, and final HTTP status.
+// endpoint class and final HTTP status.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.m == nil {
 		s.route(w, r)
@@ -286,7 +290,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sr := &statusRecorder{ResponseWriter: w}
 	s.route(sr, r)
-	s.m.latency.With(endpointOf(r.URL.Path), encodingOf(r), strconv.Itoa(sr.status())).
+	s.m.latency.With(endpointOf(r.URL.Path), strconv.Itoa(sr.status())).
 		Observe(time.Since(start).Seconds())
 }
 
@@ -301,12 +305,12 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 		rest := strings.TrimPrefix(path, "/v1/tenants/")
 		name, action, _ := strings.Cut(rest, "/")
 		if !validName(name) {
-			http.Error(w, "invalid tenant name", http.StatusBadRequest)
+			refuse(w, "invalid tenant name", http.StatusBadRequest)
 			return
 		}
 		u, ok := s.reg.Get(name)
 		if !ok {
-			http.Error(w, fmt.Sprintf("tenant %q not found", name), http.StatusNotFound)
+			refuse(w, fmt.Sprintf("tenant %q not found", name), http.StatusNotFound)
 			return
 		}
 		switch action {
@@ -319,25 +323,30 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 			}
 			writeJSON(w, http.StatusOK, u.CanonicalLabels())
 		case "unite", "query", "stream", "pipe":
-			// The data plane: framed requests in either wire encoding.
+			// The data plane: binary-framed requests. After Stop every URL
+			// refuses here, before a frame is read or a connection opens;
+			// batch repeats the check for requests already inside a pipe.
 			if r.Method != http.MethodPost {
-				http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+				refuse(w, "method not allowed", http.StatusMethodNotAllowed)
 				return
 			}
-			format, ok := wire.FormatFor(r.Header.Get("Content-Type"))
-			if !ok {
-				http.Error(w, "unsupported content type", http.StatusUnsupportedMediaType)
+			if !wire.FormatFor(r.Header.Get("Content-Type")) {
+				refuse(w, "unsupported content type (want "+wire.ContentTypeBinary+")", http.StatusUnsupportedMediaType)
+				return
+			}
+			if s.ctx.Err() != nil {
+				refuse(w, "server shutting down", http.StatusServiceUnavailable)
 				return
 			}
 			switch action {
 			case "unite":
-				s.handleRPC(w, r, u, format, wire.KindUnite)
+				s.handleRPC(w, r, u, wire.KindUnite)
 			case "query":
-				s.handleRPC(w, r, u, format, wire.KindQuery)
+				s.handleRPC(w, r, u, wire.KindQuery)
 			case "stream":
-				s.handleStream(w, r, u, format)
+				s.handleStream(w, r, u)
 			default:
-				s.handlePipe(w, r, u, format)
+				s.handlePipe(w, r, u)
 			}
 		case "checkpoint":
 			s.handleCheckpoint(w, r, u)
@@ -347,6 +356,17 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, "not found", http.StatusNotFound)
 	}
+}
+
+// refuse answers a request whose body the server will not read, on a
+// connection that closes with the answer. The body may still be
+// streaming: a stream or pipe client writes it while it waits for the
+// status. Left open, the connection would have net/http drain that body
+// before the status goes out, and the client ends its body only after it
+// sees the status.
+func refuse(w http.ResponseWriter, msg string, code int) {
+	w.Header().Set("Connection", "close")
+	http.Error(w, msg, code)
 }
 
 func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
@@ -472,7 +492,7 @@ func (s *Server) tenant(u *dsu.Universe) tenant {
 type replier struct {
 	s   *Server
 	mu  sync.Mutex
-	enc wire.Encoder
+	enc *wire.Encoder
 	env wire.Envelope
 	rep dsu.BatchReply
 }
@@ -508,13 +528,13 @@ func (o *replier) reply(seq uint64, rep *dsu.BatchReply, tr *tracespan.Trace) {
 // trace context if the envelope carried one; batch records the rest.
 // Exchanges that fail before execution — bad frames, kind mismatches —
 // drop their trace unrecorded: there is no batch to explain.
-func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request, u *dsu.Universe, format wire.Format, want wire.Kind) {
+func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request, u *dsu.Universe, want wire.Kind) {
 	tr := u.TraceRecorder().Start(traceOp(want), tracespan.SourceRPC) // nil (all no-ops) on an untraced tenant
 	wd := tr.Start(tracespan.StageWireDecode, tracespan.Root)
 	// Pooled codec: the request envelope lives in decoder scratch, which
 	// is safe here because execution is synchronous and the executor does
 	// not retain the edge slice past the call.
-	dec := wire.AcquireDecoder(s.wireBody(r.Body), format, s.cfg.MaxFrame)
+	dec := wire.AcquireDecoder(s.wireBody(r.Body), wire.Binary, s.cfg.MaxFrame)
 	defer wire.ReleaseDecoder(dec)
 	env, err := dec.Decode()
 	tr.End(wd)
@@ -529,8 +549,8 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request, u *dsu.Univer
 		return
 	}
 	tr.Adopt(tracespan.Context{Trace: env.Trace, Span: env.Span})
-	w.Header().Set("Content-Type", format.ContentType())
-	out := &replier{s: s, enc: wire.AcquireEncoder(s.wireWriter(w), format)}
+	w.Header().Set("Content-Type", wire.ContentTypeBinary)
+	out := &replier{s: s, enc: wire.AcquireEncoder(s.wireWriter(w), wire.Binary)}
 	defer wire.ReleaseEncoder(out.enc)
 	switch s.batch(r.Context(), s.tenant(u), env, tr, out) {
 	case http.StatusServiceUnavailable:
@@ -618,10 +638,11 @@ type decoded struct {
 // Its context ends with the client or with Stop.
 type conn struct {
 	replier
-	ctx    context.Context
-	what   string // "stream" or "pipe", naming the connection in its abort envelope
-	frames chan decoded
-	ack    chan struct{}
+	ctx      context.Context
+	what     string // "stream" or "pipe", naming the connection in its abort envelope
+	frames   chan decoded
+	ack      chan struct{}
+	decoding chan struct{} // closed once decode has stopped reading the body
 }
 
 // openConn answers 200, switches the exchange to full duplex (HTTP/1.1:
@@ -630,29 +651,42 @@ type conn struct {
 // (pipelined requests, tiny batches) lands in one
 // underlying write and one HTTP flush instead of one of each per frame.
 // The returned func closes that writer, forcing the final flush, so it
-// must run once the handler is done writing.
-func (s *Server) openConn(w http.ResponseWriter, r *http.Request, format wire.Format, what string) (*conn, func()) {
+// must run once the handler is done writing. It then waits until the
+// decode goroutine has stopped reading the request body, which net/http
+// forbids once the handler returns; after Stop that is when the client,
+// having read the abort, sends its next frame or ends its body.
+//
+// The response closes its TCP connection. A duplex handler can stop
+// before the request body ends (a misrouted or corrupt frame). net/http
+// then drains the rest after the handler returns, and on a kept-alive
+// connection the background read that drain starts collides with the read
+// of the next request ("invalid concurrent Body.Read call"). A connection
+// that ends with its exchange has no next request.
+func (s *Server) openConn(w http.ResponseWriter, r *http.Request, what string) (*conn, func()) {
 	ctx, cancel := context.WithCancel(r.Context())
 	unwatch := context.AfterFunc(s.ctx, cancel)
-	w.Header().Set("Content-Type", format.ContentType())
+	w.Header().Set("Content-Type", wire.ContentTypeBinary)
+	w.Header().Set("Connection", "close")
 	rc := http.NewResponseController(w)
 	_ = rc.EnableFullDuplex()
 	w.WriteHeader(http.StatusOK)
 	_ = rc.Flush()
 	fw := wire.NewFlushWriter(s.wireWriter(w), 0, func() { _ = rc.Flush() })
 	c := &conn{
-		replier: replier{s: s, enc: wire.AcquireEncoder(fw, format)},
-		ctx:     ctx,
-		what:    what,
-		frames:  make(chan decoded),
-		ack:     make(chan struct{}, 1),
+		replier:  replier{s: s, enc: wire.AcquireEncoder(fw, wire.Binary)},
+		ctx:      ctx,
+		what:     what,
+		frames:   make(chan decoded),
+		ack:      make(chan struct{}, 1),
+		decoding: make(chan struct{}),
 	}
-	go c.decode(wire.AcquireDecoder(s.wireBody(r.Body), format, s.cfg.MaxFrame))
+	go c.decode(wire.AcquireDecoder(s.wireBody(r.Body), wire.Binary, s.cfg.MaxFrame))
 	return c, func() {
 		wire.ReleaseEncoder(c.enc)
 		_ = fw.Close()
 		unwatch()
 		cancel()
+		<-c.decoding
 	}
 }
 
@@ -663,9 +697,9 @@ func (s *Server) openConn(w http.ResponseWriter, r *http.Request, format wire.Fo
 // pooled decoder's envelopes live in its scratch, so decode must not read
 // the next frame while the serve loop still uses the previous one: the
 // ack channel hands the scratch back after each frame is fully processed.
-// The goroutine parks in sending position when ctx dies first and exits
-// once the handler's return tears the connection down.
-func (c *conn) decode(dec wire.Decoder) {
+// Once ctx ends the goroutine exits as soon as it is not inside a read.
+func (c *conn) decode(dec *wire.Decoder) {
+	defer close(c.decoding)
 	defer wire.ReleaseDecoder(dec)
 	for {
 		env, err := dec.Decode()
@@ -721,7 +755,7 @@ func (c *conn) serve(handle func(*wire.Envelope) bool) error {
 
 // handleStream runs one dsu.Stream per connection (see the package docs
 // for the protocol and backpressure story).
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Universe, format wire.Format) {
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Universe) {
 	if s.m != nil {
 		s.m.streams.Inc()
 		defer s.m.streams.Dec()
@@ -735,7 +769,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 		switch k {
 		case "buffer", "inflight", "workers", "grain":
 		default:
-			http.Error(w, fmt.Sprintf("unknown stream parameter %q (want buffer, inflight, workers, grain)", k), http.StatusBadRequest)
+			refuse(w, fmt.Sprintf("unknown stream parameter %q (want buffer, inflight, workers, grain)", k), http.StatusBadRequest)
 			return
 		}
 	}
@@ -766,7 +800,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 	// The stream runs under the connection's context; when it ends, the
 	// dsu layer's cancellation errors surface at the Push/Flush call sites
 	// below and in the final end envelope.
-	c, done := s.openConn(w, r, format, "stream")
+	c, done := s.openConn(w, r, "stream")
 	defer done()
 	st := u.NewStream(
 		dsu.WithStreamContext(c.ctx),
@@ -784,8 +818,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 			c.reply(br.ID, &rep, br.Trace)
 		}),
 	)
-	s.log.Info("stream open", "tenant", u.Name(), "format", format.String(),
-		"buffer", st.BufferSize(), "inflight", inflight)
+	s.log.Info("stream open", "tenant", u.Name(), "buffer", st.BufferSize(), "inflight", inflight)
 
 	abortErr := c.serve(func(env *wire.Envelope) bool {
 		switch env.Kind {
@@ -843,15 +876,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 // single-shot /unite or /query request does, and answers with a reply or
 // error envelope echoing its Seq; requests, replies, and the codecs
 // between them all run on recycled wire buffers.
-func (s *Server) handlePipe(w http.ResponseWriter, r *http.Request, u *dsu.Universe, format wire.Format) {
-	if s.ctx.Err() != nil {
-		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
-		return
-	}
-	c, done := s.openConn(w, r, format, "pipe")
+func (s *Server) handlePipe(w http.ResponseWriter, r *http.Request, u *dsu.Universe) {
+	c, done := s.openConn(w, r, "pipe")
 	defer done()
 	t := s.tenant(u)
-	s.log.Info("pipe open", "tenant", u.Name(), "format", format.String())
+	s.log.Info("pipe open", "tenant", u.Name())
 
 	var served uint64
 	err := c.serve(func(env *wire.Envelope) bool {

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -17,15 +20,45 @@ import (
 	"repro/internal/wire"
 )
 
+// newTestServer serves a Server over loopback for the test's lifetime.
+// net/http reports a panic it recovered from a handler or a connection in
+// the server's error log; any such line fails the test.
 func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 	t.Helper()
 	if cfg.Registry == nil {
 		cfg.Registry = dsu.NewRegistry()
 	}
 	s := New(cfg)
-	hs := httptest.NewServer(s)
-	t.Cleanup(hs.Close)
+	var errLog lockedBuffer
+	hs := httptest.NewUnstartedServer(s)
+	hs.Config.ErrorLog = log.New(&errLog, "", 0)
+	hs.Start()
+	t.Cleanup(func() {
+		hs.Close() // waits for every connection, so their log lines are in
+		if out := errLog.String(); strings.Contains(out, "panic") {
+			t.Errorf("server error log:\n%s", out)
+		}
+	})
 	return s, NewClient(hs.URL, WithHTTPClient(hs.Client()))
+}
+
+// lockedBuffer collects the server's error log, which connection
+// goroutines write while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 func testEdges(n, m int, seed int64) []dsu.Edge {
@@ -109,69 +142,66 @@ func TestTenantAdmin(t *testing.T) {
 }
 
 // TestRPCMatchesInProcess checks one remote unite+query round against the
-// in-process oracle, in both encodings, including the per-batch find
-// override and the reply's accounting.
+// in-process oracle, including the per-batch find override and the
+// reply's accounting.
 func TestRPCMatchesInProcess(t *testing.T) {
 	const n, m = 800, 2400
 	edges := testEdges(n, m, 5)
 	queries := testEdges(n, m/2, 6)
 
-	for _, format := range []wire.Format{wire.Binary, wire.JSON} {
-		t.Run(format.String(), func(t *testing.T) {
-			reg := dsu.NewRegistry()
-			_, c := newTestServer(t, Config{Registry: reg})
-			c.format = format
-			ctx := context.Background()
-			if _, err := c.CreateTenant(ctx, TenantSpec{Name: "t", N: n, Seed: 11}); err != nil {
-				t.Fatal(err)
-			}
-			oracle := dsu.New(n, dsu.WithSeed(11))
-			wantMerged := oracle.UniteAll(edges)
+	t.Run("binary", func(t *testing.T) {
+		reg := dsu.NewRegistry()
+		_, c := newTestServer(t, Config{Registry: reg})
+		ctx := context.Background()
+		if _, err := c.CreateTenant(ctx, TenantSpec{Name: "t", N: n, Seed: 11}); err != nil {
+			t.Fatal(err)
+		}
+		oracle := dsu.New(n, dsu.WithSeed(11))
+		wantMerged := oracle.UniteAll(edges)
 
-			rep, err := c.UniteAll(ctx, "t", dsu.UniteRequest{Edges: edges, Options: dsu.BatchOptions{Grain: 256}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if int(rep.Merged) != wantMerged {
-				t.Errorf("remote Merged = %d, want %d", rep.Merged, wantMerged)
-			}
-			if rep.Stats.Ops == 0 || rep.Elapsed <= 0 {
-				t.Errorf("reply accounting looks empty: %+v", rep)
-			}
+		rep, err := c.UniteAll(ctx, "t", dsu.UniteRequest{Edges: edges, Options: dsu.BatchOptions{Grain: 256}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(rep.Merged) != wantMerged {
+			t.Errorf("remote Merged = %d, want %d", rep.Merged, wantMerged)
+		}
+		if rep.Stats.Ops == 0 || rep.Elapsed <= 0 {
+			t.Errorf("reply accounting looks empty: %+v", rep)
+		}
 
-			want := oracle.SameSetAll(queries)
-			qrep, err := c.SameSetAll(ctx, "t", dsu.QueryRequest{Pairs: queries, Options: dsu.BatchOptions{Find: dsu.NoCompaction}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(qrep.Answers, want) {
-				t.Error("remote answers differ from in-process oracle")
-			}
-			if qrep.Find != dsu.NoCompaction {
-				t.Errorf("reply Find = %v, want the override", qrep.Find)
-			}
+		want := oracle.SameSetAll(queries)
+		qrep, err := c.SameSetAll(ctx, "t", dsu.QueryRequest{Pairs: queries, Options: dsu.BatchOptions{Find: dsu.NoCompaction}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(qrep.Answers, want) {
+			t.Error("remote answers differ from in-process oracle")
+		}
+		if qrep.Find != dsu.NoCompaction {
+			t.Errorf("reply Find = %v, want the override", qrep.Find)
+		}
 
-			// Validation errors travel as error envelopes, not broken frames.
-			if _, err := c.UniteAll(ctx, "t", dsu.UniteRequest{Edges: []dsu.Edge{{X: 0, Y: uint32(n)}}}); err == nil || !strings.Contains(err.Error(), "universe") {
-				t.Errorf("out-of-range unite err = %v", err)
-			}
+		// Validation errors travel as error envelopes, not broken frames.
+		if _, err := c.UniteAll(ctx, "t", dsu.UniteRequest{Edges: []dsu.Edge{{X: 0, Y: uint32(n)}}}); err == nil || !strings.Contains(err.Error(), "universe") {
+			t.Errorf("out-of-range unite err = %v", err)
+		}
 
-			labels, err := c.Labels(ctx, "t")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(labels, oracle.CanonicalLabels()) {
-				t.Error("remote labels differ from oracle")
-			}
-		})
-	}
+		labels, err := c.Labels(ctx, "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(labels, oracle.CanonicalLabels()) {
+			t.Error("remote labels differ from oracle")
+		}
+	})
 }
 
 // TestConcurrentTenantsMatchOracle is the acceptance test: three isolated
 // tenants — default, adaptive, and one created under the older
-// "lockfree" kind name — each served concurrently by stream and RPC
-// clients in both encodings, with queries in flight, must end with
-// exactly the partition a sequential in-process pass produces. Every
+// "lockfree" kind name — each fed concurrently over stream, RPC and pipe,
+// with queries in flight, must end with exactly the partition a
+// sequential in-process pass produces. Every
 // tenant is served under the one policy, the lockfree-spec tenant
 // included: its RPCs take the per-tenant budget, and its InFlight: 2
 // stream answers in ascending batch order. Run under -race (CI does).
@@ -247,21 +277,42 @@ func TestConcurrentTenantsMatchOracle(t *testing.T) {
 					if uint64(len(seqs)) != end.Batches {
 						errs <- fmt.Errorf("%s stream: %d replies for %d batches", name, len(seqs), end.Batches)
 					}
-				case 1: // RPC, binary, chunked
+				case 1: // RPC, chunked
 					for j := 0; j < len(part); j += 500 {
 						if _, err := c.UniteAll(ctx, name, dsu.UniteRequest{Edges: part[j:min(j+500, len(part))]}); err != nil {
 							errs <- fmt.Errorf("%s rpc unite: %w", name, err)
 							return
 						}
 					}
-				default: // RPC, JSON debug mode
-					jc := *c
-					jc.format = wire.JSON
+				default: // pipe, chunked, every reply checked after Close
+					var bad error // set by the reader goroutine, read after Close
+					replies := 0
+					cp, err := c.OpenPipe(ctx, name, PipeConfig{OnReply: func(env *wire.Envelope) {
+						replies++
+						if env.Kind != wire.KindReply && bad == nil {
+							bad = fmt.Errorf("%s piped unite %d answered %v: %s", name, env.Seq, env.Kind, env.Error)
+						}
+					}})
+					if err != nil {
+						errs <- fmt.Errorf("%s pipe open: %w", name, err)
+						return
+					}
+					sent := 0
 					for j := 0; j < len(part); j += 500 {
-						if _, err := jc.UniteAll(ctx, name, dsu.UniteRequest{Edges: part[j:min(j+500, len(part))]}); err != nil {
-							errs <- fmt.Errorf("%s json unite: %w", name, err)
+						if _, err := cp.UniteAll(dsu.UniteRequest{Edges: part[j:min(j+500, len(part))]}); err != nil {
+							errs <- fmt.Errorf("%s pipe unite: %w", name, err)
 							return
 						}
+						sent++
+					}
+					if err := cp.Close(); err != nil {
+						errs <- fmt.Errorf("%s pipe close: %w", name, err)
+						return
+					}
+					if bad != nil {
+						errs <- bad
+					} else if replies != sent {
+						errs <- fmt.Errorf("%s pipe: %d replies for %d requests", name, replies, sent)
 					}
 				}
 			}(tn.spec.Name, i, part)
@@ -411,7 +462,7 @@ func TestStreamRejectsBadFrames(t *testing.T) {
 	// A stream parameter the server does not know is refused before the
 	// stream opens, not ignored.
 	for _, q := range []string{"prefilter=1", "connected=1", "buffer=64&zorp=2"} {
-		resp, err := c.hc.Post(c.base+"/v1/tenants/t/stream?"+q, wire.Binary.ContentType(), strings.NewReader(""))
+		resp, err := c.hc.Post(c.base+"/v1/tenants/t/stream?"+q, wire.ContentTypeBinary, strings.NewReader(""))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,8 +473,8 @@ func TestStreamRejectsBadFrames(t *testing.T) {
 	}
 }
 
-// TestBodylessEnvelopeRejected pins the JSON kind→body invariant at the
-// HTTP boundary: an envelope naming a kind without carrying its body is a
+// TestBodylessEnvelopeRejected pins the kind→body invariant at the HTTP
+// boundary: a frame naming a batch kind without carrying its body is a
 // 400, never a handler panic.
 func TestBodylessEnvelopeRejected(t *testing.T) {
 	_, c := newTestServer(t, Config{})
@@ -431,25 +482,189 @@ func TestBodylessEnvelopeRejected(t *testing.T) {
 	if _, err := c.CreateTenant(ctx, TenantSpec{Name: "t", N: 10}); err != nil {
 		t.Fatal(err)
 	}
-	for _, body := range []string{`{"kind":"unite"}`, `{"kind":"query"}`} {
-		action := "unite"
-		if strings.Contains(body, "query") {
-			action = "query"
-		}
+	for _, tc := range []struct {
+		action string
+		kind   wire.Kind
+	}{{"unite", wire.KindUnite}, {"query", wire.KindQuery}} {
+		// Length, kind, and sequence number: a 9-byte payload with no
+		// options and no edges.
+		frame := []byte{0, 0, 0, 9, byte(tc.kind), 0, 0, 0, 0, 0, 0, 0, 1}
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			c.base+"/v1/tenants/t/"+action, strings.NewReader(body+"\n"))
+			c.base+"/v1/tenants/t/"+tc.action, bytes.NewReader(frame))
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set("Content-Type", "application/json; charset=utf-8") // parameters must be tolerated
+		req.Header.Set("Content-Type", wire.ContentTypeBinary+"; version=1") // parameters must be tolerated
 		resp, err := c.hc.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", body, resp.StatusCode)
+			t.Errorf("bodyless %v frame: status = %d, want 400", tc.kind, resp.StatusCode)
 		}
+	}
+}
+
+// TestDataPlaneRefusesOtherMediaTypes: the four data-plane URLs speak
+// only the binary framing. A JSON body is refused with 415 before it is
+// read, so the tenant's applied-batch sequence does not move.
+func TestDataPlaneRefusesOtherMediaTypes(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	if _, err := c.CreateTenant(ctx, TenantSpec{Name: "t", N: 10}); err != nil {
+		t.Fatal(err)
+	}
+	for action, body := range map[string]string{
+		"unite":  `{"kind":"unite","unite":{"edges":[{"X":1,"Y":2}]}}`,
+		"query":  `{"kind":"query","query":{"pairs":[{"X":1,"Y":2}]}}`,
+		"stream": `{"kind":"unite","unite":{"edges":[{"X":1,"Y":2}]}}`,
+		"pipe":   `{"kind":"unite","unite":{"edges":[{"X":1,"Y":2}]}}`,
+	} {
+		for _, ct := range []string{"application/json", "application/x-ndjson"} {
+			resp, err := c.hc.Post(c.base+"/v1/tenants/t/"+action, ct, strings.NewReader(body+"\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusUnsupportedMediaType {
+				t.Errorf("%s with %s: status = %d, want 415", action, ct, resp.StatusCode)
+			}
+		}
+	}
+	info, err := c.Tenant(ctx, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Seq != 0 || info.Sets != 10 {
+		t.Errorf("tenant after refused requests = %+v, want seq 0 and 10 sets", info)
+	}
+}
+
+// postOpen posts to path with a request body that stays open until the
+// status arrives, as a stream or pipe client's does, and returns that
+// status. A server that waits for the body to end before answering fails
+// the call after 10s instead of hanging the test.
+func postOpen(c *Client, path, contentType string) (int, error) {
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	req, err := http.NewRequest(http.MethodPost, c.base+path, pr)
+	if err != nil {
+		return 0, err
+	}
+	req.Header.Set("Content-Type", contentType)
+	type result struct {
+		resp *http.Response
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := c.hc.Do(req)
+		done <- result{resp, err}
+	}()
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(10 * time.Second):
+		pw.Close() // end the body so the exchange finishes, then report the wait
+		if r = <-done; r.err == nil {
+			r.resp.Body.Close()
+		}
+		return 0, fmt.Errorf("no status within 10s while the request body was open")
+	}
+	if r.err != nil {
+		return 0, r.err
+	}
+	r.resp.Body.Close()
+	return r.resp.StatusCode, nil
+}
+
+// TestStopRefusesDataPlane: after Stop, every data-plane URL answers 503
+// before it reads a frame — /stream and /pipe included, which must not
+// open a connection only to abort it — and the answer reaches a client
+// whose request body is still open.
+func TestStopRefusesDataPlane(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	if _, err := c.CreateTenant(ctx, TenantSpec{Name: "t", N: 10}); err != nil {
+		t.Fatal(err)
+	}
+	s.Stop()
+	for _, action := range []string{"unite", "query", "stream", "pipe"} {
+		if got, err := postOpen(c, "/v1/tenants/t/"+action, wire.ContentTypeBinary); err != nil || got != http.StatusServiceUnavailable {
+			t.Errorf("%s after Stop: status %d, %v; want 503", action, got, err)
+		}
+	}
+	if info, err := c.Tenant(ctx, "t"); err != nil || info.Seq != 0 {
+		t.Errorf("tenant after Stop = %+v, %v; want nothing applied", info, err)
+	}
+}
+
+// TestRefusalReachesOpenBody: a stream or pipe client (Client.OpenStream,
+// Client.OpenPipe) writes its request body while it waits for the
+// status, so every refusal must reach it while that body is still open.
+func TestRefusalReachesOpenBody(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	if _, err := c.CreateTenant(context.Background(), TenantSpec{Name: "t", N: 10}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path, contentType string
+		want              int
+	}{
+		{"/v1/tenants/missing/stream", wire.ContentTypeBinary, http.StatusNotFound},
+		{"/v1/tenants/missing/pipe", wire.ContentTypeBinary, http.StatusNotFound},
+		{"/v1/tenants/t/stream?zorp=1", wire.ContentTypeBinary, http.StatusBadRequest},
+		{"/v1/tenants/t/pipe", "application/json", http.StatusUnsupportedMediaType},
+	} {
+		if got, err := postOpen(c, tc.path, tc.contentType); err != nil || got != tc.want {
+			t.Errorf("%s (%s): status %d, %v; want %d", tc.path, tc.contentType, got, err, tc.want)
+		}
+	}
+}
+
+// TestDuplexEarlyEndLeavesClientUsable: a /stream or /pipe handler that
+// stops before its request body ends — at a frame of the wrong kind, with
+// another frame behind it — must leave net/http no body to drain on a
+// kept-alive connection. The server's error log stays free of panics
+// (newTestServer checks it), and the client's next request succeeds.
+func TestDuplexEarlyEndLeavesClientUsable(t *testing.T) {
+	edge := []dsu.Edge{{X: 1, Y: 2}}
+	for _, tc := range []struct {
+		action string
+		first  *wire.Envelope // a kind the endpoint refuses
+	}{
+		{"stream", &wire.Envelope{Kind: wire.KindQuery, Seq: 1, Query: &dsu.QueryRequest{Pairs: edge}}},
+		{"pipe", &wire.Envelope{Kind: wire.KindFlush, Seq: 1}},
+	} {
+		t.Run(tc.action, func(t *testing.T) {
+			_, c := newTestServer(t, Config{})
+			ctx := context.Background()
+			if _, err := c.CreateTenant(ctx, TenantSpec{Name: "t", N: 10}); err != nil {
+				t.Fatal(err)
+			}
+			var body bytes.Buffer
+			enc := wire.NewEncoder(&body, wire.Binary)
+			for _, env := range []*wire.Envelope{tc.first, {Kind: wire.KindUnite, Seq: 2, Unite: &dsu.UniteRequest{Edges: edge}}} {
+				if err := enc.Encode(env); err != nil {
+					t.Fatal(err)
+				}
+			}
+			resp, err := c.hc.Post(c.base+"/v1/tenants/t/"+tc.action, wire.ContentTypeBinary, &body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env, err := wire.NewDecoder(resp.Body, wire.Binary, 0).Decode()
+			if err != nil || env.Kind != wire.KindError || env.Seq != 1 {
+				t.Fatalf("first answer = %+v, %v; want a seq-1 error envelope", env, err)
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+
+			if _, err := c.UniteAll(ctx, "t", dsu.UniteRequest{Edges: edge}); err != nil {
+				t.Errorf("next request after the %s ended early: %v", tc.action, err)
+			}
+		})
 	}
 }
 

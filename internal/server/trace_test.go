@@ -94,9 +94,8 @@ func pipeOnce(c *Client, tenant string, send func(*ClientPipe) (uint64, error)) 
 	return *reply.Reply, dsu.TraceContext{Trace: reply.Trace, Span: reply.Span}, nil
 }
 
-// TestRPCTraceTree drives a remote unite and query through both wire
-// encodings and both batch endpoints — single-shot RPC and the pipe —
-// against a traced tenant and asserts each exchange produced one connected
+// TestRPCTraceTree drives a remote unite and query through both batch
+// endpoints — single-shot RPC and the pipe — against a traced tenant and asserts each exchange produced one connected
 // span tree covering wire-decode → queue-wait → execute → reply-encode,
 // with the client's trace identity when one was supplied. A pipe decodes
 // a request before the request's trace starts, so its trees have no
@@ -104,9 +103,9 @@ func pipeOnce(c *Client, tenant string, send func(*ClientPipe) (uint64, error)) 
 func TestRPCTraceTree(t *testing.T) {
 	tracing := dsu.NewTracing()
 	reg := dsu.NewRegistry(dsu.WithTracing(tracing))
-	_, cJSON := newTestServer(t, Config{Registry: reg})
+	_, c := newTestServer(t, Config{Registry: reg})
 	ctx := context.Background()
-	if _, err := cJSON.CreateTenant(ctx, TenantSpec{Name: "traced", N: 1000}); err != nil {
+	if _, err := c.CreateTenant(ctx, TenantSpec{Name: "traced", N: 1000}); err != nil {
 		t.Fatal(err)
 	}
 	u, _ := reg.Get("traced")
@@ -133,49 +132,44 @@ func TestRPCTraceTree(t *testing.T) {
 				return pipeOnce(c, "traced", func(cp *ClientPipe) (uint64, error) { return cp.SameSetAllLinked(req, link) })
 			}},
 	} {
-		for _, format := range []wire.Format{wire.Binary, wire.JSON} {
-			_, c := newTestServer(t, Config{Registry: reg})
-			c.format = format
-
-			// Client-chosen identity: the server must adopt it.
-			link := dsu.TraceContext{Trace: ep.trace + uint64(format), Span: 42}
-			rep, got, err := ep.unite(c, dsu.UniteRequest{Edges: testEdges(1000, 500, 7)}, link)
-			if err != nil {
-				t.Fatalf("%s %v unite: %v", ep.name, format, err)
-			}
-			// The reply reports the adopted trace ID and the server's root span.
-			if got.Trace != link.Trace || got.Span != uint64(tracespan.Root) {
-				t.Errorf("%s %v: reply context = %+v, want trace %x span %d", ep.name, format, got, link.Trace, tracespan.Root)
-			}
-			tr := findTrace(t, u, tracespan.FormatTraceID(link.Trace))
-			if !tr.Remote || tr.ParentSpan != 42 || tr.Op != "unite" || tr.Source != "rpc" {
-				t.Errorf("%s %v: trace meta = remote=%v parent=%d op=%s source=%s", ep.name, format, tr.Remote, tr.ParentSpan, tr.Op, tr.Source)
-			}
-			assertSpanTree(t, tr)
-			names := stageCounts(tr)
-			for want, n := range map[string]int{"wire-decode": ep.wireDecode, "queue-wait": 1, "execute": 1, "reply-encode": 1} {
-				if names[want] != n {
-					t.Errorf("%s %v: stage %q count = %d, want %d (have %v)", ep.name, format, want, names[want], n, names)
-				}
-			}
-			if tr.Spans[0].Attrs.Edges != 500 || tr.Spans[0].Attrs.Merged != rep.Merged {
-				t.Errorf("%s %v: root attrs = %+v, want edges=500 merged=%d", ep.name, format, tr.Spans[0].Attrs, rep.Merged)
-			}
-
-			// Server-assigned identity: no link, the reply reports the server's.
-			_, got, err = ep.query(c, dsu.QueryRequest{Pairs: testEdges(1000, 100, 8)}, dsu.TraceContext{})
-			if err != nil {
-				t.Fatalf("%s %v query: %v", ep.name, format, err)
-			}
-			if !got.Valid() {
-				t.Fatalf("%s %v: reply carried no trace context from a traced tenant", ep.name, format)
-			}
-			qtr := findTrace(t, u, tracespan.FormatTraceID(got.Trace))
-			if qtr.Remote || qtr.Op != "query" {
-				t.Errorf("%s %v: query trace remote=%v op=%s, want local/query", ep.name, format, qtr.Remote, qtr.Op)
-			}
-			assertSpanTree(t, qtr)
+		// Client-chosen identity: the server must adopt it.
+		link := dsu.TraceContext{Trace: ep.trace, Span: 42}
+		rep, got, err := ep.unite(c, dsu.UniteRequest{Edges: testEdges(1000, 500, 7)}, link)
+		if err != nil {
+			t.Fatalf("%s unite: %v", ep.name, err)
 		}
+		// The reply reports the adopted trace ID and the server's root span.
+		if got.Trace != link.Trace || got.Span != uint64(tracespan.Root) {
+			t.Errorf("%s: reply context = %+v, want trace %x span %d", ep.name, got, link.Trace, tracespan.Root)
+		}
+		tr := findTrace(t, u, tracespan.FormatTraceID(link.Trace))
+		if !tr.Remote || tr.ParentSpan != 42 || tr.Op != "unite" || tr.Source != "rpc" {
+			t.Errorf("%s: trace meta = remote=%v parent=%d op=%s source=%s", ep.name, tr.Remote, tr.ParentSpan, tr.Op, tr.Source)
+		}
+		assertSpanTree(t, tr)
+		names := stageCounts(tr)
+		for want, n := range map[string]int{"wire-decode": ep.wireDecode, "queue-wait": 1, "execute": 1, "reply-encode": 1} {
+			if names[want] != n {
+				t.Errorf("%s: stage %q count = %d, want %d (have %v)", ep.name, want, names[want], n, names)
+			}
+		}
+		if tr.Spans[0].Attrs.Edges != 500 || tr.Spans[0].Attrs.Merged != rep.Merged {
+			t.Errorf("%s: root attrs = %+v, want edges=500 merged=%d", ep.name, tr.Spans[0].Attrs, rep.Merged)
+		}
+
+		// Server-assigned identity: no link, the reply reports the server's.
+		_, got, err = ep.query(c, dsu.QueryRequest{Pairs: testEdges(1000, 100, 8)}, dsu.TraceContext{})
+		if err != nil {
+			t.Fatalf("%s query: %v", ep.name, err)
+		}
+		if !got.Valid() {
+			t.Fatalf("%s: reply carried no trace context from a traced tenant", ep.name)
+		}
+		qtr := findTrace(t, u, tracespan.FormatTraceID(got.Trace))
+		if qtr.Remote || qtr.Op != "query" {
+			t.Errorf("%s: query trace remote=%v op=%s, want local/query", ep.name, qtr.Remote, qtr.Op)
+		}
+		assertSpanTree(t, qtr)
 	}
 }
 

@@ -63,12 +63,17 @@ const (
 	repFlagTrace   = 1 << 1
 )
 
-type binaryEncoder struct {
-	w   io.Writer
-	buf []byte
+// Encoder writes envelopes to a stream. Encoders are not safe for
+// concurrent use; serialize externally (the server writes from one
+// goroutine per connection).
+type Encoder struct {
+	w      io.Writer
+	buf    []byte // working frame, recycled across messages
+	pooled bool   // from AcquireEncoder, so ReleaseEncoder may recycle it
 }
 
-func newBinaryEncoder(w io.Writer) *binaryEncoder { return &binaryEncoder{w: w} }
+// NewEncoder returns an encoder writing envelopes to w.
+func NewEncoder(w io.Writer, _ Format) *Encoder { return &Encoder{w: w} }
 
 // clamp32 saturates an int into int32 range for the options fields (any
 // out-of-range tuning value means "default" or "absurd" downstream anyway).
@@ -113,7 +118,8 @@ func appendStats(b []byte, s core.Stats) []byte {
 	return b
 }
 
-func (e *binaryEncoder) Encode(env *Envelope) error {
+// Encode writes env as one frame, in a single Write.
+func (e *Encoder) Encode(env *Envelope) error {
 	b := e.buf[:0]
 	b = append(b, 0, 0, 0, 0) // length, patched below
 	b = append(b, byte(env.Kind))
@@ -197,13 +203,15 @@ func (e *binaryEncoder) Encode(env *Envelope) error {
 	return err
 }
 
-// binaryDecoder reads frames into a reusable payload buffer. In reuse
-// mode (AcquireDecoder) the decoded DTOs live in the decoder's scratch
-// fields too, so a steady-state unite/query/reply decode performs no
-// allocation at all — the returned envelope is valid only until the next
-// Decode (or ReleaseDecoder). Without reuse (NewDecoder) every Decode
-// returns freshly allocated DTOs the caller owns outright.
-type binaryDecoder struct {
+// Decoder reads envelopes from a stream into a reusable payload buffer. A
+// clean end-of-stream is io.EOF from Decode; a stream that ends inside a
+// message is io.ErrUnexpectedEOF. In reuse mode (AcquireDecoder) the
+// decoded DTOs live in the decoder's scratch fields too, so a
+// steady-state unite/query/reply decode performs no allocation at all —
+// the returned envelope is valid only until the next Decode (or
+// ReleaseDecoder). Without reuse (NewDecoder) every Decode returns freshly
+// allocated DTOs the caller owns outright.
+type Decoder struct {
 	r        io.Reader
 	maxFrame int
 	reuse    bool
@@ -220,13 +228,18 @@ type binaryDecoder struct {
 	answers []bool
 }
 
-func newBinaryDecoder(r io.Reader, maxFrame int) *binaryDecoder {
-	return &binaryDecoder{r: r, maxFrame: maxFrame}
+// NewDecoder returns a decoder reading envelopes from r, rejecting any
+// message larger than maxFrame bytes (values ≤ 0 select DefaultMaxFrame).
+func NewDecoder(r io.Reader, _ Format, maxFrame int) *Decoder {
+	if maxFrame <= 0 {
+		maxFrame = DefaultMaxFrame
+	}
+	return &Decoder{r: r, maxFrame: maxFrame}
 }
 
 // envelope returns the target envelope for one Decode: the zeroed
 // scratch in reuse mode, a fresh allocation otherwise.
-func (d *binaryDecoder) envelope() *Envelope {
+func (d *Decoder) envelope() *Envelope {
 	if !d.reuse {
 		return &Envelope{}
 	}
@@ -236,7 +249,7 @@ func (d *binaryDecoder) envelope() *Envelope {
 
 // edgeSlice returns a decode target for n edges, reusing (and growing)
 // the scratch slice in reuse mode.
-func (d *binaryDecoder) edgeSlice(n int) []dsu.Edge {
+func (d *Decoder) edgeSlice(n int) []dsu.Edge {
 	if !d.reuse {
 		return make([]dsu.Edge, n)
 	}
@@ -250,7 +263,7 @@ func (d *binaryDecoder) edgeSlice(n int) []dsu.Edge {
 // answerSlice is edgeSlice for reply answer vectors. The result is
 // non-nil even for n == 0: answers-present-but-empty and answers-absent
 // are distinct on the wire and must stay distinct after decode.
-func (d *binaryDecoder) answerSlice(n int) []bool {
+func (d *Decoder) answerSlice(n int) []bool {
 	if !d.reuse {
 		return make([]bool, n)
 	}
@@ -265,7 +278,8 @@ func (d *binaryDecoder) answerSlice(n int) []bool {
 	return d.answers
 }
 
-func (d *binaryDecoder) Decode() (*Envelope, error) {
+// Decode reads the next envelope.
+func (d *Decoder) Decode() (*Envelope, error) {
 	if _, err := io.ReadFull(d.r, d.head[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return nil, io.ErrUnexpectedEOF
@@ -353,7 +367,7 @@ func (d *binaryDecoder) Decode() (*Envelope, error) {
 // parseBatch decodes the shared unite/query body: options, the optional
 // trace-context extension (stored straight into env), then a
 // length-derived edge list.
-func (d *binaryDecoder) parseBatch(body []byte, env *Envelope) (dsu.BatchOptions, []dsu.Edge, error) {
+func (d *Decoder) parseBatch(body []byte, env *Envelope) (dsu.BatchOptions, []dsu.Edge, error) {
 	if len(body) < binOptsLen {
 		return dsu.BatchOptions{}, nil, fmt.Errorf("%w: batch body is %d bytes, want ≥ %d", ErrCorruptFrame, len(body), binOptsLen)
 	}
@@ -399,7 +413,7 @@ func parseStats(b []byte) core.Stats {
 	}
 }
 
-func (d *binaryDecoder) parseReply(body []byte, env *Envelope, rep *dsu.BatchReply) error {
+func (d *Decoder) parseReply(body []byte, env *Envelope, rep *dsu.BatchReply) error {
 	if len(body) < binReplyLen {
 		return fmt.Errorf("%w: reply body is %d bytes, want ≥ %d", ErrCorruptFrame, len(body), binReplyLen)
 	}

@@ -15,35 +15,33 @@ import (
 // compared immediately (the pooled ownership window) across back-to-back
 // sequences on one connection-lifetime codec pair.
 func TestPooledRoundTrip(t *testing.T) {
-	for _, format := range []Format{Binary, JSON} {
-		t.Run(format.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			var buf bytes.Buffer
-			enc := AcquireEncoder(&buf, format)
-			defer ReleaseEncoder(enc)
-			want := make([]*Envelope, 200)
-			for i := range want {
-				want[i] = randomEnvelope(rng)
-				if err := enc.Encode(want[i]); err != nil {
-					t.Fatalf("encode #%d: %v", i, err)
-				}
+	t.Run("binary", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		var buf bytes.Buffer
+		enc := AcquireEncoder(&buf, Binary)
+		defer ReleaseEncoder(enc)
+		want := make([]*Envelope, 200)
+		for i := range want {
+			want[i] = randomEnvelope(rng)
+			if err := enc.Encode(want[i]); err != nil {
+				t.Fatalf("encode #%d: %v", i, err)
 			}
-			dec := AcquireDecoder(&buf, format, DefaultMaxFrame)
-			defer ReleaseDecoder(dec)
-			for i := range want {
-				got, err := dec.Decode()
-				if err != nil {
-					t.Fatalf("decode #%d: %v", i, err)
-				}
-				if !reflect.DeepEqual(got, want[i]) {
-					t.Fatalf("envelope #%d:\n got %+v\nwant %+v", i, got, want[i])
-				}
+		}
+		dec := AcquireDecoder(&buf, Binary, DefaultMaxFrame)
+		defer ReleaseDecoder(dec)
+		for i := range want {
+			got, err := dec.Decode()
+			if err != nil {
+				t.Fatalf("decode #%d: %v", i, err)
 			}
-			if _, err := dec.Decode(); err != io.EOF {
-				t.Fatalf("decode past end = %v, want io.EOF", err)
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("envelope #%d:\n got %+v\nwant %+v", i, got, want[i])
 			}
-		})
-	}
+		}
+		if _, err := dec.Decode(); err != io.EOF {
+			t.Fatalf("decode past end = %v, want io.EOF", err)
+		}
+	})
 }
 
 // steadyStateEnvelopes is the batch-path working set the zero-alloc
@@ -196,8 +194,6 @@ func TestReleaseIsSafe(t *testing.T) {
 	var buf bytes.Buffer
 	ReleaseEncoder(NewEncoder(&buf, Binary))
 	ReleaseDecoder(NewDecoder(&buf, Binary, DefaultMaxFrame))
-	ReleaseEncoder(NewEncoder(&buf, JSON))
-	ReleaseDecoder(NewDecoder(&buf, JSON, DefaultMaxFrame))
 
 	enc := AcquireEncoder(&buf, Binary)
 	ReleaseEncoder(enc)

@@ -25,14 +25,12 @@ func getBuf(n int) []byte { return bufpool.Get(n) }
 // covers, so a later getBuf from that class always honors its size.
 func putBuf(b []byte) { bufpool.Put(b) }
 
-// Codec pooling: the binary encoder and decoder structs are recycled
-// whole, carrying their DTO scratch with them; their frame buffers
-// circulate through the shared size-class pools above. JSON codecs keep
-// per-connection state (a persistent json.Encoder, the scanner's reused
-// line buffer) but are not themselves pooled — NDJSON is the debug mode.
+// Codec pooling: the encoder and decoder structs are recycled whole,
+// carrying their DTO scratch with them; their frame buffers circulate
+// through the shared size-class pools above.
 var (
-	binEncPool = sync.Pool{New: func() any { return new(binaryEncoder) }}
-	binDecPool = sync.Pool{New: func() any { return new(binaryDecoder) }}
+	encPool = sync.Pool{New: func() any { return new(Encoder) }}
+	decPool = sync.Pool{New: func() any { return new(Decoder) }}
 )
 
 // Scratch slices past these bounds are dropped at release so one huge
@@ -42,16 +40,13 @@ const (
 	maxScratchAnswers = 1 << 20 // 1 MiB of []bool
 )
 
-// AcquireEncoder returns a pooled encoder writing f-formatted envelopes
-// to w. It is NewEncoder with recycled buffers: pair it with
-// ReleaseEncoder when the connection ends. Steady-state binary encoding
-// through an acquired encoder performs zero allocations.
-func AcquireEncoder(w io.Writer, f Format) Encoder {
-	if f == JSON {
-		return newJSONEncoder(w)
-	}
-	e := binEncPool.Get().(*binaryEncoder)
-	e.w = w
+// AcquireEncoder returns a pooled encoder writing envelopes to w. It is
+// NewEncoder with recycled buffers: pair it with ReleaseEncoder when the
+// connection ends. Steady-state encoding through an acquired encoder
+// performs zero allocations.
+func AcquireEncoder(w io.Writer, _ Format) *Encoder {
+	e := encPool.Get().(*Encoder)
+	e.w, e.pooled = w, true
 	if e.buf == nil {
 		e.buf = getBuf(1 << bufMinBits)
 	}
@@ -61,33 +56,29 @@ func AcquireEncoder(w io.Writer, f Format) Encoder {
 // ReleaseEncoder recycles an encoder obtained from AcquireEncoder. The
 // encoder must not be used afterwards. Encoders from NewEncoder (or a
 // second release) are ignored safely.
-func ReleaseEncoder(enc Encoder) {
-	e, ok := enc.(*binaryEncoder)
-	if !ok || e == nil || e.w == nil {
+func ReleaseEncoder(e *Encoder) {
+	if e == nil || !e.pooled {
 		return
 	}
 	putBuf(e.buf)
 	e.buf = nil
-	e.w = nil
-	binEncPool.Put(e)
+	e.w, e.pooled = nil, false
+	encPool.Put(e)
 }
 
 // AcquireDecoder returns a pooled scratch-reuse decoder reading
-// f-formatted envelopes from r (maxFrame as in NewDecoder). Ownership
+// envelopes from r (maxFrame as in NewDecoder). Ownership
 // differs from NewDecoder: every envelope it returns — the Envelope,
 // its request/reply bodies, edge and answer slices — lives in the
 // decoder's scratch and is valid only until the next Decode or
 // ReleaseDecoder. Copy out whatever outlives that window. In exchange,
-// steady-state binary unite/query/reply decoding performs zero
-// allocations. Pair with ReleaseDecoder when the connection ends.
-func AcquireDecoder(r io.Reader, f Format, maxFrame int) Decoder {
+// steady-state unite/query/reply decoding performs zero allocations. Pair
+// with ReleaseDecoder when the connection ends.
+func AcquireDecoder(r io.Reader, _ Format, maxFrame int) *Decoder {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	if f == JSON {
-		return newJSONDecoder(r, maxFrame)
-	}
-	d := binDecPool.Get().(*binaryDecoder)
+	d := decPool.Get().(*Decoder)
 	d.r, d.maxFrame, d.reuse = r, maxFrame, true
 	if d.buf == nil {
 		d.buf = getBuf(1 << bufMinBits)
@@ -98,9 +89,8 @@ func AcquireDecoder(r io.Reader, f Format, maxFrame int) Decoder {
 // ReleaseDecoder recycles a decoder obtained from AcquireDecoder and
 // invalidates every envelope it ever returned. Decoders from NewDecoder
 // (or a second release) are ignored safely.
-func ReleaseDecoder(dec Decoder) {
-	d, ok := dec.(*binaryDecoder)
-	if !ok || d == nil || !d.reuse || d.r == nil {
+func ReleaseDecoder(d *Decoder) {
+	if d == nil || !d.reuse || d.r == nil {
 		return
 	}
 	putBuf(d.buf)
@@ -118,5 +108,5 @@ func ReleaseDecoder(dec Decoder) {
 	d.unite = dsu.UniteRequest{}
 	d.query = dsu.QueryRequest{}
 	d.reply = dsu.BatchReply{}
-	binDecPool.Put(d)
+	decPool.Put(d)
 }

@@ -1,12 +1,10 @@
 // Package wire is the batch framing protocol of the network front end: it
 // moves the dsu package's tenant-API DTOs (UniteRequest, QueryRequest,
-// BatchReply) over a byte stream, in two interchangeable encodings — a
-// length-prefixed binary framing for production traffic and a
-// newline-delimited JSON mode for debugging with a text tool. Both
-// encodings carry the same Envelope model, so the server and client pick
-// per connection (by Content-Type) without touching any other layer.
+// BatchReply) over a byte stream in one encoding, a length-prefixed binary
+// framing (ContentTypeBinary). Tenant administration, labels, metrics and
+// traces are plain JSON over HTTP and never pass through this package.
 //
-// The decoders treat the peer as untrusted: every frame is bounded by a
+// The decoder treats the peer as untrusted: every frame is bounded by a
 // configured maximum before any allocation happens, truncated frames
 // surface io.ErrUnexpectedEOF, and structurally inconsistent payloads
 // (lengths that don't match declared counts, unknown message kinds)
@@ -15,13 +13,13 @@
 // here: that is the dsu.Universe layer's job, so the checks exist exactly
 // once for local and remote callers alike.
 //
-// Two codec families share the formats but differ in ownership. The
-// NewEncoder/NewDecoder constructors hand every decoded envelope to the
-// caller outright — simple, safe, one set of allocations per frame. The
+// Two ways to build a codec differ in ownership. The NewEncoder/NewDecoder
+// constructors hand every decoded envelope to the caller outright —
+// simple, safe, one set of allocations per frame. The
 // AcquireEncoder/AcquireDecoder pool recycles codecs and their scratch
-// across connections: steady-state binary encode and decode of the
-// batch-path envelopes allocate nothing, and in exchange an envelope
-// from an acquired decoder is valid only until the next Decode (or
+// across connections: steady-state encode and decode of the batch-path
+// envelopes allocate nothing, and in exchange an envelope from an
+// acquired decoder is valid only until the next Decode (or
 // ReleaseDecoder) — copy out whatever outlives that window. FlushWriter
 // completes the fast path on the write side: it coalesces back-to-back
 // small frames into single downstream writes with no timers, while its
@@ -31,7 +29,6 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"io"
 	"mime"
 
 	"repro/dsu"
@@ -59,7 +56,7 @@ const (
 	KindEnd
 )
 
-// String names the kind as the JSON encoding spells it.
+// String names the kind for logs and error messages.
 func (k Kind) String() string {
 	switch k {
 	case KindUnite:
@@ -79,35 +76,15 @@ func (k Kind) String() string {
 	}
 }
 
-// kindFromString is String's inverse; 0 means unknown.
-func kindFromString(s string) Kind {
-	switch s {
-	case "unite":
-		return KindUnite
-	case "query":
-		return KindQuery
-	case "flush":
-		return KindFlush
-	case "reply":
-		return KindReply
-	case "error":
-		return KindError
-	case "end":
-		return KindEnd
-	default:
-		return 0
-	}
-}
-
 // StreamEnd is the final message of a stream connection: the server-side
 // dsu.Stream's totals at Close, plus the close error (context
 // cancellation, say) in the enclosing envelope's Error field when the
 // shutdown lost batches.
 type StreamEnd struct {
-	Batches uint64 `json:"batches"`
-	Edges   int64  `json:"edges"`
-	Merged  int64  `json:"merged"`
-	Failed  uint64 `json:"failed"`
+	Batches uint64
+	Edges   int64
+	Merged  int64
+	Failed  uint64
 }
 
 // Envelope is one protocol message: a kind, a sequence number (request
@@ -118,10 +95,9 @@ type StreamEnd struct {
 // Trace on a unite/query envelope asks the server to adopt that identity
 // for the batch's span tree; on a reply it reports the trace the server
 // recorded (Span being the server's root span). Zero means untraced —
-// the fields add no bytes to binary frames and no keys to JSON lines, so
-// peers that predate them interoperate unchanged. A Span without a Trace
-// is not a context; encoders drop it and decoders reject frames that
-// declare one.
+// the fields add no bytes to a frame, so peers that predate them
+// interoperate unchanged. A Span without a Trace is not a context; the
+// encoder drops it and the decoder rejects frames that declare one.
 type Envelope struct {
 	Kind  Kind
 	Seq   uint64
@@ -150,88 +126,26 @@ var (
 	ErrCorruptFrame = errors.New("wire: corrupt frame")
 )
 
-// Format selects the encoding of a connection.
+// Format names a connection's encoding. Binary is its one value; the
+// codec constructors keep their Format parameter so callers that name the
+// encoding compile unchanged.
 type Format int
 
-const (
-	// Binary is the length-prefixed binary framing (ContentTypeBinary).
-	Binary Format = iota
-	// JSON is the newline-delimited JSON debug mode (ContentTypeJSON).
-	JSON
-)
+// Binary is the length-prefixed binary framing (ContentTypeBinary).
+const Binary Format = 0
 
-// Content types the HTTP front end maps to formats.
-const (
-	ContentTypeBinary = "application/x-dsu-batch"
-	ContentTypeJSON   = "application/json"
-)
+// ContentTypeBinary is the media type of the data-plane endpoints'
+// request and response bodies.
+const ContentTypeBinary = "application/x-dsu-batch"
 
-// ContentType returns the HTTP content type naming the format.
-func (f Format) ContentType() string {
-	if f == JSON {
-		return ContentTypeJSON
+// FormatFor reports whether a Content-Type header value names the binary
+// framing. Media-type parameters and case are ignored
+// ("application/x-dsu-batch; version=1" is accepted), and an empty
+// content type is accepted as the default.
+func FormatFor(contentType string) bool {
+	if contentType == "" {
+		return true
 	}
-	return ContentTypeBinary
-}
-
-// String names the format for logs and flags.
-func (f Format) String() string {
-	if f == JSON {
-		return "json"
-	}
-	return "binary"
-}
-
-// FormatFor maps a Content-Type header value to its format, ignoring
-// media-type parameters ("application/json; charset=utf-8" is JSON); ok
-// is false for types the protocol does not speak. An empty content type
-// selects binary, the production default.
-func FormatFor(contentType string) (Format, bool) {
-	if contentType != "" {
-		if mt, _, err := mime.ParseMediaType(contentType); err == nil {
-			contentType = mt
-		}
-	}
-	switch contentType {
-	case "", ContentTypeBinary:
-		return Binary, true
-	case ContentTypeJSON:
-		return JSON, true
-	default:
-		return 0, false
-	}
-}
-
-// Encoder writes envelopes to a stream. Encoders are not safe for
-// concurrent use; serialize externally (the server writes from one
-// goroutine per connection).
-type Encoder interface {
-	Encode(*Envelope) error
-}
-
-// Decoder reads envelopes from a stream. A clean end-of-stream is io.EOF
-// from Decode; a stream that ends inside a message is io.ErrUnexpectedEOF.
-type Decoder interface {
-	Decode() (*Envelope, error)
-}
-
-// NewEncoder returns an encoder writing f-formatted envelopes to w.
-func NewEncoder(w io.Writer, f Format) Encoder {
-	if f == JSON {
-		return newJSONEncoder(w)
-	}
-	return newBinaryEncoder(w)
-}
-
-// NewDecoder returns a decoder reading f-formatted envelopes from r,
-// rejecting any message larger than maxFrame bytes (values ≤ 0 select
-// DefaultMaxFrame).
-func NewDecoder(r io.Reader, f Format, maxFrame int) Decoder {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
-	}
-	if f == JSON {
-		return newJSONDecoder(r, maxFrame)
-	}
-	return newBinaryDecoder(r, maxFrame)
+	mt, _, err := mime.ParseMediaType(contentType)
+	return err == nil && mt == ContentTypeBinary
 }

@@ -14,10 +14,9 @@ import (
 )
 
 // randomEnvelope draws one arbitrary well-formed envelope. Edge lists are
-// nil or non-empty — the one canonicalization both codecs share (a nil
-// edge list and an absent one are indistinguishable on the wire); reply
-// Answers exercise nil, empty, and populated, which must all round-trip
-// exactly in both encodings.
+// nil or non-empty — the codec's one canonicalization (a nil edge list and
+// an absent one are indistinguishable on the wire); reply Answers exercise
+// nil, empty, and populated, which must all round-trip exactly.
 func randomEnvelope(rng *rand.Rand) *Envelope {
 	edges := func() []dsu.Edge {
 		n := rng.Intn(5)
@@ -79,8 +78,7 @@ func randomEnvelope(rng *rand.Rand) *Envelope {
 		}
 		if rng.Intn(3) != 0 {
 			// Sometimes empty-but-present: a zero-pair query's reply must
-			// round-trip identically in both encodings (nil means "unite
-			// reply, no answers").
+			// round-trip identically (nil means "unite reply, no answers").
 			rep.Answers = make([]bool, rng.Intn(100))
 			for i := range rep.Answers {
 				rep.Answers[i] = rng.Intn(2) == 0
@@ -101,38 +99,36 @@ func randomEnvelope(rng *rand.Rand) *Envelope {
 	return env
 }
 
-// TestRoundTrip is the codec property test: for both formats, any
-// well-formed envelope survives encode→decode exactly, alone and in
-// back-to-back sequences on one stream.
+// TestRoundTrip is the codec property test: any well-formed envelope
+// survives encode→decode exactly, alone and in back-to-back sequences on
+// one stream.
 func TestRoundTrip(t *testing.T) {
-	for _, f := range []Format{Binary, JSON} {
-		t.Run(f.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(42))
-			var buf bytes.Buffer
-			enc := NewEncoder(&buf, f)
-			var want []*Envelope
-			for i := 0; i < 500; i++ {
-				env := randomEnvelope(rng)
-				if err := enc.Encode(env); err != nil {
-					t.Fatalf("encode %d: %v", i, err)
-				}
-				want = append(want, env)
+	t.Run("binary", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(42))
+		var buf bytes.Buffer
+		enc := NewEncoder(&buf, Binary)
+		var want []*Envelope
+		for i := 0; i < 500; i++ {
+			env := randomEnvelope(rng)
+			if err := enc.Encode(env); err != nil {
+				t.Fatalf("encode %d: %v", i, err)
 			}
-			dec := NewDecoder(&buf, f, 0)
-			for i, w := range want {
-				got, err := dec.Decode()
-				if err != nil {
-					t.Fatalf("decode %d: %v", i, err)
-				}
-				if !reflect.DeepEqual(got, w) {
-					t.Fatalf("round trip %d:\n got %+v\nwant %+v", i, got, w)
-				}
+			want = append(want, env)
+		}
+		dec := NewDecoder(&buf, Binary, 0)
+		for i, w := range want {
+			got, err := dec.Decode()
+			if err != nil {
+				t.Fatalf("decode %d: %v", i, err)
 			}
-			if _, err := dec.Decode(); err != io.EOF {
-				t.Fatalf("trailing Decode = %v, want io.EOF", err)
+			if !reflect.DeepEqual(got, w) {
+				t.Fatalf("round trip %d:\n got %+v\nwant %+v", i, got, w)
 			}
-		})
-	}
+		}
+		if _, err := dec.Decode(); err != io.EOF {
+			t.Fatalf("trailing Decode = %v, want io.EOF", err)
+		}
+	})
 }
 
 // TestTruncatedFrames cuts a valid binary stream at every byte boundary:
@@ -173,10 +169,10 @@ func TestTruncatedFrames(t *testing.T) {
 }
 
 // TestOversizedFrames checks both directions of the size limit: a header
-// declaring more than maxFrame is rejected before any allocation, and a
-// JSON line past the limit is rejected as it streams.
+// declaring more than maxFrame is rejected before any allocation, and an
+// encoded frame past a decoder's limit is refused on decode.
 func TestOversizedFrames(t *testing.T) {
-	// Binary: a 4 GiB-declaring header against a 1 KiB limit.
+	// A 4 GiB-declaring header against a 1 KiB limit.
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF}
 	if _, err := NewDecoder(bytes.NewReader(huge), Binary, 1024).Decode(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("binary oversize err = %v, want ErrFrameTooLarge", err)
@@ -185,11 +181,6 @@ func TestOversizedFrames(t *testing.T) {
 	short := []byte{0x00, 0x00, 0x00, 0x20, byte(KindFlush)}
 	if _, err := NewDecoder(bytes.NewReader(short), Binary, 1024).Decode(); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("binary truncated err = %v, want io.ErrUnexpectedEOF", err)
-	}
-	// JSON: one long line.
-	line := append(bytes.Repeat([]byte("x"), 4096), '\n')
-	if _, err := NewDecoder(bytes.NewReader(line), JSON, 1024).Decode(); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("json oversize err = %v, want ErrFrameTooLarge", err)
 	}
 	// An oversized *encode* must refuse rather than emit an unreadable frame.
 	env := &Envelope{Kind: KindUnite, Unite: &dsu.UniteRequest{Edges: make([]dsu.Edge, 100)}}
@@ -275,31 +266,11 @@ func TestCorruptFrames(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrCorruptFrame", name, err)
 		}
 	}
-	for name, line := range map[string]string{
-		"not json":           "{{{\n",
-		"unknown kind":       `{"kind":"zorp"}` + "\n",
-		"no kind":            `{"seq":3}` + "\n",
-		"unite without body": `{"kind":"unite","seq":1}` + "\n",
-		"query without body": `{"kind":"query"}` + "\n",
-		"reply without body": `{"kind":"reply"}` + "\n",
-		"end without body":   `{"kind":"end"}` + "\n",
-		"span without trace": `{"kind":"flush","span":5}` + "\n",
-		"trailing data":      `{"kind":"flush"} {"kind":"flush"}` + "\n",
-		// A key the envelope does not define is refused, not dropped: the
-		// retired prefilter and connected-screen options, and an unknown
-		// top-level key.
-		"retired options": `{"kind":"unite","unite":{"edges":[{"X":1,"Y":2}],"options":{"prefilter":true,"connected_filter":true}}}` + "\n",
-		"unknown key":     `{"kind":"flush","zorp":1}` + "\n",
-	} {
-		if _, err := NewDecoder(bytes.NewReader([]byte(line)), JSON, 0).Decode(); !errors.Is(err, ErrCorruptFrame) {
-			t.Errorf("json %s: err = %v, want ErrCorruptFrame", name, err)
-		}
-	}
 }
 
-// TestTraceContextRoundTrip pins the trace fields explicitly in both
-// encodings: a traced unite, query, and reply each survive exactly, and
-// an untraced envelope stays untraced.
+// TestTraceContextRoundTrip pins the trace fields explicitly: a traced
+// unite, query, and reply each survive exactly, and an untraced envelope
+// stays untraced.
 func TestTraceContextRoundTrip(t *testing.T) {
 	cases := []*Envelope{
 		{Kind: KindUnite, Seq: 1, Trace: 0xdeadbeefcafef00d, Span: 1,
@@ -310,36 +281,32 @@ func TestTraceContextRoundTrip(t *testing.T) {
 			Reply: &dsu.BatchReply{Merged: 5, Answers: []bool{true, false, true}}},
 		{Kind: KindUnite, Seq: 4, Unite: &dsu.UniteRequest{}},
 	}
-	for _, f := range []Format{Binary, JSON} {
-		for i, env := range cases {
-			var buf bytes.Buffer
-			if err := NewEncoder(&buf, f).Encode(env); err != nil {
-				t.Fatalf("%v case %d: encode: %v", f, i, err)
-			}
-			got, err := NewDecoder(&buf, f, 0).Decode()
-			if err != nil {
-				t.Fatalf("%v case %d: decode: %v", f, i, err)
-			}
-			if !reflect.DeepEqual(got, env) {
-				t.Fatalf("%v case %d:\n got %+v\nwant %+v", f, i, got, env)
-			}
+	for i, env := range cases {
+		var buf bytes.Buffer
+		if err := NewEncoder(&buf, Binary).Encode(env); err != nil {
+			t.Fatalf("case %d: encode: %v", i, err)
+		}
+		got, err := NewDecoder(&buf, Binary, 0).Decode()
+		if err != nil {
+			t.Fatalf("case %d: decode: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, env) {
+			t.Fatalf("case %d:\n got %+v\nwant %+v", i, got, env)
 		}
 	}
-	// A Span without a Trace is not a context: both encoders drop it, so
-	// it must NOT survive the trip.
+	// A Span without a Trace is not a context: the encoder drops it, so it
+	// must NOT survive the trip.
 	orphan := &Envelope{Kind: KindFlush, Seq: 9, Span: 77}
-	for _, f := range []Format{Binary, JSON} {
-		var buf bytes.Buffer
-		if err := NewEncoder(&buf, f).Encode(orphan); err != nil {
-			t.Fatalf("%v: encode orphan span: %v", f, err)
-		}
-		got, err := NewDecoder(&buf, f, 0).Decode()
-		if err != nil {
-			t.Fatalf("%v: decode orphan span: %v", f, err)
-		}
-		if got.Trace != 0 || got.Span != 0 {
-			t.Fatalf("%v: orphan span survived: %+v", f, got)
-		}
+	var buf bytes.Buffer
+	if err := NewEncoder(&buf, Binary).Encode(orphan); err != nil {
+		t.Fatalf("encode orphan span: %v", err)
+	}
+	got, err := NewDecoder(&buf, Binary, 0).Decode()
+	if err != nil {
+		t.Fatalf("decode orphan span: %v", err)
+	}
+	if got.Trace != 0 || got.Span != 0 {
+		t.Fatalf("orphan span survived: %+v", got)
 	}
 }
 
@@ -379,38 +346,31 @@ func TestUntracedFramesCompat(t *testing.T) {
 	if env.Trace != 0 || len(env.Reply.Answers) != 2 || !env.Reply.Answers[0] || env.Reply.Answers[1] {
 		t.Fatalf("old reply frame decoded as %+v", env)
 	}
-	// JSON lines without trace keys.
-	for _, line := range []string{
-		`{"kind":"unite","seq":3,"unite":{"edges":[{"X":1,"Y":2}]}}`,
-		`{"kind":"reply","reply":{"merged":1}}`,
-	} {
-		env, err := NewDecoder(bytes.NewReader([]byte(line+"\n")), JSON, 0).Decode()
-		if err != nil {
-			t.Fatalf("old json line %q: %v", line, err)
-		}
-		if env.Trace != 0 || env.Span != 0 {
-			t.Fatalf("old json line %q decoded with trace: %+v", line, env)
-		}
-	}
 }
 
-// TestFormatFor pins the content-type mapping the HTTP layer relies on,
-// media-type parameters included (clients commonly append a charset).
+// TestFormatFor pins the content-type check the HTTP layer relies on:
+// the binary media type with parameters or in any case, and the empty
+// default, are accepted; every other type is refused.
 func TestFormatFor(t *testing.T) {
-	for ct, want := range map[string]Format{
-		"":                                Binary,
-		ContentTypeBinary:                 Binary,
-		ContentTypeJSON:                   JSON,
-		"application/json; charset=utf-8": JSON,
-		"APPLICATION/JSON":                JSON, // media types are case-insensitive
-		ContentTypeBinary + "; version=1": Binary,
+	for _, ct := range []string{
+		"",
+		ContentTypeBinary,
+		ContentTypeBinary + "; version=1",
+		"APPLICATION/X-DSU-BATCH", // media types are case-insensitive
 	} {
-		if got, ok := FormatFor(ct); !ok || got != want {
-			t.Errorf("FormatFor(%q) = %v, %v; want %v", ct, got, ok, want)
+		if !FormatFor(ct) {
+			t.Errorf("FormatFor(%q) refused", ct)
 		}
 	}
-	if _, ok := FormatFor("text/html"); ok {
-		t.Error("FormatFor(text/html) accepted")
+	for _, ct := range []string{
+		"application/json",
+		"application/json; charset=utf-8",
+		"application/x-ndjson",
+		"text/html",
+	} {
+		if FormatFor(ct) {
+			t.Errorf("FormatFor(%q) accepted", ct)
+		}
 	}
 }
 
@@ -486,46 +446,6 @@ func FuzzBinaryDecode(f *testing.F) {
 			}
 			if !reflect.DeepEqual(env, again) {
 				t.Fatalf("decode∘encode not identity:\n got %+v\nwant %+v", again, env)
-			}
-		}
-	})
-}
-
-// FuzzJSONDecode is the same property for the debug mode.
-func FuzzJSONDecode(f *testing.F) {
-	f.Add([]byte(`{"kind":"flush","seq":9}` + "\n"))
-	f.Add([]byte(`{"kind":"unite","unite":{"edges":[{"X":1,"Y":2}]}}` + "\n"))
-	f.Add([]byte(`{"kind":"unite","trace":123,"span":1,"unite":{"edges":[{"X":1,"Y":2}]}}` + "\n"))
-	f.Add([]byte(`{"kind":"reply","trace":456,"reply":{"merged":1}}` + "\n"))
-	f.Add([]byte("\n\n{\n"))
-	// Unknown keys: the retired filter options, and an unknown top-level key.
-	f.Add([]byte(`{"kind":"unite","unite":{"edges":[{"X":1,"Y":2}],"options":{"prefilter":true,"connected_filter":true}}}` + "\n"))
-	f.Add([]byte(`{"kind":"flush","zorp":1}` + "\n"))
-	// Back-to-back frames for the pooled-path lockstep below.
-	f.Add([]byte(`{"kind":"unite","seq":1,"unite":{"edges":[{"X":1,"Y":2}]}}` + "\n" +
-		`{"kind":"unite","seq":2,"unite":{"edges":[{"X":1,"Y":2}]}}` + "\n"))
-	f.Add([]byte(`{"kind":"unite","seq":1,"unite":{"edges":[{"X":1,"Y":2},{"X":3,"Y":4}]}}` + "\n" +
-		`{"kind":"reply","seq":1,"reply":{"merged":2,"answers":[true,false]}}` + "\n" +
-		`{"kind":"unite","seq":2,"unite":{"edges":[{"X":5,"Y":6}]}}` + "\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewDecoder(bytes.NewReader(data), JSON, 1<<20)
-		pooled := AcquireDecoder(bytes.NewReader(data), JSON, 1<<20)
-		defer ReleaseDecoder(pooled)
-		for {
-			env, err := dec.Decode()
-			penv, perr := pooled.Decode()
-			if (err == nil) != (perr == nil) {
-				t.Fatalf("pooled decoder diverged: plain err=%v pooled err=%v", err, perr)
-			}
-			if err != nil {
-				return
-			}
-			if !reflect.DeepEqual(env, penv) {
-				t.Fatalf("pooled decode differs from plain:\n got %+v\nwant %+v", penv, env)
-			}
-			var buf bytes.Buffer
-			if err := NewEncoder(&buf, JSON).Encode(env); err != nil {
-				t.Fatalf("re-encode failed: %v", err)
 			}
 		}
 	})
