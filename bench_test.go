@@ -412,45 +412,6 @@ func BenchmarkE20StreamIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkE21AdaptiveFind measures the adaptive compaction policy against
-// fixed find variants on the E21 shape: one flattening UniteAll, then
-// repeated SameSetAll batches (the phase the policy downgrades). Reported
-// Mop/s covers the query phase only — mutation work is identical across
-// modes by construction.
-func BenchmarkE21AdaptiveFind(b *testing.B) {
-	const n = 1 << 18
-	m := 4 * n
-	const queryBatches = 8
-	edges := engine.FromOps(workload.RandomUnions(n, m, 10))
-	pairs := engine.FromOps(workload.RandomUnions(n, n, 12))
-	modes := []struct {
-		name string
-		opts []dsu.Option
-	}{
-		{"twotry", []dsu.Option{dsu.WithSeed(11)}},
-		{"naive", []dsu.Option{dsu.WithSeed(11), dsu.WithFind(dsu.NoCompaction)}},
-		{"adaptive", []dsu.Option{dsu.WithSeed(11), dsu.WithAdaptiveFind()}},
-	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
-			queryOps := 0
-			var elapsed float64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				d := dsu.New(n, mode.opts...)
-				d.UniteAll(edges, dsu.WithWorkers(4))
-				b.StartTimer()
-				for k := 0; k < queryBatches; k++ {
-					d.SameSetAll(pairs, dsu.WithWorkers(4))
-					queryOps += len(pairs)
-				}
-			}
-			elapsed = b.Elapsed().Seconds()
-			b.ReportMetric(float64(queryOps)/elapsed/1e6, "Mop/s")
-		})
-	}
-}
-
 // BenchmarkE23LockFree measures the concurrent core on the E23 shapes: one
 // uniform batch on a fresh structure, plus the regime the paper's
 // algorithm is for — k genuinely overlapping UniteAll calls on one

@@ -12,14 +12,14 @@
 //
 //	dsubench -exp batch   # E18, batch-engine throughput
 //	dsubench -exp stream  # E20, stream vs blocking-batch ingestion
-//	dsubench -exp adapt   # E21, adaptive vs fixed find variants
 //	dsubench -exp wire    # E22, remote vs in-process batches
 //	dsubench -exp lockfree # E23, concurrent-core scaling
 //	dsubench -exp fastpath # E24, pipelined pooled wire path vs per-RPC
 //	dsubench -exp wal     # E25, durable tenants (also: durable)
 //
-// E19 (the retired sharded kind against the flat engine) has no runner;
-// EXPERIMENTS.md keeps its last recorded table.
+// E19 (the retired sharded kind against the flat engine) and E21 (the
+// retired adaptive find policy against fixed variants) have no runner;
+// EXPERIMENTS.md keeps their last recorded tables.
 package main
 
 import (

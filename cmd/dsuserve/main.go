@@ -15,7 +15,8 @@
 // The spec is name:n[:kind[:find]] — kind is a structure-kind name per
 // dsu.ParseKind ("flat" or "lockfree"; both build the same structure, and
 // the names stay so that older specs parse); find names a strategy per
-// dsu.ParseFindStrategy ("auto" turns on the adaptive compaction policy).
+// dsu.ParseFindStrategy ("auto" is a compatibility name of "twotry", kept
+// so that older specs parse).
 // A spec the server cannot honour stops it at startup. Every tenant is
 // served under one policy: its RPCs take the per-tenant -inflight budget,
 // and its stream batches run in seal order.
@@ -222,7 +223,7 @@ func main() {
 		if err != nil {
 			fatal("tenant create failed", "tenant", ts.Name, "err", err)
 		}
-		logger.Info("tenant ready", "tenant", u.Name(), "n", u.N(), "adaptive", u.Adaptive())
+		logger.Info("tenant ready", "tenant", u.Name(), "n", u.N())
 	}
 
 	srv := server.New(server.Config{

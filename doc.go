@@ -5,13 +5,13 @@
 // The public library lives in repro/dsu: point operations (Unite, SameSet,
 // Find) and batched bulk operations (UniteAll, SameSetAll) that fan an
 // edge list out over a work-stealing worker pool, all of which may
-// overlap freely on one structure; a streaming ingestion front (Stream)
-// that overlaps batch accumulation with execution behind backpressure and
-// per-batch completion callbacks; and an adaptive compaction mode
-// (WithAdaptiveFind) that downgrades query batches to cheaper find
-// variants while the forest is flat. Every tenant is one forest, as in
-// the paper, and every batch path — blocking, streamed or remote — drives
-// one unified execution seam per structure.
+// overlap freely on one structure; and a streaming ingestion front
+// (Stream) that overlaps batch accumulation with execution behind
+// backpressure and per-batch completion callbacks. Every tenant is one
+// forest, as in the paper, every batch runs one find rule (the tenant's
+// configured variant or the batch's own override), and every batch path —
+// blocking, streamed or remote — drives one unified execution seam per
+// structure.
 //
 // The client-facing surface is the tenant-scoped Universe API: a Registry
 // of named, isolated universes (one structure each, options chosen per
@@ -19,7 +19,7 @@
 // request/response DTOs (UniteRequest, QueryRequest, BatchReply) shared
 // verbatim by in-process callers and the network front end —
 // cmd/dsuserve serves universes over HTTP with length-prefixed binary
-// batch framing (JSON debug mode included), streaming ingestion with
+// batch framing, streaming ingestion with
 // end-to-end backpressure, and per-tenant in-flight bounds. An opt-in
 // observability layer (dsu.Metrics, dsuserve's -metrics/-pprof flags)
 // exposes per-tenant Prometheus series fed from the same execution-seam

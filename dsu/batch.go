@@ -94,9 +94,6 @@ func (d *DSU) UniteAllCounted(edges []Edge, st *Stats, opts ...BatchOption) int 
 // SameSetAll answers pairs[i] into element i of the returned slice, using
 // the same worker pool as UniteAll. Each answer is linearizable; with no
 // concurrent Unites the whole slice is exact for the current partition.
-// Under WithAdaptiveFind this is the query path the adaptive policy may
-// downgrade to a cheaper find variant — the answers are identical either
-// way.
 func (d *DSU) SameSetAll(pairs []Edge, opts ...BatchOption) []bool {
 	return queryVeneer(d.uni, pairs, opts).Answers
 }

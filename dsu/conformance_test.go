@@ -180,8 +180,8 @@ func TestBackendBatchEqualsBlocking(t *testing.T) {
 }
 
 // TestBackendFindVariantConformance sweeps every find strategy — the
-// splitting family, halving, compression and the adaptive policy —
-// checking the partition is variant-independent.
+// splitting family, halving, compression and the compatibility name
+// FindAuto — checking the partition is variant-independent.
 func TestBackendFindVariantConformance(t *testing.T) {
 	const n = 800
 	edges := engine.FromOps(workload.CommunityUnions(n, 2*n, 4, 0.8, 31))
@@ -194,6 +194,95 @@ func TestBackendFindVariantConformance(t *testing.T) {
 				checkLabelsMatch(t, d.CanonicalLabels(), want)
 			})
 		}
+	}
+}
+
+// TestConformanceVariantSwitch cross-validates per-batch find overrides
+// and the property they rely on: every find variant keeps the same
+// invariants over the same parent array, so a forest whose batches cycle
+// through all five variants — unites and queries alike, through the
+// Universe DTO layer — merges exactly what a fixed two-try structure
+// merges, answers every query batch the same, and ends on the same
+// partition.
+func TestConformanceVariantSwitch(t *testing.T) {
+	const n = 1800
+	variants := []dsu.FindStrategy{dsu.NoCompaction, dsu.OneTrySplitting, dsu.TwoTrySplitting, dsu.Halving, dsu.Compression}
+	for _, seed := range []uint64{2, 19, 77} {
+		edges := engine.FromOps(workload.ZipfMixed(n, 3*n, 1.0, 1.1, seed+300))
+		edges = append(edges, engine.FromOps(workload.CommunityUnions(n, 2*n, 8, 0.9, seed+400))...)
+		// Half the queries repeat edges (connected once united), half are
+		// random pairs (mostly not).
+		queries := append(append([]dsu.Edge{}, edges[:n/2]...), engine.FromOps(workload.RandomUnions(n, n/2, seed+500))...)
+		for _, batch := range []int{193, 2048} {
+			for _, bc := range backendCases() {
+				t.Run(fmt.Sprintf("seed=%d/batch=%d/%s", seed, batch, bc.name), func(t *testing.T) {
+					fixed := dsu.NewUniverse("fixed", dsu.New(n, dsu.WithSeed(seed)))
+					switched := dsu.NewUniverse("switched", bc.make(n, dsu.WithSeed(seed)))
+					for k, lo := 0, 0; lo < len(edges); k, lo = k+1, lo+batch {
+						uv, qv := variants[k%len(variants)], variants[(k+2)%len(variants)]
+						unite := edges[lo:min(lo+batch, len(edges))]
+						want, err := fixed.UniteAll(dsu.UniteRequest{Edges: unite, Options: dsu.BatchOptions{Workers: 3}})
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := switched.UniteAll(dsu.UniteRequest{Edges: unite, Options: dsu.BatchOptions{Workers: 3, Find: uv}})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got.Find != uv || got.Merged != want.Merged {
+							t.Fatalf("unite batch at %d: ran %v and merged %d; want %v and the fixed structure's %d",
+								lo, got.Find, got.Merged, uv, want.Merged)
+						}
+						wantQ, err := fixed.SameSetAll(dsu.QueryRequest{Pairs: queries, Options: dsu.BatchOptions{Workers: 3}})
+						if err != nil {
+							t.Fatal(err)
+						}
+						gotQ, err := switched.SameSetAll(dsu.QueryRequest{Pairs: queries, Options: dsu.BatchOptions{Workers: 3, Find: qv}})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if gotQ.Find != qv {
+							t.Fatalf("query after batch at %d ran %v, want %v", lo, gotQ.Find, qv)
+						}
+						for i := range gotQ.Answers {
+							if gotQ.Answers[i] != wantQ.Answers[i] {
+								t.Fatalf("query after batch at %d: answer[%d] = %v under %v, fixed %v",
+									lo, i, gotQ.Answers[i], qv, wantQ.Answers[i])
+							}
+						}
+					}
+					checkLabelsMatch(t, switched.CanonicalLabels(), fixed.CanonicalLabels())
+				})
+			}
+		}
+	}
+}
+
+// TestAdaptiveFindOption pins the compatibility spellings of two-try
+// splitting: FindAuto stringifies as "auto", and WithAdaptiveFind and
+// WithFind(FindAuto) build what WithFind(TwoTrySplitting) builds — the
+// same merges and partition, and replies that report TwoTrySplitting.
+func TestAdaptiveFindOption(t *testing.T) {
+	if dsu.FindAuto.String() != "auto" {
+		t.Errorf("FindAuto.String() = %q, want auto", dsu.FindAuto.String())
+	}
+	const n = 256
+	edges := engine.FromOps(workload.RandomUnions(n, 2*n, 44))
+	want := dsu.New(n, dsu.WithSeed(8), dsu.WithFind(dsu.TwoTrySplitting))
+	wantMerged := want.UniteAll(edges)
+	for name, opt := range map[string]dsu.Option{
+		"WithAdaptiveFind":   dsu.WithAdaptiveFind(),
+		"WithFind(FindAuto)": dsu.WithFind(dsu.FindAuto),
+	} {
+		u := dsu.NewUniverse(name, dsu.New(n, dsu.WithSeed(8), opt))
+		rep, err := u.UniteAll(dsu.UniteRequest{Edges: edges})
+		if err != nil || rep.Merged != int64(wantMerged) || rep.Find != dsu.TwoTrySplitting {
+			t.Errorf("%s: unite reply merged %d under %v (%v); want %d under twotry", name, rep.Merged, rep.Find, err, wantMerged)
+		}
+		if q, err := u.SameSetAll(dsu.QueryRequest{Pairs: edges}); err != nil || q.Find != dsu.TwoTrySplitting {
+			t.Errorf("%s: query reply ran %v (%v), want twotry", name, q.Find, err)
+		}
+		checkLabelsMatch(t, u.CanonicalLabels(), want.CanonicalLabels())
 	}
 }
 

@@ -23,6 +23,11 @@
 //
 //	d := dsu.New(n, dsu.WithFind(dsu.OneTrySplitting), dsu.WithEarlyTermination())
 //
+// Every batch runs one find rule: the structure's variant, or the one a
+// tenant-API request names for itself (BatchOptions.Find). FindAuto and
+// WithAdaptiveFind are compatibility names of the default, two-try
+// splitting.
+//
 // Every DSU serves the paper's regime as it stands: goroutines may issue
 // point operations and batches (UniteAll, SameSetAll) with no
 // coordination, under every find variant, and overlapping batches sum
@@ -80,15 +85,11 @@ const (
 	// Compression is a concurrent two-pass path compression, the variant
 	// Section 6 conjectures retains the splitting bounds.
 	Compression
-	// FindAuto selects the adaptive compaction policy instead of a fixed
-	// variant: point operations and mutation batches run TwoTrySplitting
-	// (the paper's best-bound compacting variant), while query batches
-	// (SameSetAll) downgrade to OneTrySplitting or NoCompaction whenever
-	// the execution layer's flatness estimator says the forest is flat —
-	// after a big UniteAll, compaction CASes are pure overhead — and
-	// restore compaction once mutation batches churn it. The partition and
-	// every answer are identical to any fixed variant's; only the work
-	// changes. WithAdaptiveFind() is shorthand for WithFind(FindAuto).
+	// FindAuto is a compatibility name for TwoTrySplitting: it named a
+	// retired policy that swapped find variants per query batch, and it
+	// stays so that older specs ("auto") and durable logs whose header
+	// records it keep working. Replies report TwoTrySplitting.
+	// WithAdaptiveFind() is shorthand for WithFind(FindAuto).
 	FindAuto
 )
 
@@ -122,8 +123,6 @@ func coreFind(f FindStrategy) core.Find {
 	case Compression:
 		return core.FindCompress
 	case FindAuto:
-		// The adaptive mode's base (mutation-batch) variant; the executor
-		// downgrades query batches from here.
 		return core.FindTwoTry
 	default:
 		panic("dsu: unknown FindStrategy")
@@ -145,7 +144,7 @@ type Stats = core.Stats
 type DSU struct {
 	c *core.DSU
 	// x is the unified execution seam all batch and stream paths route
-	// through (and, with FindAuto, the adaptive policy's home).
+	// through.
 	x *exec.Executor
 	// uni is the structure's anonymous Universe — the tenant-API layer the
 	// batch and stream veneers phrase their calls through.
@@ -166,7 +165,7 @@ func New(n int, opts ...Option) *DSU {
 		EarlyTermination: cfg.early,
 		Seed:             cfg.seed,
 	})
-	d := &DSU{c: c, x: exec.NewExecutor(c, cfg.find == FindAuto)}
+	d := &DSU{c: c, x: exec.NewExecutor(c)}
 	d.uni = &Universe{b: d}
 	return d
 }

@@ -166,9 +166,11 @@ func (d *durableState) autoCheckpoint() {
 	})
 }
 
-// validDurableName keeps tenant log filenames safe: the same charset
-// the network front end enforces for tenant names.
-func validDurableName(name string) bool {
+// ValidTenantName reports whether name is usable as a tenant name on the
+// network front end and as a durable tenant's log filename: 1 to 128
+// characters from [a-zA-Z0-9._-]. Registry.Create enforces it for durable
+// registries; the front end enforces it for every request path and spec.
+func ValidTenantName(name string) bool {
 	if name == "" || len(name) > 128 {
 		return false
 	}
@@ -309,7 +311,7 @@ func applyParents(x *exec.Executor, parents []uint32) error {
 // universe is instrumented or published; on error the universe is never
 // registered.
 func (r *Registry) openDurable(u *Universe, n int, cfg config) error {
-	if !validDurableName(u.name) {
+	if !ValidTenantName(u.name) {
 		return fmt.Errorf("dsu: tenant name %q is not usable as a log filename (want [a-zA-Z0-9._-], max 128)", u.name)
 	}
 	if err := os.MkdirAll(r.dur.dir, 0o755); err != nil {
@@ -448,7 +450,7 @@ func (r *Registry) Rewind(tenant string, seq uint64) (*Universe, error) {
 	if r.dur == nil {
 		return nil, ErrNotDurable
 	}
-	if !validDurableName(tenant) {
+	if !ValidTenantName(tenant) {
 		return nil, fmt.Errorf("dsu: invalid tenant name %q", tenant)
 	}
 	rd, err := wal.OpenReader(r.logPath(tenant))

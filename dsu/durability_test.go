@@ -122,6 +122,73 @@ func TestDurableRecoveryAcrossKinds(t *testing.T) {
 	}
 }
 
+// TestDurableAutoFindLog pins the durable side of FindAuto's
+// compatibility: a tenant created with WithAdaptiveFind writes find byte 6
+// into its log header, and that log recovers — by re-create and by
+// RestoreTenants — keeps appending under the same header, and serves
+// batches that report two-try splitting.
+func TestDurableAutoFindLog(t *testing.T) {
+	const n = 300
+	dir := t.TempDir()
+	path := filepath.Join(dir, "auto.dsulog")
+	batches := durBatches(n, 12, 10, 61)
+	opts := []dsu.Option{dsu.WithAdaptiveFind(), dsu.WithSeed(7)}
+
+	reg := dsu.NewRegistry(dsu.WithDurability(dir))
+	u, err := reg.Create("auto", n, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest(t, u, batches[:8])
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := wal.ReadMeta(path)
+	if err != nil || meta.Find != 6 {
+		t.Fatalf("header = %+v, %v; want find byte 6", meta, err)
+	}
+
+	reg2 := dsu.NewRegistry(dsu.WithDurability(dir))
+	u2, err := reg2.Create("auto", n, opts...)
+	if err != nil {
+		t.Fatalf("re-create: %v", err)
+	}
+	sameLabels(t, "recovered", u2.CanonicalLabels(), oracleLabels(n, batches[:8]))
+	rep, err := u2.UniteAll(dsu.UniteRequest{Edges: batches[8]})
+	if err != nil || rep.Find != dsu.TwoTrySplitting {
+		t.Fatalf("unite after recovery: find %v, %v; want twotry", rep.Find, err)
+	}
+	ingest(t, u2, batches[9:])
+	if err := reg2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg3 := dsu.NewRegistry(dsu.WithDurability(dir))
+	if names, err := reg3.RestoreTenants(); err != nil || !reflect.DeepEqual(names, []string{"auto"}) {
+		t.Fatalf("RestoreTenants = %v, %v", names, err)
+	}
+	u3, _ := reg3.Get("auto")
+	if u3.Seq() != uint64(len(batches)) {
+		t.Fatalf("restored at seq %d, want %d", u3.Seq(), len(batches))
+	}
+	sameLabels(t, "restored", u3.CanonicalLabels(), oracleLabels(n, batches))
+	q, err := u3.SameSetAll(dsu.QueryRequest{Pairs: batches[0]})
+	if err != nil || q.Find != dsu.TwoTrySplitting {
+		t.Fatalf("query after restore: find %v, %v; want twotry", q.Find, err)
+	}
+	for i, ok := range q.Answers {
+		if !ok {
+			t.Fatalf("united pair %d answered false", i)
+		}
+	}
+	if err := reg3.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := wal.ReadMeta(path); err != nil || m != meta {
+		t.Fatalf("header after appends = %+v, %v; want %+v kept", m, err, meta)
+	}
+}
+
 // TestDurableSnapshotPlusTail: a checkpoint mid-history must not change
 // what recovery reconstructs — snapshot plus replayed tail ≡ the full
 // history.

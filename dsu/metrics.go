@@ -4,17 +4,16 @@ import (
 	"io"
 	"net/http"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 )
 
-// Metrics is the package's instrumentation registry: one of these owns
-// the metric families every instrumented universe feeds — per-tenant
-// batch counters, latency histograms, CAS-retry and adaptive-variant
-// series, stream pipeline gauges — and writes them as a Prometheus text
-// exposition (it is an http.Handler, mountable as /metrics).
+// Metrics is the package's instrumentation registry: one of these owns the
+// metric families every instrumented universe feeds — per-tenant batch
+// counters, latency histograms, CAS-retry series, stream pipeline gauges —
+// and writes them as a Prometheus text exposition (it is an http.Handler,
+// mountable as /metrics).
 //
 // Attach one to a Registry with WithMetrics, or to a hand-built universe
 // with Universe.Instrument; instrumentation rides the execution seam, so
@@ -34,7 +33,6 @@ import (
 //	dsu_batch_seconds{tenant,op}            end-to-end batch latency histogram
 //	dsu_merged_edges_total{tenant}          edges that performed a merge
 //	dsu_cas_retries_total{tenant}           root-link CAS retries (contention)
-//	dsu_find_variant_total{tenant,find}     query batches by resolved variant
 //	dsu_tenant_seq{tenant}                  applied-batch sequence (gauge)
 //	dsu_streams_active{tenant}              open streams (gauge)
 //	dsu_stream_inflight_batches{tenant}     sealed batches past accumulators (gauge)
@@ -53,7 +51,6 @@ type Metrics struct {
 	latency    *metrics.HistogramVec
 	merged     *metrics.CounterVec
 	casRetries *metrics.CounterVec
-	picks      *metrics.CounterVec
 	seq        *metrics.GaugeVec
 
 	streamsActive   *metrics.GaugeVec
@@ -74,7 +71,6 @@ func NewMetrics() *Metrics {
 		latency:    reg.HistogramVec("dsu_batch_seconds", "End-to-end batch wall-clock latency in seconds.", nil, "tenant", "op"),
 		merged:     reg.CounterVec("dsu_merged_edges_total", "Unite-batch edges that performed a merge.", "tenant"),
 		casRetries: reg.CounterVec("dsu_cas_retries_total", "Root-link CAS attempts that lost a race to a concurrent link and retried, summed over unite batches (contention on roots).", "tenant"),
-		picks:      reg.CounterVec("dsu_find_variant_total", "Query batches by the find variant that actually ran (the adaptive policy's picks).", "tenant", "find"),
 		seq:        reg.GaugeVec("dsu_tenant_seq", "Applied-batch sequence number: the durable log position when persistence is on, a plain batch count otherwise. Compare across replicas.", "tenant"),
 
 		streamsActive:   reg.GaugeVec("dsu_streams_active", "Open streams (ingestion pipelines).", "tenant"),
@@ -109,7 +105,7 @@ func (m *Metrics) instruments(tenant string) *exec.Instruments {
 	if m == nil {
 		return nil
 	}
-	ins := &exec.Instruments{
+	return &exec.Instruments{
 		Unite: exec.OpInstruments{
 			Batches:   m.batches.With(tenant, "unite"),
 			Edges:     m.edges.With(tenant, "unite"),
@@ -126,10 +122,6 @@ func (m *Metrics) instruments(tenant string) *exec.Instruments {
 		CASRetries: m.casRetries.With(tenant),
 		Seq:        m.seq.With(tenant),
 	}
-	for f := core.FindNaive; f <= core.FindCompress; f++ {
-		ins.Picks[f] = m.picks.With(tenant, f.String())
-	}
-	return ins
 }
 
 // gauges resolves the per-tenant stream pipeline gauges.
@@ -182,8 +174,6 @@ type TenantMetrics struct {
 	// Seq is the applied-batch sequence gauge (Universe.Seq as last
 	// published to the instruments).
 	Seq int64
-	// VariantPicks counts query batches by the find variant that ran.
-	VariantPicks map[FindStrategy]int64
 	// StreamsActive and StreamBatchesInFlight are the live pipeline
 	// gauges for streams opened through this universe.
 	StreamsActive, StreamBatchesInFlight int64
@@ -197,7 +187,7 @@ func (u *Universe) Metrics() TenantMetrics {
 	if ins == nil {
 		return TenantMetrics{}
 	}
-	tm := TenantMetrics{
+	return TenantMetrics{
 		Instrumented:          true,
 		UniteBatches:          ins.Unite.Batches.Value(),
 		QueryBatches:          ins.Query.Batches.Value(),
@@ -207,14 +197,7 @@ func (u *Universe) Metrics() TenantMetrics {
 		FindSteps:             ins.Unite.FindSteps.Value() + ins.Query.FindSteps.Value(),
 		CASRetries:            ins.CASRetries.Value(),
 		Seq:                   ins.Seq.Value(),
-		VariantPicks:          make(map[FindStrategy]int64),
 		StreamsActive:         u.sg.Active.Value(),
 		StreamBatchesInFlight: u.sg.InFlight.Value(),
 	}
-	for f := core.FindNaive; f <= core.FindCompress; f++ {
-		if v := ins.Picks[f].Value(); v > 0 {
-			tm.VariantPicks[findStrategyOf(f)] = v
-		}
-	}
-	return tm
 }

@@ -34,7 +34,7 @@ func TestMetricsMatchReplies(t *testing.T) {
 		t.Run(k.name, func(t *testing.T) {
 			m := NewMetrics()
 			reg := NewRegistry(WithMetrics(m))
-			u, err := reg.Create("tenant-"+k.name, n, append(k.opts, WithFind(FindAuto))...)
+			u, err := reg.Create("tenant-"+k.name, n, k.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,15 +82,6 @@ func TestMetricsMatchReplies(t *testing.T) {
 			if got.CASRetries != want.CASRetries {
 				t.Errorf("CASRetries = %d, want %d", got.CASRetries, want.CASRetries)
 			}
-			// Every query batch picked exactly one variant.
-			var picks int64
-			for _, v := range got.VariantPicks {
-				picks += v
-			}
-			if picks != want.QueryBatches {
-				t.Errorf("VariantPicks sum = %d, want %d (%v)", picks, want.QueryBatches, got.VariantPicks)
-			}
-
 			// The exposition carries the same numbers under the tenant label.
 			var sb strings.Builder
 			if err := m.WriteText(&sb); err != nil {

@@ -56,15 +56,9 @@ func WithFind(f FindStrategy) Option {
 	return optionFunc(func(c *config) { c.find = f })
 }
 
-// WithAdaptiveFind selects the adaptive compaction policy — shorthand for
-// WithFind(FindAuto). The structure's execution layer tracks per-batch
-// observables (find steps per find, parent-pointer rewrites, merge ratio)
-// in a flatness estimator and downgrades query batches (SameSetAll) to
-// cheaper find variants — two-try → one-try → naive — while the forest is
-// flat, restoring compacting variants once mutation batches churn it.
-// Honored uniformly by every batch path and any Stream over the structure;
-// partitions and answers are identical to fixed variants in every mode
-// (the find variant never changes which unites merge).
+// WithAdaptiveFind is WithFind(FindAuto), a compatibility spelling of
+// WithFind(TwoTrySplitting) kept for callers of the retired adaptive
+// policy.
 func WithAdaptiveFind() Option {
 	return optionFunc(func(c *config) { c.find = FindAuto })
 }

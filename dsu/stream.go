@@ -24,7 +24,7 @@ type streamConfig struct {
 	inflight int
 	ctx      context.Context
 	onBatch  func(BatchResult)
-	defaults []BatchOption
+	batch    []BatchOption
 }
 
 // StreamOption configures NewStream.
@@ -74,11 +74,9 @@ func WithOnBatch(fn func(BatchResult)) StreamOption {
 }
 
 // WithBatchOptions sets the BatchOptions applied to every batch the
-// stream dispatches — worker count, grain. A Flush call may
-// override them per batch: its options apply after these, so they win
-// field by field.
+// stream dispatches — worker count, grain.
 func WithBatchOptions(opts ...BatchOption) StreamOption {
-	return streamOptionFunc(func(c *streamConfig) { c.defaults = opts })
+	return streamOptionFunc(func(c *streamConfig) { c.batch = opts })
 }
 
 // Stream is the asynchronous ingestion front over a DSU: Push accumulates
@@ -95,8 +93,7 @@ func WithBatchOptions(opts ...BatchOption) StreamOption {
 // outside the stream while the stream is open if batch/blocking
 // equivalence is to hold.
 type Stream struct {
-	p        *pipeline.Pipeline
-	defaults []BatchOption
+	p *pipeline.Pipeline
 
 	batches atomic.Uint64
 	edges   atomic.Int64
@@ -107,9 +104,7 @@ type Stream struct {
 // NewStream starts a stream ingesting into d. The returned Stream owns a
 // dispatcher goroutine; Close releases it. The stream's batches drive the
 // structure's own execution seam — the same funnel blocking UniteAll
-// calls use — so per-batch options resolve identically and, under
-// WithAdaptiveFind, streamed batches train the same flatness estimator
-// blocking batches do.
+// calls use — so batch options resolve identically.
 //
 //	d := dsu.New(n)
 //	s := dsu.NewStream(d,
@@ -131,14 +126,11 @@ func (u *Universe) NewStream(opts ...StreamOption) *Stream {
 	for _, o := range opts {
 		o.applyStream(&cfg)
 	}
-	s := &Stream{defaults: cfg.defaults}
+	s := &Stream{}
 	x := u.b.x
-	run := func(edges []exec.Edge, o any, tr *tracespan.Trace) pipeline.Result {
-		bopts := s.defaults
-		if extra, ok := o.([]BatchOption); ok && len(extra) > 0 {
-			bopts = append(append([]BatchOption{}, s.defaults...), extra...)
-		}
-		bcfg := batchConfig(x.Seed(), bopts)
+	base := batchConfig(x.Seed(), cfg.batch)
+	run := func(edges []exec.Edge, tr *tracespan.Trace) pipeline.Result {
+		bcfg := base
 		bcfg.Trace = tr
 		res := x.UniteAll(edges, bcfg)
 		// Lift a durability refusal into the pipeline's error slot (the
@@ -186,10 +178,7 @@ func (s *Stream) PushLinked(link TraceContext, edges ...Edge) error {
 	return s.p.PushLinked(link, edges...)
 }
 
-// Flush seals the current buffer even below the threshold. Options, if
-// given, override the stream's WithBatchOptions defaults for this batch
-// only (applied after them, so they win field by field) — per-batch
-// worker counts or grains without rebuilding the stream. Flushing an
+// Flush seals the current buffer even below the threshold. Flushing an
 // empty buffer is a no-op.
 //
 // Once the stream context (WithStreamContext) is cancelled, Flush fails
@@ -198,12 +187,7 @@ func (s *Stream) PushLinked(link TraceContext, edges ...Edge) error {
 // learns at the call site that the stream is dead rather than from a
 // silently dropped batch. Close reports the same error after abandoning
 // whatever remained.
-func (s *Stream) Flush(opts ...BatchOption) error {
-	if len(opts) == 0 {
-		return s.p.Flush(nil)
-	}
-	return s.p.Flush(opts)
-}
+func (s *Stream) Flush() error { return s.p.Flush() }
 
 // BufferSize returns the resolved seal threshold.
 func (s *Stream) BufferSize() int { return s.p.BufferSize() }

@@ -95,7 +95,8 @@ func TestStreamMatchesBlocking(t *testing.T) {
 
 // TestStreamCallbackOrdering pins the delivery contract at the dsu layer:
 // ids dense and ascending, one callback per sealed batch, totals matching,
-// and Close draining everything before it returns.
+// every batch run under the stream's WithBatchOptions, and Close draining
+// everything before it returns.
 func TestStreamCallbackOrdering(t *testing.T) {
 	const n = 1000
 	edges := engine.FromOps(workload.RandomUnions(n, 4*n, 77))
@@ -103,6 +104,7 @@ func TestStreamCallbackOrdering(t *testing.T) {
 	d := dsu.New(n)
 	s := dsu.NewStream(d,
 		dsu.WithBufferSize(300),
+		dsu.WithBatchOptions(dsu.WithWorkers(2), dsu.WithGrain(64)),
 		dsu.WithOnBatch(func(r dsu.BatchResult) { results = append(results, r) }))
 	for _, e := range edges {
 		if err := s.Push(e); err != nil {
@@ -124,6 +126,9 @@ func TestStreamCallbackOrdering(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("batch %d: %v", r.ID, r.Err)
 		}
+		if r.Workers != 2 || r.Grain != 64 {
+			t.Errorf("batch %d ran %d workers at grain %d, want the stream's 2 at 64", r.ID, r.Workers, r.Grain)
+		}
 		total += int64(r.Edges)
 		merged += r.Merged
 	}
@@ -136,45 +141,6 @@ func TestStreamCallbackOrdering(t *testing.T) {
 	}
 	if err := s.Push(dsu.Edge{X: 1, Y: 2}); !errors.Is(err, dsu.ErrStreamClosed) {
 		t.Errorf("Push after Close = %v, want ErrStreamClosed", err)
-	}
-}
-
-// TestStreamPerBatchOverrides checks Flush's option overrides reach
-// exactly one batch: a batch flushed with WithWorkers(2) and WithGrain(64)
-// runs on that pool and grain, while the next batch, under the stream's
-// one-worker defaults, runs on the caller.
-func TestStreamPerBatchOverrides(t *testing.T) {
-	const n = 500
-	var results []dsu.BatchResult
-	s := dsu.NewStream(dsu.New(n),
-		dsu.WithBufferSize(1<<20), // only explicit flushes seal
-		dsu.WithBatchOptions(dsu.WithWorkers(1)),
-		dsu.WithOnBatch(func(r dsu.BatchResult) { results = append(results, r) }))
-
-	edges := engine.FromOps(workload.RandomUnions(n, 1000, 13))
-	if err := s.Push(edges...); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(dsu.WithWorkers(2), dsu.WithGrain(64)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Push(edges...); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil { // stream defaults: one worker
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("batches = %d, want 2", len(results))
-	}
-	if r := results[0]; r.Workers != 2 || r.Grain != 64 {
-		t.Errorf("overridden batch ran %d workers at grain %d, want 2 at 64", r.Workers, r.Grain)
-	}
-	if r := results[1]; r.Workers != 1 || r.Grain == 64 {
-		t.Errorf("default batch ran %d workers at grain %d, want 1 at the default (override must not stick)", r.Workers, r.Grain)
 	}
 }
 

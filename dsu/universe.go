@@ -16,14 +16,13 @@ import (
 )
 
 // A Universe is the tenant-scoped view of one disjoint-set structure: a
-// name, a *DSU (fixed or adaptive, as the construction options selected),
-// and the request/response surface remote and in-process callers share.
-// The DTO methods (UniteAll, SameSetAll) take plain-data requests,
-// validate them against the universe — element range, per-batch find
-// overrides — and answer with a BatchReply carrying the execution layer's
-// full accounting; the wire protocol (internal/wire) carries exactly
-// these types, so a batch means the same thing whether it arrived over a
-// socket or from the goroutine next door.
+// name, a *DSU, and the request/response surface remote and in-process
+// callers share. The DTO methods (UniteAll, SameSetAll) take plain-data
+// requests, validate them against the universe — element range, per-batch
+// find overrides — and answer with a BatchReply carrying the execution
+// layer's full accounting; the wire protocol (internal/wire) carries
+// exactly these types, so a batch means the same thing whether it arrived
+// over a socket or from the goroutine next door.
 // The package's own batch veneers (DSU.UniteAll and friends, Stream) route
 // through this layer too, which is what keeps the two worlds identical.
 //
@@ -59,10 +58,6 @@ func (u *Universe) Name() string { return u.name }
 
 // Backend returns the wrapped structure.
 func (u *Universe) Backend() *DSU { return u.b }
-
-// Adaptive reports whether the universe runs the adaptive compaction
-// policy (WithAdaptiveFind).
-func (u *Universe) Adaptive() bool { return u.b.x.Adaptive() }
 
 // N returns the number of elements.
 func (u *Universe) N() int { return u.b.N() }
@@ -100,10 +95,10 @@ type BatchOptions struct {
 	// default (1024).
 	Grain int
 	// Find, when non-zero, overrides the structure's find variant for this
-	// batch. FindAuto is a structure-level policy, not a per-batch value,
-	// and is rejected; Halving and Compression are rejected on structures
-	// built WithEarlyTermination (the combination is undefined, exactly as
-	// in New).
+	// batch. FindAuto names a structure configuration, not a per-batch
+	// value, and is rejected; Halving and Compression are rejected on
+	// structures built WithEarlyTermination (the combination is undefined,
+	// exactly as in New).
 	Find FindStrategy
 }
 
@@ -170,7 +165,7 @@ type BatchReply struct {
 
 // findStrategyOf maps a resolved core variant back to the public
 // vocabulary (the reverse of coreFind; FindAuto never appears — replies
-// report the variant a batch actually ran).
+// report the variant a batch ran).
 func findStrategyOf(f core.Find) FindStrategy {
 	switch f {
 	case core.FindNaive:
@@ -217,9 +212,9 @@ func (u *Universe) resolve(o BatchOptions) (exec.Config, error) {
 	cfg := exec.Config{Workers: o.Workers, Grain: o.Grain, Seed: u.b.x.Seed()}
 	switch o.Find {
 	case 0:
-		// Structure default (or the adaptive policy's pick, on query batches).
+		// The structure's configured variant.
 	case FindAuto:
-		return cfg, errors.New("dsu: FindAuto is a structure-level policy (WithAdaptiveFind), not a per-batch override")
+		return cfg, errors.New("dsu: FindAuto names a structure configuration (WithAdaptiveFind), not a per-batch override")
 	case NoCompaction, OneTrySplitting, TwoTrySplitting:
 		cfg.Find = coreFind(o.Find)
 	case Halving, Compression:
@@ -265,17 +260,16 @@ func ReplyOf(r BatchResult) BatchReply { return replyOf(nil, r.Result) }
 // validated (element range, find override) and then driven through the
 // structure's execution seam — the same funnel DSU.UniteAll and every
 // Stream batch use, so remote and in-process batches are
-// indistinguishable to the structure and to the adaptive policy. The
-// reply's Merged is the exact sequential merge count.
+// indistinguishable to the structure. The reply's Merged is the exact
+// sequential merge count.
 func (u *Universe) UniteAll(req UniteRequest) (BatchReply, error) {
 	return u.UniteAllTraced(req, nil)
 }
 
 // SameSetAll answers the request's pairs into the reply's Answers slice
 // (Answers[i] answers Pairs[i]) — the query entry point of the tenant API,
-// validated and funneled exactly as UniteAll. Under WithAdaptiveFind this
-// is the path the adaptive policy may downgrade; the reply's Find reports
-// the variant that actually ran.
+// validated and funneled exactly as UniteAll. The reply's Find reports
+// the variant the batch ran.
 func (u *Universe) SameSetAll(req QueryRequest) (BatchReply, error) {
 	return u.SameSetAllTraced(req, nil)
 }
@@ -283,8 +277,9 @@ func (u *Universe) SameSetAll(req QueryRequest) (BatchReply, error) {
 // ParseFindStrategy maps a wire- or flag-friendly name to its
 // FindStrategy, case-insensitively: "naive" (or "nocompaction"), "onetry",
 // "twotry", "halving", "compress" (or "compression"), and "auto" (or
-// "adaptive") for the adaptive policy. The empty string and "default"
-// return 0 — the caller's default. Each strategy's String() round-trips.
+// "adaptive") for FindAuto, a compatibility name of two-try splitting.
+// The empty string and "default" return 0 — the caller's default. Each
+// strategy's String() round-trips.
 func ParseFindStrategy(s string) (FindStrategy, error) {
 	switch strings.ToLower(s) {
 	case "", "default":
@@ -323,6 +318,9 @@ func ParseKind(s string) (Kind, error) {
 		return 0, fmt.Errorf("dsu: unknown structure kind %q", s)
 	}
 }
+
+// ErrExists is returned by Registry.Create when the name is taken.
+var ErrExists = errors.New("dsu: universe already exists")
 
 // Registry is the tenant directory: it creates and looks up named
 // universes, each wrapping its own independent structure. All methods are
@@ -399,7 +397,7 @@ func (r *Registry) Create(name string, n int, opts ...Option) (*Universe, error)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.m[name]; ok {
-		return nil, fmt.Errorf("dsu: universe %q already exists", name)
+		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	u := &Universe{name: name, b: New(n, opts...)}
 	if r.dur != nil {

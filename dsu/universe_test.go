@@ -23,8 +23,9 @@ func TestRegistryLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flat.Adaptive() || !lf.Adaptive() {
-		t.Errorf("adaptive: alpha %v, beta %v; want false, true", flat.Adaptive(), lf.Adaptive())
+	// WithAdaptiveFind is a compatibility spelling of two-try splitting.
+	if rep, err := lf.SameSetAll(dsu.QueryRequest{Pairs: []dsu.Edge{{X: 1, Y: 2}}}); err != nil || rep.Find != dsu.TwoTrySplitting {
+		t.Errorf("beta query reply find = %v, %v; want twotry", rep.Find, err)
 	}
 	// The lock-free kind name builds the one structure, so it takes every
 	// configuration New takes.
@@ -47,9 +48,11 @@ func TestRegistryLifecycle(t *testing.T) {
 	if u, ok := reg.Get("alpha"); !ok || u != flat {
 		t.Errorf("Get(alpha) = %v, %v", u, ok)
 	}
+	if _, err := reg.Create("alpha", 10); !errors.Is(err, dsu.ErrExists) {
+		t.Errorf("duplicate Create = %v, want ErrExists", err)
+	}
 
 	for name, build := range map[string]func() error{
-		"duplicate":   func() error { _, err := reg.Create("alpha", 10); return err },
 		"empty name":  func() error { _, err := reg.Create("", 10); return err },
 		"negative n":  func() error { _, err := reg.Create("bad", -1); return err },
 		"bad variant": func() error { _, err := reg.Create("bad", 10, dsu.WithFind(dsu.FindStrategy(42))); return err },

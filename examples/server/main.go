@@ -1,10 +1,10 @@
-// Example server: a remote client of cmd/dsuserve that proves the wire
-// path end to end. It creates three isolated tenants — "alpha" with the
-// defaults, "beta" with the adaptive compaction policy, "gamma" under the
-// older "lockfree" kind name, which builds the same structure — ingests a
-// random edge batch into alpha over a streaming connection (per-batch
-// replies), into beta over batch RPC (one /unite exchange per 8K-edge
-// frame), and into gamma over a pipelined connection (every reply
+// Example server: a remote client of cmd/dsuserve that proves the wire path
+// end to end. It creates three isolated tenants — "alpha" with the
+// defaults, "beta" under the older find name "auto" and "gamma" under the
+// older "lockfree" kind name, both of which build alpha's structure —
+// ingests a random edge batch into alpha over a streaming connection
+// (per-batch replies), into beta over batch RPC (one /unite exchange per
+// 8K-edge frame), and into gamma over a pipelined connection (every reply
 // checked), all in the binary framing, queries all three remotely, and
 // validates every answer and every final partition against in-process
 // oracles built from the same edges. Run it against a live server:
@@ -77,7 +77,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("create %s: %v", spec.Name, err)
 		}
-		log.Printf("tenant %-5s  adaptive=%-5v n=%d", info.Name, info.Adaptive, info.N)
+		log.Printf("tenant %-5s  n=%d", info.Name, info.N)
 	}
 
 	// Alpha: streaming ingest, watching per-batch replies arrive as the
@@ -130,7 +130,7 @@ func main() {
 	// Oracles: the same edges through the in-process API.
 	alphaOracle := dsu.New(*n)
 	alphaOracle.UniteAll(alphaEdges)
-	betaOracle := dsu.New(*n, dsu.WithAdaptiveFind())
+	betaOracle := dsu.New(*n)
 	betaOracle.UniteAll(betaEdges)
 
 	fail := 0
@@ -217,6 +217,7 @@ func main() {
 			log.Fatalf("%s query: %v", tc.name, err)
 		}
 		check(tc.name, reflect.DeepEqual(rep.Answers, tc.oracle.SameSetAll(pairs)), "remote answers differ from in-process oracle")
+		check(tc.name, rep.Find == dsu.TwoTrySplitting, fmt.Sprintf("remote query ran %v finds, want twotry", rep.Find))
 
 		labels, err := c.Labels(ctx, tc.name)
 		if err != nil {

@@ -10,13 +10,8 @@
 //
 // The final partition is validated against an exact sequential BFS.
 //
-// -adaptive turns on the adaptive compaction policy (dsu.WithAdaptiveFind):
-// the stream's batches train the flatness estimator, and any query batches
-// issued against the backend downgrade their find variant while the forest
-// is flat. The partition is identical either way.
-//
 //	go run ./examples/streaming [-n 1000000] [-m 4000000] [-buffer 65536] \
-//	    [-inflight 1] [-workers 0] [-adaptive] [-chunk 8192]
+//	    [-inflight 1] [-workers 0] [-chunk 8192]
 package main
 
 import (
@@ -37,7 +32,6 @@ func main() {
 		buffer   = flag.Int("buffer", 1<<16, "edges per sealed batch (stream buffer size)")
 		inflight = flag.Int("inflight", 1, "bounded in-flight batches (1 = double buffering)")
 		workers  = flag.Int("workers", 0, "pool size per batch (0 = GOMAXPROCS)")
-		adaptive = flag.Bool("adaptive", false, "adaptive find-variant policy (dsu.WithAdaptiveFind)")
 		chunk    = flag.Int("chunk", 8192, "arrival granularity (edges per Push)")
 	)
 	flag.Parse()
@@ -53,14 +47,8 @@ func main() {
 	if pool <= 0 {
 		pool = runtime.GOMAXPROCS(0)
 	}
-	structOpts := []dsu.Option{dsu.WithSeed(1)}
-	mode := "two-try splitting"
-	if *adaptive {
-		structOpts = append(structOpts, dsu.WithAdaptiveFind())
-		mode = "adaptive (auto)"
-	}
-	d := dsu.New(*n, structOpts...)
-	fmt.Printf("backend: flat DSU, %s finds\n", mode)
+	d := dsu.New(*n, dsu.WithSeed(1))
+	fmt.Println("backend: flat DSU, two-try splitting finds")
 
 	fmt.Printf("streaming in %d-edge arrivals, %d-edge buffers, %d in flight, %d workers...\n",
 		*chunk, *buffer, *inflight, pool)
@@ -118,12 +106,7 @@ func main() {
 	fmt.Println("OK: streamed components match the exact reference.")
 
 	// Query phase: answer the whole stream again as connectivity queries,
-	// in a few SameSetAll batches. This is the phase the adaptive policy
-	// (-adaptive) downgrades — the stream's batches trained the flatness
-	// estimator, the forest is flat now, and with WithAdaptiveFind the
-	// batches below run cheaper find variants (naive CASes nothing: watch
-	// the CAS column drop to zero). Answers are validated against the BFS
-	// labels either way.
+	// in a few SameSetAll batches, validated against the BFS labels.
 	const queryBatches = 4
 	queries := make([]dsu.Edge, len(stream))
 	for i, e := range stream {
@@ -142,8 +125,8 @@ func main() {
 		}
 	}
 	qelapsed := time.Since(qstart)
-	fmt.Printf("query phase (%s finds): %d queries in %v (%.2f Mq/s, %d CAS attempts)\n",
-		mode, queryBatches*len(stream), qelapsed.Round(time.Millisecond),
+	fmt.Printf("query phase: %d queries in %v (%.2f Mq/s, %d CAS attempts)\n",
+		queryBatches*len(stream), qelapsed.Round(time.Millisecond),
 		float64(queryBatches*len(stream))/qelapsed.Seconds()/1e6, qstats.CASAttempts)
 	fmt.Println("OK: query answers match the exact reference.")
 }

@@ -1,10 +1,10 @@
 // Package bench is the experiment harness: one runner per experiment in
-// DESIGN.md's per-experiment index (E1–E25; E19 is retired), each
-// regenerating the table/check that validates one of the paper's theorems
-// or constructions (E18 measures the batch engine, E20 the streaming
-// ingestion front, E21 the adaptive compaction policy, E22 the wire
-// protocol, E23 the concurrent core, E24 the zero-allocation wire fast
-// path, and E25 durable tenants — the repo's systems extensions).
+// DESIGN.md's per-experiment index (E1–E25; E19 and E21 are retired),
+// each regenerating the table/check that validates one of the paper's
+// theorems or constructions (E18 measures the batch engine, E20 the
+// streaming ingestion front, E22 the wire protocol, E23 the concurrent
+// core, E24 the zero-allocation wire fast path, and E25 durable tenants —
+// the repo's systems extensions).
 // The harness is shared by cmd/dsubench (which writes the tables behind
 // EXPERIMENTS.md) and the root-level Go benchmarks.
 //
@@ -101,7 +101,6 @@ func All() []Experiment {
 		{"E17", "Section 5 potential properties along executions", "Section 5 properties (i)–(vi)", runE17},
 		{"E18", "Batch engine throughput and speedup", "systems extension; Fedorov et al. 2023, Alistarh et al. 2019", runE18},
 		{"E20", "Stream vs blocking-batch ingestion", "systems extension; ROADMAP async-pipelines item, Alistarh et al. 2019", runE20},
-		{"E21", "Adaptive vs fixed find variants across mutate/query phases", "systems extension; ROADMAP batch-aware compaction item, Alistarh et al. 2019", runE21},
 		{"E22", "Wire-protocol throughput: remote vs in-process batches", "systems extension; ROADMAP wire-measurement item", runE22},
 		{"E23", "Concurrent core: batch, point-op and overlap scaling", "Jayanti–Tarjan Section 3; systems extension, ROADMAP one-concurrent-core item", runE23},
 		{"E24", "Wire fast path: pipelined pooled codecs vs per-RPC exchanges", "systems extension; E22 follow-up, ROADMAP wire-measurement item", runE24},
@@ -110,7 +109,7 @@ func All() []Experiment {
 }
 
 // aliases maps friendly experiment names to IDs, for the CLI.
-var aliases = map[string]string{"batch": "E18", "stream": "E20", "adapt": "E21", "wire": "E22", "lockfree": "E23", "fastpath": "E24", "wal": "E25", "durable": "E25"}
+var aliases = map[string]string{"batch": "E18", "stream": "E20", "wire": "E22", "lockfree": "E23", "fastpath": "E24", "wal": "E25", "durable": "E25"}
 
 // ByID returns the experiment with the given ID or alias, matched
 // case-insensitively so `-exp e20` and `-exp E20` name the same table.

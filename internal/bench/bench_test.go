@@ -8,8 +8,8 @@ import (
 
 func TestAllExperimentsRegistered(t *testing.T) {
 	all := All()
-	if len(all) != 24 {
-		t.Fatalf("registered %d experiments, want 24 (E1–E25, E19 retired)", len(all))
+	if len(all) != 23 {
+		t.Fatalf("registered %d experiments, want 23 (E1–E25, E19 and E21 retired)", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
@@ -36,9 +36,6 @@ func TestByID(t *testing.T) {
 	if e, ok := ByID("stream"); !ok || e.ID != "E20" {
 		t.Fatal("ByID(stream) should alias E20")
 	}
-	if e, ok := ByID("adapt"); !ok || e.ID != "E21" {
-		t.Fatal("ByID(adapt) should alias E21")
-	}
 	if e, ok := ByID("wire"); !ok || e.ID != "E22" {
 		t.Fatal("ByID(wire) should alias E22")
 	}
@@ -53,8 +50,9 @@ func TestByID(t *testing.T) {
 			t.Fatalf("ByID(%q) should resolve case-insensitively to E20", id)
 		}
 	}
-	// E19 (sharded vs flat) is retired, and its alias with it.
-	for _, id := range []string{"E19", "shard"} {
+	// E19 (sharded vs flat) and E21 (adaptive vs fixed finds) are
+	// retired, and their aliases with them.
+	for _, id := range []string{"E19", "shard", "E21", "adapt"} {
 		if _, ok := ByID(id); ok {
 			t.Fatalf("ByID(%q) should not exist", id)
 		}

@@ -138,9 +138,9 @@ type DSU struct {
 	cfg    Config
 	// views holds the find-variant views over this forest, indexed by
 	// Find and shared by every view. New builds them once, so WithFind is
-	// a lookup: the adaptive executor resolves one on every downgraded
-	// query batch. Variants the early-termination setting does not define
-	// are nil.
+	// a lookup: the executor resolves one for every batch that overrides
+	// its find variant. Variants the early-termination setting does not
+	// define are nil.
 	views *[FindCompress + 1]*DSU
 }
 
@@ -548,8 +548,7 @@ func (d *DSU) uniteEarly(x, y uint32, st *Stats) bool {
 // every other view. Switching variants between operations is safe — every
 // variant preserves the Lemma 3.1 invariant that a parent swing moves the
 // pointer to a union-forest ancestor, on the same forest — which is what
-// the adaptive batch policy exploits to downgrade query-phase compaction.
-// The views are built once, in New, so the call allocates nothing. It
+// per-batch find overrides rely on. The views are built once, in New, so the call allocates nothing. It
 // panics on an unknown variant or one the structure's early-termination
 // setting does not support, exactly as New would.
 func (d *DSU) WithFind(f Find) *DSU {

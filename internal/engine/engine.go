@@ -95,8 +95,7 @@ type Config struct {
 	// through a variant view over the same forest (core.DSU.WithFind),
 	// which is safe between and during batches because every variant
 	// maintains the same structural invariants. Zero keeps the configured
-	// variant. The adaptive Executor sets this on query batches; the
-	// engine's free functions ignore it (a Target is opaque).
+	// variant. The engine's free functions ignore it (a Target is opaque).
 	Find core.Find
 	// Trace, when non-nil, is the batch's span tree: the Executor records
 	// an execute span around the run, synthesizes per-worker sub-spans
@@ -124,10 +123,8 @@ type Result struct {
 	Workers int
 	// Grain is the resolved claim granularity (set exactly when Workers is).
 	Grain int
-	// Find is the variant the batch actually ran with, as the Executor
-	// resolved it from Config.Find and the structure's configuration. The
-	// adaptive executor's downgrades are observable here (E21 prints
-	// them).
+	// Find is the variant the batch ran with, as the Executor resolved it
+	// from Config.Find and the structure's configuration.
 	Find core.Find
 	// Merged counts Unites that performed a merge: exactly the sequential
 	// pass's count for any schedule, and, across batches that overlap on

@@ -35,7 +35,7 @@ func TestUnifiedResultType(t *testing.T) {
 // to it exactly.
 func TestResultStatsAggregation(t *testing.T) {
 	const n = 1024
-	x := exec.NewExecutor(core.New(n, core.Config{Seed: 13}), false)
+	x := exec.NewExecutor(core.New(n, core.Config{Seed: 13}))
 	edges := engine.FromOps(workload.RandomUnions(n, 4*n, 17))
 	tr := tracespan.New(tracespan.Config{}).Start("unite", tracespan.SourceBlocking)
 	res := x.UniteAll(edges, exec.Config{Workers: 2, Grain: 64, Seed: 3, Trace: tr})

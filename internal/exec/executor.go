@@ -13,12 +13,10 @@ import (
 // UniteAll/SameSetAll calls and the stream dispatcher all drive the same
 // Executor, so per-batch policy lives here exactly once. It runs each
 // batch through the engine's worker pool against its core.DSU, resolving
-// Config.Find into a variant view of the same forest (core.DSU.WithFind,
-// a lookup of views built with the structure, so a downgrade allocates
-// nothing). In fixed mode (est == nil) Config.Find comes from the caller
-// alone; in adaptive mode the executor trains the flatness Estimator on
-// every batch and downgrades query batches to cheaper find variants while
-// the forest is flat.
+// a per-batch Config.Find override into a variant view of the same forest
+// (core.DSU.WithFind, a lookup of views built with the structure, so an
+// override allocates nothing); without one a batch runs the structure's
+// configured variant.
 //
 // The executor is also where durability and the applied-batch sequence
 // live: with a WAL attached (AttachWAL), every mutation batch is
@@ -26,8 +24,7 @@ import (
 // the structure, so a batch whose result any caller has seen is a batch
 // the log can replay. Queries never touch the log.
 type Executor struct {
-	d   *core.DSU
-	est *Estimator
+	d *core.DSU
 	// ins is the attached metrics bundle (nil until Instrument): because
 	// every batch path funnels through this type, feeding it here is what
 	// instruments blocking calls, stream batches, and remote RPCs at once.
@@ -64,16 +61,8 @@ type walHook struct {
 	checkpoint func()
 }
 
-// NewExecutor drives batches against d. With adaptive set, query batches
-// pick their find variant from the flatness estimate; without it the
-// executor never touches Config.Find.
-func NewExecutor(d *core.DSU, adaptive bool) *Executor {
-	e := &Executor{d: d}
-	if adaptive {
-		e.est = &Estimator{}
-	}
-	return e
-}
+// NewExecutor drives batches against d.
+func NewExecutor(d *core.DSU) *Executor { return &Executor{d: d} }
 
 // Seed returns the structure seed, the default scheduling seed for its
 // batches: a structure built for reproducibility schedules reproducibly
@@ -87,13 +76,6 @@ func (e *Executor) target(v core.Find) *core.DSU {
 	}
 	return e.d.WithFind(v)
 }
-
-// Adaptive reports whether the adaptive compaction policy is active.
-func (e *Executor) Adaptive() bool { return e.est != nil }
-
-// Estimator returns the flatness estimator, nil in fixed mode. Exposed for
-// experiments and tests; ordinary callers never need it.
-func (e *Executor) Estimator() *Estimator { return e.est }
 
 // AttachWAL arranges for every subsequent mutation batch to be appended
 // to w before it is applied. checkpoint (optional) is invoked after a
@@ -151,10 +133,7 @@ func (e *Executor) publishSeq() {
 	}
 }
 
-// UniteAll drives a mutation batch. Mutation batches always run the
-// structure's configured variant (unless the caller overrode Config.Find
-// explicitly): compacting variants are what flatten the forest, and the
-// estimator learns how much this batch churned it.
+// UniteAll drives a mutation batch.
 //
 // With a WAL attached the batch is logged first and applied second, and
 // a failed append fails the batch (Result.Err) without applying it —
@@ -188,8 +167,7 @@ func (e *Executor) UniteAll(edges []Edge, cfg Config) Result {
 	return res
 }
 
-// execUnite is the pre-durability mutation path: run, trace, train,
-// observe.
+// execUnite is the pre-durability mutation path: run, trace, observe.
 func (e *Executor) execUnite(edges []Edge, cfg Config) Result {
 	t := e.target(cfg.Find)
 	ex := cfg.Trace.Start(tracespan.StageExecute, tracespan.Root)
@@ -197,32 +175,20 @@ func (e *Executor) execUnite(edges []Edge, cfg Config) Result {
 	cfg.Trace.End(ex)
 	res.Find = t.Config().Find
 	traceExecute(cfg.Trace, ex, len(edges), &res)
-	if e.est != nil && len(edges) > 0 {
-		e.est.ObserveMutate(res.Find, res.Stats(), len(edges), res.Merged)
-	}
 	if m := e.ins.Load(); m != nil {
 		m.observeUnite(len(edges), &res)
 	}
 	return res
 }
 
-// SameSetAll drives a query batch. In adaptive mode, with no explicit
-// Config.Find override, the variant comes from the flatness estimate —
-// two-try → one-try → naive as the forest flattens — and the batch's own
-// observables train the next pick.
+// SameSetAll drives a query batch.
 func (e *Executor) SameSetAll(pairs []Edge, cfg Config) ([]bool, Result) {
-	if e.est != nil && cfg.Find == 0 {
-		cfg.Find = e.est.Pick(e.d.Config().Find)
-	}
 	t := e.target(cfg.Find)
 	ex := cfg.Trace.Start(tracespan.StageExecute, tracespan.Root)
 	out, res := engine.SameSetAll(t, pairs, cfg)
 	cfg.Trace.End(ex)
 	res.Find = t.Config().Find
 	traceExecute(cfg.Trace, ex, len(pairs), &res)
-	if e.est != nil && len(pairs) > 0 {
-		e.est.ObserveQuery(res.Find, res.Stats())
-	}
 	if m := e.ins.Load(); m != nil {
 		m.observeQuery(len(pairs), &res)
 	}

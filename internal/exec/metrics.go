@@ -52,11 +52,6 @@ type Instruments struct {
 	// CASRetries counts root-link CAS retries (Result.CASRetries) — the
 	// structure's contention metric, live.
 	CASRetries *metrics.Counter
-	// Picks counts query batches by the find variant that actually ran,
-	// indexed by core.Find — the adaptive policy's downgrade decisions,
-	// live (fixed-mode tenants see all counts on the configured variant).
-	// Index 0 absorbs an unset variant.
-	Picks [core.FindCompress + 1]*metrics.Counter
 	// Seq tracks the applied-batch sequence (Executor.Seq): the durable
 	// log position when persistence is on, a plain batch count otherwise.
 	// A gauge, not a counter — recovery primes it to the recovered
@@ -75,11 +70,6 @@ func (m *Instruments) observeUnite(n int, res *Result) {
 func (m *Instruments) observeQuery(n int, res *Result) {
 	m.Query.observe(n, res.Stats(), res)
 	m.CASRetries.Add(res.CASRetries)
-	f := res.Find
-	if f < 0 || int(f) >= len(m.Picks) {
-		f = 0
-	}
-	m.Picks[f].Inc()
 }
 
 // Instrument attaches the bundle; subsequent batches feed it. It may be

@@ -80,14 +80,11 @@ type Result struct {
 	Trace *tracespan.Trace
 }
 
-// Exec runs one sealed batch against the backing structure and reports
-// what it did. opts is the opaque per-batch override payload a caller
-// passed to Flush (nil for size-triggered seals); the dsu layer threads
-// its batch options through it. tr is the batch's trace (nil untraced);
-// the dsu layer threads it into exec.Config so the executor's spans land
-// in it. Exec runs on the dispatcher goroutine; panics are recovered
-// into Result.Err.
-type Exec func(edges []exec.Edge, opts any, tr *tracespan.Trace) Result
+// Exec runs one sealed batch against the backing structure and reports what
+// it did. tr is the batch's trace (nil untraced); the dsu layer threads it
+// into exec.Config so the executor's spans land in it. Exec runs on the
+// dispatcher goroutine; panics are recovered into Result.Err.
+type Exec func(edges []exec.Edge, tr *tracespan.Trace) Result
 
 // Config tunes one Pipeline.
 type Config struct {
@@ -151,7 +148,6 @@ type Gauges struct {
 type sealed struct {
 	id    uint64
 	edges []exec.Edge
-	opts  any
 	tr    *tracespan.Trace  // the batch's trace (nil untraced)
 	qw    tracespan.SpanRef // its open queue-wait span
 }
@@ -261,17 +257,15 @@ func (p *Pipeline) PushLinked(link tracespan.Context, edges ...exec.Edge) error 
 		p.buf = append(p.buf, edges[:take]...)
 		edges = edges[take:]
 		if len(p.buf) >= p.size {
-			p.sealLocked(nil)
+			p.sealLocked()
 		}
 	}
 	return nil
 }
 
-// Flush seals the active buffer even below the threshold, passing opts as
-// the batch's per-batch override payload (nil uses the stream defaults).
-// Flushing an empty buffer is a no-op: no batch, no callback. Flush
-// blocks under the same backpressure as Push and returns ErrClosed after
-// Close.
+// Flush seals the active buffer even below the threshold. Flushing an empty
+// buffer is a no-op: no batch, no callback. Flush blocks under the same
+// backpressure as Push and returns ErrClosed after Close.
 //
 // Once the Config.Context is cancelled, Flush fails fast with the
 // context's error instead of sealing a batch that the dispatcher would
@@ -281,7 +275,7 @@ func (p *Pipeline) PushLinked(link tracespan.Context, edges ...exec.Edge) error 
 // abandons them (and reports the same error). Push keeps accepting, so
 // producers that don't check per-call errors retain the old drop-at-
 // dispatch behavior.
-func (p *Pipeline) Flush(opts any) error {
+func (p *Pipeline) Flush() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -291,7 +285,7 @@ func (p *Pipeline) Flush(opts any) error {
 		return err
 	}
 	if len(p.buf) > 0 {
-		p.sealLocked(opts)
+		p.sealLocked()
 	}
 	return nil
 }
@@ -303,7 +297,7 @@ func (p *Pipeline) Flush(opts any) error {
 // context cancellation instead of stopping — but a seal from inside the
 // callback blocks against the dispatcher running that callback, which is
 // why Config.Callback forbids re-entrant calls.
-func (p *Pipeline) sealLocked(opts any) {
+func (p *Pipeline) sealLocked() {
 	p.nextID++
 	tr, seal := p.tr, p.seal
 	p.tr, p.seal = nil, 0
@@ -319,7 +313,7 @@ func (p *Pipeline) sealLocked(opts any) {
 	// backpressure send is in flight from the producer's point of view,
 	// which is exactly when the gauge pinned at MaxInFlight matters.
 	p.g.InFlight.Inc()
-	p.batches <- sealed{id: p.nextID, edges: p.buf, opts: opts, tr: tr, qw: qw}
+	p.batches <- sealed{id: p.nextID, edges: p.buf, tr: tr, qw: qw}
 	select {
 	case b := <-p.free:
 		p.buf = b
@@ -341,7 +335,7 @@ func (p *Pipeline) Close() error {
 		p.closed = true
 		p.g.Active.Dec()
 		if len(p.buf) > 0 {
-			p.sealLocked(nil)
+			p.sealLocked()
 		}
 		close(p.batches)
 	}
@@ -400,5 +394,5 @@ func (p *Pipeline) runBatch(b sealed) (res Result) {
 			res = Result{Err: fmt.Errorf("pipeline: batch %d exec panicked: %v", b.id, r)}
 		}
 	}()
-	return p.exec(b.edges, b.opts, b.tr)
+	return p.exec(b.edges, b.tr)
 }

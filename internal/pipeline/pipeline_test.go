@@ -15,7 +15,7 @@ import (
 // countingExec returns an Exec that tallies batches and edges and reports
 // every edge as merged, for callback-contract tests that need no DSU.
 func countingExec(batches, edges *atomic.Int64) Exec {
-	return func(b []exec.Edge, opts any, _ *tracespan.Trace) Result {
+	return func(b []exec.Edge, _ *tracespan.Trace) Result {
 		batches.Add(1)
 		edges.Add(int64(len(b)))
 		return Result{Result: exec.Result{Merged: int64(len(b))}}
@@ -69,44 +69,38 @@ func TestCallbackContract(t *testing.T) {
 	}
 }
 
-// TestFlushAndClosedErrors pins Flush semantics (short batch with the
-// per-batch payload; empty flush is a no-op) and the ErrClosed contract.
+// TestFlushAndClosedErrors pins Flush semantics (a short batch; an empty
+// flush is a no-op) and the ErrClosed contract.
 func TestFlushAndClosedErrors(t *testing.T) {
-	var payloads []any
-	p := New(func(b []exec.Edge, opts any, _ *tracespan.Trace) Result {
-		payloads = append(payloads, opts)
+	var sizes []int
+	p := New(func(b []exec.Edge, _ *tracespan.Trace) Result {
+		sizes = append(sizes, len(b))
 		return Result{}
 	}, Config{BufferSize: 100})
 
-	if err := p.Flush("ignored"); err != nil {
+	if err := p.Flush(); err != nil {
 		t.Fatalf("empty Flush: %v", err)
 	}
 	if err := p.Push(exec.Edge{X: 1, Y: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Flush("batch-opts"); err != nil {
+	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Push(exec.Edge{X: 3, Y: 4}); err != nil {
+	if err := p.Push(exec.Edge{X: 3, Y: 4}, exec.Edge{X: 5, Y: 6}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(payloads) != 2 {
-		t.Fatalf("exec ran %d times, want 2 (empty flush must not seal)", len(payloads))
-	}
-	if payloads[0] != "batch-opts" {
-		t.Errorf("flushed batch payload = %v, want batch-opts", payloads[0])
-	}
-	if payloads[1] != nil {
-		t.Errorf("close-sealed batch payload = %v, want nil", payloads[1])
+	if len(sizes) != 2 || sizes[0] != 1 || sizes[1] != 2 {
+		t.Fatalf("exec ran batches of %v edges, want [1 2] (empty flush must not seal)", sizes)
 	}
 
 	if err := p.Push(exec.Edge{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Push after Close = %v, want ErrClosed", err)
 	}
-	if err := p.Flush(nil); !errors.Is(err, ErrClosed) {
+	if err := p.Flush(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Flush after Close = %v, want ErrClosed", err)
 	}
 	if err := p.Close(); err != nil {
@@ -120,7 +114,7 @@ func TestFlushAndClosedErrors(t *testing.T) {
 func TestBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	var started atomic.Int64
-	p := New(func(b []exec.Edge, opts any, _ *tracespan.Trace) Result {
+	p := New(func(b []exec.Edge, _ *tracespan.Trace) Result {
 		started.Add(1)
 		<-gate
 		return Result{}
@@ -162,7 +156,7 @@ func TestContextAbort(t *testing.T) {
 	var execs atomic.Int64
 	var mu sync.Mutex
 	var got []Result
-	p := New(func(b []exec.Edge, opts any, _ *tracespan.Trace) Result {
+	p := New(func(b []exec.Edge, _ *tracespan.Trace) Result {
 		execs.Add(1)
 		return Result{Result: exec.Result{Merged: 1}}
 	}, Config{BufferSize: 2, Context: ctx, Callback: func(r Result) {
@@ -212,7 +206,7 @@ func TestLateCancelIsNotAnError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var mu sync.Mutex
 	var results []Result
-	p := New(func(b []exec.Edge, opts any, _ *tracespan.Trace) Result {
+	p := New(func(b []exec.Edge, _ *tracespan.Trace) Result {
 		return Result{Result: exec.Result{Merged: int64(len(b))}}
 	}, Config{BufferSize: 2, Context: ctx, Callback: func(r Result) {
 		mu.Lock()
@@ -245,7 +239,7 @@ func TestLateCancelIsNotAnError(t *testing.T) {
 // batch's Err and the pipeline keeps serving later batches.
 func TestExecPanicRecovered(t *testing.T) {
 	var got []Result
-	p := New(func(b []exec.Edge, opts any, _ *tracespan.Trace) Result {
+	p := New(func(b []exec.Edge, _ *tracespan.Trace) Result {
 		if b[0].X == 13 {
 			panic("unlucky batch")
 		}
@@ -279,7 +273,7 @@ func TestExecPanicRecovered(t *testing.T) {
 func TestConcurrentProducers(t *testing.T) {
 	var edges atomic.Int64
 	var cbEdges atomic.Int64
-	p := New(func(b []exec.Edge, opts any, _ *tracespan.Trace) Result {
+	p := New(func(b []exec.Edge, _ *tracespan.Trace) Result {
 		edges.Add(int64(len(b)))
 		return Result{}
 	}, Config{BufferSize: 64, MaxInFlight: 2, Callback: func(r Result) { cbEdges.Add(int64(r.Edges)) }})
@@ -296,7 +290,7 @@ func TestConcurrentProducers(t *testing.T) {
 					return
 				}
 				if i%97 == 0 {
-					if err := p.Flush(nil); err != nil {
+					if err := p.Flush(); err != nil {
 						t.Errorf("producer %d flush: %v", w, err)
 						return
 					}
@@ -320,7 +314,7 @@ func TestConcurrentProducers(t *testing.T) {
 func TestFlushSurfacesCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var execs atomic.Int64
-	p := New(func(b []exec.Edge, opts any, _ *tracespan.Trace) Result {
+	p := New(func(b []exec.Edge, _ *tracespan.Trace) Result {
 		execs.Add(1)
 		return Result{}
 	}, Config{BufferSize: 1 << 20, Context: ctx})
@@ -329,7 +323,7 @@ func TestFlushSurfacesCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel()
-	if err := p.Flush(nil); !errors.Is(err, context.Canceled) {
+	if err := p.Flush(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Flush after cancel = %v, want context.Canceled", err)
 	}
 	if err := p.Close(); !errors.Is(err, context.Canceled) {

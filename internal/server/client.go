@@ -267,7 +267,12 @@ func (c *Client) open(ctx context.Context, cc *clientConn, path string, onReply 
 		return err
 	}
 	req.Header.Set("Content-Type", wire.ContentTypeBinary)
+	// The body ends only when the connection closes, so a peer that reads
+	// it before answering would hold Do past ctx's end: ending the body
+	// with ctx frees it.
+	stop := context.AfterFunc(ctx, func() { pw.CloseWithError(ctx.Err()) })
 	resp, err := c.hc.Do(req)
+	stop()
 	if err == nil && resp.StatusCode != http.StatusOK {
 		err = httpError(resp)
 		resp.Body.Close()

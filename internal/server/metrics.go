@@ -65,7 +65,7 @@ func endpointOf(path string) string {
 		switch action {
 		case "":
 			return "tenant"
-		case "labels", "unite", "query", "stream", "pipe":
+		case "labels", "unite", "query", "stream", "pipe", "checkpoint":
 			return action
 		}
 		return "other"

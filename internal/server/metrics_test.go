@@ -197,6 +197,7 @@ func TestEndpointClassification(t *testing.T) {
 		"/v1/tenants/alpha/query":       "query",
 		"/v1/tenants/alpha/stream":      "stream",
 		"/v1/tenants/alpha/pipe":        "pipe",
+		"/v1/tenants/alpha/checkpoint":  "checkpoint",
 		"/v1/tenants/alpha/whatever":    "other",
 		"/completely/unrelated":         "other",
 		"/v1/tenants/weird.name/query":  "query",

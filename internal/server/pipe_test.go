@@ -5,9 +5,11 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/dsu"
 	"repro/internal/wire"
@@ -215,5 +217,38 @@ func TestRPCReplyStability(t *testing.T) {
 	}
 	if held.Merged != merged || !reflect.DeepEqual(held.Answers, snapshot) {
 		t.Fatal("an RPC reply changed under later traffic — it aliases recycled decode state")
+	}
+}
+
+// TestOpenHonoursContext pins that OpenStream and OpenPipe return once
+// their context ends, even against a peer that reads the whole request
+// body before it answers: a duplex body ends only when the client closes
+// it, so without the context closing it the open would wait forever.
+func TestOpenHonoursContext(t *testing.T) {
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		http.Error(w, "unavailable", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(func() {
+		hs.CloseClientConnections() // frees a handler still reading a body
+		hs.Close()
+	})
+	c := NewClient(hs.URL, WithHTTPClient(hs.Client()))
+	for name, open := range map[string]func(context.Context) error{
+		"stream": func(ctx context.Context) error { _, err := c.OpenStream(ctx, "t", StreamConfig{}); return err },
+		"pipe":   func(ctx context.Context) error { _, err := c.OpenPipe(ctx, "t", PipeConfig{}); return err },
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		done := make(chan error, 1)
+		go func() { done <- open(ctx) }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: open succeeded against a peer that never accepted it", name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: open still blocked 5 s after its 200 ms deadline", name)
+		}
+		cancel()
 	}
 }

@@ -192,7 +192,7 @@ func (s *Server) Stop() { s.stop() }
 // wire-friendly form. Kind names the structure kind per dsu.ParseKind
 // ("flat" or "lockfree"; both build the same structure, and the field
 // stays so that older specs are accepted). Find names a strategy per
-// dsu.ParseFindStrategy ("auto" turns on the adaptive policy); Seed fixes
+// dsu.ParseFindStrategy ("auto" is a compatibility name of "twotry"); Seed fixes
 // the random linking order for reproducible tenants. POST /v1/tenants
 // refuses a body naming any other field.
 type TenantSpec struct {
@@ -234,10 +234,9 @@ func (sp TenantSpec) Options() ([]dsu.Option, error) {
 
 // TenantInfo describes one tenant in list/info responses.
 type TenantInfo struct {
-	Name     string `json:"name"`
-	N        int    `json:"n"`
-	Adaptive bool   `json:"adaptive,omitempty"`
-	Sets     int    `json:"sets"`
+	Name string `json:"name"`
+	N    int    `json:"n"`
+	Sets int    `json:"sets"`
 	// Seq is the tenant's applied-batch sequence number — on a durable
 	// tenant, the durable log position. Operators compare it across
 	// replicas or against a log's dsulog info output.
@@ -249,28 +248,12 @@ type TenantInfo struct {
 
 func infoOf(u *dsu.Universe) TenantInfo {
 	return TenantInfo{
-		Name:     u.Name(),
-		N:        u.N(),
-		Adaptive: u.Adaptive(),
-		Sets:     u.Sets(),
-		Seq:      u.Seq(),
-		Durable:  u.Durable(),
+		Name:    u.Name(),
+		N:       u.N(),
+		Sets:    u.Sets(),
+		Seq:     u.Seq(),
+		Durable: u.Durable(),
 	}
-}
-
-// validName keeps tenant names path- and log-safe.
-func validName(name string) bool {
-	if name == "" || len(name) > 128 {
-		return false
-	}
-	for _, c := range name {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '.':
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -304,7 +287,7 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 	case strings.HasPrefix(path, "/v1/tenants/"):
 		rest := strings.TrimPrefix(path, "/v1/tenants/")
 		name, action, _ := strings.Cut(rest, "/")
-		if !validName(name) {
+		if !dsu.ValidTenantName(name) {
 			refuse(w, "invalid tenant name", http.StatusBadRequest)
 			return
 		}
@@ -387,7 +370,7 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "bad tenant spec: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		if !validName(spec.Name) {
+		if !dsu.ValidTenantName(spec.Name) {
 			http.Error(w, "invalid tenant name", http.StatusBadRequest)
 			return
 		}
@@ -403,7 +386,7 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 		u, err := s.reg.Create(spec.Name, spec.N, opts...)
 		if err != nil {
 			status := http.StatusBadRequest
-			if strings.Contains(err.Error(), "already exists") {
+			if errors.Is(err, dsu.ErrExists) {
 				status = http.StatusConflict
 			}
 			http.Error(w, err.Error(), status)

@@ -78,15 +78,17 @@ func TestTenantAdmin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flat.N != 100 || flat.Sets != 100 || flat.Adaptive {
+	if flat.N != 100 || flat.Sets != 100 {
 		t.Errorf("alpha info = %+v", flat)
 	}
-	ad, err := c.CreateTenant(ctx, TenantSpec{Name: "beta", N: 100, Find: "auto"})
-	if err != nil {
+	// "auto" is a compatibility name of two-try splitting: the tenant
+	// builds, and its query batches report the variant they ran.
+	if _, err := c.CreateTenant(ctx, TenantSpec{Name: "beta", N: 100, Find: "auto"}); err != nil {
 		t.Fatal(err)
 	}
-	if !ad.Adaptive {
-		t.Errorf("beta info = %+v", ad)
+	rep, err := c.SameSetAll(ctx, "beta", dsu.QueryRequest{Pairs: testEdges(100, 50, 9)})
+	if err != nil || rep.Find != dsu.TwoTrySplitting {
+		t.Errorf("beta query reply find = %v, %v; want twotry", rep.Find, err)
 	}
 	// The lock-free kind name builds the one structure, so it takes every
 	// configuration the default kind takes.
@@ -198,8 +200,8 @@ func TestRPCMatchesInProcess(t *testing.T) {
 }
 
 // TestConcurrentTenantsMatchOracle is the acceptance test: three isolated
-// tenants — default, adaptive, and one created under the older
-// "lockfree" kind name — each fed concurrently over stream, RPC and pipe,
+// tenants — default, one created under the older "auto" find name and one
+// under the older "lockfree" kind name — each fed concurrently over stream, RPC and pipe,
 // with queries in flight, must end with exactly the partition a
 // sequential in-process pass produces. Every
 // tenant is served under the one policy, the lockfree-spec tenant
@@ -218,7 +220,7 @@ func TestConcurrentTenantsMatchOracle(t *testing.T) {
 		edges []dsu.Edge
 	}{
 		{TenantSpec{Name: "flat", N: n}, testEdges(n, m, 101)},
-		{TenantSpec{Name: "adaptive", N: n, Find: "auto"}, testEdges(n, m, 202)},
+		{TenantSpec{Name: "auto", N: n, Find: "auto"}, testEdges(n, m, 202)},
 		{TenantSpec{Name: "lockfree", N: n, Kind: "lockfree"}, testEdges(n, m, 303)},
 	}
 	for _, tn := range tenants {
