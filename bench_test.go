@@ -291,7 +291,7 @@ func BenchmarkE12Dynamic(b *testing.B) {
 		perProc := workload.SplitRoundRobin(ops, 8)
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			d := core.NewDynamic(n, 1)
+			d := core.NewDynamic(n, core.Config{Seed: 1})
 			for k := 0; k < n; k++ {
 				if _, err := d.MakeSet(); err != nil {
 					b.Fatal(err)
@@ -321,7 +321,7 @@ func BenchmarkE12Dynamic(b *testing.B) {
 // BenchmarkE18BatchUniteAll measures the batch engine's UniteAll across
 // worker counts on one uniform edge batch (the E18 throughput table), on a
 // forest that fits in L2 (n = 2¹⁸). The n=2^22 cases run where the parent
-// and id arrays (32 MB) miss cache, the regime the core's span kernel
+// array (16 MB) misses cache, the regime the core's span kernel
 // overlaps: UniteAll on a fresh forest and SameSetAll on one preloaded
 // with n uniform unions, 2²⁰ edges in 64K-edge batches at the default
 // worker count.
@@ -369,6 +369,23 @@ func BenchmarkE18BatchUniteAll(b *testing.B) {
 			batches(d, bigEdges, true)
 		}
 		b.ReportMetric(float64(bigM)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medge/s")
+	})
+}
+
+// builtDSU keeps BenchmarkCoreNew's structures reachable, so the compiler
+// cannot drop a build.
+var builtDSU *core.DSU
+
+// BenchmarkCoreNew builds an n = 2²⁰ structure — the set-up every tenant
+// create pays. The random order is computed, not stored, so the parent
+// array is the only per-element state: CI fails the build when B/op
+// passes 4 bytes an element plus a small constant.
+func BenchmarkCoreNew(b *testing.B) {
+	b.Run("n=2^20", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			builtDSU = core.New(1<<20, core.Config{Seed: uint64(i)})
+		}
 	})
 }
 

@@ -157,6 +157,26 @@ func TestInfoAndVerifySealed(t *testing.T) {
 			t.Fatalf("verify -strict on a kind-%d log: %v", rk.kind, err)
 		}
 	}
+
+	// The committed log written under the stored random order (dsu's
+	// TestStoredOrderLogRecovers) verifies strictly, and its oracle replay
+	// gives the labels its writer reported.
+	fixture := filepath.Join("..", "..", "dsu", "testdata", "stored-order.dsulog")
+	out.Reset()
+	if err := runVerify([]string{"-strict", fixture}, &out); err != nil {
+		t.Fatalf("verify -strict on the stored-order fixture: %v", err)
+	}
+	out.Reset()
+	if err := runReplay([]string{"-labels", fixture}, &out); err != nil {
+		t.Fatalf("replay -labels on the stored-order fixture: %v", err)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "dsu", "testdata", "stored-order.labels.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != string(want) {
+		t.Fatalf("replay -labels on the stored-order fixture differs from its recorded labels")
+	}
 }
 
 func TestVerifyTorn(t *testing.T) {

@@ -17,7 +17,9 @@
 // the names stay so that older specs parse); find names a strategy per
 // dsu.ParseFindStrategy ("auto" is a compatibility name of "twotry", kept
 // so that older specs parse).
-// A spec the server cannot honour stops it at startup. Every tenant is
+// A spec the server cannot honour stops it at startup. A -tenant flag, like
+// a remote create that names no seed, gets its random linking order from a
+// seed drawn from crypto/rand. Every tenant is
 // served under one policy: its RPCs take the per-tenant -inflight budget,
 // and its stream batches run in seal order.
 //

@@ -109,13 +109,13 @@ func (d *DSU) SameSetAllCounted(pairs []Edge, st *Stats, opts ...BatchOption) []
 // must name elements already created by MakeSet; MakeSet may run
 // concurrently with the batch.
 func (d *Dynamic) UniteAll(edges []Edge, opts ...BatchOption) int {
-	res := engine.UniteAll(d.c, edges, batchConfig(d.seed, opts))
+	res := engine.UniteAll(d.c.DSU, edges, batchConfig(d.c.Config().Seed, opts))
 	return int(res.Merged)
 }
 
 // SameSetAll answers pairs[i] into element i of the returned slice, as
 // DSU.SameSetAll.
 func (d *Dynamic) SameSetAll(pairs []Edge, opts ...BatchOption) []bool {
-	out, _ := engine.SameSetAll(d.c, pairs, batchConfig(d.seed, opts))
+	out, _ := engine.SameSetAll(d.c.DSU, pairs, batchConfig(d.c.Config().Seed, opts))
 	return out
 }

@@ -245,14 +245,14 @@ func componentsFromLabels(labels []uint32) [][]uint32 {
 func (d *DSU) ID(x uint32) uint32 { return d.c.ID(x) }
 
 // Dynamic is a concurrent disjoint-set structure whose elements are created
-// on line with MakeSet, per the paper's Section 3 remark and Section 7:
-// each new element draws a random 64-bit priority (index-tie-broken) that
-// fixes its place in the linking order. With unbounded MakeSets the
-// structure is lock-free rather than wait-free; this implementation bounds
-// the universe by a capacity fixed at construction.
+// on line with MakeSet, per the paper's Section 3 remark and Section 7. It
+// is the structure New builds, over a capacity fixed at construction, with
+// MakeSet handing out its elements one at a time; each element's place in
+// the linking order is its id in the capacity-wide random permutation.
+// With unbounded MakeSets the structure is lock-free rather than
+// wait-free; the fixed capacity bounds the universe.
 type Dynamic struct {
-	c    *core.Dynamic
-	seed uint64 // construction seed, plumbed into batch scheduling
+	c *core.Dynamic
 }
 
 // ErrFull is returned by MakeSet when capacity is exhausted.
@@ -266,7 +266,7 @@ func NewDynamic(capacity int, opts ...Option) *Dynamic {
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
-	return &Dynamic{c: core.NewDynamic(capacity, cfg.seed), seed: cfg.seed}
+	return &Dynamic{c: core.NewDynamic(capacity, core.Config{Seed: cfg.seed})}
 }
 
 // MakeSet creates a new element in a singleton set and returns it, or
@@ -275,7 +275,7 @@ func NewDynamic(capacity int, opts ...Option) *Dynamic {
 func (d *Dynamic) MakeSet() (uint32, error) { return d.c.MakeSet() }
 
 // Len returns the number of elements created so far.
-func (d *Dynamic) Len() int { return d.c.Len() }
+func (d *Dynamic) Len() int { return d.c.N() }
 
 // Cap returns the capacity.
 func (d *Dynamic) Cap() int { return d.c.Cap() }

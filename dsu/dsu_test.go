@@ -89,11 +89,15 @@ func TestEarlyTerminationPanicsWithHalving(t *testing.T) {
 	dsu.New(10, dsu.WithFind(dsu.Halving), dsu.WithEarlyTermination())
 }
 
+// TestSeedReproducibility: equal seeds give equal orders, different seeds
+// different ones, and a structure built without WithSeed takes the stable
+// default, so in-process runs repeat exactly.
 func TestSeedReproducibility(t *testing.T) {
 	a := dsu.New(64, dsu.WithSeed(5))
 	b := dsu.New(64, dsu.WithSeed(5))
 	c := dsu.New(64, dsu.WithSeed(6))
-	sameAsA, sameAsC := true, true
+	d, e := dsu.New(64), dsu.New(64)
+	sameAsA, sameAsC, sameDefault := true, true, true
 	for x := uint32(0); x < 64; x++ {
 		if a.ID(x) != b.ID(x) {
 			sameAsA = false
@@ -101,8 +105,11 @@ func TestSeedReproducibility(t *testing.T) {
 		if a.ID(x) != c.ID(x) {
 			sameAsC = false
 		}
+		if d.ID(x) != e.ID(x) {
+			sameDefault = false
+		}
 	}
-	if !sameAsA {
+	if !sameAsA || !sameDefault {
 		t.Error("equal seeds produced different orders")
 	}
 	if sameAsC {

@@ -436,6 +436,21 @@ func (r *Registry) RestoreTenants() ([]string, error) {
 	return restored, nil
 }
 
+// LoggedSeed returns the seed the header of the tenant's log records,
+// reporting whether the registry is durable and holds a readable log
+// under that name: a dropped tenant's log stays on disk, and a Create
+// under its name recovers it only under the configuration it records.
+func (r *Registry) LoggedSeed(tenant string) (uint64, bool) {
+	if r.dur == nil || !ValidTenantName(tenant) {
+		return 0, false
+	}
+	m, err := wal.ReadMeta(r.logPath(tenant))
+	if err != nil {
+		return 0, false
+	}
+	return m.Seed, true
+}
+
 // Rewind materializes the tenant's state as of sequence seq — a
 // point-in-time read of its history. The returned universe is a fresh,
 // unregistered, non-durable structure named "<tenant>@<seq>", built

@@ -1,6 +1,7 @@
 package dsu_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -391,6 +392,51 @@ func TestRewind(t *testing.T) {
 	if _, err := reg.Rewind("missing", 0); err == nil {
 		t.Fatalf("Rewind of an unknown tenant succeeded")
 	}
+}
+
+// TestStoredOrderLogRecovers restores testdata/stored-order.dsulog under
+// today's computed random order. The log is sealed; a seedless n = 4096
+// tenant wrote it (twelve batches, a snapshot, six more batches) when the
+// order was a stored Fisher–Yates permutation, and the labels file holds
+// the partition that tenant reported. A snapshot records a partition and
+// restore re-unites it, so the recovered forest's shape may differ from
+// the writer's, but its partition may not.
+func TestStoredOrderLogRecovers(t *testing.T) {
+	const name, batches = "stored-order", 18
+	log, err := os.ReadFile(filepath.Join("testdata", name+".dsulog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", name+".labels.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []uint32
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name+".dsulog"), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := dsu.NewRegistry(dsu.WithDurability(dir))
+	defer reg.Close()
+	if _, err := reg.RestoreTenants(); err != nil {
+		t.Fatal(err)
+	}
+	u, ok := reg.Get(name)
+	if !ok {
+		t.Fatalf("tenant %q not restored", name)
+	}
+	if u.Seq() != batches {
+		t.Fatalf("Seq = %d, want %d", u.Seq(), batches)
+	}
+	sameLabels(t, "restored", u.CanonicalLabels(), want)
+	ru, err := reg.Rewind(name, batches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameLabels(t, "rewound", ru.CanonicalLabels(), want)
 }
 
 // writeRetiredLog writes, at path, the log a tenant of a retired kind

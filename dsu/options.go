@@ -71,9 +71,12 @@ func WithEarlyTermination() Option {
 	return optionFunc(func(c *config) { c.early = true })
 }
 
-// WithSeed fixes the seed of the random linking order (and of Dynamic's
-// priorities), making runs reproducible. Structures built with equal seeds
-// and sizes use identical orders.
+// WithSeed fixes the seed of the random linking order, making runs
+// reproducible. Structures built with equal seeds and sizes (a Dynamic's
+// size is its capacity) use identical orders. Without it a structure takes
+// a fixed default seed, so in-process runs repeat exactly; a structure
+// whose operations may come from an adversary needs a seed it cannot
+// guess, as the network front end draws for tenants created without one.
 func WithSeed(seed uint64) Option {
 	return optionFunc(func(c *config) { c.seed = seed })
 }

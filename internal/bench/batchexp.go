@@ -32,7 +32,7 @@ func bestUniteAll(n int, seed uint64, edges []engine.Edge, cfg engine.Config) en
 // This is the repo's batching interface measured the way Alistarh et al.
 // (2019) judge concurrent union-find: operations per second as the worker
 // count sweeps. A last column repeats the uniform UniteAll at n = 2²²
-// (m = n), where the parent and id arrays (32 MB) miss cache and the core's
+// (m = n), where the parent array (16 MB) misses cache and the core's
 // span kernel overlaps the misses.
 func runE18(cfg Config) error {
 	header(cfg, "E18", "Batch engine throughput and speedup", "systems extension; Fedorov et al. 2023, Alistarh et al. 2019")

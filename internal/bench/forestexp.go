@@ -13,7 +13,7 @@ import (
 
 // unionForestParents runs m random unions over n elements concurrently with
 // naive finds (so the live forest IS the union forest) and returns the
-// parent snapshot and id array.
+// parent snapshot and the ids of the random order.
 func unionForestParents(n, m, p int, seed uint64) (parents, ids []uint32) {
 	d := core.New(n, core.Config{Find: core.FindNaive, Seed: seed})
 	ops := workload.RandomUnions(n, m, seed*31+5)

@@ -3,11 +3,14 @@
 // Disjoint Set Union" (PODC 2016), over native Go atomics.
 //
 // Each element x has a parent pointer x.parent (an atomic word) and an
-// immutable id fixed at construction as a uniformly random permutation of
-// 0..n−1 — the random total order that decides link direction. Because ids
-// never change, a link updates exactly one word with one CAS, which is what
-// makes the algorithm wait-free without the indirection Anderson & Woll
-// needed for linking by rank (Section 3 of the paper).
+// immutable id, its place in the random total order that decides link
+// direction. The ids are a keyed pseudorandom permutation of 0..n−1,
+// computed from the seed whenever a link compares two roots, so the
+// structure stores one word per element and builds no order at
+// construction. Because ids never change, a link updates exactly one word
+// with one CAS, which is what makes the algorithm wait-free without the
+// indirection Anderson & Woll needed for linking by rank (Section 3 of the
+// paper).
 //
 // The package provides every variant the paper defines:
 //
@@ -20,8 +23,9 @@
 //   - concurrent halving (the compaction Anderson & Woll used, kept for the
 //     ablation experiments) and a concurrent two-pass compression
 //     (conjectured workable in Section 6);
-//   - a Dynamic variant supporting MakeSet with on-the-fly random
-//     priorities (Section 3 remark and Section 7), which is lock-free.
+//   - a Dynamic variant supporting MakeSet (Section 3 remark and Section
+//     7): the same structure over a fixed capacity, of which MakeSet
+//     hands out one element at a time; it is lock-free.
 //
 // Every operation has a *Counted twin that tallies shared-memory work
 // (parent reads, CAS attempts/failures, loop iterations) into a caller-owned
@@ -36,8 +40,6 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
-
-	"repro/internal/randutil"
 )
 
 // Find selects the find-path compaction strategy.
@@ -134,8 +136,12 @@ type Config struct {
 // goroutines. The zero value is not usable; call New.
 type DSU struct {
 	parent []atomic.Uint32
-	id     []uint32 // random total order; immutable after New
+	ord    order
 	cfg    Config
+	// made counts the elements MakeSet has created on a structure
+	// NewDynamic built; it is nil on one New built, whose elements all
+	// exist from the start. Every view shares it.
+	made *atomic.Uint32
 	// views holds the find-variant views over this forest, indexed by
 	// Find and shared by every view. New builds them once, so WithFind is
 	// a lookup: the executor resolves one for every batch that overrides
@@ -147,7 +153,11 @@ type DSU struct {
 // New returns a DSU over n singleton elements. It panics if n is negative,
 // exceeds 2³¹−1, or cfg combines EarlyTermination with a find strategy the
 // paper does not define it for.
-func New(n int, cfg Config) *DSU {
+func New(n int, cfg Config) *DSU { return build(n, cfg, nil) }
+
+// build is New over a structure whose element count is made, or all n
+// slots when made is nil.
+func build(n int, cfg Config, made *atomic.Uint32) *DSU {
 	if n < 0 || int64(n) > int64(1)<<31-1 {
 		panic("core: element count out of range")
 	}
@@ -168,8 +178,9 @@ func New(n int, cfg Config) *DSU {
 	}
 	d := &DSU{
 		parent: make([]atomic.Uint32, n),
-		id:     randutil.NewXoshiro256(cfg.Seed).Perm(n),
+		ord:    newOrder(n, cfg.Seed),
 		cfg:    cfg,
+		made:   made,
 	}
 	for i := range d.parent {
 		d.parent[i].Store(uint32(i))
@@ -188,18 +199,32 @@ func New(n int, cfg Config) *DSU {
 	return d
 }
 
-// N returns the number of elements.
-func (d *DSU) N() int { return len(d.parent) }
+// N returns the number of elements: n on a structure New built, and the
+// elements MakeSet has created so far on one NewDynamic built.
+func (d *DSU) N() int {
+	if d.made != nil {
+		if m := d.made.Load(); int64(m) < int64(len(d.parent)) {
+			return int(m)
+		}
+	}
+	return len(d.parent)
+}
 
 // Config returns the variant configuration.
 func (d *DSU) Config() Config { return d.cfg }
 
-// ID returns x's position in the random total order.
-func (d *DSU) ID(x uint32) uint32 { return d.id[x] }
+// ID returns x's position in the random total order: the ids of a
+// structure's elements are a permutation of 0..n−1 (of 0..capacity−1 on a
+// Dynamic), fixed by the seed. It panics on an x outside the structure,
+// whose cycle walk would never land below n.
+func (d *DSU) ID(x uint32) uint32 {
+	_ = &d.parent[x]
+	return d.ord.at(x)
+}
 
 // less reports whether u precedes v in the random total order ("u < v" in
 // the paper's pseudocode).
-func (d *DSU) less(u, v uint32) bool { return d.id[u] < d.id[v] }
+func (d *DSU) less(u, v uint32) bool { return d.ord.at(u) < d.ord.at(v) }
 
 // Find returns the root of the tree currently containing x, applying the
 // configured compaction. The returned node was a root at some instant
@@ -308,7 +333,7 @@ func (d *DSU) findHalve(x uint32, st *Stats) uint32 {
 
 // findCompress finds the root with Algorithm 1, then makes a second pass
 // CASing each path node's parent directly to that root. A parent p of a
-// path node is replaced only while id[p] < id[root]: both p and root are
+// path node is replaced only while ID(p) < ID(root): both p and root are
 // union-forest ancestors of the path node, ancestors form a chain, and ids
 // strictly increase along it, so the comparison proves root is still a
 // proper ancestor of p and the swing moves the pointer upward as Lemma 3.1
@@ -324,9 +349,11 @@ func (d *DSU) findCompress(x uint32, st *Stats) uint32 {
 		if p == u {
 			break // defensive: only root can be a root on this chain
 		}
-		if !d.less(p, root) {
-			// u's parent is at or above root on the ancestor chain; the
-			// rest of the path is already compressed past root.
+		if p == root || !d.less(p, root) {
+			// u's parent is root or above it on the ancestor chain; the
+			// rest of the path is already compressed past root. Testing
+			// p == root first spares the common case, a path of one step,
+			// computing two ids.
 			break
 		}
 		cas++
@@ -573,13 +600,13 @@ func (d *DSU) Parent(x uint32) uint32 { return d.parent[x].Load() }
 // corrupts the structure; callers own that risk.
 func (d *DSU) LoadParent(x, parent uint32) { d.parent[x].Store(parent) }
 
-// Snapshot copies the full parent array. Taken while operations are in
-// flight it is a per-word-atomic (not point-in-time) picture; taken at
-// quiescence it is exact. Forest analyses in the experiments always snapshot
-// at quiescence.
+// Snapshot copies the parent pointers of the N elements. Taken while
+// operations are in flight it is a per-word-atomic (not point-in-time)
+// picture; taken at quiescence it is exact. Forest analyses in the
+// experiments always snapshot at quiescence.
 func (d *DSU) Snapshot() []uint32 {
-	out := make([]uint32, len(d.parent))
-	for i := range d.parent {
+	out := make([]uint32, d.N())
+	for i := range out {
 		out[i] = d.parent[i].Load()
 	}
 	return out
@@ -617,7 +644,7 @@ func (d *DSU) CanonicalLabels() []uint32 {
 // Sets counts the current number of sets (roots). Quiescent-state use only.
 func (d *DSU) Sets() int {
 	count := 0
-	for i := range d.parent {
+	for i, n := 0, d.N(); i < n; i++ {
 		if d.parent[i].Load() == uint32(i) {
 			count++
 		}

@@ -325,8 +325,8 @@ func TestNewPanics(t *testing.T) {
 	}{
 		{"negative", func() { New(-1, Config{}) }},
 		{"over 2^31-1", func() { New(1<<31, Config{}) }},
-		{"dynamic negative", func() { NewDynamic(-1, 0) }},
-		{"dynamic over 2^31-1", func() { NewDynamic(1<<31, 0) }},
+		{"dynamic negative", func() { NewDynamic(-1, Config{}) }},
+		{"dynamic over 2^31-1", func() { NewDynamic(1<<31, Config{}) }},
 		{"bad find", func() { New(1, Config{Find: Find(42)}) }},
 		{"early+halving", func() { New(1, Config{Find: FindHalving, EarlyTermination: true}) }},
 		{"early+compress", func() { New(1, Config{Find: FindCompress, EarlyTermination: true}) }},

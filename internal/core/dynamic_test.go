@@ -10,9 +10,9 @@ import (
 )
 
 func TestDynamicMakeSetSequence(t *testing.T) {
-	d := NewDynamic(4, 1)
-	if d.Len() != 0 || d.Cap() != 4 {
-		t.Fatalf("fresh: Len=%d Cap=%d", d.Len(), d.Cap())
+	d := NewDynamic(4, Config{Seed: 1})
+	if d.N() != 0 || d.Cap() != 4 {
+		t.Fatalf("fresh: Len=%d Cap=%d", d.N(), d.Cap())
 	}
 	var els []uint32
 	for i := 0; i < 4; i++ {
@@ -25,8 +25,14 @@ func TestDynamicMakeSetSequence(t *testing.T) {
 	if _, err := d.MakeSet(); !errors.Is(err, ErrFull) {
 		t.Fatalf("expected ErrFull, got %v", err)
 	}
-	if d.Len() != 4 {
-		t.Fatalf("Len = %d after overflow attempt, want 4", d.Len())
+	if d.N() != 4 {
+		t.Fatalf("Len = %d after overflow attempt, want 4", d.N())
+	}
+	// Every find-variant view shares the count MakeSet advances.
+	for f := FindNaive; f <= FindCompress; f++ {
+		if v := d.WithFind(f); v.N() != 4 || len(v.CanonicalLabels()) != 4 {
+			t.Fatalf("%v view: N = %d, want 4", f, v.N())
+		}
 	}
 	for i, e := range els {
 		if d.Find(e) != e {
@@ -37,7 +43,7 @@ func TestDynamicMakeSetSequence(t *testing.T) {
 
 func TestDynamicSemanticsMatchSpec(t *testing.T) {
 	const n = 100
-	d := NewDynamic(n, 42)
+	d := NewDynamic(n, Config{Seed: 42})
 	s := seqdsu.NewSpec(n)
 	for i := 0; i < n; i++ {
 		if _, err := d.MakeSet(); err != nil {
@@ -65,7 +71,7 @@ func TestDynamicSemanticsMatchSpec(t *testing.T) {
 
 func TestDynamicPriorityOrderInvariant(t *testing.T) {
 	const n = 500
-	d := NewDynamic(n, 5)
+	d := NewDynamic(n, Config{Seed: 5})
 	for i := 0; i < n; i++ {
 		if _, err := d.MakeSet(); err != nil {
 			t.Fatal(err)
@@ -78,7 +84,7 @@ func TestDynamicPriorityOrderInvariant(t *testing.T) {
 	for x := uint32(0); x < n; x++ {
 		p := d.Parent(x)
 		if p != x && !d.less(x, p) {
-			t.Fatalf("node %d not below its parent %d in priority order", x, p)
+			t.Fatalf("node %d not below its parent %d in the linking order", x, p)
 		}
 	}
 }
@@ -87,7 +93,7 @@ func TestDynamicPriorityOrderInvariant(t *testing.T) {
 // some workers create elements while others unite the ones that exist.
 func TestDynamicConcurrentGrowthAndUnions(t *testing.T) {
 	const capacity, makers, uniters = 20000, 4, 4
-	d := NewDynamic(capacity, 7)
+	d := NewDynamic(capacity, Config{Seed: 7})
 	var wg sync.WaitGroup
 	created := make([][]uint32, makers)
 	for w := 0; w < makers; w++ {
@@ -109,7 +115,7 @@ func TestDynamicConcurrentGrowthAndUnions(t *testing.T) {
 			defer wg.Done()
 			rng := randutil.NewXoshiro256(uint64(w) + 100)
 			for i := 0; i < 5000; i++ {
-				n := uint32(d.Len())
+				n := uint32(d.N())
 				if n < 2 {
 					continue
 				}
@@ -141,7 +147,7 @@ func TestDynamicConcurrentGrowthAndUnions(t *testing.T) {
 }
 
 func TestDynamicCountedStats(t *testing.T) {
-	d := NewDynamic(16, 3)
+	d := NewDynamic(16, Config{Seed: 3})
 	for i := 0; i < 16; i++ {
 		if _, err := d.MakeSet(); err != nil {
 			t.Fatal(err)
@@ -168,11 +174,11 @@ func TestDynamicPanicsOnBadCapacity(t *testing.T) {
 			t.Fatal("no panic for negative capacity")
 		}
 	}()
-	NewDynamic(-1, 0)
+	NewDynamic(-1, Config{})
 }
 
 func TestDynamicZeroCapacity(t *testing.T) {
-	d := NewDynamic(0, 0)
+	d := NewDynamic(0, Config{})
 	if _, err := d.MakeSet(); !errors.Is(err, ErrFull) {
 		t.Fatalf("expected ErrFull on zero-capacity MakeSet, got %v", err)
 	}

@@ -43,7 +43,7 @@ func TestHotPathsAllocationFree(t *testing.T) {
 
 func TestDynamicHotPathsAllocationFree(t *testing.T) {
 	const n = 1024
-	d := NewDynamic(n, 1)
+	d := NewDynamic(n, Config{Seed: 1})
 	for i := 0; i < n; i++ {
 		if _, err := d.MakeSet(); err != nil {
 			t.Fatal(err)

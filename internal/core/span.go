@@ -1,7 +1,5 @@
 package core
 
-import "sync/atomic"
-
 // Edge is one (X, Y) element pair of a batch: an edge to unite across, or
 // a connectivity query to answer. The batch layers (exec, engine, dsu)
 // alias it, so a batch slice reaches the span kernel below without a copy.
@@ -31,7 +29,7 @@ const spanGroup = 32
 func (d *DSU) UniteSpan(span []Edge, st *Stats) (merged, retries int64) {
 	for base := 0; base < len(span); base += spanGroup {
 		g := span[base:min(len(span), base+spanGroup)]
-		d.warm(g, true)
+		d.warm(g)
 		for _, e := range g {
 			if e.X == e.Y {
 				if st != nil {
@@ -57,9 +55,7 @@ func (d *DSU) SameSetSpan(pairs []Edge, out []bool, st *Stats) {
 	out = out[:len(pairs)]
 	for base := 0; base < len(pairs); base += spanGroup {
 		g := pairs[base:min(len(pairs), base+spanGroup)]
-		// Algorithm 2 compares roots for equality only; the interleaved
-		// walk of Algorithm 6 compares ids at every step.
-		d.warm(g, d.cfg.EarlyTermination)
+		d.warm(g)
 		for i, e := range g {
 			if e.X == e.Y {
 				out[base+i] = true
@@ -74,18 +70,19 @@ func (d *DSU) SameSetSpan(pairs []Edge, out []bool, st *Stats) {
 }
 
 // warm loads, for every edge of the group, both endpoints' parent words,
-// then those parents' own parent words and, when ids is set, their ids —
-// the words a find's first step and a link's order test read. Under random
-// linking most finds end at the parent or the grandparent, so these are
-// most of the misses the group's operations will take. Each phase's loads
-// depend only on the phase before, never on each other.
+// then those parents' own parent words — the words a find's first steps
+// read. Under random linking most finds end at the parent or the
+// grandparent, so these are most of the misses the group's operations
+// will take; a link's order test computes its roots' ids and touches no
+// memory. Each phase's loads depend only on the phase before, never on
+// each other.
 //
 // Every load is atomic. The values are discarded, and a plain load whose
 // value is unused could be dropped by the compiler; an atomic one cannot.
 // Race-detector builds skip the loads: there each one is a call into the
 // detector, costing more than the miss it hides, and an atomic load whose
 // value no decision reads gives the detector nothing to check.
-func (d *DSU) warm(g []Edge, ids bool) {
+func (d *DSU) warm(g []Edge) {
 	if raceEnabled {
 		return
 	}
@@ -97,9 +94,5 @@ func (d *DSU) warm(g []Edge, ids bool) {
 	for i := range g {
 		d.parent[px[i]].Load()
 		d.parent[py[i]].Load()
-		if ids {
-			atomic.LoadUint32(&d.id[px[i]])
-			atomic.LoadUint32(&d.id[py[i]])
-		}
 	}
 }

@@ -102,7 +102,7 @@ func TestRewritesCounter(t *testing.T) {
 		})
 	}
 	t.Run("dynamic", func(t *testing.T) {
-		d := NewDynamic(n, 33)
+		d := NewDynamic(n, Config{Seed: 33})
 		for i := 0; i < n; i++ {
 			if _, err := d.MakeSet(); err != nil {
 				t.Fatal(err)

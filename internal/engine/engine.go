@@ -21,8 +21,8 @@
 // The engine is deliberately agnostic to what the edges mean: UniteAll
 // merges endpoint sets, SameSetAll answers connectivity queries into a
 // result slice. Both hand each claimed span of the batch, whole, to a
-// Target, so the static core.DSU (whose span kernel overlaps the span's
-// cache misses) and the growing core.Dynamic are driven by one runner.
+// Target: core.DSU's span kernel, which overlaps the span's cache misses,
+// for a fixed universe and for a growing core.Dynamic alike.
 // The pool holds no barrier against anything else running on the target:
 // any number of batch calls, streams and point callers may overlap on one
 // core.DSU, and the summed Merged across overlapping calls stays exact,
@@ -58,12 +58,13 @@ func FromOps(ops []workload.Op) []Edge {
 }
 
 // Target is the operation surface the engine drives: a worker hands it each
-// span of edges it claims, in one call. core.DSU and core.Dynamic satisfy
-// it. The engine requires wait-freedom (or at least lock-freedom) from the
-// target, since workers never coordinate beyond the span protocol and a
-// blocking target would stall a whole worker. Implementations own the
-// self-loop rule: a pair with X == Y never merges and is in its own set, so
-// it counts as one completed operation (Stats.Ops) and pays no finds.
+// span of edges it claims, in one call. core.DSU implements it; the tests
+// substitute counting fakes. The engine requires wait-freedom (or at least
+// lock-freedom) from the target, since workers never coordinate beyond the
+// span protocol and a blocking target would stall a whole worker.
+// Implementations own the self-loop rule: a pair with X == Y never merges
+// and is in its own set, so it counts as one completed operation
+// (Stats.Ops) and pays no finds.
 type Target interface {
 	// UniteSpan merges across every edge of the span, reporting how many
 	// edges performed a merge and how many times their root-link CASes

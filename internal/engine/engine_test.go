@@ -74,7 +74,7 @@ func TestSameSetAllMatchesSequentialBaseline(t *testing.T) {
 
 func TestUniteAllDrivesDynamicTarget(t *testing.T) {
 	const n = 512
-	d := core.NewDynamic(n, 3)
+	d := core.NewDynamic(n, core.Config{Seed: 3})
 	for i := 0; i < n; i++ {
 		if _, err := d.MakeSet(); err != nil {
 			t.Fatal(err)
@@ -82,7 +82,7 @@ func TestUniteAllDrivesDynamicTarget(t *testing.T) {
 	}
 	edges := FromOps(workload.RandomUnions(n, 2*n, 31))
 	ref, wantMerges := seqPartition(n, edges)
-	res := UniteAll(d, edges, Config{Workers: 4, Grain: 16})
+	res := UniteAll(d.DSU, edges, Config{Workers: 4, Grain: 16})
 	if res.Merged != int64(wantMerges) {
 		t.Errorf("Merged = %d, want %d", res.Merged, wantMerges)
 	}
@@ -228,7 +228,7 @@ func TestSelfLoopsSkipFinds(t *testing.T) {
 		v := uint32(i % n)
 		edges[i] = Edge{X: v, Y: v}
 	}
-	dyn := core.NewDynamic(n, 59)
+	dyn := core.NewDynamic(n, core.Config{Seed: 59})
 	for i := 0; i < n; i++ {
 		if _, err := dyn.MakeSet(); err != nil {
 			t.Fatal(err)
@@ -237,7 +237,7 @@ func TestSelfLoopsSkipFinds(t *testing.T) {
 	targets := map[string]Target{
 		"core":       core.New(n, core.Config{Seed: 59}),
 		"core+early": core.New(n, core.Config{Find: core.FindOneTry, EarlyTermination: true, Seed: 59}),
-		"dynamic":    dyn,
+		"dynamic":    dyn.DSU,
 	}
 	for name, tgt := range targets {
 		res := UniteAll(tgt, edges, Config{Workers: 3, Grain: 16})

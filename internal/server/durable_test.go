@@ -48,6 +48,11 @@ func TestDurableServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	live, _ := reg.Get("alpha")
+	ids := make([]uint32, n)
+	for x := range ids {
+		ids[x] = live.ID(uint32(x))
+	}
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +81,57 @@ func TestDurableServer(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered labels differ from the acknowledged partition")
 	}
+	// The create named no seed, so the server drew one; the log header
+	// recorded it, and the recovered tenant links by the same order.
+	recovered, _ := reg2.Get("alpha")
+	for x, id := range ids {
+		if recovered.ID(uint32(x)) != id {
+			t.Fatalf("recovered tenant's order differs at element %d", x)
+		}
+	}
 	reg2.Close()
+}
+
+// TestDropRecreateSeedless: DELETE seals a durable tenant's log and
+// leaves it on disk, and a create under the same name that names no seed
+// recovers it — under the seed the log records, not a fresh draw the log
+// would refuse — with the acknowledged partition and sequence.
+func TestDropRecreateSeedless(t *testing.T) {
+	const n = 200
+	ctx := context.Background()
+	reg := dsu.NewRegistry(dsu.WithDurability(t.TempDir()))
+	defer reg.Close()
+	_, c := newTestServer(t, Config{Registry: reg})
+	spec := TenantSpec{Name: "t", N: n}
+	if _, err := c.CreateTenant(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		if _, err := c.UniteAll(ctx, "t", dsu.UniteRequest{Edges: testEdges(n, 60, seed)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := c.Labels(ctx, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DropTenant(ctx, "t"); err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.CreateTenant(ctx, spec)
+	if err != nil {
+		t.Fatalf("seedless re-create after drop: %v", err)
+	}
+	if !info.Durable || info.Seq != 3 {
+		t.Fatalf("re-created info = %+v, want durable at seq 3", info)
+	}
+	got, err := c.Labels(ctx, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("re-created tenant's labels differ from the dropped tenant's")
+	}
 }
 
 // TestCheckpointNotDurable: /checkpoint on a tenant without persistence

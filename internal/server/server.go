@@ -77,6 +77,8 @@ package server
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -113,7 +115,7 @@ type Config struct {
 	// MaxN caps the universe size a remote tenant create may request —
 	// structure allocation is synchronous and proportional to n, so an
 	// unauthenticated create must not be able to reserve arbitrary
-	// memory. ≤ 0 selects 1<<26 (~67M elements, ~0.5 GiB per flat
+	// memory. ≤ 0 selects 1<<26 (~67M elements, ~0.25 GiB per
 	// structure). Preloaded tenants (the operator's own flags) are not
 	// subject to it.
 	MaxN int
@@ -193,8 +195,11 @@ func (s *Server) Stop() { s.stop() }
 // ("flat" or "lockfree"; both build the same structure, and the field
 // stays so that older specs are accepted). Find names a strategy per
 // dsu.ParseFindStrategy ("auto" is a compatibility name of "twotry"); Seed fixes
-// the random linking order for reproducible tenants. POST /v1/tenants
-// refuses a body naming any other field.
+// the random linking order for reproducible tenants, and a spec without
+// one gets a seed no client can know (see Options) — or, when it
+// re-creates a dropped durable tenant, the seed the tenant's log records,
+// so the create recovers it. POST /v1/tenants refuses a body naming any
+// other field.
 type TenantSpec struct {
 	Name             string `json:"name"`
 	N                int    `json:"n"`
@@ -204,10 +209,23 @@ type TenantSpec struct {
 	Seed             uint64 `json:"seed,omitempty"`
 }
 
+// errSeed marks a failed draw of a tenant seed: the server's fault, not
+// the spec's.
+var errSeed = errors.New("drawing a tenant seed")
+
 // Options translates the spec into the dsu option vocabulary — the one
 // translation both remote creates and cmd/dsuserve's preload flags use,
-// so the two paths cannot drift.
-func (sp TenantSpec) Options() ([]dsu.Option, error) {
+// so the two paths cannot drift. A spec without a seed gets one drawn
+// from crypto/rand. The paper's bounds assume a linking order independent
+// of the operations; under the fixed default seed in the source, anyone
+// could compute a tenant's order and send unites that build a chain of n
+// nodes. A durable tenant's log header records the seed, so recovery
+// rebuilds the same order, and TenantInfo does not expose it. A failed
+// draw is an error, never a fall-back to the default.
+func (sp TenantSpec) Options() ([]dsu.Option, error) { return sp.options(rand.Reader) }
+
+// options is Options drawing a missing seed from entropy.
+func (sp TenantSpec) options(entropy io.Reader) ([]dsu.Option, error) {
 	find, err := dsu.ParseFindStrategy(sp.Find)
 	if err != nil {
 		return nil, err
@@ -226,10 +244,15 @@ func (sp TenantSpec) Options() ([]dsu.Option, error) {
 	if sp.EarlyTermination {
 		opts = append(opts, dsu.WithEarlyTermination())
 	}
-	if sp.Seed != 0 {
-		opts = append(opts, dsu.WithSeed(sp.Seed))
+	seed := sp.Seed
+	if seed == 0 {
+		var b [8]byte
+		if _, err := io.ReadFull(entropy, b[:]); err != nil {
+			return nil, fmt.Errorf("%w: %v", errSeed, err)
+		}
+		seed = binary.LittleEndian.Uint64(b[:])
 	}
-	return opts, nil
+	return append(opts, dsu.WithSeed(seed)), nil
 }
 
 // TenantInfo describes one tenant in list/info responses.
@@ -378,9 +401,19 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("universe size %d exceeds this server's limit of %d", spec.N, s.cfg.MaxN), http.StatusBadRequest)
 			return
 		}
+		if spec.Seed == 0 {
+			// A dropped durable tenant's log stays on disk, and this
+			// create recovers it: under the seed the log records, since
+			// a drawn one would not match it.
+			spec.Seed, _ = s.reg.LoggedSeed(spec.Name)
+		}
 		opts, err := spec.Options()
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			status := http.StatusBadRequest
+			if errors.Is(err, errSeed) {
+				status = http.StatusInternalServerError
+			}
+			http.Error(w, err.Error(), status)
 			return
 		}
 		u, err := s.reg.Create(spec.Name, spec.N, opts...)

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -14,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/dsu"
@@ -140,6 +142,63 @@ func TestTenantAdmin(t *testing.T) {
 	}
 	if err := c.DropTenant(ctx, "alpha"); err == nil {
 		t.Error("second drop succeeded")
+	}
+}
+
+// TestSeedlessCreatesDrawOrders: a create that names no seed gets one from
+// crypto/rand, so two such tenants link by different random orders,
+// neither of them the in-process default, and tenant info does not expose
+// the seed. A failed draw refuses the spec; a named seed needs no draw.
+func TestSeedlessCreatesDrawOrders(t *testing.T) {
+	const n = 4096
+	s, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	for _, name := range []string{"a", "b"} {
+		if _, err := c.CreateTenant(ctx, TenantSpec{Name: name, N: n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, _ := s.reg.Get("a")
+	b, _ := s.reg.Get("b")
+	def := dsu.New(n)
+	sameAB, sameDefault := 0, 0
+	for x := uint32(0); x < n; x++ {
+		if a.ID(x) == b.ID(x) {
+			sameAB++
+		}
+		if a.ID(x) == def.ID(x) {
+			sameDefault++
+		}
+	}
+	if sameAB > n/64 || sameDefault > n/64 {
+		t.Errorf("seedless tenants share %d of %d ids with each other and %d with the default order", sameAB, n, sameDefault)
+	}
+	resp, err := c.hc.Get(c.base + "/v1/tenants/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(body), "seed") {
+		t.Errorf("tenant info exposes the seed: %s", body)
+	}
+
+	dry := iotest.ErrReader(errors.New("no entropy"))
+	if _, err := (TenantSpec{Name: "c", N: n}).options(dry); !errors.Is(err, errSeed) {
+		t.Errorf("seedless spec with a failed draw: err = %v, want %v", err, errSeed)
+	}
+	opts, err := TenantSpec{Name: "d", N: n, Seed: 7}.options(dry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, want := dsu.New(n, opts...), dsu.New(n, dsu.WithSeed(7))
+	for x := uint32(0); x < n; x++ {
+		if named.ID(x) != want.ID(x) {
+			t.Fatalf("a spec's named seed was not applied (element %d)", x)
+		}
 	}
 }
 

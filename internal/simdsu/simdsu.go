@@ -8,7 +8,9 @@
 // Memory layout: word x of the machine's shared memory holds the parent of
 // element x. The random node order lives in process-local memory (a shared
 // immutable Go slice), matching the APRAM's local/shared split: the paper's
-// processes consult the order free of shared-memory cost.
+// processes consult the order free of shared-memory cost. The slice holds
+// the order internal/core computes, so a Sim and a core.DSU built with
+// the same size and seed link alike.
 package simdsu
 
 import (
@@ -16,7 +18,6 @@ import (
 
 	"repro/internal/apram"
 	"repro/internal/core"
-	"repro/internal/randutil"
 )
 
 // Sim holds the immutable algorithm state: variant configuration and the
@@ -29,7 +30,8 @@ type Sim struct {
 }
 
 // New returns a Sim over n elements with the given variant configuration
-// (the same Config type package core uses; Seed fixes the node order).
+// (the same Config type package core uses; Seed fixes the node order, as
+// it fixes a core.DSU's).
 func New(n int, cfg core.Config) *Sim {
 	if n < 0 {
 		panic("simdsu: negative element count")
@@ -49,11 +51,12 @@ func New(n int, cfg core.Config) *Sim {
 			panic("simdsu: early termination is defined only for naive and splitting finds")
 		}
 	}
-	return &Sim{
-		n:   n,
-		id:  randutil.NewXoshiro256(cfg.Seed).Perm(n),
-		cfg: cfg,
+	order := core.New(n, cfg)
+	id := make([]uint32, n)
+	for x := range id {
+		id[x] = order.ID(uint32(x))
 	}
+	return &Sim{n: n, id: id, cfg: cfg}
 }
 
 // NewWithOrder is New with an explicit node order (id[x] = x's position),

@@ -324,6 +324,22 @@ func TestCheckerCatchesViolations(t *testing.T) {
 	})
 }
 
+// TestOrderMatchesCore: a Sim links by the order a core.DSU of the same
+// size and seed computes, so a simulated run and a native one of the same
+// operations build the same union forest.
+func TestOrderMatchesCore(t *testing.T) {
+	for _, n := range []int{0, 1, 1000, 1 << 10} {
+		for _, seed := range []uint64{1, 5} {
+			s, d := New(n, core.Config{Seed: seed}), core.New(n, core.Config{Seed: seed})
+			for x := uint32(0); int(x) < n; x++ {
+				if s.ID(x) != d.ID(x) {
+					t.Fatalf("n=%d seed=%d: Sim ID(%d) = %d, core ID = %d", n, seed, x, s.ID(x), d.ID(x))
+				}
+			}
+		}
+	}
+}
+
 func TestNewWithOrderValidates(t *testing.T) {
 	for _, bad := range [][]uint32{{0, 0}, {1, 2}, {2, 0}} {
 		func() {

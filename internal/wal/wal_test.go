@@ -455,6 +455,8 @@ func TestFingerprintMismatch(t *testing.T) {
 		t.Fatalf("Open with a different seed succeeded")
 	} else if !bytes.Contains([]byte(err.Error()), []byte("different configuration")) {
 		t.Fatalf("mismatch error not descriptive: %v", err)
+	} else if seed := fmt.Sprintf("%x", meta.Seed); bytes.Contains([]byte(err.Error()), []byte(seed)) {
+		t.Fatalf("mismatch error reveals the log's seed %s: %v", seed, err)
 	}
 	// Same fingerprint reopens fine.
 	w, _, err := Open(path, meta, Options{})

@@ -156,11 +156,18 @@ func Open(path string, meta Meta, opt Options) (*Writer, *Reader, error) {
 		}
 		if got, want := rd.Meta(), meta; got.Fingerprint() != want.Fingerprint() {
 			f.Close()
+			// The seeds stay out of the message, which can reach a remote
+			// client: a tenant's seed fixes its random linking order, and
+			// a client that knows the order can build a chain of n nodes.
+			seed := "the same seed"
+			if got.Seed != want.Seed {
+				seed = "a different seed"
+			}
 			return nil, nil, fmt.Errorf(
-				"wal: %s was recorded under a different configuration: log has n=%d kind=%d find=%d early=%v shards=%d seed=%#x, requested n=%d kind=%d find=%d early=%v shards=%d seed=%#x",
+				"wal: %s was recorded under a different configuration: log has n=%d kind=%d find=%d early=%v shards=%d, requested n=%d kind=%d find=%d early=%v shards=%d and %s",
 				path,
-				got.N, got.Kind, got.Find, got.Early, got.Shards, got.Seed,
-				want.N, want.Kind, want.Find, want.Early, want.Shards, want.Seed)
+				got.N, got.Kind, got.Find, got.Early, got.Shards,
+				want.N, want.Kind, want.Find, want.Early, want.Shards, seed)
 		}
 		// Drop the torn tail (if any) and the sealed summary/footer: both
 		// sit past DataEnd, and appends must land where data ends.
