@@ -402,7 +402,7 @@ func BenchmarkE20StreamIngest(b *testing.B) {
 			d := dsu.New(n, dsu.WithSeed(11))
 			for lo := 0; lo < len(edges); lo += buffer {
 				hi := min(lo+buffer, len(edges))
-				d.UniteAll(edges[lo:hi], dsu.WithWorkers(4))
+				d.UniteAll(edges[lo:hi], dsu.BatchOptions{Workers: 4})
 			}
 		}
 		b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mop/s")
@@ -413,7 +413,7 @@ func BenchmarkE20StreamIngest(b *testing.B) {
 				s := dsu.NewStream(dsu.New(n, dsu.WithSeed(11)),
 					dsu.WithBufferSize(buffer),
 					dsu.WithMaxInFlight(inflight),
-					dsu.WithBatchOptions(dsu.WithWorkers(4)))
+					dsu.WithBatchOptions(dsu.BatchOptions{Workers: 4}))
 				for lo := 0; lo < len(edges); lo += 8192 {
 					hi := min(lo+8192, len(edges))
 					if err := s.Push(edges[lo:hi]...); err != nil {
@@ -439,7 +439,7 @@ func BenchmarkE23LockFree(b *testing.B) {
 	edges := engine.FromOps(workload.RandomUnions(n, m, 10))
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dsu.New(n, dsu.WithSeed(11)).UniteAll(edges, dsu.WithWorkers(4))
+			dsu.New(n, dsu.WithSeed(11)).UniteAll(edges, dsu.BatchOptions{Workers: 4})
 		}
 		b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mop/s")
 	})
@@ -454,7 +454,7 @@ func BenchmarkE23LockFree(b *testing.B) {
 					wg.Add(1)
 					go func(lo, hi int) {
 						defer wg.Done()
-						d.UniteAll(edges[lo:hi], dsu.WithWorkers(2))
+						d.UniteAll(edges[lo:hi], dsu.BatchOptions{Workers: 2})
 					}(lo, hi)
 				}
 				wg.Wait()
@@ -464,8 +464,11 @@ func BenchmarkE23LockFree(b *testing.B) {
 	}
 }
 
-// BenchmarkFindOnDeepForest micro-benchmarks a single Find per variant on a
-// prebuilt randomized forest.
+// BenchmarkFindOnDeepForest times Find per variant on a prebuilt
+// randomized forest. One iteration restores the forest from its snapshot
+// with the timer stopped, then finds every element once, so each pass of
+// a compacting variant starts from the same forest and the figure does
+// not depend on b.N. It reports ns/find.
 func BenchmarkFindOnDeepForest(b *testing.B) {
 	const n = 1 << 16
 	base := core.New(n, core.Config{Find: core.FindNaive, Seed: 3})
@@ -475,15 +478,18 @@ func BenchmarkFindOnDeepForest(b *testing.B) {
 	snap := base.Snapshot()
 	for _, f := range []core.Find{core.FindNaive, core.FindOneTry, core.FindTwoTry, core.FindHalving, core.FindCompress} {
 		b.Run(f.String(), func(b *testing.B) {
-			// Rebuild per run so compaction starts from the same forest.
 			d := core.New(n, core.Config{Find: f, Seed: 3})
-			for x, p := range snap {
-				d.LoadParent(uint32(x), p)
-			}
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d.Find(uint32(i % n))
+				b.StopTimer()
+				for x, p := range snap {
+					d.LoadParent(uint32(x), p)
+				}
+				b.StartTimer()
+				for x := uint32(0); x < n; x++ {
+					d.Find(x)
+				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/find")
 		})
 	}
 }

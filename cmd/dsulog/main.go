@@ -30,7 +30,7 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/exec"
+	"repro/internal/core"
 	"repro/internal/seqdsu"
 	"repro/internal/wal"
 )
@@ -169,7 +169,7 @@ func verifyLog(path string, strict bool, out io.Writer) error {
 	}
 	edges := 0
 	for _, ci := range sc.Chunks() {
-		if err := sc.ReadChunk(ci, func(uint64, []exec.Edge) error { return nil }); err != nil {
+		if err := sc.ReadChunk(ci, func(uint64, []core.Edge) error { return nil }); err != nil {
 			return fmt.Errorf("chunk at offset %d: %w", ci.Offset, err)
 		}
 		edges += ci.Edges
@@ -237,7 +237,7 @@ func runCat(args []string, out io.Writer) error {
 	for _, ci := range r.Chunks() {
 		fmt.Fprintf(out, "chunk   offset=%d seq=%d..%d edges=%d\n", ci.Offset, ci.FirstSeq, ci.LastSeq, ci.Edges)
 		if *withEdges {
-			err := r.Replay(ci.FirstSeq-1, ci.LastSeq, func(seq uint64, edges []exec.Edge) error {
+			err := r.Replay(ci.FirstSeq-1, ci.LastSeq, func(seq uint64, edges []core.Edge) error {
 				fmt.Fprintf(out, "  batch seq=%d count=%d", seq, len(edges))
 				for _, e := range edges {
 					fmt.Fprintf(out, " (%d,%d)", e.X, e.Y)
@@ -332,7 +332,7 @@ func runReplay(args []string, out io.Writer) error {
 	if err := checkSnaps(0); err != nil { // a snapshot of the empty partition
 		return err
 	}
-	err = r.Replay(0, upTo, func(seq uint64, batch []exec.Edge) error {
+	err = r.Replay(0, upTo, func(seq uint64, batch []core.Edge) error {
 		for _, e := range batch {
 			oracle.Unite(e.X, e.Y)
 		}

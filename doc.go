@@ -10,29 +10,29 @@
 // backpressure and per-batch completion callbacks. Every tenant is one
 // forest, as in the paper, every batch runs one find rule (the tenant's
 // configured variant or the batch's own override), and every batch path —
-// blocking, streamed or remote — drives one unified execution seam per
-// structure.
+// blocking, streamed or remote — takes one batch funnel per structure,
+// which owns the whole tenant: forest, log, instruments and traces.
 //
 // The client-facing surface is the tenant-scoped Universe API: a Registry
 // of named, isolated universes (one structure each, options chosen per
-// tenant via the option vocabulary) whose batch methods speak plain
+// tenant via the option vocabulary; per-batch tuning in one BatchOptions
+// struct) whose batch methods speak plain
 // request/response DTOs (UniteRequest, QueryRequest, BatchReply) shared
 // verbatim by in-process callers and the network front end —
 // cmd/dsuserve serves universes over HTTP with length-prefixed binary
 // batch framing, streaming ingestion with
 // end-to-end backpressure, and per-tenant in-flight bounds. An opt-in
 // observability layer (dsu.Metrics, dsuserve's -metrics/-pprof flags)
-// exposes per-tenant Prometheus series fed from the same execution-seam
+// exposes per-tenant Prometheus series fed from the same batch-funnel
 // accounting the batch replies carry, plus server request/traffic
 // metrics, at zero hot-path cost when disabled.
 //
 // The substrates — the APRAM simulator, sequential baselines, the
 // Anderson–Woll comparator, the linearizability checker, workload
-// generators, the batch engine, the execution layer, the ingestion
-// pipeline, the wire codec, the HTTP server, the write-ahead log, and the
-// experiment harness — live under internal/. See README.md for the
-// map, DESIGN.md for the system inventory and per-experiment index, and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
-// bench_test.go regenerate one measurement per experiment; cmd/dsubench
-// prints the full tables.
+// generators, the batch engine, the ingestion pipeline, the wire codec,
+// the HTTP server, the write-ahead log, and the experiment harness — live
+// under internal/. See README.md for the map, DESIGN.md for the system
+// inventory and per-experiment index, and EXPERIMENTS.md for
+// paper-vs-measured results. The benchmarks in bench_test.go regenerate
+// one measurement per experiment; cmd/dsubench prints the full tables.
 package repro

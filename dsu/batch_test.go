@@ -2,6 +2,7 @@ package dsu_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/dsu"
@@ -34,7 +35,7 @@ func TestUniteAllMatchesSequentialBaseline(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			d := dsu.New(n, dsu.WithSeed(9))
-			merged := d.UniteAll(edges, dsu.WithWorkers(workers), dsu.WithGrain(64))
+			merged := d.UniteAll(edges, dsu.BatchOptions{Workers: workers, Grain: 64})
 			if merged != wantMerges {
 				t.Errorf("UniteAll merged %d edges, want %d", merged, wantMerges)
 			}
@@ -59,8 +60,8 @@ func TestSameSetAllMatchesSequentialBaseline(t *testing.T) {
 	}
 
 	d := dsu.New(n, dsu.WithSeed(11))
-	d.UniteAll(unions, dsu.WithWorkers(4))
-	got := d.SameSetAll(queries, dsu.WithWorkers(4), dsu.WithGrain(32))
+	d.UniteAll(unions, dsu.BatchOptions{Workers: 4})
+	got := d.SameSetAll(queries, dsu.BatchOptions{Workers: 4, Grain: 32})
 	for i, q := range queries {
 		if want := ref.SameSet(q.X, q.Y); got[i] != want {
 			t.Errorf("query %d (%d,%d): got %v, want %v", i, q.X, q.Y, got[i], want)
@@ -75,12 +76,12 @@ func TestBatchCounted(t *testing.T) {
 	edges := randomEdges(n, 2*n, 83)
 	d := dsu.New(n)
 	var st dsu.Stats
-	d.UniteAllCounted(edges, &st, dsu.WithWorkers(3))
+	d.UniteAllCounted(edges, &st, dsu.BatchOptions{Workers: 3})
 	if st.Ops != int64(len(edges)) {
 		t.Errorf("UniteAllCounted ops = %d, want %d", st.Ops, len(edges))
 	}
 	before := st.Ops
-	d.SameSetAllCounted(edges, &st, dsu.WithWorkers(3))
+	d.SameSetAllCounted(edges, &st, dsu.BatchOptions{Workers: 3})
 	if st.Ops-before != int64(len(edges)) {
 		t.Errorf("SameSetAllCounted ops = %d, want %d", st.Ops-before, len(edges))
 	}
@@ -105,7 +106,7 @@ func TestBatchConcurrentWithPointOps(t *testing.T) {
 			d.Unite(e.X, e.Y)
 		}
 	}()
-	d.UniteAll(batch, dsu.WithWorkers(4))
+	d.UniteAll(batch, dsu.BatchOptions{Workers: 4})
 	<-done
 
 	ref := seqdsu.New(n, seqdsu.LinkRank, seqdsu.CompactHalving, 1)
@@ -137,14 +138,32 @@ func TestDynamicBatch(t *testing.T) {
 			wantMerges++
 		}
 	}
-	if merged := d.UniteAll(edges, dsu.WithWorkers(4)); merged != wantMerges {
+	if merged := d.UniteAll(edges, dsu.BatchOptions{Workers: 4}); merged != wantMerges {
 		t.Errorf("Dynamic.UniteAll merged %d, want %d", merged, wantMerges)
 	}
 	queries := randomEdges(n, n, 103)
-	got := d.SameSetAll(queries, dsu.WithWorkers(2))
+	got := d.SameSetAll(queries, dsu.BatchOptions{Workers: 2})
 	for i, q := range queries {
 		if want := ref.SameSet(q.X, q.Y); got[i] != want {
 			t.Errorf("query %d: got %v, want %v", i, got[i], want)
 		}
+	}
+
+	// A Dynamic always finds by two-try splitting: a find override is a
+	// contract violation, refused with a diagnosis before the batch runs.
+	override := dsu.BatchOptions{Find: dsu.NoCompaction}
+	for name, call := range map[string]func(){
+		"UniteAll":   func() { d.UniteAll(edges, override) },
+		"SameSetAll": func() { d.SameSetAll(queries, override) },
+	} {
+		func() {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || !strings.Contains(err.Error(), "find override") {
+					t.Errorf("Dynamic.%s with a find override: panic %v, want a diagnosed refusal", name, err)
+				}
+			}()
+			call()
+		}()
 	}
 }

@@ -88,12 +88,12 @@ func TestBackendConformanceOracle(t *testing.T) {
 					engine.FromOps(workload.ZipfMixed(n, n, 1.0, 1.1, seed+300)),
 				}
 				for _, b := range batches {
-					d.UniteAll(b, dsu.WithWorkers(4), dsu.WithGrain(64))
+					d.UniteAll(b, dsu.BatchOptions{Workers: 4, Grain: 64})
 				}
 				ref := oracle(n, batches...)
 
 				queries := engine.FromOps(workload.RandomUnions(n, 4*n, seed+400))
-				ans := d.SameSetAll(queries, dsu.WithWorkers(4))
+				ans := d.SameSetAll(queries, dsu.BatchOptions{Workers: 4})
 				for i, q := range queries {
 					want := ref.SameSet(q.X, q.Y)
 					if ans[i] != want {
@@ -159,7 +159,7 @@ func TestBackendBatchEqualsBlocking(t *testing.T) {
 	for _, bc := range backendCases() {
 		t.Run(bc.name, func(t *testing.T) {
 			batch := bc.make(n, dsu.WithSeed(5))
-			merged := batch.UniteAll(edges, dsu.WithWorkers(4))
+			merged := batch.UniteAll(edges, dsu.BatchOptions{Workers: 4})
 
 			point := bc.make(n, dsu.WithSeed(5))
 			pointMerged := 0
@@ -190,7 +190,7 @@ func TestBackendFindVariantConformance(t *testing.T) {
 		for _, f := range []dsu.FindStrategy{dsu.NoCompaction, dsu.OneTrySplitting, dsu.TwoTrySplitting, dsu.FindAuto, dsu.Halving, dsu.Compression} {
 			t.Run(fmt.Sprintf("%s/%v", bc.name, f), func(t *testing.T) {
 				d := bc.make(n, dsu.WithFind(f), dsu.WithSeed(33))
-				d.UniteAll(edges, dsu.WithWorkers(3))
+				d.UniteAll(edges, dsu.BatchOptions{Workers: 3})
 				checkLabelsMatch(t, d.CanonicalLabels(), want)
 			})
 		}
@@ -286,7 +286,7 @@ func TestAdaptiveFindOption(t *testing.T) {
 	}
 }
 
-// TestBatchOptionBoundaries sweeps WithWorkers and WithGrain through their
+// TestBatchOptionBoundaries sweeps BatchOptions.Workers and Grain through their
 // documented degenerate values — zero, negative, larger than the batch —
 // on the batch path, checking the partition is immune.
 func TestBatchOptionBoundaries(t *testing.T) {
@@ -301,7 +301,7 @@ func TestBatchOptionBoundaries(t *testing.T) {
 			for _, grain := range []int{0, -5, 1, len(edges) * 3} {
 				t.Run(fmt.Sprintf("%s/workers=%d/grain=%d", bc.name, workers, grain), func(t *testing.T) {
 					d := bc.make(n)
-					d.UniteAll(edges, dsu.WithWorkers(workers), dsu.WithGrain(grain))
+					d.UniteAll(edges, dsu.BatchOptions{Workers: workers, Grain: grain})
 					checkLabelsMatch(t, d.CanonicalLabels(), want)
 				})
 			}
@@ -312,7 +312,7 @@ func TestBatchOptionBoundaries(t *testing.T) {
 	for _, bc := range backendCases() {
 		d := bc.make(n)
 		d.UniteAll(edges)
-		for i, ans := range d.SameSetAll(edges, dsu.WithWorkers(-2), dsu.WithGrain(0)) {
+		for i, ans := range d.SameSetAll(edges, dsu.BatchOptions{Workers: -2, Grain: 0}) {
 			if !ans {
 				t.Fatalf("%s: united pair %d answered false", bc.name, i)
 			}
@@ -330,12 +330,12 @@ func TestBackendCountedConformance(t *testing.T) {
 		t.Run(bc.name, func(t *testing.T) {
 			d := bc.make(n)
 			var st dsu.Stats
-			d.UniteAllCounted(edges, &st, dsu.WithWorkers(3))
+			d.UniteAllCounted(edges, &st, dsu.BatchOptions{Workers: 3})
 			if st.Ops == 0 || st.Work() <= 0 {
 				t.Errorf("counted mutation batch reported no work: %+v", st)
 			}
 			before := st.Ops
-			d.SameSetAllCounted(edges, &st, dsu.WithWorkers(3))
+			d.SameSetAllCounted(edges, &st, dsu.BatchOptions{Workers: 3})
 			if st.Ops-before != int64(len(edges)) {
 				t.Errorf("SameSetAllCounted ops = %d, want %d", st.Ops-before, len(edges))
 			}
@@ -434,7 +434,7 @@ func TestOverlappingBatchesExactMerges(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					merged[i] = d.UniteAll(all[i], dsu.WithWorkers(2))
+					merged[i] = d.UniteAll(all[i], dsu.BatchOptions{Workers: 2})
 				}(i)
 			}
 			// Point operations race the batches; their merges must be

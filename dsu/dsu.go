@@ -23,10 +23,16 @@
 //
 //	d := dsu.New(n, dsu.WithFind(dsu.OneTrySplitting), dsu.WithEarlyTermination())
 //
-// Every batch runs one find rule: the structure's variant, or the one a
-// tenant-API request names for itself (BatchOptions.Find). FindAuto and
-// WithAdaptiveFind are compatibility names of the default, two-try
-// splitting.
+// Every batch runs one find rule: the structure's variant, or the one the
+// batch names for itself. Per-batch tuning is one struct, BatchOptions
+// (worker pool, grain, find override), which the batch methods take as an
+// optional trailing argument, a stream takes for every batch, and a
+// tenant-API request carries over the wire:
+//
+//	d.UniteAll(edges, dsu.BatchOptions{Workers: 4, Find: dsu.NoCompaction})
+//
+// FindAuto and WithAdaptiveFind are compatibility names of the default,
+// two-try splitting.
 //
 // Every DSU serves the paper's regime as it stands: goroutines may issue
 // point operations and batches (UniteAll, SameSetAll) with no
@@ -39,8 +45,11 @@
 // backpressure and per-batch completion callbacks (see Stream).
 //
 // Registry and Universe name structures as tenants — the vocabulary the
-// network front end serves. WithKind and ParseKind keep the kind names of
-// older specs ("flat", "lockfree"); every name builds the same DSU.
+// network front end serves. A Universe is a name and its DSU; the DSU
+// holds the whole tenant, so every handle on it shares one log, one set
+// of metrics and one trace recorder. WithKind and ParseKind keep the kind
+// names of older specs ("flat", "lockfree"); every name builds the same
+// DSU.
 //
 // Observability is opt-in and free when off. WithMetrics attaches a
 // Metrics registry (per-tenant counters, latency histograms, Prometheus
@@ -51,16 +60,18 @@
 // Universe.SlowTraces or served as JSON (Tracing is an http.Handler).
 // Trace context propagates across the wire protocol, so a remote
 // client's batch and the server's work connect into one trace. Both
-// layers ride the same execution seams: every ingestion path is covered
-// with zero caller involvement, and the uninstrumented hot path pays
-// one nil check.
+// layers ride the structure's one batch funnel: every ingestion path is
+// covered with zero caller involvement, and the uninstrumented hot path
+// pays one nil check.
 package dsu
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/exec"
+	"repro/internal/tracespan"
 )
 
 // FindStrategy selects how Find compacts the paths it traverses. The
@@ -141,14 +152,32 @@ type Stats = core.Stats
 // called from any number of goroutines concurrently, batches included:
 // the partition after overlapping calls is that of their combined edges,
 // and their Merged counts sum to that edge set's exact count.
+//
+// A DSU is also the whole state of a tenant: the instruments, trace
+// recorder and write-ahead log a Registry attaches live here, next to the
+// forest, so every handle on the structure — a Universe, any view of it
+// made with NewUniverse, the DSU itself — logs, counts and traces the same
+// batches.
 type DSU struct {
 	c *core.DSU
-	// x is the unified execution seam all batch and stream paths route
-	// through.
-	x *exec.Executor
-	// uni is the structure's anonymous Universe — the tenant-API layer the
-	// batch and stream veneers phrase their calls through.
-	uni *Universe
+	// ins is the tenant's metrics bundle (nil until Universe.Instrument);
+	// the atomic pointer keeps a scrape racing an attach sound.
+	ins atomic.Pointer[instruments]
+	// rec is the tenant's trace recorder (nil, recording nothing, until
+	// Universe.EnableTracing); atomic, as ins is, so attaching through a
+	// view races no in-flight batch.
+	rec atomic.Pointer[tracespan.Recorder]
+	// dur is the tenant's write-ahead log (nil unless a durable Registry
+	// created the structure). See durability.go.
+	dur *durableState
+	// gate lets a checkpoint drain in-flight mutation batches: logged
+	// batches hold it shared, a checkpoint holds it exclusive.
+	gate sync.RWMutex
+	// applied is the sequence number of the latest applied mutation batch
+	// (1 for the first). On a durable structure it is the log's committed
+	// sequence; without a log it still counts batches, so replicas and
+	// operators can compare positions.
+	applied atomic.Uint64
 }
 
 // New returns a DSU over n singleton elements 0..n−1. It panics if n is
@@ -160,14 +189,11 @@ func New(n int, opts ...Option) *DSU {
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
-	c := core.New(n, core.Config{
+	return &DSU{c: core.New(n, core.Config{
 		Find:             coreFind(cfg.find),
 		EarlyTermination: cfg.early,
 		Seed:             cfg.seed,
-	})
-	d := &DSU{c: c, x: exec.NewExecutor(c)}
-	d.uni = &Universe{b: d}
-	return d
+	})}
 }
 
 // N returns the number of elements.
@@ -191,11 +217,25 @@ func (d *DSU) SameSetCounted(x, y uint32, st *Stats) bool { return d.c.SameSetCo
 
 // Unite merges the sets containing x and y. It reports whether this call
 // performed the merge (false means the sets were already one at the
-// linearization point, possibly merged by a concurrent Unite).
-func (d *DSU) Unite(x, y uint32) bool { return d.c.Unite(x, y) }
+// linearization point, possibly merged by a concurrent Unite). On a
+// durable structure it is a one-edge batch, logged before it is applied.
+func (d *DSU) Unite(x, y uint32) bool {
+	if d.dur != nil {
+		_, res := d.must([]Edge{{X: x, Y: y}}, false, nil)
+		return res.Merged > 0
+	}
+	return d.c.Unite(x, y)
+}
 
 // UniteCounted is Unite with work accounting into st.
-func (d *DSU) UniteCounted(x, y uint32, st *Stats) bool { return d.c.UniteCounted(x, y, st) }
+func (d *DSU) UniteCounted(x, y uint32, st *Stats) bool {
+	if d.dur != nil {
+		_, res := d.must([]Edge{{X: x, Y: y}}, false, nil)
+		st.Add(res.Stats())
+		return res.Merged > 0
+	}
+	return d.c.UniteCounted(x, y, st)
+}
 
 // Sets returns the number of sets. Call at quiescence (no concurrent
 // Unites) for an exact answer.

@@ -9,28 +9,22 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/exec"
 	"repro/internal/wal"
 )
 
 // Durable tenants: a Registry built WithDurability gives every universe
-// it creates a per-tenant write-ahead log (internal/wal) attached at the
-// execution seam. Every mutation batch — blocking calls, streams, remote
-// RPCs, and point Unites through the Universe — is appended to the log
-// and durable (per the sync policy) before it is applied, so a batch any
-// caller saw acknowledged is a batch recovery will replay; queries are
-// never logged. Create on an existing log recovers the tenant first:
-// latest valid snapshot, then the tail of batches after it, replayed
-// through the same execution seam. Because the partition of a union-find
-// forest is determined by the edge sequence alone — unites are
-// order-independent and idempotent at the partition level — snapshot +
-// tail replay reproduces exactly the partition the log's full history
-// would.
-//
-// The one durability hole is deliberate: point operations on a raw
-// structure handle (DSU.Unite and friends) do not cross the execution
-// seam and are not logged. The tenant surface — Universe and everything
-// the network front end exposes — is fully covered.
+// it creates a per-tenant write-ahead log (internal/wal), attached to its
+// structure. Every mutation on the structure — batch calls, streams,
+// remote RPCs and point Unites, through any handle — takes the batch
+// funnel, which appends it to the log and makes it durable (per the sync
+// policy) before it is applied, so a batch any caller saw acknowledged is
+// a batch recovery will replay; queries are never logged. Create on an
+// existing log recovers the tenant first: latest valid snapshot, then the
+// tail of batches after it, replayed through the same funnel. Because the
+// partition of a union-find forest is determined by the edge sequence
+// alone — unites are order-independent and idempotent at the partition
+// level — snapshot + tail replay reproduces exactly the partition the
+// log's full history would.
 
 // ErrNotDurable reports a durability operation on a universe or registry
 // without persistence configured.
@@ -126,44 +120,34 @@ func WithDurability(dir string, opts ...DurabilityOption) RegistryOption {
 	return registryOptionFunc(func(r *Registry) { r.dur = cfg })
 }
 
-// durableState is a durable universe's persistence handle: the log
-// writer plus the checkpoint routine, whose mutex makes "one checkpoint
-// at a time" true across the on-demand and automatic triggers.
+// durableState is a durable structure's log writer, the kind byte every
+// snapshot echoes, and the mutex that makes "one checkpoint at a time"
+// true across the on-demand and automatic triggers.
 type durableState struct {
 	w    *wal.Writer
-	b    *DSU
-	kind uint8 // the log header's kind byte, echoed by every snapshot
+	kind uint8
 	mu   sync.Mutex
 }
 
 // checkpoint quiesces the structure and snapshots it into the log:
-// in-flight mutation batches drain, new ones hold at the executor's
-// gate, and the Snapshot() written covers exactly the batches numbered
-// up to the log's current sequence. Blocks until the snapshot is
-// durable.
-func (d *durableState) checkpoint() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var err error
-	d.b.x.Quiesce(func(uint64) {
-		_, err = d.w.WriteSnapshot(d.kind, d.b.Snapshot())
-	})
-	return err
-}
-
-// autoCheckpoint is the executor's post-batch trigger: same routine,
-// but skips out when a checkpoint is already running (many batches
-// cross the threshold together; one snapshot serves them all). Failures
-// are not reported here — a snapshot write failure poisons the log, and
-// the next append surfaces it where a caller can see it.
-func (d *durableState) autoCheckpoint() {
-	if !d.mu.TryLock() {
-		return
+// in-flight mutation batches drain, new ones hold at the gate, and the
+// snapshot written covers exactly the batches numbered up to the log's
+// current sequence. It returns once the snapshot is durable. With wait
+// false it is the funnel's post-batch trigger, which skips out when a
+// checkpoint is already running (many batches cross the threshold
+// together; one snapshot serves them all) and whose failures surface at
+// the next append, since a failed snapshot write poisons the log.
+func (d *DSU) checkpoint(wait bool) error {
+	if wait {
+		d.dur.mu.Lock()
+	} else if !d.dur.mu.TryLock() {
+		return nil
 	}
-	defer d.mu.Unlock()
-	d.b.x.Quiesce(func(uint64) {
-		d.w.WriteSnapshot(d.kind, d.b.Snapshot())
-	})
+	defer d.dur.mu.Unlock()
+	d.gate.Lock()
+	defer d.gate.Unlock()
+	_, err := d.dur.w.WriteSnapshot(d.dur.kind, d.c.Snapshot())
+	return err
 }
 
 // ValidTenantName reports whether name is usable as a tenant name on the
@@ -251,30 +235,29 @@ const restoreBlock = 1 << 16
 
 // restoreBackend brings a fresh structure to the log's state at
 // sequence upTo: apply the latest snapshot not past upTo, replay the
-// tail (snapshot, upTo], prime the applied sequence. Runs before the
-// WAL is attached, so nothing here is re-logged, and before
-// instrumentation, so recovery work never pollutes tenant metrics.
+// tail (snapshot, upTo], prime the applied sequence. Runs before the log
+// is attached, so nothing here is re-logged, and before instrumentation,
+// so recovery work never pollutes tenant metrics.
 func restoreBackend(d *DSU, rd *wal.Reader, upTo uint64) error {
-	x := d.x
 	var after uint64
 	if si, ok := rd.LatestSnapshotAt(upTo); ok {
 		sr, err := rd.ReadSnapshot(si)
 		if err != nil {
 			return err
 		}
-		if err := applyParents(x, sr.Parents); err != nil {
+		if err := applyParents(d, sr.Parents); err != nil {
 			return err
 		}
 		after = si.Seq
 	}
-	err := rd.Replay(after, upTo, func(_ uint64, edges []exec.Edge) error {
-		res := x.UniteAll(edges, exec.Config{})
-		return res.Err
+	err := rd.Replay(after, upTo, func(_ uint64, edges []Edge) error {
+		_, _, err := d.batch(edges, false, BatchOptions{}, nil, false)
+		return err
 	})
 	if err != nil {
 		return err
 	}
-	x.SetSeq(upTo)
+	d.applied.Store(upTo)
 	return nil
 }
 
@@ -282,21 +265,21 @@ func restoreBackend(d *DSU, rd *wal.Reader, upTo uint64) error {
 // every non-root parent edge (i, parents[i]), in blocks. The snapshot
 // records a partition, not a forest shape, and unites reproduce exactly
 // that partition.
-func applyParents(x *exec.Executor, parents []uint32) error {
-	buf := make([]exec.Edge, 0, restoreBlock)
+func applyParents(d *DSU, parents []uint32) error {
+	buf := make([]Edge, 0, restoreBlock)
 	flush := func() error {
 		if len(buf) == 0 {
 			return nil
 		}
-		res := x.UniteAll(buf, exec.Config{})
+		_, _, err := d.batch(buf, false, BatchOptions{}, nil, false)
 		buf = buf[:0]
-		return res.Err
+		return err
 	}
 	for i, p := range parents {
 		if uint32(i) == p {
 			continue
 		}
-		buf = append(buf, exec.Edge{X: uint32(i), Y: p})
+		buf = append(buf, Edge{X: uint32(i), Y: p})
 		if len(buf) == restoreBlock {
 			if err := flush(); err != nil {
 				return err
@@ -332,49 +315,31 @@ func (r *Registry) openDurable(u *Universe, n int, cfg config) error {
 			return fmt.Errorf("dsu: recovering tenant %q: %w", u.name, err)
 		}
 	}
-	d := &durableState{w: w, b: u.b, kind: meta.Kind}
-	u.dur = d
-	u.b.x.AttachWAL(w, d.autoCheckpoint)
+	u.b.dur = &durableState{w: w, kind: meta.Kind}
 	return nil
 }
 
 // Durable reports whether the universe persists its mutations to a
 // write-ahead log.
-func (u *Universe) Durable() bool { return u.dur != nil }
+func (u *Universe) Durable() bool { return u.b.dur != nil }
 
 // Seq returns the universe's applied-batch sequence number: 0 before
 // any mutation batch, and on a durable universe the durable log
 // position (primed by recovery, advanced by every logged batch).
 // Operators compare it across replicas; TenantInfo and the
 // dsu_tenant_seq gauge surface it.
-func (u *Universe) Seq() uint64 { return u.b.x.Seq() }
+func (u *Universe) Seq() uint64 { return u.b.applied.Load() }
 
 // Checkpoint snapshots the universe into its log, now. It drains
 // in-flight mutation batches first (holding new ones briefly at the
-// execution seam's gate), so the snapshot is taken at true quiescence —
-// never a torn view of a batch mid-application — and returns once the
-// snapshot is durable. Returns ErrNotDurable without persistence.
+// structure's gate), so the snapshot is taken at true quiescence — never
+// a torn view of a batch mid-application — and returns once the snapshot
+// is durable. Returns ErrNotDurable without persistence.
 func (u *Universe) Checkpoint() error {
-	if u.dur == nil {
+	if u.b.dur == nil {
 		return ErrNotDurable
 	}
-	return u.dur.checkpoint()
-}
-
-// durableUnite routes a point Unite through the execution seam so it is
-// logged like any batch. Point operations on the tenant surface keep
-// their panic-on-contract-violation semantics, and a WAL append failure
-// is exactly that: the log is poisoned and nothing further can be
-// acknowledged.
-func (u *Universe) durableUnite(x, y uint32) bool {
-	if n := uint32(u.b.N()); x >= n || y >= n {
-		panic(fmt.Sprintf("dsu: Unite(%d,%d) outside the %d-element universe", x, y, n))
-	}
-	res := u.b.x.UniteAll([]exec.Edge{{X: x, Y: y}}, exec.Config{Workers: 1})
-	if res.Err != nil {
-		panic(fmt.Errorf("dsu: durable Unite not logged: %w", res.Err))
-	}
-	return res.Merged > 0
+	return u.b.checkpoint(true)
 }
 
 // Close seals every durable tenant's log (summary, footer, fsync) and
@@ -387,8 +352,8 @@ func (r *Registry) Close() error {
 	defer r.mu.Unlock()
 	var errs []error
 	for name, u := range r.m {
-		if u.dur != nil {
-			if err := u.dur.w.Close(); err != nil {
+		if u.b.dur != nil {
+			if err := u.b.dur.w.Close(); err != nil {
 				errs = append(errs, fmt.Errorf("dsu: sealing tenant %q: %w", name, err))
 			}
 		}

@@ -631,6 +631,71 @@ func TestDurableStreamAndPointOps(t *testing.T) {
 	reg2.Close()
 }
 
+// TestUniverseViewSharesTenant: a Universe is a stateless view, so a
+// second one made with NewUniverse over a durable, instrumented registry
+// tenant is the same tenant — same durability, position and metrics, a
+// working checkpoint — and its mutations, point Unites included, are
+// logged and survive recovery.
+func TestUniverseViewSharesTenant(t *testing.T) {
+	const n = 256
+	dir := t.TempDir()
+	reg := dsu.NewRegistry(dsu.WithDurability(dir), dsu.WithMetrics(dsu.NewMetrics()))
+	u, err := reg.Create("t", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := durBatches(n, 5, 6, 111)
+	ingest(t, u, batches)
+
+	v := dsu.NewUniverse("t", u.Backend())
+	same := func(when string) {
+		t.Helper()
+		if v.Durable() != u.Durable() || v.Seq() != u.Seq() || v.Metrics() != u.Metrics() {
+			t.Fatalf("%s: view reports durable=%v seq=%d %+v, tenant durable=%v seq=%d %+v",
+				when, v.Durable(), v.Seq(), v.Metrics(), u.Durable(), u.Seq(), u.Metrics())
+		}
+	}
+	same("before the view mutates")
+	if !v.Durable() || !v.Metrics().Instrumented {
+		t.Fatalf("view of a durable instrumented tenant: durable=%v instrumented=%v", v.Durable(), v.Metrics().Instrumented)
+	}
+	if err := v.Checkpoint(); err != nil {
+		t.Fatalf("view Checkpoint: %v", err)
+	}
+
+	more := durBatches(n, 2, 6, 112)
+	ingest(t, v, more)
+	x, y := uint32(0), uint32(n-1)
+	for u.SameSet(x, y) {
+		y--
+	}
+	if !v.Unite(x, y) {
+		t.Fatalf("view Unite(%d,%d) merged nothing", x, y)
+	}
+	all := append(append(batches, more...), []dsu.Edge{{X: x, Y: y}})
+	if want := uint64(len(all)); v.Seq() != want {
+		t.Fatalf("Seq = %d after %d mutations", v.Seq(), want)
+	}
+	same("after the view mutates")
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg2 := dsu.NewRegistry(dsu.WithDurability(dir))
+	u2, err := reg2.Create("t", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg2.Close()
+	if !u2.SameSet(x, y) {
+		t.Fatalf("the view's point Unite(%d,%d) did not survive recovery", x, y)
+	}
+	sameLabels(t, "recovered", u2.CanonicalLabels(), oracleLabels(n, all))
+	if u2.Seq() != uint64(len(all)) {
+		t.Fatalf("recovered Seq = %d, want %d", u2.Seq(), len(all))
+	}
+}
+
 // TestSeqWithoutDurability: the applied-batch sequence counts mutation
 // batches even with no WAL, and surfaces in tenant metrics.
 func TestSeqWithoutDurability(t *testing.T) {

@@ -4,7 +4,7 @@ import (
 	"io"
 	"net/http"
 
-	"repro/internal/exec"
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 )
@@ -16,7 +16,7 @@ import (
 // mountable as /metrics).
 //
 // Attach one to a Registry with WithMetrics, or to a hand-built universe
-// with Universe.Instrument; instrumentation rides the execution seam, so
+// with Universe.Instrument; instrumentation rides the batch funnel, so
 // every path into a tenant's structure — blocking batch calls, streams,
 // remote RPCs — feeds the same series without the caller doing anything.
 // Without a Metrics attached nothing is recorded and the batch hot path
@@ -39,7 +39,7 @@ import (
 //	dsu_stream_executing_batches{tenant}    batches inside UniteAll (gauge)
 //	dsu_stream_recycled_buffers_total{tenant} buffers reused through free lists
 //
-// The batch counters are exactly the exec.Result accounting every call
+// The batch counters are exactly the engine.Result accounting every call
 // already returns: a scrape's per-tenant totals equal the sum of the
 // BatchReply values handed to that tenant's callers.
 type Metrics struct {
@@ -100,62 +100,92 @@ func (m *Metrics) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	_ = m.WriteText(w)
 }
 
-// instruments resolves the per-tenant executor bundle.
-func (m *Metrics) instruments(tenant string) *exec.Instruments {
-	if m == nil {
-		return nil
+// opInstruments is one operation kind's slice of a tenant's bundle: unite
+// batches and query batches each get their own batch/edge/find-step
+// counters and latency histogram, so a scraper can tell mutation traffic
+// from query traffic per tenant.
+type opInstruments struct {
+	batches, edges, findSteps *metrics.Counter
+	latency                   *metrics.Histogram
+}
+
+// instruments is a tenant's metrics bundle, resolved from a Metrics
+// registry under the tenant's name. The batch funnel feeds it on every
+// batch — blocking calls, stream batches and remote RPCs alike — and
+// streams feed its pipeline gauges.
+type instruments struct {
+	unite, query opInstruments
+	// merged counts edges that performed a merge, comparable against a
+	// scrape-time Sets() delta; casRetries counts root-link CAS retries.
+	merged, casRetries *metrics.Counter
+	// seq tracks the applied-batch sequence. A gauge, not a counter:
+	// Instrument primes it to a recovered position.
+	seq     *metrics.Gauge
+	streams pipeline.Gauges
+}
+
+// observe records one batch run.
+func (m *instruments) observe(query bool, n int, res *engine.Result) {
+	o := &m.unite
+	if query {
+		o = &m.query
+	} else {
+		m.merged.Add(res.Merged)
 	}
-	return &exec.Instruments{
-		Unite: exec.OpInstruments{
-			Batches:   m.batches.With(tenant, "unite"),
-			Edges:     m.edges.With(tenant, "unite"),
-			FindSteps: m.findSteps.With(tenant, "unite"),
-			Latency:   m.latency.With(tenant, "unite"),
+	o.batches.Inc()
+	o.edges.Add(int64(n))
+	o.findSteps.Add(res.Stats().FindSteps)
+	o.latency.Observe(res.Elapsed.Seconds())
+	m.casRetries.Add(res.CASRetries)
+}
+
+// instruments resolves the tenant's bundle.
+func (m *Metrics) instruments(tenant string) *instruments {
+	op := func(kind string) opInstruments {
+		return opInstruments{
+			batches:   m.batches.With(tenant, kind),
+			edges:     m.edges.With(tenant, kind),
+			findSteps: m.findSteps.With(tenant, kind),
+			latency:   m.latency.With(tenant, kind),
+		}
+	}
+	return &instruments{
+		unite:      op("unite"),
+		query:      op("query"),
+		merged:     m.merged.With(tenant),
+		casRetries: m.casRetries.With(tenant),
+		seq:        m.seq.With(tenant),
+		streams: pipeline.Gauges{
+			Active:    m.streamsActive.With(tenant),
+			InFlight:  m.streamInFlight.With(tenant),
+			Executing: m.streamExecuting.With(tenant),
+			Recycled:  m.streamRecycled.With(tenant),
 		},
-		Query: exec.OpInstruments{
-			Batches:   m.batches.With(tenant, "query"),
-			Edges:     m.edges.With(tenant, "query"),
-			FindSteps: m.findSteps.With(tenant, "query"),
-			Latency:   m.latency.With(tenant, "query"),
-		},
-		Merged:     m.merged.With(tenant),
-		CASRetries: m.casRetries.With(tenant),
-		Seq:        m.seq.With(tenant),
 	}
 }
 
-// gauges resolves the per-tenant stream pipeline gauges.
-func (m *Metrics) gauges(tenant string) pipeline.Gauges {
-	if m == nil {
-		return pipeline.Gauges{}
-	}
-	return pipeline.Gauges{
-		Active:    m.streamsActive.With(tenant),
-		InFlight:  m.streamInFlight.With(tenant),
-		Executing: m.streamExecuting.With(tenant),
-		Recycled:  m.streamRecycled.With(tenant),
-	}
-}
-
-// Instrument attaches m's per-tenant series to the universe: every batch
-// through the structure's execution seam — blocking, streamed, or remote
-// — feeds them from here on, and streams opened via this universe feed
-// the pipeline gauges. Call before the universe is shared (Registry
+// Instrument attaches m's series, under the universe's name, to its
+// structure: every batch the structure runs — blocking, streamed, or
+// remote — feeds them from here on, and so do the pipeline gauges of the
+// streams opened afterwards. Attaching through any view re-attaches the
+// whole tenant, replacing the series attached before. Call before the
+// universe is shared, so the series count its whole lifetime (Registry
 // universes built with WithMetrics are instrumented at Create, before
 // they are visible). Instrumenting with a nil Metrics is a no-op.
 func (u *Universe) Instrument(m *Metrics) {
 	if m == nil {
 		return
 	}
-	u.b.x.Instrument(m.instruments(u.name))
-	u.sg = m.gauges(u.name)
+	ins := m.instruments(u.name)
+	ins.seq.Set(int64(u.b.applied.Load())) // a recovered position
+	u.b.ins.Store(ins)
 }
 
 // TenantMetrics is one universe's accounting totals, read from the live
 // instruments — the in-process face of the /metrics exposition, so
 // embedders and benchmarks see exactly what a scraper would. The batch
-// totals equal the summed exec.Result/BatchReply values returned to this
-// tenant's callers since instrumentation.
+// totals equal the summed BatchReply values returned to this tenant's
+// callers since instrumentation.
 type TenantMetrics struct {
 	// Instrumented reports whether the universe has live instruments; when
 	// false every other field is zero.
@@ -183,21 +213,21 @@ type TenantMetrics struct {
 // uninstrumented universe it returns the zero TenantMetrics (Instrumented
 // false).
 func (u *Universe) Metrics() TenantMetrics {
-	ins := u.b.x.Instruments()
+	ins := u.b.ins.Load()
 	if ins == nil {
 		return TenantMetrics{}
 	}
 	return TenantMetrics{
 		Instrumented:          true,
-		UniteBatches:          ins.Unite.Batches.Value(),
-		QueryBatches:          ins.Query.Batches.Value(),
-		UniteEdges:            ins.Unite.Edges.Value(),
-		QueryPairs:            ins.Query.Edges.Value(),
-		Merged:                ins.Merged.Value(),
-		FindSteps:             ins.Unite.FindSteps.Value() + ins.Query.FindSteps.Value(),
-		CASRetries:            ins.CASRetries.Value(),
-		Seq:                   ins.Seq.Value(),
-		StreamsActive:         u.sg.Active.Value(),
-		StreamBatchesInFlight: u.sg.InFlight.Value(),
+		UniteBatches:          ins.unite.batches.Value(),
+		QueryBatches:          ins.query.batches.Value(),
+		UniteEdges:            ins.unite.edges.Value(),
+		QueryPairs:            ins.query.edges.Value(),
+		Merged:                ins.merged.Value(),
+		FindSteps:             ins.unite.findSteps.Value() + ins.query.findSteps.Value(),
+		CASRetries:            ins.casRetries.Value(),
+		Seq:                   ins.seq.Value(),
+		StreamsActive:         ins.streams.Active.Value(),
+		StreamBatchesInFlight: ins.streams.InFlight.Value(),
 	}
 }

@@ -16,10 +16,10 @@ func metricsEdges(n, m int, seed int64) []Edge {
 }
 
 // TestMetricsMatchReplies is the acceptance criterion for the
-// instrumentation seam: for every structure kind, the per-tenant totals a
+// instrumentation: for every structure kind, the per-tenant totals a
 // scraper reads from Universe.Metrics must equal the sums of the
 // BatchReply values handed back to the tenant's callers — the metrics
-// layer observes the same exec.Result record the DTO layer returns, so
+// layer observes the same engine.Result record the DTO layer returns, so
 // the two views cannot disagree.
 func TestMetricsMatchReplies(t *testing.T) {
 	const n = 2000

@@ -4,15 +4,15 @@ import (
 	"context"
 	"sync/atomic"
 
-	"repro/internal/exec"
 	"repro/internal/pipeline"
 	"repro/internal/tracespan"
 )
 
 // BatchResult reports one executed stream batch to the OnBatch callback:
-// batch id (1-based seal order), edge count, the full unified execution
-// record (merges, Stats(), elapsed time), and the execution error for
-// abandoned batches.
+// batch id (1-based seal order), edge count, the engine's record of the
+// run (merges, Stats(), elapsed time, the find variant it ran), and the
+// error of a batch that did not apply: abandoned, or refused by the batch
+// funnel as a request would be.
 type BatchResult = pipeline.Result
 
 // ErrStreamClosed is reported by Stream.Push and Stream.Flush after Close.
@@ -24,7 +24,7 @@ type streamConfig struct {
 	inflight int
 	ctx      context.Context
 	onBatch  func(BatchResult)
-	batch    []BatchOption
+	batch    BatchOptions
 }
 
 // StreamOption configures NewStream.
@@ -73,10 +73,12 @@ func WithOnBatch(fn func(BatchResult)) StreamOption {
 	return streamOptionFunc(func(c *streamConfig) { c.onBatch = fn })
 }
 
-// WithBatchOptions sets the BatchOptions applied to every batch the
-// stream dispatches — worker count, grain.
-func WithBatchOptions(opts ...BatchOption) StreamOption {
-	return streamOptionFunc(func(c *streamConfig) { c.batch = opts })
+// WithBatchOptions sets the BatchOptions every batch the stream
+// dispatches runs under. They resolve per batch exactly as a request's
+// do: a find override the request path refuses fails each batch with
+// that error, and the batch does not apply.
+func WithBatchOptions(o BatchOptions) StreamOption {
+	return streamOptionFunc(func(c *streamConfig) { c.batch = o })
 }
 
 // Stream is the asynchronous ingestion front over a DSU: Push accumulates
@@ -102,9 +104,10 @@ type Stream struct {
 }
 
 // NewStream starts a stream ingesting into d. The returned Stream owns a
-// dispatcher goroutine; Close releases it. The stream's batches drive the
-// structure's own execution seam — the same funnel blocking UniteAll
-// calls use — so batch options resolve identically.
+// dispatcher goroutine; Close releases it. Every batch the stream
+// dispatches takes the structure's one batch funnel, the one blocking
+// UniteAll calls take, so it is validated, logged on a durable
+// structure, counted and traced exactly as they are.
 //
 //	d := dsu.New(n)
 //	s := dsu.NewStream(d,
@@ -113,37 +116,24 @@ type Stream struct {
 //	for e := range arrivals { s.Push(e) }
 //	s.Close() // flush remainder, drain, stop
 func NewStream(d *DSU, opts ...StreamOption) *Stream {
-	return d.uni.NewStream(opts...)
-}
-
-// NewStream starts a stream ingesting into the universe's structure — the
-// stream entry point of the tenant API, and the layer dsu.NewStream is a
-// veneer over. The network front end runs one of these per connection, so
-// a remote edge stream gets exactly the in-process stream's batching,
-// backpressure, and ordering.
-func (u *Universe) NewStream(opts ...StreamOption) *Stream {
 	cfg := streamConfig{}
 	for _, o := range opts {
 		o.applyStream(&cfg)
 	}
-	s := &Stream{}
-	x := u.b.x
-	base := batchConfig(x.Seed(), cfg.batch)
-	run := func(edges []exec.Edge, tr *tracespan.Trace) pipeline.Result {
-		bcfg := base
-		bcfg.Trace = tr
-		res := x.UniteAll(edges, bcfg)
-		// Lift a durability refusal into the pipeline's error slot (the
-		// embedded exec.Result.Err would be shadowed): the batch was not
-		// applied, and the stream's completion callback must see it fail.
-		return pipeline.Result{Result: res, Err: res.Err}
+	var gauges pipeline.Gauges // zero (recording nothing) when uninstrumented
+	if ins := d.ins.Load(); ins != nil {
+		gauges = ins.streams
 	}
-	s.p = pipeline.New(run, pipeline.Config{
+	s := &Stream{}
+	s.p = pipeline.New(func(edges []Edge, tr *tracespan.Trace) pipeline.Result {
+		_, res, err := d.batch(edges, false, cfg.batch, tr, false)
+		return pipeline.Result{Result: res, Err: err}
+	}, pipeline.Config{
 		BufferSize:  cfg.buffer,
 		MaxInFlight: cfg.inflight,
 		Context:     cfg.ctx,
-		Gauges:      u.sg,  // zero (recording nothing) when uninstrumented
-		Tracer:      u.rec, // nil (untraced) when tracing is off
+		Gauges:      gauges,
+		Tracer:      d.rec.Load(), // nil (untraced) when tracing is off
 		Callback: func(r pipeline.Result) {
 			s.batches.Add(1)
 			s.edges.Add(int64(r.Edges))
@@ -159,6 +149,12 @@ func (u *Universe) NewStream(opts ...StreamOption) *Stream {
 	})
 	return s
 }
+
+// NewStream starts a stream ingesting into the universe's structure — the
+// stream entry point of the tenant API. The network front end runs one of
+// these per connection, so a remote edge stream gets exactly the
+// in-process stream's batching, backpressure, and ordering.
+func (u *Universe) NewStream(opts ...StreamOption) *Stream { return NewStream(u.b, opts...) }
 
 // Push appends edges to the stream, sealing and dispatching a batch each
 // time the buffer reaches the threshold. It blocks while the stream is
@@ -211,6 +207,7 @@ func (s *Stream) Edges() int64 { return s.edges.Load() }
 // Merged returns the total merges across successfully executed batches.
 func (s *Stream) Merged() int64 { return s.merged.Load() }
 
-// Failed returns the number of abandoned batches (context cancellation or
-// a panicking batch run).
+// Failed returns the number of batches that did not apply: abandoned
+// (context cancellation or a panicking batch run) or refused by the batch
+// funnel.
 func (s *Stream) Failed() uint64 { return s.failed.Load() }

@@ -49,7 +49,7 @@ func TestStreamMatchesBlocking(t *testing.T) {
 					ref := mk()
 					var refMerged int
 					for lo := 0; lo < len(edges); lo += buffer {
-						refMerged += ref.UniteAll(edges[lo:min(lo+buffer, len(edges)):len(edges)], dsu.WithWorkers(3))
+						refMerged += ref.UniteAll(edges[lo:min(lo+buffer, len(edges)):len(edges)], dsu.BatchOptions{Workers: 3})
 					}
 
 					// Streamed run: same sequence, random chunking, random flushes.
@@ -57,7 +57,7 @@ func TestStreamMatchesBlocking(t *testing.T) {
 					s := dsu.NewStream(back,
 						dsu.WithBufferSize(buffer),
 						dsu.WithMaxInFlight(2),
-						dsu.WithBatchOptions(dsu.WithWorkers(3), dsu.WithGrain(64)))
+						dsu.WithBatchOptions(dsu.BatchOptions{Workers: 3, Grain: 64}))
 					rng := rand.New(rand.NewSource(int64(seed) + int64(buffer)))
 					for lo := 0; lo < len(edges); {
 						hi := min(lo+1+rng.Intn(700), len(edges))
@@ -104,7 +104,7 @@ func TestStreamCallbackOrdering(t *testing.T) {
 	d := dsu.New(n)
 	s := dsu.NewStream(d,
 		dsu.WithBufferSize(300),
-		dsu.WithBatchOptions(dsu.WithWorkers(2), dsu.WithGrain(64)),
+		dsu.WithBatchOptions(dsu.BatchOptions{Workers: 2, Grain: 64}),
 		dsu.WithOnBatch(func(r dsu.BatchResult) { results = append(results, r) }))
 	for _, e := range edges {
 		if err := s.Push(e); err != nil {
@@ -141,6 +141,70 @@ func TestStreamCallbackOrdering(t *testing.T) {
 	}
 	if err := s.Push(dsu.Edge{X: 1, Y: 2}); !errors.Is(err, dsu.ErrStreamClosed) {
 		t.Errorf("Push after Close = %v, want ErrStreamClosed", err)
+	}
+}
+
+// TestStreamBatchOptions pins streams to the one per-batch vocabulary:
+// every batch runs under the stream's BatchOptions, find override
+// included, and an override the request path refuses fails every batch
+// with the request path's error, leaving the structure untouched.
+func TestStreamBatchOptions(t *testing.T) {
+	const n = 1000
+	edges := engine.FromOps(workload.RandomUnions(n, 2*n, 79))
+	stream := func(d *dsu.DSU, o dsu.BatchOptions) []dsu.BatchResult {
+		t.Helper()
+		var results []dsu.BatchResult
+		s := dsu.NewStream(d, dsu.WithBufferSize(256), dsu.WithBatchOptions(o),
+			dsu.WithOnBatch(func(r dsu.BatchResult) { results = append(results, r) }))
+		if err := s.Push(edges...); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return results
+	}
+
+	d := dsu.New(n)
+	for _, r := range stream(d, dsu.BatchOptions{Workers: 2, Grain: 64, Find: dsu.NoCompaction}) {
+		if r.Err != nil {
+			t.Fatalf("batch %d: %v", r.ID, r.Err)
+		}
+		if r.Workers != 2 || r.Grain != 64 {
+			t.Errorf("batch %d ran %d workers at grain %d, want 2 at 64", r.ID, r.Workers, r.Grain)
+		}
+		if f := dsu.ReplyOf(r).Find; f != dsu.NoCompaction {
+			t.Errorf("batch %d ran find %v, want %v", r.ID, f, dsu.NoCompaction)
+		}
+	}
+	want := dsu.New(n)
+	want.UniteAll(edges)
+	checkLabelsMatch(t, d.CanonicalLabels(), want.CanonicalLabels())
+
+	for _, tc := range []struct {
+		name string
+		d    *dsu.DSU
+		find dsu.FindStrategy
+	}{
+		{"auto", dsu.New(n), dsu.FindAuto},
+		{"early+halving", dsu.New(n, dsu.WithEarlyTermination()), dsu.Halving},
+	} {
+		_, refused := dsu.NewUniverse("t", tc.d).UniteAll(dsu.UniteRequest{Edges: edges, Options: dsu.BatchOptions{Find: tc.find}})
+		if refused == nil {
+			t.Fatalf("%s: the request path accepted find %v", tc.name, tc.find)
+		}
+		results := stream(tc.d, dsu.BatchOptions{Find: tc.find})
+		if len(results) == 0 {
+			t.Fatalf("%s: no batches delivered", tc.name)
+		}
+		for _, r := range results {
+			if r.Err == nil || r.Err.Error() != refused.Error() {
+				t.Errorf("%s: batch %d error %v, want the request path's %v", tc.name, r.ID, r.Err, refused)
+			}
+		}
+		if tc.d.Sets() != n {
+			t.Errorf("%s: refused batches merged %d sets", tc.name, n-tc.d.Sets())
+		}
 	}
 }
 
@@ -200,7 +264,7 @@ func TestStreamSoak(t *testing.T) {
 		s := dsu.NewStream(back,
 			dsu.WithBufferSize(64+16*it),
 			dsu.WithMaxInFlight(1+it%3),
-			dsu.WithBatchOptions(dsu.WithWorkers(2), dsu.WithGrain(32)),
+			dsu.WithBatchOptions(dsu.BatchOptions{Workers: 2, Grain: 32}),
 			dsu.WithOnBatch(func(r dsu.BatchResult) {
 				mu.Lock()
 				delivered += int64(r.Edges)

@@ -33,13 +33,13 @@ type SpanTrace = tracespan.SpanSnapshot
 // as /debug/traces).
 //
 // Attach one to a Registry with WithTracing, or to a hand-built universe
-// with Universe.EnableTracing; tracing rides the same execution seams
-// metrics do, so every path into a tenant's structure — blocking batch
+// with Universe.EnableTracing; tracing rides the structure's batch funnel,
+// as metrics do, so every path into a tenant's structure — blocking batch
 // calls, streams, remote RPCs — records the same span taxonomy without
 // the caller doing anything. Without a Tracing attached nothing is
-// recorded and the batch hot path pays one nil check (and zero
-// allocations) — the disabled mode the root BenchmarkTraceOverhead pins
-// down.
+// recorded and the batch hot path pays one pointer load and nil check
+// (and zero allocations) — the disabled mode the root
+// BenchmarkTraceOverhead pins down.
 type Tracing struct {
 	cfg tracespan.Config
 
@@ -192,36 +192,37 @@ func (t *Tracing) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // creates is traced from Create, before it becomes visible, so its whole
 // lifetime of batches lands in t's per-tenant rings. A nil t leaves the
 // registry untraced. Compose with WithMetrics freely — the two ride the
-// same seams independently.
+// same funnel independently.
 func WithTracing(t *Tracing) RegistryOption {
 	return registryOptionFunc(func(r *Registry) { r.tracing = t })
 }
 
-// EnableTracing attaches the universe to a tracing registry, resolving
-// its per-tenant recorder under the universe's name. Every batch
-// admitted afterwards — blocking calls, stream batches, remote RPCs — is
-// traced; streams opened before the call keep their untraced pipeline.
-// A nil t (or nil receiver field resolution) disables tracing. Not
-// synchronized with in-flight batches: attach before the universe is
-// shared, as Registry.Create does.
+// EnableTracing attaches the universe's structure to a tracing registry,
+// resolving its recorder under this universe's name. The recorder belongs
+// to the structure, so attaching through any view re-attaches the whole
+// tenant, replacing the recorder attached before. Every batch admitted
+// afterwards — blocking calls, stream batches, remote RPCs — is traced;
+// a batch already running finishes in the recorder it started with, and
+// streams opened before the call stay untraced. A nil t disables tracing.
+// Safe concurrently with in-flight batches.
 func (u *Universe) EnableTracing(t *Tracing) {
-	u.rec = t.recorder(u.name)
+	u.b.rec.Store(t.recorder(u.name))
 }
 
-// TraceRecorder returns the universe's trace recorder, nil when tracing
+// TraceRecorder returns the structure's trace recorder, nil when tracing
 // is off — the seam the network front end records its wire-decode and
 // reply-encode spans through.
-func (u *Universe) TraceRecorder() *tracespan.Recorder { return u.rec }
+func (u *Universe) TraceRecorder() *tracespan.Recorder { return u.b.rec.Load() }
 
 // Traces returns the universe's recent finished batch traces, newest
 // first (nil when tracing is off). Each entry is a complete span tree:
 // root batch span, stage spans, and per-worker attribution.
-func (u *Universe) Traces() []BatchTrace { return u.rec.Snapshot() }
+func (u *Universe) Traces() []BatchTrace { return u.b.rec.Load().Snapshot() }
 
 // SlowTraces returns the flight recorder: traces whose end-to-end
 // latency met the slow threshold, retained beyond the recent ring's
 // churn. Newest first; nil when tracing is off.
-func (u *Universe) SlowTraces() []BatchTrace { return u.rec.Slow() }
+func (u *Universe) SlowTraces() []BatchTrace { return u.b.rec.Load().Slow() }
 
 // UniteAllTraced is UniteAll recording into a caller-supplied trace —
 // the form the network front end uses, where the trace begins at frame
@@ -233,50 +234,21 @@ func (u *Universe) SlowTraces() []BatchTrace { return u.rec.Slow() }
 // errors are reported before any execution, so a rejected request
 // records no trace.
 func (u *Universe) UniteAllTraced(req UniteRequest, tr *Trace) (BatchReply, error) {
-	cfg, err := u.resolve(req.Options)
+	_, res, err := u.b.batch(req.Edges, false, req.Options, tr, true)
 	if err != nil {
+		// Refused before it applied: validation, or durability, after
+		// which no reply may acknowledge the batch.
 		return BatchReply{}, err
 	}
-	if err := validatePairs("edge", req.Edges, u.b.N()); err != nil {
-		return BatchReply{}, err
-	}
-	if tr == nil {
-		tr = u.rec.Start(tracespan.OpUnite, tracespan.SourceBlocking)
-		defer u.rec.Finish(tr)
-	}
-	cfg.Trace = tr
-	res := u.b.x.UniteAll(req.Edges, cfg)
-	if res.Err != nil {
-		// Durability refused the batch: it was not applied, and no reply
-		// may acknowledge it.
-		return BatchReply{}, res.Err
-	}
-	rep := replyOf(nil, res)
-	if a := tr.Attrs(tracespan.Root); a != nil {
-		a.Edges = int64(len(req.Edges))
-		a.Merged = rep.Merged
-	}
-	return rep, nil
+	return replyOf(nil, res), nil
 }
 
 // SameSetAllTraced is SameSetAll recording into a caller-supplied trace
 // (see UniteAllTraced).
 func (u *Universe) SameSetAllTraced(req QueryRequest, tr *Trace) (BatchReply, error) {
-	cfg, err := u.resolve(req.Options)
+	out, res, err := u.b.batch(req.Pairs, true, req.Options, tr, true)
 	if err != nil {
 		return BatchReply{}, err
-	}
-	if err := validatePairs("pair", req.Pairs, u.b.N()); err != nil {
-		return BatchReply{}, err
-	}
-	if tr == nil {
-		tr = u.rec.Start(tracespan.OpQuery, tracespan.SourceBlocking)
-		defer u.rec.Finish(tr)
-	}
-	cfg.Trace = tr
-	out, res := u.b.x.SameSetAll(req.Pairs, cfg)
-	if a := tr.Attrs(tracespan.Root); a != nil {
-		a.Edges = int64(len(req.Pairs))
 	}
 	return replyOf(out, res), nil
 }

@@ -3,6 +3,7 @@ package dsu
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -276,5 +277,76 @@ func TestTracedDTOMethods(t *testing.T) {
 	}
 	if len(u.Traces()) != 1 {
 		t.Error("failed validation leaked a recorded trace")
+	}
+}
+
+// TestUniverseViewEnableTracing pins the recorder's ownership: it belongs
+// to the structure, so attaching or detaching it through a second view
+// re-attaches the whole tenant, and doing so while another view runs
+// batches is safe (this test runs in CI's race step). A stream opened
+// before the attach stays untraced.
+func TestUniverseViewEnableTracing(t *testing.T) {
+	const n = 1000
+	u := NewUniverse("t", New(n))
+	s := u.NewStream(WithBufferSize(8))
+	v := NewUniverse("t", u.Backend())
+	tracing := NewTracing()
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 400; i++ {
+			e := Edge{X: uint32(i % n), Y: uint32((7*i + 1) % n)}
+			if _, err := u.UniteAll(UniteRequest{Edges: []Edge{e}}); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := u.SameSetAll(QueryRequest{Pairs: []Edge{e}}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+toggle:
+	for attached := false; ; attached = !attached {
+		select {
+		case <-done:
+			break toggle
+		default:
+		}
+		if attached {
+			v.EnableTracing(nil)
+		} else {
+			v.EnableTracing(tracing)
+		}
+		runtime.Gosched()
+	}
+
+	v.EnableTracing(nil)
+	if u.TraceRecorder() != nil {
+		t.Fatal("detaching through a view left the tenant traced")
+	}
+	v.EnableTracing(tracing)
+	rec := u.TraceRecorder()
+	if rec == nil || rec != v.TraceRecorder() {
+		t.Fatal("attaching through a view did not trace the tenant")
+	}
+	started := rec.Started()
+	for i := 0; i < 32; i++ {
+		if err := s.Push(Edge{X: uint32(i), Y: uint32(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Started(); got != started {
+		t.Errorf("a stream opened untraced started %d traces after the attach, want 0", got-started)
+	}
+	if _, err := u.UniteAll(UniteRequest{Edges: []Edge{{X: 0, Y: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if traces := u.Traces(); rec.Started() != started+1 || len(traces) == 0 || traces[0].Source != "blocking" {
+		t.Errorf("a blocking batch through the other view was not traced: started %d → %d", started, rec.Started())
 	}
 }

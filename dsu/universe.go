@@ -10,50 +10,36 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/exec"
-	"repro/internal/pipeline"
-	"repro/internal/tracespan"
+	"repro/internal/engine"
 )
 
-// A Universe is the tenant-scoped view of one disjoint-set structure: a
-// name, a *DSU, and the request/response surface remote and in-process
-// callers share. The DTO methods (UniteAll, SameSetAll) take plain-data
-// requests, validate them against the universe — element range, per-batch
-// find overrides — and answer with a BatchReply carrying the execution
-// layer's full accounting; the wire protocol (internal/wire) carries
-// exactly these types, so a batch means the same thing whether it arrived
-// over a socket or from the goroutine next door.
-// The package's own batch veneers (DSU.UniteAll and friends, Stream) route
-// through this layer too, which is what keeps the two worlds identical.
+// A Universe is a tenant's name and structure: the request/response
+// surface remote and in-process callers share. The DTO methods (UniteAll,
+// SameSetAll) take plain-data requests, validate them against the
+// structure — element range, per-batch find overrides — and answer with a
+// BatchReply carrying the engine's full accounting; the wire protocol
+// (internal/wire) carries exactly these types, so a batch means the same
+// thing whether it arrived over a socket or from the goroutine next door.
 //
-// A Universe is a stateless wrapper: all structure state lives in the
-// DSU, every method is safe for concurrent use, and any number of
-// Universe values may wrap one structure.
+// A Universe is a stateless view: all tenant state — the forest, its
+// instruments, trace recorder and log — lives in the DSU, every method is
+// safe for concurrent use, and any number of Universe values may wrap one
+// structure and see the same tenant.
 type Universe struct {
 	name string
 	b    *DSU
-	// sg holds the tenant's stream pipeline gauges, resolved by
-	// Instrument; the zero value records nothing. Streams opened through
-	// this universe feed them (the executor-side instruments live on the
-	// structure's execution seam and need no per-universe state).
-	sg pipeline.Gauges
-	// rec is the tenant's trace recorder, resolved by EnableTracing; nil
-	// (the default) disables tracing — every batch path nil-checks once
-	// and records nothing.
-	rec *tracespan.Recorder
-	// dur is the tenant's persistence handle (log writer + checkpoint
-	// routine), nil for the non-durable universes every registry without
-	// WithDurability creates. See durability.go.
-	dur *durableState
 }
 
 // NewUniverse wraps an existing structure as a named universe — for
-// serving a structure built by hand, outside a Registry. The name is
-// advisory (Registry enforces uniqueness, this does not).
+// serving a structure built by hand, outside a Registry, or for a second
+// view of a registry tenant. The name is advisory (Registry enforces
+// uniqueness, this does not); it keys the series and traces Instrument
+// and EnableTracing attach. Those two attach to the structure, so calling
+// either through any view re-attaches the whole tenant under that view's
+// name.
 func NewUniverse(name string, d *DSU) *Universe { return &Universe{name: name, b: d} }
 
-// Name returns the universe's tenant name ("" for the anonymous universe
-// every structure carries internally).
+// Name returns the universe's tenant name.
 func (u *Universe) Name() string { return u.name }
 
 // Backend returns the wrapped structure.
@@ -63,17 +49,10 @@ func (u *Universe) Backend() *DSU { return u.b }
 func (u *Universe) N() int { return u.b.N() }
 
 // Find, SameSet, and Unite are the point operations, delegated to the
-// structure. On a durable universe, Unite routes through the execution
-// seam as a one-edge batch so it is logged before it is applied, like
-// every other mutation on the tenant surface.
+// structure; on a durable structure Unite is logged before it is applied.
 func (u *Universe) Find(x uint32) uint32     { return u.b.Find(x) }
 func (u *Universe) SameSet(x, y uint32) bool { return u.b.SameSet(x, y) }
-func (u *Universe) Unite(x, y uint32) bool {
-	if u.dur != nil {
-		return u.durableUnite(x, y)
-	}
-	return u.b.Unite(x, y)
-}
+func (u *Universe) Unite(x, y uint32) bool   { return u.b.Unite(x, y) }
 
 // Sets, CanonicalLabels, Components, Snapshot, and ID are the quiescent
 // read surface, delegated to the structure.
@@ -82,51 +61,6 @@ func (u *Universe) CanonicalLabels() []uint32 { return u.b.CanonicalLabels() }
 func (u *Universe) Components() [][]uint32    { return u.b.Components() }
 func (u *Universe) Snapshot() []uint32        { return u.b.Snapshot() }
 func (u *Universe) ID(x uint32) uint32        { return u.b.ID(x) }
-
-// BatchOptions is the plain-data mirror of the per-batch option vocabulary
-// (WithWorkers, WithGrain) plus an optional per-batch find-variant override
-// — the form a batch's tuning takes inside a request DTO, where a
-// []BatchOption cannot travel. The zero value selects every default.
-type BatchOptions struct {
-	// Workers is the batch worker-pool size; values ≤ 0 select
-	// runtime.GOMAXPROCS(0).
-	Workers int
-	// Grain is the span-claim granularity; values ≤ 0 select the engine
-	// default (1024).
-	Grain int
-	// Find, when non-zero, overrides the structure's find variant for this
-	// batch. FindAuto names a structure configuration, not a per-batch
-	// value, and is rejected; Halving and Compression are rejected on
-	// structures built WithEarlyTermination (the combination is undefined,
-	// exactly as in New).
-	Find FindStrategy
-}
-
-// Options converts o back into the option vocabulary, for configuring
-// in-process batch calls or stream defaults from a wire-shaped
-// description. The Find override has no []BatchOption form — it is
-// resolved by the Universe DTO methods — and is ignored here.
-func (o BatchOptions) Options() []BatchOption {
-	var opts []BatchOption
-	if o.Workers > 0 {
-		opts = append(opts, WithWorkers(o.Workers))
-	}
-	if o.Grain > 0 {
-		opts = append(opts, WithGrain(o.Grain))
-	}
-	return opts
-}
-
-// batchOptionsOf flattens a resolved option list into the DTO form — how
-// the in-process veneers phrase their calls in the Universe layer's
-// vocabulary.
-func batchOptionsOf(opts []BatchOption) BatchOptions {
-	var cfg exec.Config
-	for _, o := range opts {
-		o.applyBatch(&cfg)
-	}
-	return BatchOptions{Workers: cfg.Workers, Grain: cfg.Grain}
-}
 
 // UniteRequest asks a universe to merge across a batch of edges.
 type UniteRequest struct {
@@ -142,7 +76,7 @@ type QueryRequest struct {
 
 // BatchReply reports one executed batch — the response DTO shared by
 // in-process callers and the wire. Merged, Find, CASRetries, Elapsed, and
-// Stats carry the execution layer's unified accounting (exec.Result);
+// Stats carry the engine's accounting of the run (engine.Result);
 // Answers is filled by query batches only, indexed like the request's
 // Pairs.
 type BatchReply struct {
@@ -153,7 +87,7 @@ type BatchReply struct {
 	Answers []bool
 	Merged  int64
 	Find    FindStrategy
-	// CASRetries carries exec.Result.CASRetries: root-link CAS attempts
+	// CASRetries carries engine.Result.CASRetries: root-link CAS attempts
 	// that lost a race to a concurrent link and retried, summed over the
 	// batch's workers — the contention metric (zero under early
 	// termination, and zero for query batches). Remote callers read
@@ -184,7 +118,7 @@ func findStrategyOf(f core.Find) FindStrategy {
 }
 
 // replyOf assembles the DTO from one execution record.
-func replyOf(answers []bool, res exec.Result) BatchReply {
+func replyOf(answers []bool, res engine.Result) BatchReply {
 	return BatchReply{
 		Answers:    answers,
 		Merged:     res.Merged,
@@ -193,52 +127,6 @@ func replyOf(answers []bool, res exec.Result) BatchReply {
 		Elapsed:    res.Elapsed,
 		Stats:      res.Stats(),
 	}
-}
-
-// MaxBatchWorkers caps the worker pool one batch request may ask for. The
-// DTO layer is the untrusted boundary — a remote frame must not be able
-// to spawn an unbounded number of goroutines — and no legitimate batch
-// benefits from more workers than this (the engine additionally clamps to
-// the edge count). The network front end applies the same cap to its
-// stream tuning parameters.
-const MaxBatchWorkers = 1024
-
-// resolve turns request options into the execution configuration,
-// validating the find override against the structure's configuration.
-func (u *Universe) resolve(o BatchOptions) (exec.Config, error) {
-	if o.Workers > MaxBatchWorkers {
-		o.Workers = MaxBatchWorkers
-	}
-	cfg := exec.Config{Workers: o.Workers, Grain: o.Grain, Seed: u.b.x.Seed()}
-	switch o.Find {
-	case 0:
-		// The structure's configured variant.
-	case FindAuto:
-		return cfg, errors.New("dsu: FindAuto names a structure configuration (WithAdaptiveFind), not a per-batch override")
-	case NoCompaction, OneTrySplitting, TwoTrySplitting:
-		cfg.Find = coreFind(o.Find)
-	case Halving, Compression:
-		if u.b.c.Config().EarlyTermination {
-			return cfg, fmt.Errorf("dsu: find override %v is undefined on a structure built with early termination", o.Find)
-		}
-		cfg.Find = coreFind(o.Find)
-	default:
-		return cfg, fmt.Errorf("dsu: unknown find strategy %d", int(o.Find))
-	}
-	return cfg, nil
-}
-
-// validatePairs bounds-checks a batch against the universe. Remote callers
-// are untrusted; a single predictable compare per endpoint here is what
-// lets the wait-free core keep its unchecked array indexing.
-func validatePairs(what string, pairs []Edge, n int) error {
-	limit := uint32(n)
-	for i, e := range pairs {
-		if e.X >= limit || e.Y >= limit {
-			return fmt.Errorf("dsu: %s %d names (%d,%d), outside the %d-element universe", what, i, e.X, e.Y, n)
-		}
-	}
-	return nil
 }
 
 // Validate bounds-checks a batch against the universe without running it —
@@ -256,10 +144,9 @@ func (u *Universe) Validate(pairs []Edge) error {
 func ReplyOf(r BatchResult) BatchReply { return replyOf(nil, r.Result) }
 
 // UniteAll merges across every edge of the request's batch and reports the
-// run. It is the mutation entry point of the tenant API: requests are
-// validated (element range, find override) and then driven through the
-// structure's execution seam — the same funnel DSU.UniteAll and every
-// Stream batch use, so remote and in-process batches are
+// run. It is the mutation entry point of the tenant API: the request runs
+// through the structure's one batch funnel — the same one DSU.UniteAll and
+// every Stream batch take — so remote and in-process batches are
 // indistinguishable to the structure. The reply's Merged is the exact
 // sequential merge count.
 func (u *Universe) UniteAll(req UniteRequest) (BatchReply, error) {
@@ -411,10 +298,6 @@ func (r *Registry) Create(name string, n int, opts ...Option) (*Universe, error)
 	}
 	u.Instrument(r.metrics)    // no-op when uninstrumented
 	u.EnableTracing(r.tracing) // no-op (nil recorder) when untraced
-	if u.dur != nil {
-		// Publish the recovered position to the just-attached gauge.
-		u.b.x.SetSeq(u.b.x.Seq())
-	}
 	r.m[name] = u
 	return u, nil
 }
@@ -468,8 +351,8 @@ func (r *Registry) Drop(name string) bool {
 	delete(r.m, name)
 	if ok {
 		r.tracing.drop(name)
-		if u.dur != nil {
-			u.dur.w.Close()
+		if u.b.dur != nil {
+			u.b.dur.w.Close()
 		}
 	}
 	return ok

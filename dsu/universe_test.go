@@ -99,7 +99,7 @@ func TestUniverseDTOEquivalence(t *testing.T) {
 			classic := tc.build()
 			viaDTO := dsu.NewUniverse("t", tc.build())
 
-			wantMerged := classic.UniteAll(edges, dsu.WithGrain(256))
+			wantMerged := classic.UniteAll(edges, dsu.BatchOptions{Grain: 256})
 			rep, err := viaDTO.UniteAll(dsu.UniteRequest{Edges: edges, Options: dsu.BatchOptions{Grain: 256}})
 			if err != nil {
 				t.Fatal(err)

@@ -55,7 +55,7 @@ func main() {
 	s := dsu.NewStream(d,
 		dsu.WithBufferSize(*buffer),
 		dsu.WithMaxInFlight(*inflight),
-		dsu.WithBatchOptions(dsu.WithWorkers(*workers)),
+		dsu.WithBatchOptions(dsu.BatchOptions{Workers: *workers}),
 		dsu.WithOnBatch(func(r dsu.BatchResult) {
 			if r.Err != nil {
 				fmt.Fprintf(os.Stderr, "batch %d failed: %v\n", r.ID, r.Err)
@@ -115,7 +115,7 @@ func main() {
 	qstart := time.Now()
 	var qstats dsu.Stats
 	for k := 0; k < queryBatches; k++ {
-		answers := d.SameSetAllCounted(queries, &qstats, dsu.WithWorkers(*workers))
+		answers := d.SameSetAllCounted(queries, &qstats, dsu.BatchOptions{Workers: *workers})
 		for i, e := range stream {
 			if answers[i] != (want[e.U] == want[e.V]) {
 				fmt.Fprintf(os.Stderr, "MISMATCH: query (%d,%d) answered %v, BFS says %v\n",

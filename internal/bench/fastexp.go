@@ -104,7 +104,7 @@ func runE24(cfg Config) error {
 	fmt.Fprintf(cfg.Out, "E24 acceptance bar) and converge toward 1.0 as frames grow and encode cost\n")
 	fmt.Fprintf(cfg.Out, "dominates. Pipe allocs/frame should sit far below the per-RPC figure: the\n")
 	fmt.Fprintf(cfg.Out, "codecs themselves are allocation-free (the line above), leaving only\n")
-	fmt.Fprintf(cfg.Out, "executor-side batch bookkeeping.\n")
+	fmt.Fprintf(cfg.Out, "the dsu layer's per-batch bookkeeping.\n")
 	return nil
 }
 

@@ -23,7 +23,7 @@ func blockingIngest(n int, seed uint64, edges []engine.Edge, buffer, workers int
 	start := time.Now()
 	for lo := 0; lo < len(edges); lo += buffer {
 		hi := min(lo+buffer, len(edges))
-		d.UniteAll(edges[lo:hi], dsu.WithWorkers(workers))
+		d.UniteAll(edges[lo:hi], dsu.BatchOptions{Workers: workers})
 	}
 	return time.Since(start)
 }
@@ -35,7 +35,7 @@ func blockingIngest(n int, seed uint64, edges []engine.Edge, buffer, workers int
 func streamIngest(mk func() *dsu.DSU, edges []engine.Edge, buffer, workers int) time.Duration {
 	s := dsu.NewStream(mk(),
 		dsu.WithBufferSize(buffer),
-		dsu.WithBatchOptions(dsu.WithWorkers(workers)),
+		dsu.WithBatchOptions(dsu.BatchOptions{Workers: workers}),
 		dsu.WithOnBatch(requireBatch))
 	start := time.Now()
 	for lo := 0; lo < len(edges); lo += streamChunk {

@@ -144,7 +144,7 @@ type DSU struct {
 	made *atomic.Uint32
 	// views holds the find-variant views over this forest, indexed by
 	// Find and shared by every view. New builds them once, so WithFind is
-	// a lookup: the executor resolves one for every batch that overrides
+	// a lookup: the dsu layer resolves one for every batch that overrides
 	// its find variant. Variants the early-termination setting does not
 	// define are nil.
 	views *[FindCompress + 1]*DSU

@@ -91,20 +91,11 @@ type Config struct {
 	// with equal seeds scan victims in the same order (the interleaving of
 	// operations still varies with goroutine scheduling).
 	Seed uint64
-	// Find, when non-zero, overrides the structure's configured find
-	// variant for this batch: the exec layer's Executor drives the batch
-	// through a variant view over the same forest (core.DSU.WithFind),
-	// which is safe between and during batches because every variant
-	// maintains the same structural invariants. Zero keeps the configured
-	// variant. The engine's free functions ignore it (a Target is opaque).
-	Find core.Find
-	// Trace, when non-nil, is the batch's span tree: the Executor records
-	// an execute span around the run, synthesizes per-worker sub-spans
+	// Trace, when non-nil, is the batch's span tree: the caller records
+	// an execute span around the run and synthesizes per-worker sub-spans
 	// from the Result's accounting (the engine keeps Result.PerWorker for
-	// traced batches only), and attributes the batch's CASRetries. Nil
-	// (the default, and the disabled mode) records nothing — every
-	// tracespan method is a nil-safe no-op, so untraced batches pay only
-	// a nil check.
+	// traced batches only). Nil (the default, and the disabled mode)
+	// records nothing.
 	Trace *tracespan.Trace
 }
 
@@ -115,8 +106,8 @@ type Config struct {
 const defaultGrain = 1024
 
 // Result reports what one batch run did, across every execution path: the
-// pool's accounting, filled here, plus what the exec layer's Executor adds
-// (Find, Seq, Err).
+// pool's accounting, filled here, plus the find variant the caller ran the
+// batch with (Find).
 type Result struct {
 	// Workers is the resolved size of the pool that ran the batch. It is 1
 	// when the batch fit in one grain, which runs on the caller, and zero
@@ -124,8 +115,8 @@ type Result struct {
 	Workers int
 	// Grain is the resolved claim granularity (set exactly when Workers is).
 	Grain int
-	// Find is the variant the batch ran with, as the Executor resolved it
-	// from Config.Find and the structure's configuration.
+	// Find is the variant the batch ran with, which the caller records: the
+	// engine drives an opaque Target.
 	Find core.Find
 	// Merged counts Unites that performed a merge: exactly the sequential
 	// pass's count for any schedule, and, across batches that overlap on
@@ -150,15 +141,6 @@ type Result struct {
 	PerWorker []core.Stats
 	// Elapsed is the wall-clock duration of the whole batch call.
 	Elapsed time.Duration
-	// Seq is the batch's position in the applied mutation order, assigned
-	// by the Executor: the durable log sequence when a WAL is attached, a
-	// plain batch count otherwise. Zero for query batches, empty batches,
-	// and failed batches.
-	Seq uint64
-	// Err is set when durability refused the batch: the WAL append
-	// failed, the batch was NOT applied, and no reply path may
-	// acknowledge it. Always nil without a WAL attached.
-	Err error
 }
 
 // Stats returns the summed work counters of the pool's workers.

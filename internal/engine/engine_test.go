@@ -441,3 +441,32 @@ func TestSpanConcurrentClaimSteal(t *testing.T) {
 		}
 	}
 }
+
+// TestResultStatsAggregation pins Result.Stats as the pool's sum: every
+// pair of the batch counts as one operation, and on a traced batch, whose
+// per-worker breakdown the engine keeps, the workers' counters sum to it
+// exactly.
+func TestResultStatsAggregation(t *testing.T) {
+	const n = 1024
+	d := core.New(n, core.Config{Seed: 13})
+	edges := FromOps(workload.RandomUnions(n, 4*n, 17))
+	tr := tracespan.New(tracespan.Config{}).Start("unite", tracespan.SourceBlocking)
+	res := UniteAll(d, edges, Config{Workers: 2, Grain: 64, Seed: 3, Trace: tr})
+
+	if got := res.Stats(); got != res.WorkerStats {
+		t.Errorf("Stats() = %+v, want the pool's WorkerStats %+v", got, res.WorkerStats)
+	}
+	if res.Stats().Ops != int64(len(edges)) {
+		t.Errorf("Stats().Ops = %d, batch has %d edges", res.Stats().Ops, len(edges))
+	}
+	if len(res.PerWorker) != res.Workers || res.Workers != 2 {
+		t.Fatalf("traced batch kept %d per-worker records for %d workers, want 2", len(res.PerWorker), res.Workers)
+	}
+	var manual core.Stats
+	for _, w := range res.PerWorker {
+		manual.Add(w)
+	}
+	if manual != res.Stats() {
+		t.Errorf("Σ PerWorker = %+v, Stats() %+v", manual, res.Stats())
+	}
+}

@@ -1,8 +1,8 @@
 // Package metrics is the repo's dependency-free instrumentation layer:
 // counters, gauges, and fixed-bucket histograms with label support, a
 // registry that owns them, and a Prometheus text-format (v0.0.4)
-// exposition writer — the observability seam the execution layer, the
-// stream pipeline, and the network front end all feed.
+// exposition writer — the observability seam the dsu layer's batch
+// funnel, the stream pipeline, and the network front end all feed.
 //
 // # Design
 //

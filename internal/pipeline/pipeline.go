@@ -44,7 +44,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/exec"
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/tracespan"
 )
@@ -57,20 +57,20 @@ var ErrClosed = errors.New("pipeline: closed")
 const defaultBufferSize = 1 << 16
 
 // Result reports one sealed batch's execution, delivered to the callback
-// exactly once per batch, in batch-id order. The embedded exec.Result is
-// the batch run's full unified record — Merged, Stats(), Elapsed —
-// exactly as the executor reported it (zero when Err is set), so stream
-// callbacks see the same accounting blocking callers do.
+// exactly once per batch, in batch-id order. The embedded engine.Result is
+// the batch run's full record — Merged, Stats(), Elapsed — exactly as
+// Exec reported it (zero when Err is set), so stream callbacks see the
+// same accounting blocking callers do.
 type Result struct {
 	// ID is the batch's 1-based seal sequence number.
 	ID uint64
 	// Edges is the sealed batch's edge count.
 	Edges int
 	// Result is the batch run's execution record.
-	exec.Result
+	engine.Result
 	// Err is non-nil when the batch was abandoned (context cancelled
-	// before execution) or its Exec panicked; the batch's edges did not
-	// (fully) reach the structure.
+	// before execution), its Exec refused it, or its Exec panicked; the
+	// batch's edges did not (fully) reach the structure.
 	Err error
 	// Trace is the batch's span tree when the pipeline is traced
 	// (Config.Tracer set), nil otherwise. The callback runs before the
@@ -82,9 +82,10 @@ type Result struct {
 
 // Exec runs one sealed batch against the backing structure and reports what
 // it did. tr is the batch's trace (nil untraced); the dsu layer threads it
-// into exec.Config so the executor's spans land in it. Exec runs on the
-// dispatcher goroutine; panics are recovered into Result.Err.
-type Exec func(edges []exec.Edge, tr *tracespan.Trace) Result
+// into the batch's engine configuration so its execute spans land in it.
+// Exec runs on the dispatcher goroutine; panics are recovered into
+// Result.Err.
+type Exec func(edges []engine.Edge, tr *tracespan.Trace) Result
 
 // Config tunes one Pipeline.
 type Config struct {
@@ -147,7 +148,7 @@ type Gauges struct {
 // sealed is one batch in flight between the accumulator and dispatcher.
 type sealed struct {
 	id    uint64
-	edges []exec.Edge
+	edges []engine.Edge
 	tr    *tracespan.Trace  // the batch's trace (nil untraced)
 	qw    tracespan.SpanRef // its open queue-wait span
 }
@@ -164,7 +165,7 @@ type Pipeline struct {
 	tracer *tracespan.Recorder
 
 	mu     sync.Mutex
-	buf    []exec.Edge
+	buf    []engine.Edge
 	nextID uint64
 	closed bool
 	// tr/seal are the active buffer's trace and its open seal span,
@@ -173,9 +174,9 @@ type Pipeline struct {
 	tr   *tracespan.Trace
 	seal tracespan.SpanRef
 
-	batches chan sealed      // sized so executing + waiting batches ≤ MaxInFlight
-	free    chan []exec.Edge // recycled buffers
-	done    chan struct{}    // closed when the dispatcher exits
+	batches chan sealed        // sized so executing + waiting batches ≤ MaxInFlight
+	free    chan []engine.Edge // recycled buffers
+	done    chan struct{}      // closed when the dispatcher exits
 	// abandoned records that a cancellation cost at least one batch. The
 	// dispatcher sets it before done closes; Close reads it after <-done.
 	abandoned atomic.Bool
@@ -209,9 +210,9 @@ func New(run Exec, cfg Config) *Pipeline {
 		size:    size,
 		g:       cfg.Gauges,
 		tracer:  cfg.Tracer,
-		buf:     make([]exec.Edge, 0, size),
+		buf:     make([]engine.Edge, 0, size),
 		batches: make(chan sealed, inflight-1),
-		free:    make(chan []exec.Edge, inflight+1),
+		free:    make(chan []engine.Edge, inflight+1),
 		done:    make(chan struct{}),
 	}
 	p.g.Active.Inc()
@@ -226,7 +227,7 @@ func (p *Pipeline) BufferSize() int { return p.size }
 // buffer reaches the threshold. It blocks while the dispatcher is
 // MaxInFlight batches behind and returns ErrClosed after Close. Edges are
 // copied before Push returns; the caller may reuse its slice.
-func (p *Pipeline) Push(edges ...exec.Edge) error {
+func (p *Pipeline) Push(edges ...engine.Edge) error {
 	return p.PushLinked(tracespan.Context{}, edges...)
 }
 
@@ -238,7 +239,7 @@ func (p *Pipeline) Push(edges ...exec.Edge) error {
 // The server's stream handler threads each traced frame's context
 // through here, which is how a remote client's trace ID ends up on the
 // span tree its edges execute under.
-func (p *Pipeline) PushLinked(link tracespan.Context, edges ...exec.Edge) error {
+func (p *Pipeline) PushLinked(link tracespan.Context, edges ...engine.Edge) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -318,7 +319,7 @@ func (p *Pipeline) sealLocked() {
 	case b := <-p.free:
 		p.buf = b
 	default:
-		p.buf = make([]exec.Edge, 0, p.size)
+		p.buf = make([]engine.Edge, 0, p.size)
 	}
 }
 

@@ -8,17 +8,17 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/exec"
+	"repro/internal/engine"
 	"repro/internal/tracespan"
 )
 
 // countingExec returns an Exec that tallies batches and edges and reports
 // every edge as merged, for callback-contract tests that need no DSU.
 func countingExec(batches, edges *atomic.Int64) Exec {
-	return func(b []exec.Edge, _ *tracespan.Trace) Result {
+	return func(b []engine.Edge, _ *tracespan.Trace) Result {
 		batches.Add(1)
 		edges.Add(int64(len(b)))
-		return Result{Result: exec.Result{Merged: int64(len(b))}}
+		return Result{Result: engine.Result{Merged: int64(len(b))}}
 	}
 }
 
@@ -34,7 +34,7 @@ func TestCallbackContract(t *testing.T) {
 	})
 	const total = 8*5 + 3 // five full batches and a remainder
 	for i := 0; i < total; i++ {
-		if err := p.Push(exec.Edge{X: uint32(i), Y: uint32(i + 1)}); err != nil {
+		if err := p.Push(engine.Edge{X: uint32(i), Y: uint32(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,7 +73,7 @@ func TestCallbackContract(t *testing.T) {
 // flush is a no-op) and the ErrClosed contract.
 func TestFlushAndClosedErrors(t *testing.T) {
 	var sizes []int
-	p := New(func(b []exec.Edge, _ *tracespan.Trace) Result {
+	p := New(func(b []engine.Edge, _ *tracespan.Trace) Result {
 		sizes = append(sizes, len(b))
 		return Result{}
 	}, Config{BufferSize: 100})
@@ -81,13 +81,13 @@ func TestFlushAndClosedErrors(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatalf("empty Flush: %v", err)
 	}
-	if err := p.Push(exec.Edge{X: 1, Y: 2}); err != nil {
+	if err := p.Push(engine.Edge{X: 1, Y: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Push(exec.Edge{X: 3, Y: 4}, exec.Edge{X: 5, Y: 6}); err != nil {
+	if err := p.Push(engine.Edge{X: 3, Y: 4}, engine.Edge{X: 5, Y: 6}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
@@ -97,7 +97,7 @@ func TestFlushAndClosedErrors(t *testing.T) {
 		t.Fatalf("exec ran batches of %v edges, want [1 2] (empty flush must not seal)", sizes)
 	}
 
-	if err := p.Push(exec.Edge{}); !errors.Is(err, ErrClosed) {
+	if err := p.Push(engine.Edge{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Push after Close = %v, want ErrClosed", err)
 	}
 	if err := p.Flush(); !errors.Is(err, ErrClosed) {
@@ -114,13 +114,13 @@ func TestFlushAndClosedErrors(t *testing.T) {
 func TestBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	var started atomic.Int64
-	p := New(func(b []exec.Edge, _ *tracespan.Trace) Result {
+	p := New(func(b []engine.Edge, _ *tracespan.Trace) Result {
 		started.Add(1)
 		<-gate
 		return Result{}
 	}, Config{BufferSize: 1, MaxInFlight: 1})
 
-	if err := p.Push(exec.Edge{X: 0, Y: 1}); err != nil { // seals batch 1; dispatcher blocks in exec
+	if err := p.Push(engine.Edge{X: 0, Y: 1}); err != nil { // seals batch 1; dispatcher blocks in exec
 		t.Fatal(err)
 	}
 	for started.Load() == 0 {
@@ -130,7 +130,7 @@ func TestBackpressure(t *testing.T) {
 	var unblocked atomic.Bool
 	pushed := make(chan struct{})
 	go func() {
-		p.Push(exec.Edge{X: 2, Y: 3}) // seals batch 2: must block, dispatcher is busy
+		p.Push(engine.Edge{X: 2, Y: 3}) // seals batch 2: must block, dispatcher is busy
 		unblocked.Store(true)
 		close(pushed)
 	}()
@@ -156,16 +156,16 @@ func TestContextAbort(t *testing.T) {
 	var execs atomic.Int64
 	var mu sync.Mutex
 	var got []Result
-	p := New(func(b []exec.Edge, _ *tracespan.Trace) Result {
+	p := New(func(b []engine.Edge, _ *tracespan.Trace) Result {
 		execs.Add(1)
-		return Result{Result: exec.Result{Merged: 1}}
+		return Result{Result: engine.Result{Merged: 1}}
 	}, Config{BufferSize: 2, Context: ctx, Callback: func(r Result) {
 		mu.Lock()
 		got = append(got, r)
 		mu.Unlock()
 	}})
 
-	if err := p.Push(exec.Edge{X: 0, Y: 1}, exec.Edge{X: 1, Y: 2}); err != nil {
+	if err := p.Push(engine.Edge{X: 0, Y: 1}, engine.Edge{X: 1, Y: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// Let batch 1 drain before cancelling so its success is deterministic.
@@ -179,7 +179,7 @@ func TestContextAbort(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
-	if err := p.Push(exec.Edge{X: 2, Y: 3}, exec.Edge{X: 3, Y: 4}); err != nil {
+	if err := p.Push(engine.Edge{X: 2, Y: 3}, engine.Edge{X: 3, Y: 4}); err != nil {
 		t.Fatal(err) // Push still accepts; the batch is abandoned at dispatch
 	}
 	if err := p.Close(); !errors.Is(err, context.Canceled) {
@@ -206,14 +206,14 @@ func TestLateCancelIsNotAnError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var mu sync.Mutex
 	var results []Result
-	p := New(func(b []exec.Edge, _ *tracespan.Trace) Result {
-		return Result{Result: exec.Result{Merged: int64(len(b))}}
+	p := New(func(b []engine.Edge, _ *tracespan.Trace) Result {
+		return Result{Result: engine.Result{Merged: int64(len(b))}}
 	}, Config{BufferSize: 2, Context: ctx, Callback: func(r Result) {
 		mu.Lock()
 		results = append(results, r)
 		mu.Unlock()
 	}})
-	if err := p.Push(exec.Edge{X: 0, Y: 1}, exec.Edge{X: 1, Y: 2}); err != nil {
+	if err := p.Push(engine.Edge{X: 0, Y: 1}, engine.Edge{X: 1, Y: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// Drain fully, then cancel: nothing is in flight to abandon.
@@ -239,15 +239,15 @@ func TestLateCancelIsNotAnError(t *testing.T) {
 // batch's Err and the pipeline keeps serving later batches.
 func TestExecPanicRecovered(t *testing.T) {
 	var got []Result
-	p := New(func(b []exec.Edge, _ *tracespan.Trace) Result {
+	p := New(func(b []engine.Edge, _ *tracespan.Trace) Result {
 		if b[0].X == 13 {
 			panic("unlucky batch")
 		}
-		return Result{Result: exec.Result{Merged: 7}}
+		return Result{Result: engine.Result{Merged: 7}}
 	}, Config{BufferSize: 1, Callback: func(r Result) { got = append(got, r) }})
 
 	for _, x := range []uint32{1, 13, 2} {
-		if err := p.Push(exec.Edge{X: x, Y: x + 1}); err != nil {
+		if err := p.Push(engine.Edge{X: x, Y: x + 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -273,7 +273,7 @@ func TestExecPanicRecovered(t *testing.T) {
 func TestConcurrentProducers(t *testing.T) {
 	var edges atomic.Int64
 	var cbEdges atomic.Int64
-	p := New(func(b []exec.Edge, _ *tracespan.Trace) Result {
+	p := New(func(b []engine.Edge, _ *tracespan.Trace) Result {
 		edges.Add(int64(len(b)))
 		return Result{}
 	}, Config{BufferSize: 64, MaxInFlight: 2, Callback: func(r Result) { cbEdges.Add(int64(r.Edges)) }})
@@ -285,7 +285,7 @@ func TestConcurrentProducers(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := p.Push(exec.Edge{X: uint32(w), Y: uint32(i)}); err != nil {
+				if err := p.Push(engine.Edge{X: uint32(w), Y: uint32(i)}); err != nil {
 					t.Errorf("producer %d: %v", w, err)
 					return
 				}
@@ -314,12 +314,12 @@ func TestConcurrentProducers(t *testing.T) {
 func TestFlushSurfacesCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var execs atomic.Int64
-	p := New(func(b []exec.Edge, _ *tracespan.Trace) Result {
+	p := New(func(b []engine.Edge, _ *tracespan.Trace) Result {
 		execs.Add(1)
 		return Result{}
 	}, Config{BufferSize: 1 << 20, Context: ctx})
 
-	if err := p.Push(exec.Edge{X: 0, Y: 1}); err != nil {
+	if err := p.Push(engine.Edge{X: 0, Y: 1}); err != nil {
 		t.Fatal(err)
 	}
 	cancel()

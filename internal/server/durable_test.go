@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -131,6 +133,46 @@ func TestDropRecreateSeedless(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("re-created tenant's labels differ from the dropped tenant's")
+	}
+}
+
+// TestCreateErrorsNameNoPath: a create refused for its log or its data
+// directory answers without naming a server-side path — a 400 when a
+// dropped tenant's log records another configuration, a 500 when the
+// file system fails.
+func TestCreateErrorsNameNoPath(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	reg := dsu.NewRegistry(dsu.WithDurability(dir))
+	defer reg.Close()
+	_, c := newTestServer(t, Config{Registry: reg})
+	if _, err := c.CreateTenant(ctx, TenantSpec{Name: "t", N: 16}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DropTenant(ctx, "t"); err != nil {
+		t.Fatal(err)
+	}
+	_, err := c.CreateTenant(ctx, TenantSpec{Name: "t", N: 32})
+	if err == nil || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("re-create under another n = %v, want 400", err)
+	}
+	if strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), `"t"`) {
+		t.Fatalf("re-create error names a path, or not the tenant: %v", err)
+	}
+
+	// A data directory that cannot be made: its parent is a file.
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad := dsu.NewRegistry(dsu.WithDurability(filepath.Join(file, "data")))
+	_, c2 := newTestServer(t, Config{Registry: bad})
+	_, err = c2.CreateTenant(ctx, TenantSpec{Name: "t", N: 16})
+	if err == nil || !strings.Contains(err.Error(), "500") {
+		t.Fatalf("create over an unusable data directory = %v, want 500", err)
+	}
+	if strings.Contains(err.Error(), file) {
+		t.Fatalf("storage error names a path: %v", err)
 	}
 }
 

@@ -83,6 +83,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -418,11 +419,12 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 		}
 		u, err := s.reg.Create(spec.Name, spec.N, opts...)
 		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, dsu.ErrExists) {
-				status = http.StatusConflict
+			switch {
+			case errors.Is(err, dsu.ErrExists):
+				http.Error(w, err.Error(), http.StatusConflict)
+			case !s.storageFailure(w, "tenant create", spec.Name, err):
+				http.Error(w, err.Error(), http.StatusBadRequest)
 			}
-			http.Error(w, err.Error(), status)
 			return
 		}
 		s.log.Info("tenant created", "tenant", u.Name(), "n", u.N())
@@ -446,6 +448,19 @@ func (s *Server) handleTenant(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 	}
 }
 
+// storageFailure answers err with a 500 and reports true when err
+// carries a file-system error, whose text names a path on the server:
+// the body names no path, and the detail goes to the log.
+func (s *Server) storageFailure(w http.ResponseWriter, what, tenant string, err error) bool {
+	var pe *fs.PathError
+	if !errors.As(err, &pe) {
+		return false
+	}
+	s.log.Error(what+" failed", "tenant", tenant, "err", err)
+	http.Error(w, what+" failed: storage error (detail in the server log)", http.StatusInternalServerError)
+	return true
+}
+
 // handleCheckpoint snapshots a durable tenant's log on demand: the dsu
 // layer quiesces the structure (in-flight mutation batches drain, new
 // ones hold briefly) and writes a durable snapshot, bounding recovery
@@ -463,7 +478,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, u *dsu
 		w.WriteHeader(http.StatusNoContent)
 	case errors.Is(err, dsu.ErrNotDurable):
 		http.Error(w, err.Error(), http.StatusConflict)
-	default:
+	case !s.storageFailure(w, "checkpoint", u.Name(), err):
 		s.log.Error("checkpoint failed", "tenant", u.Name(), "err", err)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
@@ -548,8 +563,8 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request, u *dsu.Univer
 	tr := u.TraceRecorder().Start(traceOp(want), tracespan.SourceRPC) // nil (all no-ops) on an untraced tenant
 	wd := tr.Start(tracespan.StageWireDecode, tracespan.Root)
 	// Pooled codec: the request envelope lives in decoder scratch, which
-	// is safe here because execution is synchronous and the executor does
-	// not retain the edge slice past the call.
+	// is safe here because execution is synchronous and the dsu layer
+	// does not retain the edge slice past the call.
 	dec := wire.AcquireDecoder(s.wireBody(r.Body), wire.Binary, s.cfg.MaxFrame)
 	defer wire.ReleaseDecoder(dec)
 	env, err := dec.Decode()
@@ -803,11 +818,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 	if inflight > s.cfg.MaxInFlight {
 		inflight = s.cfg.MaxInFlight
 	}
+	// Stream batches resolve these as a request's options: the dsu
+	// layer caps the worker pool.
 	var batch dsu.BatchOptions
 	if v, err := strconv.Atoi(q.Get("workers")); err == nil && v > 0 {
-		// Stream batches bypass the DTO resolve step, so apply its
-		// goroutine cap here.
-		batch.Workers = min(v, dsu.MaxBatchWorkers)
+		batch.Workers = v
 	}
 	if v, err := strconv.Atoi(q.Get("grain")); err == nil && v > 0 {
 		batch.Grain = v
@@ -822,7 +837,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 		dsu.WithStreamContext(c.ctx),
 		dsu.WithBufferSize(buffer),
 		dsu.WithMaxInFlight(inflight),
-		dsu.WithBatchOptions(batch.Options()...),
+		dsu.WithBatchOptions(batch),
 		dsu.WithOnBatch(func(br dsu.BatchResult) {
 			if br.Err != nil {
 				c.write(&wire.Envelope{Kind: wire.KindError, Seq: br.ID, Error: br.Err.Error()})

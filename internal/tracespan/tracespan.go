@@ -47,8 +47,8 @@ const (
 	StageQueueWait   = "queue-wait"   // RPC budget wait / sealed-batch channel wait (parent: root)
 	StageSeal        = "seal"         // stream: first edge into buffer → seal (parent: root)
 	StageDispatch    = "dispatch"     // pipeline: dispatcher picks up → Exec returns (parent: root)
-	StageExecute     = "execute"      // executor: backend UniteAll/SameSetAll call (parent: root)
-	StageWorker      = "worker"       // executor: per-worker attribution (parent: execute)
+	StageExecute     = "execute"      // dsu batch funnel: engine UniteAll/SameSetAll call (parent: root)
+	StageWorker      = "worker"       // dsu batch funnel: per-worker attribution (parent: execute)
 	StageReplyEncode = "reply-encode" // server: reply envelope encode + write (parent: root)
 )
 

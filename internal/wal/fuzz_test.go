@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/exec"
+	"repro/internal/core"
 )
 
 // FuzzWALDecode throws arbitrary bytes at both open paths and every
@@ -25,7 +25,7 @@ func FuzzWALDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := w.Append([]exec.Edge{{X: uint32(i), Y: uint32(i + 1)}, {X: 0, Y: uint32(i)}}); err != nil {
+		if _, err := w.Append([]core.Edge{{X: uint32(i), Y: uint32(i + 1)}, {X: 0, Y: uint32(i)}}); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -64,7 +64,7 @@ func FuzzWALDecode(f *testing.F) {
 					t.Fatalf("chunk index out of sequence: %d after %d", c.FirstSeq, prev)
 				}
 				prev = c.LastSeq
-				err := r.ReadChunk(c, func(seq uint64, edges []exec.Edge) error {
+				err := r.ReadChunk(c, func(seq uint64, edges []core.Edge) error {
 					for _, e := range edges {
 						if int(e.X) >= n || int(e.Y) >= n {
 							t.Fatalf("edge (%d,%d) outside universe %d", e.X, e.Y, n)
@@ -83,7 +83,7 @@ func FuzzWALDecode(f *testing.F) {
 					}
 				}
 			}
-			_ = r.Replay(0, r.LastSeq(), func(uint64, []exec.Edge) error { return nil })
+			_ = r.Replay(0, r.LastSeq(), func(uint64, []core.Edge) error { return nil })
 		}
 	})
 }

@@ -8,7 +8,7 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/exec"
+	"repro/internal/core"
 )
 
 // Reader is the decode side of one tenant's log, backed by the file's
@@ -69,7 +69,7 @@ func ScanReader(data []byte) (*Reader, error) {
 	}
 	r := &Reader{data: data, meta: meta, dataEnd: int64(next)}
 	pos := next
-	var scratch []exec.Edge
+	var scratch []core.Edge
 	footerEnd := -1
 scan:
 	for pos < len(data) {
@@ -214,12 +214,12 @@ func (r *Reader) Clean() bool { return r.clean }
 // ReadChunk re-verifies the chunk record at c and streams its member
 // batches to fn in sequence order. The edge slice passed to fn is
 // scratch, valid only during the call.
-func (r *Reader) ReadChunk(c ChunkInfo, fn func(seq uint64, edges []exec.Edge) error) error {
+func (r *Reader) ReadChunk(c ChunkInfo, fn func(seq uint64, edges []core.Edge) error) error {
 	op, body, _, ok := readRecord(r.data, int(c.Offset))
 	if !ok || op != opChunk {
 		return fmt.Errorf("wal: no valid chunk record at offset %d", c.Offset)
 	}
-	var scratch []exec.Edge
+	var scratch []core.Edge
 	return iterChunkBody(body, r.meta.N, &scratch, fn)
 }
 
@@ -248,8 +248,8 @@ func (r *Reader) LatestSnapshotAt(seq uint64) (SnapshotInfo, bool) {
 // sequence order — the tail replay of recovery (after = snapshot
 // sequence, upTo = LastSeq) and the bounded replay of rewind. The edge
 // slice passed to fn is scratch, valid only during the call.
-func (r *Reader) Replay(after, upTo uint64, fn func(seq uint64, edges []exec.Edge) error) error {
-	var scratch []exec.Edge
+func (r *Reader) Replay(after, upTo uint64, fn func(seq uint64, edges []core.Edge) error) error {
+	var scratch []core.Edge
 	for _, c := range r.chunks {
 		if c.LastSeq <= after {
 			continue
@@ -261,7 +261,7 @@ func (r *Reader) Replay(after, upTo uint64, fn func(seq uint64, edges []exec.Edg
 		if !ok || op != opChunk {
 			return fmt.Errorf("wal: no valid chunk record at offset %d", c.Offset)
 		}
-		err := iterChunkBody(body, r.meta.N, &scratch, func(seq uint64, edges []exec.Edge) error {
+		err := iterChunkBody(body, r.meta.N, &scratch, func(seq uint64, edges []core.Edge) error {
 			if seq <= after || seq > upTo {
 				return nil
 			}
@@ -277,7 +277,7 @@ func (r *Reader) Replay(after, upTo uint64, fn func(seq uint64, edges []exec.Edg
 // validateChunkBody structurally validates one chunk body during the
 // scan: header consistent, frames contiguous from the previous chunk's
 // last sequence, every endpoint in range, edge total exact.
-func validateChunkBody(body []byte, n int, prevLast uint64, scratch *[]exec.Edge) (first, last uint64, edges int, err error) {
+func validateChunkBody(body []byte, n int, prevLast uint64, scratch *[]core.Edge) (first, last uint64, edges int, err error) {
 	if err := iterChunkBody(body, n, scratch, nil); err != nil {
 		return 0, 0, 0, err
 	}
@@ -292,7 +292,7 @@ func validateChunkBody(body []byte, n int, prevLast uint64, scratch *[]exec.Edge
 // iterChunkBody walks a chunk body's frames, validating structure as it
 // goes and (when fn is non-nil) delivering each batch. scratch is the
 // caller's reusable edge buffer, grown in place.
-func iterChunkBody(body []byte, n int, scratch *[]exec.Edge, fn func(seq uint64, edges []exec.Edge) error) error {
+func iterChunkBody(body []byte, n int, scratch *[]core.Edge, fn func(seq uint64, edges []core.Edge) error) error {
 	if len(body) < chunkHeaderLen {
 		return errors.New("wal: short chunk record")
 	}
@@ -320,7 +320,7 @@ func iterChunkBody(body []byte, n int, scratch *[]exec.Edge, fn func(seq uint64,
 			return errors.New("wal: chunk frame edge count inconsistent")
 		}
 		if cap(*scratch) < count {
-			*scratch = make([]exec.Edge, count)
+			*scratch = make([]core.Edge, count)
 		}
 		edges := (*scratch)[:count]
 		for i := 0; i < count; i++ {
@@ -334,7 +334,7 @@ func iterChunkBody(body []byte, n int, scratch *[]exec.Edge, fn func(seq uint64,
 			if int64(x) >= int64(n) || int64(y) >= int64(n) {
 				return fmt.Errorf("wal: edge (%d,%d) outside universe of %d", x, y, n)
 			}
-			edges[i] = exec.Edge{X: x, Y: y}
+			edges[i] = core.Edge{X: x, Y: y}
 		}
 		seen += count
 		if fn != nil {

@@ -1,7 +1,7 @@
 // Package wal is the durable-tenant subsystem's per-tenant write-ahead
 // log: an MCAP-style chunked, CRC-verified, seekable record container
 // holding one tenant's whole mutation history — every unite batch that
-// crossed the execution seam, in applied order, plus periodic snapshot
+// crossed the dsu layer's batch funnel, in applied order, plus periodic snapshot
 // checkpoints of the structure's flattened forest.
 //
 // # File shape
@@ -43,8 +43,9 @@
 // Append assigns sequence numbers under the writer's lock, so append
 // order, sequence order, and file order are one order; Append does not
 // return until the batch is durable per the writer's sync policy. The
-// execution seam calls Append before applying a batch and replies only
-// after both, which is what makes acked-means-logged hold end to end.
+// dsu layer's batch funnel calls Append before applying a batch and
+// replies only after both, which is what makes acked-means-logged hold
+// end to end.
 package wal
 
 import (
@@ -54,7 +55,7 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 
-	"repro/internal/exec"
+	"repro/internal/core"
 )
 
 // Record opcodes.
@@ -211,7 +212,7 @@ func appendRecord(dst []byte, op byte, body []byte) []byte {
 
 // appendFrame encodes one batch as a chunk-member frame: seq, count,
 // then the edges in the wire protocol's 8-byte big-endian layout.
-func appendFrame(dst []byte, seq uint64, edges []exec.Edge) []byte {
+func appendFrame(dst []byte, seq uint64, edges []core.Edge) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, seq)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(edges)))
 	for _, e := range edges {

@@ -10,7 +10,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/exec"
+	"repro/internal/core"
 )
 
 func testMeta(n int) Meta {
@@ -19,14 +19,14 @@ func testMeta(n int) Meta {
 
 // randomBatches deterministically generates count batches of 1..maxLen
 // edges over [0, n).
-func randomBatches(t *testing.T, n, count, maxLen int, seed int64) [][]exec.Edge {
+func randomBatches(t *testing.T, n, count, maxLen int, seed int64) [][]core.Edge {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	batches := make([][]exec.Edge, count)
+	batches := make([][]core.Edge, count)
 	for i := range batches {
-		b := make([]exec.Edge, 1+rng.Intn(maxLen))
+		b := make([]core.Edge, 1+rng.Intn(maxLen))
 		for j := range b {
-			b[j] = exec.Edge{X: uint32(rng.Intn(n)), Y: uint32(rng.Intn(n))}
+			b[j] = core.Edge{X: uint32(rng.Intn(n)), Y: uint32(rng.Intn(n))}
 		}
 		batches[i] = b
 	}
@@ -36,7 +36,7 @@ func randomBatches(t *testing.T, n, count, maxLen int, seed int64) [][]exec.Edge
 // writeLog appends the batches in order and returns the log path. When
 // snapAfter is non-nil it maps a batch index (0-based, after which) to
 // the snapshot parents to checkpoint there.
-func writeLog(t *testing.T, dir string, meta Meta, opt Options, batches [][]exec.Edge, snapAfter map[int][]uint32) string {
+func writeLog(t *testing.T, dir string, meta Meta, opt Options, batches [][]core.Edge, snapAfter map[int][]uint32) string {
 	t.Helper()
 	path := filepath.Join(dir, meta.Tenant+".dsulog")
 	w, rd, err := Open(path, meta, opt)
@@ -70,15 +70,15 @@ func writeLog(t *testing.T, dir string, meta Meta, opt Options, batches [][]exec
 	return path
 }
 
-// collect replays the whole log into a [][]exec.Edge, copying batches.
-func collect(t *testing.T, r *Reader) [][]exec.Edge {
+// collect replays the whole log into a [][]core.Edge, copying batches.
+func collect(t *testing.T, r *Reader) [][]core.Edge {
 	t.Helper()
-	var got [][]exec.Edge
-	err := r.Replay(0, r.LastSeq(), func(seq uint64, edges []exec.Edge) error {
+	var got [][]core.Edge
+	err := r.Replay(0, r.LastSeq(), func(seq uint64, edges []core.Edge) error {
 		if want := uint64(len(got) + 1); seq != want {
 			return fmt.Errorf("replay delivered seq %d, want %d", seq, want)
 		}
-		got = append(got, append([]exec.Edge(nil), edges...))
+		got = append(got, append([]core.Edge(nil), edges...))
 		return nil
 	})
 	if err != nil {
@@ -87,7 +87,7 @@ func collect(t *testing.T, r *Reader) [][]exec.Edge {
 	return got
 }
 
-func sameBatches(a, b [][]exec.Edge) bool {
+func sameBatches(a, b [][]core.Edge) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -298,7 +298,7 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 
 	var mu sync.Mutex
-	acked := make(map[uint64][]exec.Edge)
+	acked := make(map[uint64][]core.Edge)
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
@@ -306,9 +306,9 @@ func TestConcurrentAppend(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < perWriter; i++ {
-				edges := make([]exec.Edge, 1+rng.Intn(7))
+				edges := make([]core.Edge, 1+rng.Intn(7))
 				for j := range edges {
-					edges[j] = exec.Edge{X: uint32(rng.Intn(n)), Y: uint32(rng.Intn(n))}
+					edges[j] = core.Edge{X: uint32(rng.Intn(n)), Y: uint32(rng.Intn(n))}
 				}
 				seq, err := w.Append(edges)
 				if err != nil {
@@ -343,7 +343,7 @@ func TestConcurrentAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	replayed := 0
-	err = r.Replay(0, r.LastSeq(), func(seq uint64, edges []exec.Edge) error {
+	err = r.Replay(0, r.LastSeq(), func(seq uint64, edges []core.Edge) error {
 		want := acked[seq]
 		if len(edges) != len(want) {
 			return fmt.Errorf("seq %d: %d edges, acked %d", seq, len(edges), len(want))
@@ -423,7 +423,7 @@ func TestResumeAppend(t *testing.T) {
 	if seq != wantSeqs+1 {
 		t.Fatalf("resumed append got seq %d, want %d", seq, wantSeqs+1)
 	}
-	extra := []exec.Edge{{X: 1, Y: 2}}
+	extra := []core.Edge{{X: 1, Y: 2}}
 	if _, err := w.Append(extra); err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestResumeAppend(t *testing.T) {
 	if !r2.Clean() {
 		t.Fatalf("resealed log not clean")
 	}
-	want := append(append([][]exec.Edge{}, batches[:len(batches)-1]...), batches[len(batches)-1], extra)
+	want := append(append([][]core.Edge{}, batches[:len(batches)-1]...), batches[len(batches)-1], extra)
 	if !sameBatches(collect(t, r2), want) {
 		t.Fatalf("post-resume replay differs")
 	}
@@ -457,6 +457,8 @@ func TestFingerprintMismatch(t *testing.T) {
 		t.Fatalf("mismatch error not descriptive: %v", err)
 	} else if seed := fmt.Sprintf("%x", meta.Seed); bytes.Contains([]byte(err.Error()), []byte(seed)) {
 		t.Fatalf("mismatch error reveals the log's seed %s: %v", seed, err)
+	} else if bytes.Contains([]byte(err.Error()), []byte(dir)) || !bytes.Contains([]byte(err.Error()), []byte(meta.Tenant)) {
+		t.Fatalf("mismatch error names a path, or not the tenant %q: %v", meta.Tenant, err)
 	}
 	// Same fingerprint reopens fine.
 	w, _, err := Open(path, meta, Options{})
@@ -475,15 +477,15 @@ func TestWriteFailureLatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append([]exec.Edge{{X: 1, Y: 2}}); err != nil {
+	if _, err := w.Append([]core.Edge{{X: 1, Y: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	// Yank the file out from under the writer.
 	w.f.Close()
-	if _, err := w.Append([]exec.Edge{{X: 3, Y: 4}}); err == nil {
+	if _, err := w.Append([]core.Edge{{X: 3, Y: 4}}); err == nil {
 		t.Fatalf("append over a closed file succeeded")
 	}
-	if _, err := w.Append([]exec.Edge{{X: 5, Y: 6}}); err == nil {
+	if _, err := w.Append([]core.Edge{{X: 5, Y: 6}}); err == nil {
 		t.Fatalf("poisoned writer acked a batch")
 	}
 	if _, err := w.WriteSnapshot(meta.Kind, make([]uint32, 64)); err == nil {
@@ -502,7 +504,7 @@ func TestCheckpointDue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	edges := make([]exec.Edge, 4)
+	edges := make([]core.Edge, 4)
 	for i := 0; i < 2; i++ {
 		if _, err := w.Append(edges[:4]); err != nil {
 			t.Fatal(err)
@@ -556,9 +558,9 @@ func TestReplayBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seqs []uint64
-	err = r.Replay(5, 15, func(seq uint64, edges []exec.Edge) error {
+	err = r.Replay(5, 15, func(seq uint64, edges []core.Edge) error {
 		seqs = append(seqs, seq)
-		if !sameBatches([][]exec.Edge{append([]exec.Edge(nil), edges...)}, [][]exec.Edge{batches[seq-1]}) {
+		if !sameBatches([][]core.Edge{append([]core.Edge(nil), edges...)}, [][]core.Edge{batches[seq-1]}) {
 			return fmt.Errorf("seq %d content mismatch", seq)
 		}
 		return nil

@@ -9,7 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bufpool"
-	"repro/internal/exec"
+	"repro/internal/core"
 )
 
 // SyncPolicy selects when Append's durability point is reached.
@@ -156,16 +156,17 @@ func Open(path string, meta Meta, opt Options) (*Writer, *Reader, error) {
 		}
 		if got, want := rd.Meta(), meta; got.Fingerprint() != want.Fingerprint() {
 			f.Close()
-			// The seeds stay out of the message, which can reach a remote
-			// client: a tenant's seed fixes its random linking order, and
-			// a client that knows the order can build a chain of n nodes.
+			// The message can reach a remote client, so it names the
+			// tenant, not the server-side path, and keeps the seeds out: a
+			// tenant's seed fixes its random linking order, and a client
+			// that knows the order can build a chain of n nodes.
 			seed := "the same seed"
 			if got.Seed != want.Seed {
 				seed = "a different seed"
 			}
 			return nil, nil, fmt.Errorf(
-				"wal: %s was recorded under a different configuration: log has n=%d kind=%d find=%d early=%v shards=%d, requested n=%d kind=%d find=%d early=%v shards=%d and %s",
-				path,
+				"wal: the log of tenant %q was recorded under a different configuration: log has n=%d kind=%d find=%d early=%v shards=%d, requested n=%d kind=%d find=%d early=%v shards=%d and %s",
+				want.Tenant,
 				got.N, got.Kind, got.Find, got.Early, got.Shards,
 				want.N, want.Kind, want.Find, want.Early, want.Shards, seed)
 		}
@@ -211,7 +212,7 @@ func (w *Writer) Meta() Meta { return w.meta }
 // assigned under the lock in append order starting at 1, so sequence
 // order and log order coincide. An empty batch is not logged and
 // returns sequence 0.
-func (w *Writer) Append(edges []exec.Edge) (uint64, error) {
+func (w *Writer) Append(edges []core.Edge) (uint64, error) {
 	if len(edges) == 0 {
 		return 0, nil
 	}
@@ -259,7 +260,7 @@ func (w *Writer) Append(edges []exec.Edge) (uint64, error) {
 // appendSerial is the SyncAlways path: sequence assignment, write, and
 // fsync all under the lock. Fully serialized appenders IS
 // fsync-per-batch semantics — there is no group to commit.
-func (w *Writer) appendSerial(edges []exec.Edge) (uint64, error) {
+func (w *Writer) appendSerial(edges []core.Edge) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
