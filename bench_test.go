@@ -389,6 +389,36 @@ func BenchmarkCoreNew(b *testing.B) {
 	})
 }
 
+// BenchmarkCheckpoint snapshots a durable n = 2²⁰ tenant into its log,
+// one Universe.Checkpoint per iteration: the pause every mutation of the
+// tenant waits out. The record streams from the forest's parent words
+// through one pooled piece buffer, so CI fails the build when B/op passes
+// n bytes (one copy of the forest is 4n). Each iteration adds a 4 MiB
+// record to a log under the test's temporary directory; run it with a
+// fixed -benchtime count.
+func BenchmarkCheckpoint(b *testing.B) {
+	const n = 1 << 20
+	b.Run("n=2^20", func(b *testing.B) {
+		reg := dsu.NewRegistry(dsu.WithDurability(b.TempDir()))
+		defer reg.Close()
+		u, err := reg.Create("bench", n, dsu.WithSeed(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		edges := engine.FromOps(workload.RandomUnions(n, n/2, 12))
+		if _, err := u.UniteAll(dsu.UniteRequest{Edges: edges}); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := u.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkE20StreamIngest measures streamed ingestion (dsu.Stream, batches
 // overlapping execution) against the blocking batch loop on one uniform
 // edge stream — the E20 comparison at a fixed buffer size.

@@ -137,6 +137,14 @@ type durableState struct {
 // checkpoint is already running (many batches cross the threshold
 // together; one snapshot serves them all) and whose failures surface at
 // the next append, since a failed snapshot write poisons the log.
+//
+// The record streams straight from the forest's parent words, with no
+// copy, while the gate is held. Query batches do not take the gate, so
+// their finds keep splitting paths during the read. That is safe: a find
+// only swings a parent to an ancestor in the same tree, and no link can
+// land while the gate is held, so every word the record reads, before or
+// after any such swing, describes the same partition, and the record is
+// a per-word-atomic forest of it.
 func (d *DSU) checkpoint(wait bool) error {
 	if wait {
 		d.dur.mu.Lock()
@@ -146,7 +154,7 @@ func (d *DSU) checkpoint(wait bool) error {
 	defer d.dur.mu.Unlock()
 	d.gate.Lock()
 	defer d.gate.Unlock()
-	_, err := d.dur.w.WriteSnapshot(d.dur.kind, d.c.Snapshot())
+	_, err := d.dur.w.WriteSnapshotFrom(d.dur.kind, d.c.PutParents)
 	return err
 }
 

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/dsu"
@@ -347,6 +348,105 @@ func TestCheckpointWhileUniting(t *testing.T) {
 			reg2.Close()
 		})
 	}
+}
+
+// TestCheckpointWhileQuerying streams checkpoints while two-try query
+// batches split paths on the same forest (run under -race in CI). Query
+// batches do not take the quiesce gate, so the streamed read races their
+// compaction CASes. Every snapshot must still be a forest (ids rise
+// along each parent pointer) of exactly the partition of the batches it
+// covers, and recovery must match the oracle.
+func TestCheckpointWhileQuerying(t *testing.T) {
+	const n = 1 << 19 // a snapshot record of three pieces
+	dir := t.TempDir()
+	reg := dsu.NewRegistry(dsu.WithDurability(dir))
+	u, err := reg.Create("t", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var answered atomic.Int64
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			pairs := make([]dsu.Edge, 4096)
+			twoTry := dsu.BatchOptions{Find: dsu.TwoTrySplitting}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := range pairs {
+					pairs[i] = dsu.Edge{X: uint32(rng.Intn(n)), Y: uint32(rng.Intn(n))}
+				}
+				if _, err := u.SameSetAll(dsu.QueryRequest{Pairs: pairs, Options: twoTry}); err != nil {
+					t.Errorf("SameSetAll: %v", err)
+					return
+				}
+				answered.Add(1)
+			}
+		}(g)
+	}
+	// Unites that do not compact leave long paths for the queries to split.
+	batches := durBatches(n, 4, n/4, 77)
+	noCompaction := dsu.BatchOptions{Find: dsu.NoCompaction}
+	for i, b := range batches {
+		if _, err := u.UniteAll(dsu.UniteRequest{Edges: b, Options: noCompaction}); err != nil {
+			t.Errorf("UniteAll #%d: %v", i, err)
+			break
+		}
+		if err := u.Checkpoint(); err != nil {
+			t.Errorf("Checkpoint #%d: %v", i, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	t.Logf("%d query batches answered across %d checkpoints", answered.Load(), len(batches))
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rd, err := wal.OpenReader(filepath.Join(dir, "t.dsulog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rd.Snapshots()) != len(batches) {
+		t.Fatalf("%d snapshots logged, want %d", len(rd.Snapshots()), len(batches))
+	}
+	for _, si := range rd.Snapshots() {
+		sr, err := rd.ReadSnapshot(si)
+		if err != nil {
+			t.Fatal(err)
+		}
+		links := make([]dsu.Edge, 0, n)
+		for x, p := range sr.Parents {
+			if p == uint32(x) {
+				continue
+			}
+			if u.ID(p) <= u.ID(uint32(x)) {
+				t.Fatalf("snapshot at seq %d: parent %d of %d does not follow it in the linking order", si.Seq, p, x)
+			}
+			links = append(links, dsu.Edge{X: uint32(x), Y: p})
+		}
+		what := fmt.Sprintf("snapshot at seq %d", si.Seq)
+		sameLabels(t, what, oracleLabels(n, [][]dsu.Edge{links}), oracleLabels(n, batches[:si.Seq]))
+	}
+
+	reg2 := dsu.NewRegistry(dsu.WithDurability(dir))
+	u2, err := reg2.Create("t", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameLabels(t, "recovered", u2.CanonicalLabels(), oracleLabels(n, batches))
+	reg2.Close()
 }
 
 // TestRewind materializes historical states and checks each against the

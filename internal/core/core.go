@@ -38,8 +38,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Find selects the find-path compaction strategy.
@@ -176,14 +178,18 @@ func build(n int, cfg Config, made *atomic.Uint32) *DSU {
 			panic("core: early termination is defined only for naive and splitting finds")
 		}
 	}
+	// The identity is filled with plain stores: no other goroutine can
+	// see the structure before build returns, and whatever publishes it
+	// orders these stores before every later load.
+	ids := make([]uint32, n)
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
 	d := &DSU{
-		parent: make([]atomic.Uint32, n),
+		parent: atomicWords(ids),
 		ord:    newOrder(n, cfg.Seed),
 		cfg:    cfg,
 		made:   made,
-	}
-	for i := range d.parent {
-		d.parent[i].Store(uint32(i))
 	}
 	d.views = new([FindCompress + 1]*DSU)
 	for f := FindNaive; f <= FindCompress; f++ {
@@ -197,6 +203,13 @@ func build(n int, cfg Config, made *atomic.Uint32) *DSU {
 		}
 	}
 	return d
+}
+
+// atomicWords views w as atomic words, sharing its memory. atomic.Uint32
+// is a uint32 with uint32's size and alignment (TestAtomicWordLayout pins
+// both), so the two slices have one layout.
+func atomicWords(w []uint32) []atomic.Uint32 {
+	return unsafe.Slice((*atomic.Uint32)(unsafe.Pointer(unsafe.SliceData(w))), len(w))
 }
 
 // N returns the number of elements: n on a structure New built, and the
@@ -610,6 +623,18 @@ func (d *DSU) Snapshot() []uint32 {
 		out[i] = d.parent[i].Load()
 	}
 	return out
+}
+
+// PutParents stores the parent words of elements from, from+1, … into
+// dst, four big-endian bytes each, until dst is full; len(dst) is a
+// multiple of four. It is the bulk read a snapshot record streams: like
+// Snapshot, it loads each word atomically, so it is exact at quiescence
+// and per-word-atomic while operations are in flight.
+func (d *DSU) PutParents(dst []byte, from int) {
+	words := d.parent[from : from+len(dst)/4]
+	for i := range words {
+		binary.BigEndian.PutUint32(dst[4*i:], words[i].Load())
+	}
 }
 
 // CanonicalLabels returns the min-element labelling of the current

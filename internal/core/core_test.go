@@ -1,9 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/randutil"
 	"repro/internal/seqdsu"
@@ -374,6 +377,37 @@ func TestSnapshotQuiescent(t *testing.T) {
 		if p != d.Parent(uint32(x)) {
 			t.Fatalf("snapshot[%d] = %d, Parent = %d", x, p, d.Parent(uint32(x)))
 		}
+	}
+}
+
+// TestPutParentsMatchesSnapshot: the bulk read is Snapshot's words,
+// big-endian, from any starting element.
+func TestPutParentsMatchesSnapshot(t *testing.T) {
+	d := New(10, Config{Seed: 4})
+	d.Unite(1, 2)
+	d.Unite(3, 4)
+	d.Unite(2, 9)
+	snap := d.Snapshot()
+	for from := 0; from <= len(snap); from++ {
+		dst := make([]byte, 4*(len(snap)-from))
+		d.PutParents(dst, from)
+		for i := range dst[:len(dst)/4] {
+			if got := binary.BigEndian.Uint32(dst[4*i:]); got != snap[from+i] {
+				t.Fatalf("PutParents(_, %d) word %d = %d, Snapshot has %d", from, i, got, snap[from+i])
+			}
+		}
+	}
+}
+
+// TestAtomicWordLayout pins what build's view of a []uint32 as a
+// []atomic.Uint32 relies on: the two element types share size and
+// alignment.
+func TestAtomicWordLayout(t *testing.T) {
+	var a atomic.Uint32
+	var w uint32
+	if unsafe.Sizeof(a) != unsafe.Sizeof(w) || unsafe.Alignof(a) != unsafe.Alignof(w) {
+		t.Fatalf("atomic.Uint32 has size %d and alignment %d, uint32 %d and %d",
+			unsafe.Sizeof(a), unsafe.Alignof(a), unsafe.Sizeof(w), unsafe.Alignof(w))
 	}
 }
 

@@ -1,7 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"io/fs"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -173,6 +178,29 @@ func TestCreateErrorsNameNoPath(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), file) {
 		t.Fatalf("storage error names a path: %v", err)
+	}
+}
+
+// TestErrorTextNamesNoPath: a refused batch whose error carries a
+// file-system error, as every mutation on a poisoned log does, answers
+// with text that names no server-side path; the server log keeps the
+// detail. Any other error reaches the client as it is.
+func TestErrorTextNamesNoPath(t *testing.T) {
+	var logged bytes.Buffer
+	s := New(Config{Registry: dsu.NewRegistry(), Log: slog.New(slog.NewTextHandler(&logged, nil))})
+	const path = "/srv/dsu-data/t.dsulog"
+	poisoned := fmt.Errorf("wal: log poisoned by write failure: %w",
+		&fs.PathError{Op: "write", Path: path, Err: os.ErrClosed})
+	got := s.errorText("unite", "t", poisoned)
+	if strings.Contains(got, path) || got != "unite failed: storage error (detail in the server log)" {
+		t.Fatalf("errorText of a poisoned log = %q", got)
+	}
+	if !strings.Contains(logged.String(), path) || !strings.Contains(logged.String(), "tenant=t") {
+		t.Fatalf("server log lacks the detail: %q", logged.String())
+	}
+	plain := errors.New("dsu: edge 3 names (9,1), outside the 4-element universe")
+	if got := s.errorText("unite", "t", plain); got != plain.Error() {
+		t.Fatalf("errorText of a validation error = %q, want it unchanged", got)
 	}
 }
 

@@ -448,17 +448,38 @@ func (s *Server) handleTenant(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 	}
 }
 
-// storageFailure answers err with a 500 and reports true when err
-// carries a file-system error, whose text names a path on the server:
-// the body names no path, and the detail goes to the log.
-func (s *Server) storageFailure(w http.ResponseWriter, what, tenant string, err error) bool {
+// storageError reports whether err carries a file-system error, whose
+// text names a path on the server. If it does, the detail goes to the
+// log, and the returned text, which names what failed and no path, is
+// what the client reads instead.
+func (s *Server) storageError(what, tenant string, err error) (string, bool) {
 	var pe *fs.PathError
 	if !errors.As(err, &pe) {
-		return false
+		return "", false
 	}
 	s.log.Error(what+" failed", "tenant", tenant, "err", err)
-	http.Error(w, what+" failed: storage error (detail in the server log)", http.StatusInternalServerError)
-	return true
+	return what + " failed: storage error (detail in the server log)", true
+}
+
+// storageFailure answers err with a 500 and reports true when err
+// carries a file-system error (storageError).
+func (s *Server) storageFailure(w http.ResponseWriter, what, tenant string, err error) bool {
+	msg, ok := s.storageError(what, tenant, err)
+	if ok {
+		http.Error(w, msg, http.StatusInternalServerError)
+	}
+	return ok
+}
+
+// errorText is the text a data-plane error envelope carries for a
+// refused batch: err's own, unless err carries a file-system error
+// (storageError). Once a write failure poisons a durable tenant's log,
+// every later mutation is refused with an error naming the log's path.
+func (s *Server) errorText(what, tenant string, err error) string {
+	if msg, ok := s.storageError(what, tenant, err); ok {
+		return msg
+	}
+	return err.Error()
 }
 
 // handleCheckpoint snapshots a durable tenant's log on demand: the dsu
@@ -644,7 +665,7 @@ func (s *Server) batch(ctx context.Context, t tenant, env *wire.Envelope, tr *tr
 		// Rejected before it applied (validation, or a durability failure):
 		// nothing is poisoned, the error envelope is the whole story, and a
 		// pipe keeps serving.
-		out.write(&wire.Envelope{Kind: wire.KindError, Seq: env.Seq, Error: err.Error()})
+		out.write(&wire.Envelope{Kind: wire.KindError, Seq: env.Seq, Error: s.errorText(env.Kind.String(), t.u.Name(), err)})
 		s.log.Debug("rpc rejected", "tenant", t.u.Name(), "endpoint", env.Kind.String(),
 			"trace", tracespan.FormatTraceID(tr.ID()), "err", err.Error())
 		return 0
@@ -840,7 +861,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 		dsu.WithBatchOptions(batch),
 		dsu.WithOnBatch(func(br dsu.BatchResult) {
 			if br.Err != nil {
-				c.write(&wire.Envelope{Kind: wire.KindError, Seq: br.ID, Error: br.Err.Error()})
+				c.write(&wire.Envelope{Kind: wire.KindError, Seq: br.ID, Error: s.errorText("stream batch", u.Name(), br.Err)})
 				return
 			}
 			// The callback runs before the trace is finished, so the
@@ -865,7 +886,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, u *dsu.Uni
 			// PushLinked copies the edges before returning, so the frame is
 			// processed when it returns.
 			if err := st.PushLinked(dsu.TraceContext{Trace: env.Trace, Span: env.Span}, env.Unite.Edges...); err != nil {
-				c.write(&wire.Envelope{Kind: wire.KindError, Seq: env.Seq, Error: err.Error()})
+				c.write(&wire.Envelope{Kind: wire.KindError, Seq: env.Seq, Error: s.errorText("stream push", u.Name(), err)})
 				return false
 			}
 		case wire.KindFlush:

@@ -22,8 +22,8 @@
 //	               [seq u64][count u32][count × (X u32, Y u32)] — the
 //	               wire protocol's 8-byte edge layout
 //	snapshot 0x03  a checkpoint: [seq u64][kind u8][fingerprint u64]
-//	               [n u32][n × parent u32] — the backend's flattened
-//	               Snapshot() at quiescence after batch seq
+//	               [n u32][n × parent u32] — the structure's parent
+//	               words after batch seq, read with mutations held back
 //	summary  0x04  index of every chunk {offset, firstSeq, lastSeq,
 //	               edges} and snapshot {offset, seq} — written at clean
 //	               Close, ahead of the footer
@@ -267,24 +267,14 @@ type SnapshotRecord struct {
 	Parents []uint32
 }
 
-// snapshotBody encodes a snapshot record body.
-func snapshotBody(seq uint64, kind uint8, fingerprint uint64, parents []uint32) []byte {
-	b := make([]byte, 0, 8+1+8+4+4*len(parents))
-	b = binary.BigEndian.AppendUint64(b, seq)
-	b = append(b, kind)
-	b = binary.BigEndian.AppendUint64(b, fingerprint)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(parents)))
-	for _, p := range parents {
-		b = binary.BigEndian.AppendUint32(b, p)
-	}
-	return b
-}
+// snapshotFixed is the fixed prefix of a snapshot body (seq, kind,
+// fingerprint, parent count).
+const snapshotFixed = 8 + 1 + 8 + 4
 
 // parseSnapshot decodes a snapshot record body; n is the universe size
 // from the header (a snapshot of any other length is corrupt).
 func parseSnapshot(body []byte, n int) (SnapshotRecord, error) {
-	const fixed = 8 + 1 + 8 + 4
-	if len(body) < fixed {
+	if len(body) < snapshotFixed {
 		return SnapshotRecord{}, errors.New("wal: short snapshot record")
 	}
 	sr := SnapshotRecord{
@@ -293,12 +283,12 @@ func parseSnapshot(body []byte, n int) (SnapshotRecord, error) {
 		Fingerprint: binary.BigEndian.Uint64(body[9:17]),
 	}
 	count := int(binary.BigEndian.Uint32(body[17:21]))
-	if count != n || len(body) != fixed+4*count {
+	if count != n || len(body) != snapshotFixed+4*count {
 		return SnapshotRecord{}, fmt.Errorf("wal: snapshot holds %d parents, universe has %d", count, n)
 	}
 	sr.Parents = make([]uint32, count)
 	for i := range sr.Parents {
-		p := binary.BigEndian.Uint32(body[fixed+4*i:])
+		p := binary.BigEndian.Uint32(body[snapshotFixed+4*i:])
 		if int(p) >= n {
 			return SnapshotRecord{}, fmt.Errorf("wal: snapshot parent %d out of range", p)
 		}

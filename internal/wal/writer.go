@@ -52,9 +52,24 @@ type Options struct {
 	CheckpointEvery int64
 }
 
+// file is what a Writer does with its log file once it is open.
+// *os.File is the implementation; tests substitute one that fails on cue.
+type file interface {
+	WriteAt(p []byte, off int64) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
+// snapshotPiece is the size of the one pooled buffer a snapshot record
+// streams through: each piece is written as it fills, so a checkpoint
+// holds O(snapshotPiece) bytes, not a copy of the record.
+const snapshotPiece = 1 << 20
+
 // Writer is the append side of one tenant's log. Append assigns the
 // batch its sequence number and returns once the batch is durable per
-// the sync policy; WriteSnapshot records a checkpoint at quiescence;
+// the sync policy; WriteSnapshotFrom (or WriteSnapshot, from a copy)
+// records a checkpoint while the caller holds mutations back;
 // Close seals the log with a summary index and footer so the next open
 // seeks instead of scanning.
 //
@@ -70,7 +85,7 @@ type Options struct {
 // every subsequent Append fails with it. A log that cannot promise
 // durability must not keep acknowledging batches.
 type Writer struct {
-	f    *os.File
+	f    file
 	path string
 	meta Meta
 	opt  Options
@@ -383,17 +398,42 @@ func (w *Writer) latchLocked(err error, off int64) {
 	w.f.Truncate(off)
 }
 
-// WriteSnapshot records a checkpoint: the flattened forest of the
-// structure at quiescence, fsynced regardless of the append policy. The
-// caller must have quiesced the structure first (no batch between the
-// last Append return and the Snapshot() call) — the snapshot claims to
-// cover every sequence up to its own, and a concurrent append would
-// falsify that. It returns the covered sequence and resets the
-// automatic checkpoint trigger.
+// WriteSnapshot records a checkpoint of the forest parents, a copy the
+// caller holds: it is WriteSnapshotFrom reading that copy, so the record
+// has the same bytes. The copy must cover what the record claims, the
+// sequences up to the log's last: take it, as WriteSnapshotFrom reads,
+// with every mutation held back and finds free to run.
 func (w *Writer) WriteSnapshot(kind uint8, parents []uint32) (uint64, error) {
 	if len(parents) != w.meta.N {
 		return 0, fmt.Errorf("wal: snapshot holds %d parents, universe has %d", len(parents), w.meta.N)
 	}
+	return w.WriteSnapshotFrom(kind, func(dst []byte, from int) {
+		for i, p := range parents[from : from+len(dst)/4] {
+			binary.BigEndian.PutUint32(dst[4*i:], p)
+		}
+	})
+}
+
+// WriteSnapshotFrom records a checkpoint of the structure's forest, read
+// straight from the structure: put(dst, from) fills dst with the parent
+// words of elements from, from+1, …, four big-endian bytes each, and the
+// writer asks for all N of them in order. The record streams through one
+// pooled buffer of snapshotPiece bytes, the CRC updated as each piece
+// fills and each piece written at rising offsets, then one fsync
+// regardless of the append policy. A failure anywhere truncates the log
+// back to the record's start and poisons the writer, so no partial
+// snapshot is ever scanned. It returns the covered sequence and resets
+// the automatic checkpoint trigger.
+//
+// The snapshot claims to cover every sequence up to its own, so the
+// caller holds back every mutation from before the call until it
+// returns: no Append, and no link. Finds may keep running: a find only
+// swings a parent pointer to an ancestor of its element in the same
+// tree, and with no link landing the trees stay fixed. Whichever mix of
+// old and new words the streamed read sees, each word points at an
+// ancestor of its element in those trees, so the record is a forest (ids
+// still increase along every pointer) of exactly the covered partition.
+func (w *Writer) WriteSnapshotFrom(kind uint8, put func(dst []byte, from int)) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for (len(w.pend) > 0 || w.writing) && w.err == nil && !w.closed {
@@ -406,19 +446,53 @@ func (w *Writer) WriteSnapshot(kind uint8, parents []uint32) (uint64, error) {
 		return 0, w.err
 	}
 	seq := w.nextSeq - 1
-	body := snapshotBody(seq, kind, w.meta.Fingerprint(), parents)
-	rec := appendRecord(bufpool.Get(recordOverhead+len(body)), opSnapshot, body)
 	off := w.offset
-	err := w.writeDurable(rec, off, true)
-	bufpool.Put(rec)
+	end, err := w.streamSnapshot(off, seq, kind, put)
 	if err != nil {
 		w.latchLocked(err, off)
 		return 0, w.err
 	}
-	w.offset = off + int64(len(rec))
+	w.offset = end
 	w.snaps = append(w.snaps, SnapshotInfo{Offset: off, Seq: seq})
 	w.edgesSinceSnap.Store(0)
 	return seq, nil
+}
+
+// streamSnapshot writes the snapshot record covering seq at off, piece
+// by piece, fsyncs it, and returns the offset just past it. The first
+// piece opens with the record's framing and the body's fixed fields; the
+// CRC trails the last parent word, in the last piece or, when that one
+// is full, a piece of its own.
+func (w *Writer) streamSnapshot(off int64, seq uint64, kind uint8, put func(dst []byte, from int)) (int64, error) {
+	n := w.meta.N
+	buf := bufpool.Get(snapshotPiece)
+	defer bufpool.Put(buf)
+	b := append(buf[:0:snapshotPiece], opSnapshot)
+	b = binary.BigEndian.AppendUint32(b, uint32(snapshotFixed+4*n))
+	b = binary.BigEndian.AppendUint64(b, seq)
+	b = append(b, kind)
+	b = binary.BigEndian.AppendUint64(b, w.meta.Fingerprint())
+	b = binary.BigEndian.AppendUint32(b, uint32(n))
+	var crc uint32
+	for from := 0; from < n; {
+		k := min((cap(b)-len(b))/4, n-from)
+		put(b[len(b):len(b)+4*k], from)
+		b, from = b[:len(b)+4*k], from+k
+		if cap(b)-len(b) < 4 {
+			crc = crc32.Update(crc, crc32.IEEETable, b)
+			if _, err := w.f.WriteAt(b, off); err != nil {
+				return 0, err
+			}
+			off += int64(len(b))
+			b = b[:0]
+		}
+	}
+	crc = crc32.Update(crc, crc32.IEEETable, b)
+	b = binary.BigEndian.AppendUint32(b, crc)
+	if err := w.writeDurable(b, off, true); err != nil {
+		return 0, err
+	}
+	return off + int64(len(b)), nil
 }
 
 // CheckpointDue reports whether the automatic checkpoint trigger has
