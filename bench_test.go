@@ -324,7 +324,9 @@ func BenchmarkE12Dynamic(b *testing.B) {
 // array (16 MB) misses cache, the regime the core's span kernel
 // overlaps: UniteAll on a fresh forest and SameSetAll on one preloaded
 // with n uniform unions, 2²⁰ edges in 64K-edge batches at the default
-// worker count.
+// worker count. At m/n = ¼ the unite case's finds rarely climb past a
+// grandparent; the dense case is one 2²²-edge batch into a fresh forest
+// (m/n = 1, the shape of a served tenant's preload), whose finds do.
 func BenchmarkE18BatchUniteAll(b *testing.B) {
 	const n = 1 << 18
 	m := 4 * n
@@ -358,6 +360,16 @@ func BenchmarkE18BatchUniteAll(b *testing.B) {
 			batches(d, bigEdges, false)
 		}
 		b.ReportMetric(float64(bigM)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medge/s")
+	})
+	denseEdges := engine.FromOps(workload.RandomUnions(bigN, bigN, 14))
+	b.Run("n=2^22/dense", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			d := core.New(bigN, core.Config{Seed: 13})
+			b.StartTimer()
+			engine.UniteAll(d, denseEdges, engine.Config{Seed: 13})
+		}
+		b.ReportMetric(float64(bigN)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medge/s")
 	})
 	b.Run("n=2^22/query", func(b *testing.B) {
 		d := core.New(bigN, core.Config{Seed: 13})

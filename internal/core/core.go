@@ -33,8 +33,10 @@
 // paper's theorems without slowing the uncounted fast path.
 //
 // UniteSpan and SameSetSpan run the same operations over a span of batch
-// edges, issuing each group's first loads together so their cache misses
-// overlap; their results and Stats equal a loop of the point operations.
+// edges in groups, requesting (on amd64) the words of later groups'
+// endpoints, parents and grandparents while earlier groups run, so their
+// cache misses overlap that work; their results and Stats equal a loop of
+// the point operations.
 package core
 
 import (
@@ -395,7 +397,7 @@ func (d *DSU) SameSetCounted(x, y uint32, st *Stats) bool { return d.sameSet(x, 
 
 func (d *DSU) sameSet(x, y uint32, st *Stats) bool {
 	if st != nil {
-		defer func() { st.Ops++ }()
+		st.Ops++
 	}
 	if d.cfg.EarlyTermination {
 		return d.sameSetEarly(x, y, st)
@@ -512,7 +514,7 @@ func (d *DSU) UniteRetries(x, y uint32, st *Stats) (merged bool, retries int64) 
 
 func (d *DSU) unite(x, y uint32, st *Stats) (bool, int64) {
 	if st != nil {
-		defer func() { st.Ops++ }()
+		st.Ops++
 	}
 	if d.cfg.EarlyTermination {
 		return d.uniteEarly(x, y, st), 0

@@ -411,6 +411,16 @@ func TestAtomicWordLayout(t *testing.T) {
 	}
 }
 
+// TestEdgeLayout pins the Edge layout the amd64 prefetch reads
+// (prefetch_amd64.s): eight bytes, X at offset 0 and Y at offset 4.
+func TestEdgeLayout(t *testing.T) {
+	var e Edge
+	if unsafe.Sizeof(e) != 8 || unsafe.Offsetof(e.X) != 0 || unsafe.Offsetof(e.Y) != 4 {
+		t.Fatalf("Edge has size %d, X at offset %d and Y at %d; the prefetch reads 8, 0 and 4",
+			unsafe.Sizeof(e), unsafe.Offsetof(e.X), unsafe.Offsetof(e.Y))
+	}
+}
+
 func TestCompactionActuallyShortensPaths(t *testing.T) {
 	// After many sequential operations through a splitting find, re-finding
 	// the same deep element must cost fewer steps than the first time.

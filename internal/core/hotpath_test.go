@@ -19,8 +19,9 @@ func TestHotPathsAllocationFree(t *testing.T) {
 			d := New(n, cfg)
 			rng := randutil.NewXoshiro256(1)
 			var st Stats
-			// Longer than one kernel group, so the second group runs too.
-			span := make([]Edge, spanGroup+3)
+			// Longer than the pipeline is deep, so its steady state, where
+			// every stage works on a group, runs too.
+			span := make([]Edge, (edgeDist+1)*spanGroup+3)
 			out := make([]bool, len(span))
 			if allocs := testing.AllocsPerRun(200, func() {
 				x, y := uint32(rng.Intn(n)), uint32(rng.Intn(n))

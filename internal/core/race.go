@@ -3,5 +3,5 @@
 package core
 
 // raceEnabled reports whether the race detector is built in, in which case
-// the span kernel skips its warm loads (see warm).
+// the span kernel skips its prefetch pipeline (see prefetcher.ahead).
 const raceEnabled = true
